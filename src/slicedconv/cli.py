@@ -78,6 +78,9 @@ def cmd_run(args) -> int:
         with open(args.dump_regions, "w", encoding="utf-8") as fh:
             json.dump(dump, fh, indent=2)
 
+    for r in reports:
+        if r.error:
+            print(f"case {r.id} failed: {r.error}", file=sys.stderr)
     n_bad = sum(not r.correct for r in reports)
     print(f"{len(reports)} cases, {len(reports) - n_bad} correct, "
           f"{n_bad} incorrect, {len(errors)} rejected records", file=sys.stderr)

@@ -43,11 +43,14 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     oh, ow = out_shape(p)
     xp = pad_input(x, p)
     conv = ConvInfo.from_params(p.padded())
-    assert (conv.oh, conv.ow) == (oh, ow)
+    if (conv.oh, conv.ow) != (oh, ow):
+        raise RuntimeError(f"padded problem yields {conv.oh}x{conv.ow} "
+                           f"output, expected {oh}x{ow}")
 
     strategy = analyze(conv, arch, mk)
     regions = plan_regions(conv, strategy, mk)
-    assert coverage_check(regions, conv), "region decomposition does not cover"
+    if not coverage_check(regions, conv):
+        raise RuntimeError("region decomposition does not cover")
 
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
     for region in regions:

@@ -8,7 +8,8 @@ Suite format is JSON Lines, one object per convolution:
 Scalar "stride", "pad" and "dil" expand to both axes; _h/_w variants set
 them independently. Defaults: n=1, stride=1, dil=1, pad=0, repeat=30.
 Records with "groups" != 1 are rejected (grouped convolutions are out of
-scope); malformed records are reported and skipped.
+scope); malformed records, including non-integer fields or repeat, are
+reported and skipped.
 
 Tensors are initialized uniform [-1, 1] in f32 from NumPy's PCG64 generator
 seeded with (seed, case_index), input tensor drawn before the filter tensor,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .arch import ArchInfo, MkInfo
 from .engine import run_convolution
-from .model import DTYPE, ConvParams, out_shape
+from .model import DTYPE, ConvParams, out_shape, require_int
 from .reference import naive_conv
 from .regions import KernelRegion
 
@@ -63,6 +64,7 @@ class CaseReport:
     k3: int
     regions: int
     seconds: float
+    error: str = ""  # "<Type>: <message>" when the engine raised
 
 
 def _axis_pair(rec: dict, base: str, default: int) -> tuple[int, int]:
@@ -74,7 +76,9 @@ def parse_case(rec: dict, default_id: str) -> ConvCase:
     unknown = set(rec) - _ALLOWED_KEYS
     if unknown:
         raise ValueError(f"unknown keys: {sorted(unknown)}")
-    if rec.get("groups", 1) != 1:
+    groups = rec.get("groups", 1)
+    require_int("groups", groups)
+    if groups != 1:
         raise ValueError("grouped convolutions are not supported")
     for key in ("ic", "ih", "iw", "oc", "fh", "fw"):
         if key not in rec:
@@ -89,8 +93,9 @@ def parse_case(rec: dict, default_id: str) -> ConvCase:
                         iw=rec["iw"], oc=rec["oc"], fh=rec["fh"], fw=rec["fw"],
                         stride_h=sh, stride_w=sw, dil_h=dh, dil_w=dw,
                         pad_h=ph, pad_w=pw)
-    return ConvCase(id=case_id, params=params,
-                    repeat=int(rec.get("repeat", 30)))
+    repeat = rec.get("repeat", 30)
+    require_int("repeat", repeat)
+    return ConvCase(id=case_id, params=params, repeat=repeat)
 
 
 def load_suite(path) -> tuple[list[ConvCase], list[str]]:
@@ -134,11 +139,11 @@ def case_flops(p: ConvParams) -> int:
     return 2 * p.n * p.oc * oh * ow * p.ic * p.fh * p.fw
 
 
-def _failure_report(case: ConvCase) -> CaseReport:
+def _failure_report(case: ConvCase, exc: Exception) -> CaseReport:
     # engine refused or crashed on the case; recorded, the run continues
     return CaseReport(id=case.id, correct=False, max_rel_err=float("inf"),
                       gflops=0.0, schedule="-", nc=0, k2=0, k3=0, regions=0,
-                      seconds=0.0)
+                      seconds=0.0, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
@@ -171,7 +176,7 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
     for idx, case in enumerate(cases):
         outcome = outcomes[idx]
         if isinstance(outcome, Exception):
-            reports.append(_failure_report(case))
+            reports.append(_failure_report(case, outcome))
             continue
         err, info, verify_seconds = outcome
         if collect_regions:

@@ -1,20 +1,24 @@
 """Two-level tiled macrokernel around an outer-product microkernel.
 
-The loop nest for one region, outermost to innermost:
+The loop nest for one region comes from build_plan, outermost to innermost:
 
     batch
     channel blocks of nc                      (layer 5)
     stationary tile sets                      (layer 4)
-    non-stationary tile sets                  (layer 3)
+    streamed tile sets                        (layer 3)
     stationary tile within its set            (layer 2)
-    non-stationary tile within its set        (layer 1)
+    streamed tile within its set              (layer 1)
     microkernel: acc[f, w] += sum_k pf[k, f] * pi[k, w]
 
-Under the input-stationary schedule the window-tile loops are the stationary
-pair (sets of k3 tiles, input tiles packed once each when their set is
-entered) and the filter-tile loops stream inside them (multipacked in sets
-of k2). The weight-stationary schedule is the mirror image: filter tiles are
-packed once each per k2 set and inputs are multipacked per window-tile set.
+execute_region walks the four outer loops. Under the input-stationary
+schedule the window-tile sets (k3 tiles) are stationary, their input tiles
+packed once each when the set is entered, and the filter-tile sets (k2
+tiles) stream inside them, multipacked per set. The weight-stationary
+schedule is the mirror image: each filter set is packed once per batch
+and channel block, and inputs are multipacked per window set. The two tile
+loops are collapsed into one set-pair product: each window tile is
+multiplied by the whole packed filter set in one batched GEMM. A registered
+microkernel hook is still called once per tile pair.
 
 Partial sums are accumulated directly into the output tensor, which the
 driver zero-initializes; an output tile is therefore touched once per
@@ -73,14 +77,14 @@ def make_accumulator(n_f: int, n_win: int) -> np.ndarray:
     return np.zeros((n_f, n_win), dtype=DTYPE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopSpec:
     dim: str
     extent: int
     step: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopNestPlan:
     """Ordered loop descriptors plus packing placement for one region."""
 
@@ -133,26 +137,63 @@ def build_plan(region: KernelRegion, strategy: TilingStrategy,
         multipack_dim="input", multipack_nt=min(strategy.k3, max(wtiles, 1)))
 
 
-class _BufPool:
-    """Packing buffers allocated once per (tag, shape), reused across sets."""
+class _SetPacker:
+    """Packs the window and filter sets of one region into reused buffers.
 
-    def __init__(self):
-        self._bufs = {}
+    A buffer is allocated once per (tensor, channel block width) and holds
+    one full set; pack() fills its first tiles and records the packs.
+    """
 
-    def get(self, tag, shape):
-        key = (tag, shape)
-        buf = self._bufs.get(key)
+    __slots__ = ("x", "filters", "conv", "region", "strategy", "mk",
+                 "counters", "bufs")
+
+    def __init__(self, x, filters, conv, region, strategy, mk, counters):
+        self.x, self.filters, self.conv = x, filters, conv
+        self.region, self.strategy, self.mk = region, strategy, mk
+        self.counters = counters
+        self.bufs = {}
+
+    def first_tile(self, loop: LoopSpec, first: int) -> int:
+        """Absolute tile index of set-local tile `first` of loop's tensor."""
+        if loop.dim == "window_set":
+            return self.region.spatial_start // self.mk.n_win + first
+        return self.region.oc_start // self.mk.n_f + first
+
+    def pack(self, loop: LoopSpec, first: int, count: int, b: int,
+             ic_off: int, ncl: int, scope: int | None = None) -> np.ndarray:
+        """Pack tiles [first, first+count) of loop's tensor as (count, K, n).
+
+        scope is None for the stationary set; for a streamed set it is the
+        first tile of the stationary set it is packed for, and becomes part
+        of the RunCounters key.
+        """
+        p, mk, region = self.conv.params, self.mk, self.region
+        windows = loop.dim == "window_set"
+        n = mk.n_win if windows else mk.n_f
+        shape = (min(loop.step, loop.extent), ncl, p.fh, p.fw, n)
+        buf = self.bufs.get((loop.dim, shape))
         if buf is None:
-            buf = np.empty(shape, dtype=DTYPE)
-            self._bufs[key] = buf
-        return buf
-
-
-def _channel_blocks(ic_len: int, nc: int):
-    off = 0
-    while off < ic_len:
-        yield off, min(nc, ic_len - off)
-        off += nc
+            buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
+        if windows:
+            # A stationary input set is packed tile by tile: one multipack
+            # of the whole set would go through a set-sized gather temporary.
+            nt = 1 if scope is None else count
+            for t in range(0, count, nt):
+                pack_input(self.x, self.conv, region,
+                           (first * mk.n_win, t * mk.n_win), self.strategy,
+                           mk, nt=nt, batch=b, ic_off=ic_off, nc=ncl,
+                           out=buf[t:t + nt])
+        else:
+            pack_filter(self.filters, region, self.strategy, mk, nt=count,
+                        f_tile_start=first, ic_off=ic_off, nc=ncl,
+                        out=buf[:count])
+        if self.counters is not None:
+            packs = (self.counters.input_packs if windows
+                     else self.counters.filter_packs)
+            key = (b, ic_off) if scope is None else (b, ic_off, scope)
+            tile0 = self.first_tile(loop, first)
+            packs.update(key + (tile0 + t,) for t in range(count))
+        return buf[:count].reshape(count, ncl * p.fh * p.fw, n)
 
 
 def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
@@ -176,118 +217,61 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     if hook is None:
         hook = _HOOK
 
-    wtiles = region.spatial_len // n_win
-    ftiles = region.oc_len // n_f
-    k3 = min(strategy.k3, wtiles)
-    k2 = min(strategy.k2, ftiles)
-    w_tile0 = region.spatial_start // n_win
-
+    plan = build_plan(region, strategy, mk, p.n)
+    batch, chan, outer, inner = plan.loops[:4]
+    windows_outer = outer.dim == "window_set"
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
-    pool = _BufPool()
-    is_sched = strategy.schedule is Schedule.InputStationary
+    packer = _SetPacker(x, filters, conv, region, strategy, mk, counters)
 
-    for b in range(p.n):
-        for ic_off, ncl in _channel_blocks(region.ic_len, strategy.nc):
-            if is_sched:
-                _run_input_stationary(
-                    x, filters, out_flat, conv, region, strategy, mk, pool,
-                    b, ic_off, ncl, wtiles, ftiles, k3, k2, w_tile0,
-                    hook, counters)
-            else:
-                _run_weight_stationary(
-                    x, filters, out_flat, conv, region, strategy, mk, pool,
-                    b, ic_off, ncl, wtiles, ftiles, k3, k2, w_tile0,
-                    hook, counters)
+    for b in range(batch.extent):
+        for ic_off in range(0, chan.extent, chan.step):
+            ncl = min(chan.step, chan.extent - ic_off)
+            for s0 in range(0, outer.extent, outer.step):
+                s_mats = packer.pack(outer, s0,
+                                     min(outer.step, outer.extent - s0),
+                                     b, ic_off, ncl)
+                scope = packer.first_tile(outer, s0)
+                for t0 in range(0, inner.extent, inner.step):
+                    t_mats = packer.pack(inner, t0,
+                                         min(inner.step, inner.extent - t0),
+                                         b, ic_off, ncl, scope)
+                    if windows_outer:
+                        in_mats, f_mats, ws, fs = s_mats, t_mats, s0, t0
+                    else:
+                        in_mats, f_mats, ws, fs = t_mats, s_mats, t0, s0
+                    w0 = region.spatial_start + ws * n_win
+                    f0 = region.oc_start + fs * n_f
+                    _set_product(in_mats, f_mats, out_flat[
+                        b, f0:f0 + len(f_mats) * n_f,
+                        w0:w0 + len(in_mats) * n_win], hook)
+                    if counters is not None:
+                        counters.acc_touches.update(
+                            (b, w0 // n_win + i, f0 // n_f + j)
+                            for i in range(len(in_mats))
+                            for j in range(len(f_mats)))
 
 
-def _call_microkernel(in_mat, f_mat, acc, hook):
+def _set_product(in_mats, f_mats, acc, hook):
+    """acc += the product of every (filter tile, window tile) pair of two sets.
+
+    in_mats is (wn, K, n_win), f_mats (fn, K, n_f) and acc the
+    (fn*n_f, wn*n_win) output block. The built-in path multiplies each window
+    tile by the whole filter set in one batched GEMM; a hook is called once
+    per tile pair on that pair's (n_f, n_win) slice of acc.
+    """
+    _, k, n_win = in_mats.shape
+    n_f = f_mats.shape[2]
     if hook is None:
-        microkernel(in_mat, f_mat, acc)
-    else:
-        k, n_win = in_mat.shape
-        n_f = f_mat.shape[1]
-        hook(in_mat, f_mat, acc, k, n_win, n_f,
-             (in_mat.strides, f_mat.strides, acc.strides))
-
-
-def _run_input_stationary(x, filters, out_flat, conv, region, strategy, mk,
-                          pool, b, ic_off, ncl, wtiles, ftiles, k3, k2,
-                          w_tile0, hook, counters):
-    p = conv.params
-    n_win, n_f = mk.n_win, mk.n_f
-    kdim = ncl * p.fh * p.fw
-    for ws in range(0, wtiles, k3):
-        wset = min(k3, wtiles - ws)
-        in_buf = pool.get("in", (k3, ncl, p.fh, p.fw, n_win))
-        for t in range(wset):
-            pack_input(x, conv, region, (ws * n_win, t * n_win), strategy, mk,
-                       nt=1, batch=b, ic_off=ic_off, nc=ncl,
-                       out=in_buf[t:t + 1])
-            if counters is not None:
-                counters.input_packs[(b, ic_off, w_tile0 + ws + t)] += 1
-        in_mats = in_buf.reshape(k3, kdim, n_win)
-        f_tile0 = region.oc_start // n_f
-        for fs in range(0, ftiles, k2):
-            fset = min(k2, ftiles - fs)
-            f_buf = pool.get("flt", (k2, ncl, p.fh, p.fw, n_f))
-            pack_filter(filters, region, strategy, mk, nt=fset,
-                        f_tile_start=fs, ic_off=ic_off, nc=ncl,
-                        out=f_buf[:fset])
-            if counters is not None:
-                for t in range(fset):
-                    counters.filter_packs[
-                        (b, ic_off, w_tile0 + ws, f_tile0 + fs + t)] += 1
-            f_mats = f_buf.reshape(k2, kdim, n_f)
-            for st in range(wset):
-                w0 = region.spatial_start + (ws + st) * n_win
-                for ft in range(fset):
-                    f0 = region.oc_start + (fs + ft) * n_f
-                    acc = out_flat[b, f0:f0 + n_f, w0:w0 + n_win]
-                    _call_microkernel(in_mats[st], f_mats[ft], acc, hook)
-                    if counters is not None:
-                        counters.acc_touches[
-                            (b, w_tile0 + ws + st,
-                             (region.oc_start // n_f) + fs + ft)] += 1
-
-
-def _run_weight_stationary(x, filters, out_flat, conv, region, strategy, mk,
-                           pool, b, ic_off, ncl, wtiles, ftiles, k3, k2,
-                           w_tile0, hook, counters):
-    p = conv.params
-    n_win, n_f = mk.n_win, mk.n_f
-    kdim = ncl * p.fh * p.fw
-    f_tile0 = region.oc_start // n_f
-    for fs in range(0, ftiles, k2):
-        fset = min(k2, ftiles - fs)
-        f_buf = pool.get("flt", (k2, ncl, p.fh, p.fw, n_f))
-        for t in range(fset):
-            pack_filter(filters, region, strategy, mk, nt=1,
-                        f_tile_start=fs + t, ic_off=ic_off, nc=ncl,
-                        out=f_buf[t:t + 1])
-            if counters is not None:
-                counters.filter_packs[(b, ic_off, f_tile0 + fs + t)] += 1
-        f_mats = f_buf.reshape(k2, kdim, n_f)
-        for ws in range(0, wtiles, k3):
-            wset = min(k3, wtiles - ws)
-            in_buf = pool.get("in", (k3, ncl, p.fh, p.fw, n_win))
-            pack_input(x, conv, region, (ws * n_win, 0), strategy, mk,
-                       nt=wset, batch=b, ic_off=ic_off, nc=ncl,
-                       out=in_buf[:wset])
-            if counters is not None:
-                for t in range(wset):
-                    counters.input_packs[
-                        (b, ic_off, f_tile0 + fs, w_tile0 + ws + t)] += 1
-            in_mats = in_buf.reshape(k3, kdim, n_win)
-            for ft in range(fset):
-                f0 = region.oc_start + (fs + ft) * n_f
-                for st in range(wset):
-                    w0 = region.spatial_start + (ws + st) * n_win
-                    acc = out_flat[b, f0:f0 + n_f, w0:w0 + n_win]
-                    _call_microkernel(in_mats[st], f_mats[ft], acc, hook)
-                    if counters is not None:
-                        counters.acc_touches[
-                            (b, w_tile0 + ws + st,
-                             (region.oc_start // n_f) + fs + ft)] += 1
+        f_t = f_mats.transpose(0, 2, 1)  # (fn, n_f, K)
+        for i, in_mat in enumerate(in_mats):
+            acc[:, i * n_win:(i + 1) * n_win] += np.matmul(
+                f_t, in_mat).reshape(-1, n_win)
+        return
+    for i, in_mat in enumerate(in_mats):
+        for j, f_mat in enumerate(f_mats):
+            tile = acc[j * n_f:(j + 1) * n_f, i * n_win:(i + 1) * n_win]
+            hook(in_mat, f_mat, tile, k, n_win, n_f,
+                 (in_mat.strides, f_mat.strides, tile.strides))
 
 
 def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,

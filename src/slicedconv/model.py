@@ -54,6 +54,8 @@ class ConvParams:
     pad_w: int = 0
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            require_int(name, getattr(self, name))
         for name in ("n", "ic", "ih", "iw", "oc", "fh", "fw",
                      "stride_h", "stride_w", "dil_h", "dil_w"):
             if getattr(self, name) < 1:
@@ -78,6 +80,12 @@ class ConvParams:
             dil_h=self.dil_h, dil_w=self.dil_w,
             pad_h=0, pad_w=0,
         )
+
+
+def require_int(name: str, value) -> None:
+    """Raise TypeError unless value is an integer (bool and float are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def out_shape(p: ConvParams) -> tuple[int, int]:

@@ -57,7 +57,9 @@ class PackedTile:
     nt: int
 
     def __post_init__(self):
-        assert self.data.size == self.nt * prod(self.logical_shape)
+        if self.data.size != self.nt * prod(self.logical_shape):
+            raise ValueError(f"buffer of {self.data.size} elements does not "
+                             f"hold {self.nt} tiles of {self.logical_shape}")
 
     def tile(self, i: int) -> np.ndarray:
         return self.data[i]
@@ -152,7 +154,8 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
     by window ts + i_nt*n_win + i_nwin under filter offset (i_fh, i_fw).
     """
     p = conv.params
-    assert p.pad_h == 0 and p.pad_w == 0, "engine core expects a pre-padded input"
+    if p.pad_h or p.pad_w:
+        raise ValueError("engine core expects a pre-padded input")
     if nc is None:
         nc = min(strategy.nc, region.ic_len - ic_off)
     c0 = region.ic_start + ic_off

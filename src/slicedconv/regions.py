@@ -43,7 +43,9 @@ class KernelRegion:
     e_off: int
 
     def __post_init__(self):
-        assert self.e_off == self.spatial_start
+        if self.e_off != self.spatial_start:
+            raise ValueError(f"e_off {self.e_off} != spatial_start "
+                             f"{self.spatial_start}")
 
     def to_dict(self) -> dict:
         return {

@@ -42,6 +42,14 @@ def test_parse_rejects_csv_hostile_id():
                     "fh": 3, "fw": 3}, "x")
 
 
+def test_parse_rejects_non_integer_fields():
+    base = {"ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}
+    for bad in ({"ic": 2.5}, {"ic": True}, {"stride": 1.0}, {"repeat": 2.7},
+                {"repeat": False}, {"groups": True}, {"groups": 1.0}):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            parse_case({**base, **bad}, "x")
+
+
 def test_load_suite_reports_bad_records(tmp_path):
     suite = tmp_path / "s.jsonl"
     suite.write_text(
@@ -106,6 +114,16 @@ def test_run_suite_records_infeasible_case():
                            verify_only=True)
     assert not reports[0].correct and reports[0].schedule == "-"
     assert reports[1].correct  # the run continued past the failure
+
+
+def test_run_suite_failure_report_names_the_exception():
+    p = ConvParams(n=1, ic=8, ih=30, iw=30, oc=32, fh=7, fw=7)
+    from slicedconv import ArchInfo
+    arch = ArchInfo(l1_bytes=2048, l2_bytes=4096, l3_bytes=0)
+    reports, _ = run_suite([ConvCase(id="toobig", params=p, repeat=1)], arch,
+                           MkInfo(n_win=16, n_f=16), verify_only=True)
+    assert reports[0].error.startswith("ValueError: ")
+    assert format_csv(reports).splitlines()[1].startswith("toobig,false,inf,")
 
 
 def test_run_suite_divisible_case_single_region():
@@ -217,3 +235,31 @@ def test_cli_correctness_failure_exit_code(rng):
     finally:
         clear_microkernel_hook()
     assert rc == 1
+
+
+def test_cli_rejects_non_integer_records(tmp_path):
+    suite = tmp_path / "floats.jsonl"
+    suite.write_text(
+        '{"id": "ok", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 1}\n'
+        '{"id": "half", "ic": 2.5, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
+        '{"id": "flag", "ic": true, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 2.7}\n')
+    proc = _run_cli(["run", "--suite", str(suite),
+                     "--arch", str(FIXTURES / "intel.toml"),
+                     "--nwin", "4", "--nf", "4", "--verify-only"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.count("\n") == 2  # header plus the one valid case
+    skipped = [l for l in proc.stderr.splitlines() if l.startswith("skipped record")]
+    assert len(skipped) == 2 and "(half)" in skipped[0] and "(flag)" in skipped[1]
+
+
+def test_cli_says_why_a_case_failed(tmp_path):
+    tiny = tmp_path / "tiny.toml"
+    tiny.write_text("l1_kib = 2\nl2_kib = 4\nl3_kib = 0\n")
+    suite = tmp_path / "s.jsonl"
+    suite.write_text('{"id": "toobig", "ic": 8, "ih": 30, "iw": 30, "oc": 32, '
+                     '"fh": 7, "fw": 7}\n')
+    proc = _run_cli(["run", "--suite", str(suite), "--arch", str(tiny),
+                     "--nwin", "16", "--nf", "16", "--verify-only"], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "case toobig failed: ValueError: " in proc.stderr
+    assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import CALIBRATED_ARCH, REF_MK, conv_info, rand_tensors, random_params
-from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind, RunCounters,
-                        Schedule, TilingStrategy, analyze, build_plan,
-                        clear_microkernel_hook, execute_region,
-                        external_microkernel_hook, microkernel,
-                        naive_conv, naive_fallback_region, run_convolution)
+from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
+                        RunCounters, Schedule, TilingStrategy, analyze,
+                        build_plan, clear_microkernel_hook, execute_region,
+                        external_microkernel_hook, microkernel, naive_conv,
+                        naive_fallback_region, run_convolution)
 from slicedconv.harness import max_relative_error
 from slicedconv.kernel import make_accumulator
 from slicedconv.regions import plan_regions
@@ -371,3 +371,37 @@ def test_pack_once_instrumentation_ws(rng):
     assert set(counters.input_packs.values()) == {1}
     assert len(counters.input_packs) == 1 * fsets * (256 // 4)
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+
+
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+@pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
+def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
+    # 7 window tiles and 5 filter tiles: the last set is partial on both
+    # sides; (3, 2) has window sets larger than filter sets, (2, 4) smaller
+    p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=7, n_f=4)
+    strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
+                           r_nc=0, r_k2=0, r_k3=0)
+    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
+                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                          kind=RegionKind.Main, e_off=0)
+    x, flt = rand_tensors(rng, p)
+
+    def run(hook):
+        counters = RunCounters()
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        execute_region(x, flt, out, conv, region, strat, mk, hook=hook,
+                       counters=counters)
+        return out, counters
+
+    def per_tile(pin, pf, acc, k, n_win, n_f, strides):
+        microkernel(pin, pf, acc)
+
+    batched, c_batched = run(None)
+    tiled, c_tiled = run(per_tile)
+    assert np.array_equal(batched, tiled)
+    assert c_batched == c_tiled
+    assert set(c_batched.acc_touches.values()) == {2}  # two channel blocks
+    assert max_relative_error(batched, naive_conv(x, flt, p)) <= 1e-4

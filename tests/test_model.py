@@ -86,3 +86,12 @@ def test_pad_preserves_sum(rng):
         p = random_params(rng, pads=(1, 3))
         t = rng.uniform(-1, 1, (p.n, p.ic, p.ih, p.iw)).astype(np.float32)
         assert np.isclose(pad_input(t, p).sum(), t.sum(), rtol=1e-5)
+
+
+@pytest.mark.parametrize("field,value", [("ic", 2.5), ("ic", True),
+                                         ("stride_w", 2.0), ("pad_h", False)])
+def test_params_reject_non_integer_fields(field, value):
+    kw = dict(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
+    kw[field] = value
+    with pytest.raises(TypeError, match=field):
+        ConvParams(**kw)

@@ -4,8 +4,8 @@ import pytest
 from conftest import GOLDEN, REF_MK, REF_PARAMS, conv_info, random_params
 from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, Schedule,
                         TilingStrategy, im2col, pack_filter, pack_input, pad_input)
-from slicedconv.packing import (dump_packed, filter_pack_index,
-                                input_pack_index_general,
+from slicedconv.packing import (PackedTile, TileKind, dump_packed,
+                                filter_pack_index, input_pack_index_general,
                                 input_pack_index_simple, row_break_free)
 
 
@@ -237,6 +237,21 @@ def test_pack_input_rejects_out_of_domain(rng):
     with pytest.raises(IndexError):
         pack_input(x, conv, full_region(conv), (conv.ohw - 2, 0), _strategy(2),
                    MkInfo(n_win=4, n_f=4), nt=1)
+
+
+def test_pack_input_rejects_unpadded_problem(rng):
+    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3, pad_h=1, pad_w=1)
+    conv = conv_info(p)
+    x, _ = _tensors(rng, p)
+    with pytest.raises(ValueError, match="pre-padded"):
+        pack_input(x, conv, full_region(conv), (0, 0), _strategy(2),
+                   MkInfo(n_win=4, n_f=4), nt=1)
+
+
+def test_packed_tile_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="does not hold"):
+        PackedTile(data=np.zeros((2, 3), np.float32), logical_shape=(2, 2),
+                   kind=TileKind.Input, nt=2)
 
 
 def test_dump_packed_golden():

@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 
-from conftest import CALIBRATED_ARCH, REF_MK, REF_PARAMS, conv_info, random_params
+from conftest import (CALIBRATED_ARCH, REF_MK, REF_PARAMS, cli_env, conv_info,
+                      random_params)
 from slicedconv import (MkInfo, RegionKind, Schedule, TilingStrategy, analyze,
                         coverage_check, plan_regions, regions_to_json,
                         split_by_strategy, split_input_domain)
@@ -131,3 +134,18 @@ def test_regions_json_roundtrip():
     assert len(decoded) == len(regions)
     assert decoded[0]["spatial_len"] == regions[0].spatial_len
     assert {d["kind"] for d in decoded} == {"main", "remainder"}
+
+
+def test_region_offset_mismatch_raises_under_optimize():
+    # the check must survive `python -O`, which strips assert statements
+    code = ("from slicedconv import KernelRegion, RegionKind\n"
+            "try:\n"
+            "    KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,\n"
+            "                 oc_len=8, ic_start=0, ic_len=1,\n"
+            "                 kind=RegionKind.Main, e_off=7)\n"
+            "except ValueError as exc:\n"
+            "    print('rejected:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:"), proc.stdout
