@@ -6,12 +6,12 @@ around an outer-product microkernel, plus an oracle-checked harness.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk, serialize_arch
-from .engine import RunInfo, convolve, run_convolution
+from .engine import RunInfo, run_convolution
 from .harness import ConvCase, CaseReport, load_suite, run_suite
 from .kernel import (RunCounters, build_plan, clear_microkernel_hook,
                      execute_region, external_microkernel_hook, microkernel,
                      naive_fallback_region)
-from .model import ConvParams, linear_spatial, delinear_spatial, out_shape, pad_input
+from .model import ConvParams, out_shape, pad_input
 from .packing import PackedTile, TileKind, pack_filter, pack_input
 from .reference import im2col, naive_conv
 from .regions import (KernelRegion, RegionKind, coverage_check, plan_regions,
@@ -22,11 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk", "serialize_arch",
-    "RunInfo", "convolve", "run_convolution",
+    "RunInfo", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
     "RunCounters", "build_plan", "clear_microkernel_hook", "execute_region",
     "external_microkernel_hook", "microkernel", "naive_fallback_region",
-    "ConvParams", "linear_spatial", "delinear_spatial", "out_shape", "pad_input",
+    "ConvParams", "out_shape", "pad_input",
     "PackedTile", "TileKind", "pack_filter", "pack_input",
     "im2col", "naive_conv",
     "KernelRegion", "RegionKind", "coverage_check", "plan_regions",

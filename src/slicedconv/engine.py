@@ -3,7 +3,9 @@
 Padding is materialized up front so the tiled pipeline and every packing
 equation can assume pad = 0. Regions eligible for the pipeline (whole
 microkernel tiles in both the window and filter dimensions) run the tiled
-macrokernel; sub-tile remainder regions take the naive fallback.
+macrokernel; sub-tile remainder regions take the fallback, which gathers
+their windows through the same pack_input and does one GEMM per chunk of
+at most n_win windows.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
             execute_region(xp, filters, out, conv, region, strategy, mk,
                            hook=hook, counters=counters)
         else:
-            naive_fallback_region(xp, filters, out, conv, region)
+            naive_fallback_region(xp, filters, out, conv, region, mk)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
-
-def convolve(x: np.ndarray, filters: np.ndarray, p: ConvParams,
-             arch: ArchInfo, mk: MkInfo) -> np.ndarray:
-    """Convenience wrapper returning only the output tensor."""
-    out, _ = run_convolution(x, filters, p, arch, mk)
-    return out

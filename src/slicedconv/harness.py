@@ -101,19 +101,21 @@ def parse_case(rec: dict, default_id: str) -> ConvCase:
 def load_suite(path) -> tuple[list[ConvCase], list[str]]:
     """Parse a JSONL suite; returns (cases, error messages)."""
     cases, errors = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
             default_id = f"case{lineno:04d}"
             rec = None
             try:
+                # Decoding here, not in the file iterator, makes a line of
+                # invalid UTF-8 one skipped record.
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not a JSON object")
                 cases.append(parse_case(rec, default_id))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 rec_id = rec.get("id", default_id) if isinstance(rec, dict) else default_id
                 errors.append(f"line {lineno} ({rec_id}): {exc}")
     return cases, errors

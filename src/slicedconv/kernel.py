@@ -20,6 +20,12 @@ loops are collapsed into one set-pair product: each window tile is
 multiplied by the whole packed filter set in one batched GEMM. A registered
 microkernel hook is still called once per tile pair.
 
+Remainder regions (sub-tile window or filter tails) take
+naive_fallback_region instead. It gathers windows through the same
+pack_input, as tiles of at most n_win windows over all of the region's
+channels, and multiplies each by the region's filter block in one GEMM.
+pack_input is therefore the engine's only window gather.
+
 Partial sums are accumulated directly into the output tensor, which the
 driver zero-initializes; an output tile is therefore touched once per
 channel block. Regions write disjoint output ranges except across a channel
@@ -86,14 +92,10 @@ class LoopSpec:
 
 @dataclass(frozen=True, slots=True)
 class LoopNestPlan:
-    """Ordered loop descriptors plus packing placement for one region."""
+    """Ordered loop descriptors for one region."""
 
     schedule: Schedule
     loops: tuple[LoopSpec, ...]  # outermost first
-    input_pack_loop: str    # loop level at which input tiles get packed
-    filter_pack_loop: str   # loop level at which filter tiles get packed
-    multipack_dim: str      # which tensor is multipacked ("filter" or "input")
-    multipack_nt: int       # tiles per multipack group
 
 
 @dataclass
@@ -125,16 +127,10 @@ def build_plan(region: KernelRegion, strategy: TilingStrategy,
     wtile = LoopSpec("window_tile", min(strategy.k3, wtiles), 1)
     ftile = LoopSpec("filter_tile", min(strategy.k2, ftiles), 1)
     if strategy.schedule is Schedule.InputStationary:
-        return LoopNestPlan(
-            schedule=strategy.schedule,
-            loops=(batch, chan, wset, fset, wtile, ftile),
-            input_pack_loop="window_set", filter_pack_loop="filter_set",
-            multipack_dim="filter", multipack_nt=min(strategy.k2, max(ftiles, 1)))
-    return LoopNestPlan(
-        schedule=strategy.schedule,
-        loops=(batch, chan, fset, wset, ftile, wtile),
-        input_pack_loop="window_set", filter_pack_loop="filter_set",
-        multipack_dim="input", multipack_nt=min(strategy.k3, max(wtiles, 1)))
+        return LoopNestPlan(schedule=strategy.schedule,
+                            loops=(batch, chan, wset, fset, wtile, ftile))
+    return LoopNestPlan(schedule=strategy.schedule,
+                        loops=(batch, chan, fset, wset, ftile, wtile))
 
 
 class _SetPacker:
@@ -275,11 +271,15 @@ def _set_product(in_mats, f_mats, acc, hook):
 
 
 def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
-                          conv: ConvInfo, region: KernelRegion) -> None:
-    """Direct scalar convolution restricted to a region; accumulates into out.
+                          conv: ConvInfo, region: KernelRegion,
+                          mk: MkInfo) -> None:
+    """Direct convolution of a remainder region; accumulates into out.
 
-    Serves remainder regions smaller than the microkernel tile, which bypass
-    the tiling and packing pipeline entirely.
+    Serves remainder regions smaller than the microkernel tile, which skip
+    the tiling analysis and the hook. The region's windows are gathered in
+    chunks of at most mk.n_win by pack_input, across all of the region's
+    channels, and each chunk is multiplied by the region's filter block in
+    one GEMM.
     """
     p = conv.params
     if region.spatial_len == 0 or region.oc_len == 0 or region.ic_len == 0:
@@ -288,15 +288,16 @@ def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         raise ValueError("output tensor must be C-contiguous")
     c0, c1 = region.ic_start, region.ic_start + region.ic_len
     o0, o1 = region.oc_start, region.oc_start + region.oc_len
-    flt = filters[o0:o1, c0:c1]
+    flt = filters[o0:o1, c0:c1].reshape(region.oc_len, -1)
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
-    fh_span = p.dil_h * (p.fh - 1) + 1
-    fw_span = p.dil_w * (p.fw - 1) + 1
-    for b in range(p.n):
-        for w in range(region.spatial_start,
-                       region.spatial_start + region.spatial_len):
-            r, c = divmod(w, conv.ow)
-            r0, col0 = r * p.stride_h, c * p.stride_w
-            patch = x[b, c0:c1, r0:r0 + fh_span:p.dil_h,
-                      col0:col0 + fw_span:p.dil_w]
-            out_flat[b, o0:o1, w] += np.tensordot(flt, patch, axes=3)
+    for w_off in range(0, region.spatial_len, mk.n_win):
+        width = min(mk.n_win, region.spatial_len - w_off)
+        # Positional, not dataclasses.replace: its keyword call leaves a
+        # dict on CPython's free list, which the traced peak counts.
+        chunk_mk = MkInfo(width, mk.n_f, mk.vector_bytes)
+        w0 = region.spatial_start + w_off
+        for b in range(p.n):
+            # With nc given, pack_input reads no tiling strategy.
+            packed = pack_input(x, conv, region, (w_off, 0), None, chunk_mk,
+                                nt=1, batch=b, nc=region.ic_len)
+            out_flat[b, o0:o1, w0:w0 + width] += flt @ packed.matrix(0)

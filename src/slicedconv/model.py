@@ -97,16 +97,6 @@ def out_shape(p: ConvParams) -> tuple[int, int]:
     return oh, ow
 
 
-def linear_spatial(row: int, col: int, width: int) -> int:
-    """Collapse a (row, col) spatial coordinate to a flat window index."""
-    return row * width + col
-
-
-def delinear_spatial(index: int, width: int) -> tuple[int, int]:
-    """Inverse of linear_spatial."""
-    return index // width, index % width
-
-
 def pad_input(t: np.ndarray, p: ConvParams) -> np.ndarray:
     """Zero-pad an NCHW input tensor by (pad_h, pad_w) on each side.
 

@@ -4,7 +4,9 @@ The full iteration space (flattened output windows x output channels x input
 channels) is carved into disjoint rectangular regions before tiling:
 
   1. a structural split peels the window tail (windows mod n_win) and the
-     filter tail (oc mod n_f), both of which bypass the tiled pipeline;
+     filter tail (oc mod n_f) into Remainder regions. They skip the tiling
+     analysis and run the fallback, which packs their windows with the same
+     pack_input as partial-width tiles;
   2. the aligned main region is then split in order k2 -> k3 -> nc wherever
      the corresponding tile-size remainder is nonzero. Every peeled region
      here still spans whole microkernel tiles and re-enters the full tiling
@@ -135,7 +137,7 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
     """Full region decomposition for a convolution.
 
     Structural tails (windows mod n_win, oc mod n_f) are Remainder regions
-    served by the naive path; everything else comes from split_by_strategy.
+    served by the fallback; everything else comes from split_by_strategy.
     """
     oc = conv.params.oc
     ic = conv.params.ic

@@ -205,14 +205,23 @@ def test_cli_input_error_exit_codes(tmp_path):
                      "--nwin", "16", "--nf", "8"], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
 
+    # garbage, a line of invalid UTF-8 and a record nested past the JSON
+    # decoder's recursion limit are each one skipped record
     mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text(
-        '{"id": "ok", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 1}\n'
-        'garbage\n')
+    mixed.write_bytes(
+        b'{"id": "ok", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 1}\n'
+        b'garbage\n'
+        b'{"id": "bad\xff\xfe"}\n'
+        + b'[' * 100_000 + b']' * 100_000 + b'\n')
     proc = _run_cli(["run", "--suite", str(mixed),
                      "--arch", str(FIXTURES / "intel.toml"),
                      "--nwin", "4", "--nf", "4", "--verify-only"], cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr  # skipped record -> nonzero at end
+    assert proc.stdout.count("\n") == 2  # header plus the one valid case
+    skipped = [l for l in proc.stderr.splitlines() if l.startswith("skipped record")]
+    assert [l.split(" (")[0] for l in skipped] == [
+        "skipped record: line 2", "skipped record: line 3",
+        "skipped record: line 4"], proc.stderr
 
 
 def test_cli_correctness_failure_exit_code(rng):

@@ -79,9 +79,6 @@ def test_build_plan_is_order_and_multipack():
     dims = [l.dim for l in plan.loops]
     assert dims == ["batch", "channel", "window_set", "filter_set",
                     "window_tile", "filter_tile"]
-    assert plan.multipack_dim == "filter"
-    assert plan.multipack_nt == 32
-    assert plan.input_pack_loop == "window_set"
     steps = {l.dim: l.step for l in plan.loops}
     assert steps["channel"] == strat.nc
     assert steps["window_set"] == strat.k3
@@ -96,8 +93,6 @@ def test_build_plan_ws_mirror():
     dims = [l.dim for l in plan.loops]
     assert dims == ["batch", "channel", "filter_set", "window_set",
                     "filter_tile", "window_tile"]
-    assert plan.multipack_dim == "input"
-    assert plan.multipack_nt == min(strat.k3, main.spatial_len // 16)
 
 
 def test_build_plan_degenerate_two_level():
@@ -107,7 +102,6 @@ def test_build_plan_degenerate_two_level():
     plan = build_plan(main, unit, REF_MK)
     steps = {l.dim: l.step for l in plan.loops}
     assert steps["window_set"] == 1 and steps["filter_set"] == 1
-    assert plan.multipack_nt == 1
 
 
 def _run_engine_case(rng, p, mk, arch=CALIBRATED_ARCH, **kw):
@@ -166,7 +160,7 @@ def test_both_schedules_match_oracle(rng):
             if region.kind is RegionKind.Main:
                 execute_region(x, flt, out, conv, region, strat, mk)
             else:
-                naive_fallback_region(x, flt, out, conv, region)
+                naive_fallback_region(x, flt, out, conv, region, mk)
         assert max_relative_error(out, ref) <= 1e-4
 
 
@@ -207,7 +201,7 @@ def test_region_order_is_irrelevant(rng):
             if region.kind is RegionKind.Main:
                 execute_region(x, flt, out, conv, region, strat, mk)
             else:
-                naive_fallback_region(x, flt, out, conv, region)
+                naive_fallback_region(x, flt, out, conv, region, mk)
         return out
 
     a = run(regions)
@@ -230,7 +224,7 @@ def test_naive_fallback_nine_window_tail(rng):
     tail_small = type(tail)(spatial_start=5616, spatial_len=9, oc_start=0,
                             oc_len=4, ic_start=0, ic_len=2,
                             kind=RegionKind.Remainder, e_off=5616)
-    naive_fallback_region(x, flt, out, conv_small, tail_small)
+    naive_fallback_region(x, flt, out, conv_small, tail_small, REF_MK)
     ref = naive_conv(x, flt, p_small).reshape(1, 4, -1)
     got = out.reshape(1, 4, -1)
     assert np.allclose(got[:, :, 5616:], ref[:, :, 5616:], rtol=1e-5, atol=1e-6)
@@ -247,22 +241,39 @@ def test_naive_fallback_empty_region_is_noop():
                           e_off=0)
     x = np.ones((1, 2, 6, 6), dtype=np.float32)
     flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    naive_fallback_region(x, flt, out, conv, region)
+    naive_fallback_region(x, flt, out, conv, region, MkInfo(n_win=4, n_f=4))
     assert np.all(out == 0)
 
 
 def test_naive_fallback_tail_spanning_row_break(rng):
-    p = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
-    conv = conv_info(p)
-    x, flt = rand_tensors(rng, p)
-    out = np.zeros((1, 5, 7, 7), dtype=np.float32)
-    from slicedconv import KernelRegion
-    region = KernelRegion(spatial_start=4, spatial_len=13, oc_start=0, oc_len=5,
-                          ic_start=0, ic_len=3, kind=RegionKind.Remainder, e_off=4)
-    naive_fallback_region(x, flt, out, conv, region)
-    ref = naive_conv(x, flt, p).reshape(1, 5, -1)
-    got = out.reshape(1, 5, -1)
-    assert np.allclose(got[:, :, 4:17], ref[:, :, 4:17], rtol=1e-5, atol=1e-6)
+    @external_microkernel_hook
+    def no_hook(pin, pf, acc, k, n_win, n_f, strides):
+        raise AssertionError("the fallback must not call the hook")
+
+    square = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
+    strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,
+                         stride_h=2, dil_w=2)  # 6x10 out
+    cases = [
+        # (params, n_win, windows [s0, s0+len), filters [o0, o0+len))
+        (square, 16, (4, 13), (0, 5)),   # one chunk across two row breaks
+        (square, 4, (4, 13), (0, 5)),    # four chunks, [4, 8) crosses a row
+        (strided, 3, (7, 41), (4, 3)),   # batch 2, stride and dilation
+    ]
+    for p, n_win, (s0, slen), (o0, olen) in cases:
+        conv = conv_info(p)
+        x, flt = rand_tensors(rng, p)
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        region = KernelRegion(spatial_start=s0, spatial_len=slen, oc_start=o0,
+                              oc_len=olen, ic_start=0, ic_len=p.ic,
+                              kind=RegionKind.Remainder, e_off=s0)
+        naive_fallback_region(x, flt, out, conv, region,
+                              MkInfo(n_win=n_win, n_f=4))
+        ref = naive_conv(x, flt, p).reshape(p.n, p.oc, -1)
+        got = out.reshape(p.n, p.oc, -1)
+        inside = np.s_[:, o0:o0 + olen, s0:s0 + slen]
+        assert np.allclose(got[inside], ref[inside], rtol=1e-5, atol=1e-6)
+        got[inside] = 0
+        assert np.all(got == 0)
 
 
 def test_hook_wrapping_builtin_is_bit_identical(rng):
@@ -340,7 +351,7 @@ def test_pack_once_instrumentation_is(rng):
         if region.kind is RegionKind.Main:
             execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
         else:
-            naive_fallback_region(x, flt, out, conv, region)
+            naive_fallback_region(x, flt, out, conv, region, mk)
     # IS: every input tile packed exactly once per (batch, channel block)
     assert set(counters.input_packs.values()) == {1}
     assert len(counters.input_packs) == 2 * (256 // 4)  # 2 blocks x 64 tiles

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params
-from slicedconv import ConvParams, delinear_spatial, linear_spatial, out_shape, pad_input
+from slicedconv import ConvParams, out_shape, pad_input
 
 
 def test_out_shape_basic():
@@ -47,20 +47,6 @@ def test_out_shape_monotonicity(rng):
                                "pad_w": p.pad_w + 1})
         oh3, ow3 = out_shape(padded)
         assert oh3 >= oh and ow3 >= ow
-
-
-def test_linear_spatial_examples():
-    assert linear_spatial(0, 0, 75) == 0
-    assert linear_spatial(1, 5, 77) == 82
-    assert delinear_spatial(5625 - 1, 75) == (74, 74)
-
-
-def test_linearize_roundtrip():
-    oh, ow = 9, 13
-    for idx in range(oh * ow):
-        r, c = delinear_spatial(idx, ow)
-        assert 0 <= r < oh and 0 <= c < ow
-        assert linear_spatial(r, c, ow) == idx
 
 
 def test_pad_input_identity():
