@@ -43,6 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return 2
     try:
         arch = load_arch(args.arch)
         mk = load_mk(args.arch, n_win=args.nwin, n_f=args.nf)
@@ -60,6 +64,15 @@ def cmd_run(args) -> int:
     if not cases:
         print("error: suite contains no valid cases", file=sys.stderr)
         return 2
+    # An unwritable output path is an input error, found before the run.
+    for path in (args.out, args.dump_regions):
+        if path:
+            try:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
 
     reports, regions_map = run_suite(
         cases, arch, mk, seed=args.seed, verify_only=args.verify_only,

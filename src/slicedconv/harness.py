@@ -8,8 +8,8 @@ Suite format is JSON Lines, one object per convolution:
 Scalar "stride", "pad" and "dil" expand to both axes; _h/_w variants set
 them independently. Defaults: n=1, stride=1, dil=1, pad=0, repeat=30.
 Records with "groups" != 1 are rejected (grouped convolutions are out of
-scope); malformed records, including non-integer fields or repeat, are
-reported and skipped.
+scope); malformed records, including non-integer fields or repeat, and
+records whose id repeats an earlier case's are reported and skipped.
 
 Tensors are initialized uniform [-1, 1] in f32 from NumPy's PCG64 generator
 seeded with (seed, case_index), input tensor drawn before the filter tensor,
@@ -100,7 +100,7 @@ def parse_case(rec: dict, default_id: str) -> ConvCase:
 
 def load_suite(path) -> tuple[list[ConvCase], list[str]]:
     """Parse a JSONL suite; returns (cases, error messages)."""
-    cases, errors = [], []
+    cases, errors, seen = [], [], set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             default_id = f"case{lineno:04d}"
@@ -114,7 +114,11 @@ def load_suite(path) -> tuple[list[ConvCase], list[str]]:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise ValueError("record is not a JSON object")
-                cases.append(parse_case(rec, default_id))
+                case = parse_case(rec, default_id)
+                if case.id in seen:
+                    raise ValueError(f"duplicate id {case.id!r}")
+                seen.add(case.id)
+                cases.append(case)
             except (ValueError, TypeError, RecursionError) as exc:
                 rec_id = rec.get("id", default_id) if isinstance(rec, dict) else default_id
                 errors.append(f"line {lineno} ({rec_id}): {exc}")

@@ -16,9 +16,15 @@ packed once each when the set is entered, and the filter-tile sets (k2
 tiles) stream inside them, multipacked per set. The weight-stationary
 schedule is the mirror image: each filter set is packed once per batch
 and channel block, and inputs are multipacked per window set. The two tile
-loops are collapsed into one set-pair product: each window tile is
-multiplied by the whole packed filter set in one batched GEMM. A registered
-microkernel hook is still called once per tile pair.
+loops are collapsed into one set-pair product: each chunk of window tiles
+is multiplied by the whole packed filter set in one batched GEMM, one
+(n_f, K) x (K, n_win) product per tile pair. A registered microkernel hook
+is still called once per tile pair.
+
+_CHUNK_BYTES (64 KiB) bounds the temporaries of both chunked steps: the
+stationary input set is multipacked in chunks whose gather fits in it, and
+the set product takes as many window tiles per GEMM as its output fits.
+Peak memory therefore does not grow with the set size.
 
 Remainder regions (sub-tile window or filter tails) take
 naive_fallback_region instead. It gathers windows through the same
@@ -46,6 +52,15 @@ from .regions import KernelRegion, RegionKind
 from .strategy import Schedule, TilingStrategy
 
 _HOOK = None
+
+# Byte budget of one chunk: a stationary input multipack's gather, or one
+# set-product GEMM's output. 128 KiB raised resnet_late's traced peak 16 %.
+_CHUNK_BYTES = 64 * 1024
+
+
+def _chunk_tiles(tile_bytes: int) -> int:
+    """Tiles per chunk for tiles of tile_bytes each; at least one."""
+    return max(1, _CHUNK_BYTES // tile_bytes)
 
 
 def external_microkernel_hook(fn):
@@ -137,7 +152,9 @@ class _SetPacker:
     """Packs the window and filter sets of one region into reused buffers.
 
     A buffer is allocated once per (tensor, channel block width) and holds
-    one full set; pack() fills its first tiles and records the packs.
+    one full set; pack() fills its first tiles and records the packs. A
+    stationary input set is filled in chunks of tiles, one multipack each;
+    a streamed input set and a filter set take one multipack.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "strategy", "mk",
@@ -171,10 +188,13 @@ class _SetPacker:
         if buf is None:
             buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
         if windows:
-            # A stationary input set is packed tile by tile: one multipack
-            # of the whole set would go through a set-sized gather temporary.
-            nt = 1 if scope is None else count
-            for t in range(0, count, nt):
+            # A stationary input set is multipacked in chunks of at most
+            # _CHUNK_BYTES: one multipack of the whole set would go through
+            # a set-sized gather temporary. A streamed set stays one
+            # multipack; chunking it measured slower on resnet_late.
+            step = count if scope is not None else _chunk_tiles(buf[0].nbytes)
+            for t in range(0, count, step):
+                nt = min(step, count - t)
                 pack_input(self.x, self.conv, region,
                            (first * mk.n_win, t * mk.n_win), self.strategy,
                            mk, nt=nt, batch=b, ic_off=ic_off, nc=ncl,
@@ -251,17 +271,20 @@ def _set_product(in_mats, f_mats, acc, hook):
     """acc += the product of every (filter tile, window tile) pair of two sets.
 
     in_mats is (wn, K, n_win), f_mats (fn, K, n_f) and acc the
-    (fn*n_f, wn*n_win) output block. The built-in path multiplies each window
-    tile by the whole filter set in one batched GEMM; a hook is called once
-    per tile pair on that pair's (n_f, n_win) slice of acc.
+    (fn*n_f, wn*n_win) output block. The built-in path multiplies a chunk of
+    window tiles by the whole filter set in one batched GEMM; a hook is
+    called once per tile pair on that pair's (n_f, n_win) slice of acc.
     """
-    _, k, n_win = in_mats.shape
+    wn, k, n_win = in_mats.shape
     n_f = f_mats.shape[2]
     if hook is None:
         f_t = f_mats.transpose(0, 2, 1)  # (fn, n_f, K)
-        for i, in_mat in enumerate(in_mats):
-            acc[:, i * n_win:(i + 1) * n_win] += np.matmul(
-                f_t, in_mat).reshape(-1, n_win)
+        m = acc.shape[0]
+        acc_w = acc.reshape(m, wn, n_win)  # a view: only columns split
+        step = _chunk_tiles(m * n_win * acc.itemsize)
+        for i in range(0, wn, step):
+            prod = np.matmul(f_t, in_mats[i:i + step][:, None])
+            acc_w[:, i:i + step] += prod.reshape(-1, m, n_win).transpose(1, 0, 2)
         return
     for i, in_mat in enumerate(in_mats):
         for j, f_mat in enumerate(f_mats):

@@ -56,11 +56,14 @@ def test_load_suite_reports_bad_records(tmp_path):
         '{"id": "ok", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
         'not json at all\n'
         '{"id": "grp", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "groups": 4}\n'
-        '{"id": "bad", "ic": 2, "ih": 2, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n')
+        '{"id": "bad", "ic": 2, "ih": 2, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
+        '{"id": "ok", "ic": 3, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n')
     cases, errors = load_suite(suite)
     assert [c.id for c in cases] == ["ok"]
-    assert len(errors) == 3
+    assert [c.params.ic for c in cases] == [2]  # the first "ok" is kept
+    assert len(errors) == 4
     assert any("grp" in e for e in errors)
+    assert errors[-1].startswith("line 5 (ok): duplicate id")
 
 
 def test_init_tensors_deterministic():
@@ -222,6 +225,24 @@ def test_cli_input_error_exit_codes(tmp_path):
     assert [l.split(" (")[0] for l in skipped] == [
         "skipped record: line 2", "skipped record: line 3",
         "skipped record: line 4"], proc.stderr
+
+
+@pytest.mark.parametrize("bad", [
+    ["--out", "no_such_dir/report.csv"],
+    ["--dump-regions", "no_such_dir/regions.json"],
+    ["--dump-regions", "."],
+    ["--jobs", "0"],
+])
+def test_cli_rejects_bad_outputs_and_jobs_before_running(tmp_path, bad):
+    proc = _run_cli(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+                     "--arch", str(FIXTURES / "intel.toml"),
+                     "--nwin", "16", "--nf", "8", "--verify-only", *bad],
+                    cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # the suite did not run
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_correctness_failure_exit_code(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         build_plan, clear_microkernel_hook, execute_region,
                         external_microkernel_hook, microkernel, naive_conv,
                         naive_fallback_region, run_convolution)
+from slicedconv import kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.kernel import make_accumulator
+from slicedconv.packing import pack_input
 from slicedconv.regions import plan_regions
 
 
@@ -416,3 +420,61 @@ def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
     assert c_batched == c_tiled
     assert set(c_batched.acc_touches.values()) == {2}  # two channel blocks
     assert max_relative_error(batched, naive_conv(x, flt, p)) <= 1e-4
+
+
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
+    # 6x6 outputs in 9 window tiles of 4, so tiles 1, 4 and 7 cross a row
+    # break; window sets of 5 and 4 tiles, which a chunk of 3 divides into
+    # uneven parts, and 16 covers. K = 4*2*2 makes an input tile and a full
+    # filter set's output tile both 256 B, so the stationary multipack and
+    # the set product take chunks of the same tile count.
+    p = ConvParams(n=2, ic=8, ih=7, iw=7, oc=20, fh=2, fw=2)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
+    strat = TilingStrategy(schedule=sched, nc=4, k2=4, k3=5,
+                           r_nc=0, r_k2=0, r_k3=0)
+    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
+                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                          kind=RegionKind.Main, e_off=0)
+    x, flt = rand_tensors(rng, p)
+    tile_bytes = strat.nc * p.fh * p.fw * mk.n_win * 4
+    monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk * tile_bytes)
+    pack_nts = []
+
+    def counting_pack_input(*args, **kw):
+        pack_nts.append(kw["nt"])
+        return pack_input(*args, **kw)
+
+    monkeypatch.setattr(kernel, "pack_input", counting_pack_input)
+
+    def run(hook):
+        counters = RunCounters()
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        execute_region(x, flt, out, conv, region, strat, mk, hook=hook,
+                       counters=counters)
+        return out, counters
+
+    def per_tile(pin, pf, acc, k, n_win, n_f, strides):
+        microkernel(pin, pf, acc)
+
+    chunked, c_chunked = run(None)
+    chunked_nts = list(pack_nts)
+    tiled, c_tiled = run(per_tile)
+    assert np.array_equal(chunked, tiled)
+    assert c_chunked == c_tiled
+    assert set(c_chunked.acc_touches.values()) == {2}  # two channel blocks
+    assert max_relative_error(chunked, naive_conv(x, flt, p)) <= 1e-4
+
+    wsets, fsets, blocks = (5, 4), 2, p.n * 2
+    if sched is Schedule.InputStationary:
+        # each stationary window set in ceil(tiles / chunk) multipacks
+        per_block = [min(chunk, s - t) for s in wsets
+                     for t in range(0, s, chunk)]
+        assert len(per_block) == sum(math.ceil(s / chunk) for s in wsets)
+    else:
+        # a streamed window set stays one multipack per filter set
+        per_block = list(wsets) * fsets
+    assert chunked_nts == per_block * blocks
