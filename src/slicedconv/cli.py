@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--nf", type=int, required=True,
                        help="filters per microkernel call")
     run_p.add_argument("--seed", type=int, default=0,
-                       help="64-bit seed for tensor initialization (default 0)")
+                       help="unsigned 64-bit seed for tensor initialization "
+                            "(default 0)")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="parallel verification workers (timing stays serial)")
     run_p.add_argument("--out", default=None,
@@ -45,6 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return 2
+    if not 0 <= args.seed < 2**64:
+        print(f"error: --seed must be in [0, 2**64), got {args.seed}",
               file=sys.stderr)
         return 2
     try:

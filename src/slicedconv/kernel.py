@@ -11,9 +11,9 @@ The loop nest for one region comes from build_plan, outermost to innermost:
     microkernel: acc[f, w] += sum_k pf[k, f] * pi[k, w]
 
 execute_region walks the four outer loops. Under the input-stationary
-schedule the window-tile sets (k3 tiles) are stationary, their input tiles
-packed once each when the set is entered, and the filter-tile sets (k2
-tiles) stream inside them, multipacked per set. The weight-stationary
+schedule the window-tile sets (k3 tiles) are stationary, each multipacked
+once when the set is entered, and the filter-tile sets (k2 tiles) stream
+inside them, multipacked per set. The weight-stationary
 schedule is the mirror image: each filter set is packed once per batch
 and channel block, and inputs are multipacked per window set. The two tile
 loops are collapsed into one set-pair product: each chunk of window tiles
@@ -21,10 +21,10 @@ is multiplied by the whole packed filter set in one batched GEMM, one
 (n_f, K) x (K, n_win) product per tile pair. A registered microkernel hook
 is still called once per tile pair.
 
-_CHUNK_BYTES (64 KiB) bounds the temporaries of both chunked steps: the
-stationary input set is multipacked in chunks whose gather fits in it, and
-the set product takes as many window tiles per GEMM as its output fits.
-Peak memory therefore does not grow with the set size.
+_CHUNK_BYTES (64 KiB) bounds the set product's temporary: it takes as many
+window tiles per GEMM as its output fits, so peak memory does not grow with
+the set size. Packing needs no such bound: pack_input copies from a
+strided view of the input straight into the set's buffer.
 
 Remainder regions (sub-tile window or filter tails) take
 naive_fallback_region instead. It gathers windows through the same
@@ -53,14 +53,9 @@ from .strategy import Schedule, TilingStrategy
 
 _HOOK = None
 
-# Byte budget of one chunk: a stationary input multipack's gather, or one
-# set-product GEMM's output. 128 KiB raised resnet_late's traced peak 16 %.
+# Byte budget of one set-product GEMM's output. 128 KiB raised
+# resnet_late's traced peak 16 %.
 _CHUNK_BYTES = 64 * 1024
-
-
-def _chunk_tiles(tile_bytes: int) -> int:
-    """Tiles per chunk for tiles of tile_bytes each; at least one."""
-    return max(1, _CHUNK_BYTES // tile_bytes)
 
 
 def external_microkernel_hook(fn):
@@ -152,9 +147,8 @@ class _SetPacker:
     """Packs the window and filter sets of one region into reused buffers.
 
     A buffer is allocated once per (tensor, channel block width) and holds
-    one full set; pack() fills its first tiles and records the packs. A
-    stationary input set is filled in chunks of tiles, one multipack each;
-    a streamed input set and a filter set take one multipack.
+    one full set; pack() fills its first tiles with one multipack and
+    records the packs.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "strategy", "mk",
@@ -188,17 +182,9 @@ class _SetPacker:
         if buf is None:
             buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
         if windows:
-            # A stationary input set is multipacked in chunks of at most
-            # _CHUNK_BYTES: one multipack of the whole set would go through
-            # a set-sized gather temporary. A streamed set stays one
-            # multipack; chunking it measured slower on resnet_late.
-            step = count if scope is not None else _chunk_tiles(buf[0].nbytes)
-            for t in range(0, count, step):
-                nt = min(step, count - t)
-                pack_input(self.x, self.conv, region,
-                           (first * mk.n_win, t * mk.n_win), self.strategy,
-                           mk, nt=nt, batch=b, ic_off=ic_off, nc=ncl,
-                           out=buf[t:t + nt])
+            pack_input(self.x, self.conv, region, (first * mk.n_win, 0),
+                       self.strategy, mk, nt=count, batch=b, ic_off=ic_off,
+                       nc=ncl, out=buf[:count])
         else:
             pack_filter(self.filters, region, self.strategy, mk, nt=count,
                         f_tile_start=first, ic_off=ic_off, nc=ncl,
@@ -281,7 +267,7 @@ def _set_product(in_mats, f_mats, acc, hook):
         f_t = f_mats.transpose(0, 2, 1)  # (fn, n_f, K)
         m = acc.shape[0]
         acc_w = acc.reshape(m, wn, n_win)  # a view: only columns split
-        step = _chunk_tiles(m * n_win * acc.itemsize)
+        step = max(1, _CHUNK_BYTES // (m * n_win * acc.itemsize))
         for i in range(0, wn, step):
             prod = np.matmul(f_t, in_mats[i:i + step][:, None])
             acc_w[:, i:i + step] += prod.reshape(-1, m, n_win).transpose(1, 0, 2)

@@ -4,7 +4,7 @@ Packed layouts, per tile:
 
   filter: (nc, fh, fw, n_f)   - a pure permutation of the filter slice,
                                 stored in order, gathered out of order;
-  input:  (nc, fh, fw, n_win) - a gather from the input slice; elements
+  input:  (nc, fh, fw, n_win) - windows of the input slice; elements
                                 shared by overlapping windows are replicated.
 
 Multipacking packs ``nt`` consecutive tiles in one pass by prepending an nt
@@ -26,6 +26,15 @@ then covers full input rows so the flat offset it_h * row_width + it_w stays
 inside the slice. When the whole group sits within one output row, the
 simpler single-row form applies: it_h = i_fh * dil_h and
 it_w = i_nwin * stride_w + i_fw * dil_w.
+
+pack_input applies these equations as strides rather than as index arrays:
+one view of the input slice, shaped (nc, fh, fw, oh, ow) with
+strides (channel, dil_h*row, dil_w*col, stride_h*row, stride_w*col), holds
+every window's elements in place. Within one output row the equations are
+affine, so each piece of a group cut at row breaks and tile boundaries is a
+slice of that view, copied straight into the packed buffer. The scalar
+input_pack_index_* functions spell the same equations out as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -103,11 +112,6 @@ def input_pack_index_general(i_oout: int, i_oin: int, i_nwin: int,
     return it_h * tile_w + it_w
 
 
-def row_break_free(ts: int, windows: int, ow: int) -> bool:
-    """True when windows [ts, ts+windows) all lie in one output row."""
-    return ts % ow + windows <= ow
-
-
 def pack_filter(filters: np.ndarray, region: KernelRegion,
                 strategy: TilingStrategy, mk: MkInfo, nt: int,
                 f_tile_start: int = 0, ic_off: int = 0,
@@ -152,6 +156,8 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
 
     packed[i_nt, i_nc, i_fh, i_fw, i_nwin] holds the input element projected
     by window ts + i_nt*n_win + i_nwin under filter offset (i_fh, i_fw).
+    The input is read in place when x is C-contiguous (as the engine's
+    always is) and copied one channel block per call otherwise.
     """
     p = conv.params
     if p.pad_h or p.pad_w:
@@ -164,42 +170,56 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
 
     i_oout, i_oin = loop_state
     ts = region.e_off + i_oout + i_oin
-    total = nt * mk.n_win
+    n_win = mk.n_win
+    total = nt * n_win
     if ts < 0 or ts + total > conv.ohw:
         raise IndexError(
             f"window group [{ts}, {ts + total}) outside output domain "
             f"(splitting bug)")
 
-    fh_off = np.arange(p.fh) * p.dil_h
-    fw_off = np.arange(p.fw) * p.dil_w
-    chans = x[batch, c0:c0 + nc]
+    # view[i_nc, i_fh, i_fw, r, q] is the element that output (r, q) reads
+    # under filter offset (i_fh, i_fw): the packing equations as strides.
+    # Strides are not bounds-checked, so the view's extent is checked first.
+    oh, ow = conv.oh, conv.ow
+    if (batch >= x.shape[0] or c0 + nc > x.shape[1]
+            or (oh - 1) * p.stride_h + (p.fh - 1) * p.dil_h >= x.shape[2]
+            or (ow - 1) * p.stride_w + (p.fw - 1) * p.dil_w >= x.shape[3]):
+        raise IndexError(f"input of shape {x.shape} does not hold the "
+                         f"windows of a {oh}x{ow} output")
+    # Built on the block's buffer, not with as_strided: its interface dict
+    # left a few hundred bytes on the traced peak. The view is only read.
+    chans = np.ascontiguousarray(x[batch, c0:c0 + nc])
+    cs, rs, es = chans.strides
+    view = np.ndarray(
+        (nc, p.fh, p.fw, oh, ow), chans.dtype, chans, 0,
+        (cs, p.dil_h * rs, p.dil_w * es, p.stride_h * rs, p.stride_w * es))
 
-    if row_break_free(ts, total, conv.ow):
-        # Single-row group: compact slice, simple index form.
-        r0 = ts // conv.ow * p.stride_h
-        col0 = ts % conv.ow * p.stride_w
-        width = (total - 1) * p.stride_w + p.dil_w * (p.fw - 1) + 1
-        sl = chans[:, r0:r0 + p.dil_h * (p.fh - 1) + 1, col0:col0 + width]
-        it_w = (np.arange(total).reshape(nt, 1, mk.n_win) * p.stride_w
-                + fw_off.reshape(1, p.fw, 1))
-        gathered = sl[:, fh_off[None, :, None, None],
-                      it_w[:, None, :, :]]  # (nc, nt, fh, fw, n_win)
+    if out is None:
+        out = np.empty((nt, nc, p.fh, p.fw, n_win), dtype=DTYPE)
+    if ow < n_win:
+        # Every tile crosses a row break: copy the group's output rows once
+        # and cut the flat window run into tiles.
+        r0, q0 = divmod(ts, ow)
+        rows = view[..., r0:(ts + total - 1) // ow + 1, :]
+        flat = rows.reshape(nc, p.fh, p.fw, -1)[..., q0:q0 + total]
+        out[:] = flat.reshape(nc, p.fh, p.fw, nt, n_win).transpose(3, 0, 1, 2, 4)
     else:
-        # Row breaks inside the group: index against full input rows.
-        w = ts + (np.arange(nt)[:, None] * mk.n_win + np.arange(mk.n_win))
-        rows = w // conv.ow * p.stride_h  # absolute padded-input coords
-        cols = w % conv.ow * p.stride_w
-        r_idx = rows[:, None, None, :] + fh_off[None, :, None, None]
-        c_idx = cols[:, None, None, :] + fw_off[None, None, :, None]
-        gathered = chans[:, r_idx, c_idx]  # (nc, nt, fh, fw, n_win)
-
-    packed = np.transpose(gathered, (1, 0, 2, 3, 4))
-    if out is not None:
-        out[:] = packed
-        packed = out
-    else:
-        packed = np.ascontiguousarray(packed, dtype=DTYPE)
-    return PackedTile(data=packed, logical_shape=(nc, p.fh, p.fw, mk.n_win),
+        # Walk the group by output row; each piece is a run of whole tiles
+        # inside one row or a part of a tile cut by a row break.
+        g = 0
+        while g < total:
+            r, q = divmod(ts + g, ow)
+            t, w = divmod(g, n_win)
+            k = min(ow - q, total - g)  # the group's windows left in row r
+            if w == 0 and k >= n_win:
+                k -= k % n_win
+                out[t:t + k // n_win] = view[..., r, q:q + k].reshape(
+                    nc, p.fh, p.fw, -1, n_win).transpose(3, 0, 1, 2, 4)
+            else:
+                k = min(k, n_win - w)
+                out[t, ..., w:w + k] = view[..., r, q:q + k]
+            g += k
+    return PackedTile(data=out, logical_shape=(nc, p.fh, p.fw, n_win),
                       kind=TileKind.Input, nt=nt)
 
 

@@ -245,6 +245,27 @@ def test_cli_rejects_bad_outputs_and_jobs_before_running(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+def test_cli_rejects_seed_outside_64_bits(tmp_path, seed):
+    proc = _run_cli(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+                     "--arch", str(FIXTURES / "intel.toml"),
+                     "--nwin", "16", "--nf", "8", "--verify-only",
+                     "--seed", seed], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: --seed"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # the suite did not run
+
+
+def test_cli_accepts_largest_64_bit_seed():
+    from slicedconv.cli import main
+
+    assert main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+                 "--arch", str(FIXTURES / "intel.toml"),
+                 "--nwin", "16", "--nf", "8", "--verify-only",
+                 "--seed", str(2**64 - 1), "--out", "/dev/null"]) == 0
+
+
 def test_cli_correctness_failure_exit_code(rng):
     # a garbage microkernel hook must surface as exit code 1
     from slicedconv import clear_microkernel_hook, external_microkernel_hook

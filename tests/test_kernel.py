@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -428,9 +426,9 @@ def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
 def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     # 6x6 outputs in 9 window tiles of 4, so tiles 1, 4 and 7 cross a row
     # break; window sets of 5 and 4 tiles, which a chunk of 3 divides into
-    # uneven parts, and 16 covers. K = 4*2*2 makes an input tile and a full
-    # filter set's output tile both 256 B, so the stationary multipack and
-    # the set product take chunks of the same tile count.
+    # uneven parts, and 16 covers. A full filter set's output tile is
+    # 16*4*4 = 256 B, the same as an input tile (K = 4*2*2), so the set
+    # product takes `chunk` window tiles per GEMM.
     p = ConvParams(n=2, ic=8, ih=7, iw=7, oc=20, fh=2, fw=2)
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
@@ -470,10 +468,9 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
 
     wsets, fsets, blocks = (5, 4), 2, p.n * 2
     if sched is Schedule.InputStationary:
-        # each stationary window set in ceil(tiles / chunk) multipacks
-        per_block = [min(chunk, s - t) for s in wsets
-                     for t in range(0, s, chunk)]
-        assert len(per_block) == sum(math.ceil(s / chunk) for s in wsets)
+        # each stationary window set in exactly one multipack, whatever
+        # the chunk size of the set product
+        per_block = list(wsets)
     else:
         # a streamed window set stays one multipack per filter set
         per_block = list(wsets) * fsets

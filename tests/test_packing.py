@@ -1,12 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import GOLDEN, REF_MK, REF_PARAMS, conv_info, random_params
+from conftest import (FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, conv_info,
+                      random_params)
 from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, Schedule,
                         TilingStrategy, im2col, pack_filter, pack_input, pad_input)
 from slicedconv.packing import (PackedTile, TileKind, dump_packed,
                                 filter_pack_index, input_pack_index_general,
-                                input_pack_index_simple, row_break_free)
+                                input_pack_index_simple)
+
+
+def row_break_free(ts, windows, ow):
+    """True when windows [ts, ts+windows) all lie in one output row."""
+    return ts % ow + windows <= ow
 
 
 def _strategy(nc):
@@ -173,15 +181,99 @@ def test_pack_input_matches_im2col_randomized(rng):
 
 
 def test_pack_input_row_break_route(rng):
-    # force both routing paths to agree with the oracle
+    # groups inside one output row and across a row break both agree
+    # with the oracle
     p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=4, fh=3, fw=3)
     conv = conv_info(p)
     x, _ = _tensors(rng, p)
     mk = MkInfo(n_win=4, n_f=4)
-    assert row_break_free(0, 4, conv.ow)       # simple path
-    assert not row_break_free(5, 4, conv.ow)   # general path
+    assert row_break_free(0, 4, conv.ow)
+    assert not row_break_free(5, 4, conv.ow)
     _assert_columns_match_im2col(x, p, mk, 0, nt=1, nc=2)
     _assert_columns_match_im2col(x, p, mk, 5, nt=1, nc=2)
+
+
+@pytest.mark.parametrize("ow", [5, 21])  # below n_win = 8, and 2.6 tiles
+@pytest.mark.parametrize("stride, dil", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
+    # Multipacks of nt > 1 tiles from unaligned group starts, for channel
+    # block ic_off > 0 of batch 1 of 2, into a strided slice of a larger
+    # buffer. Every group spans more than one output row. Tile i_nt's
+    # column w must be im2col's column of window ts + i_nt*n_win + w,
+    # bitwise; the buffer around the slice must keep its NaNs.
+    mk = MkInfo(n_win=8, n_f=4)
+    for _ in range(6):
+        fh, fw = FILTER_SHAPES[int(rng.integers(len(FILTER_SHAPES)))]
+        pad = int(rng.integers(0, 2))
+        oh = int(rng.integers(4, 8))
+        p = ConvParams(n=2, ic=int(rng.integers(2, 6)),
+                       ih=(oh - 1) * stride + dil * (fh - 1) + 1 - 2 * pad,
+                       iw=(ow - 1) * stride + dil * (fw - 1) + 1 - 2 * pad,
+                       oc=4, fh=fh, fw=fw, stride_h=stride, stride_w=stride,
+                       dil_h=dil, dil_w=dil, pad_h=pad, pad_w=pad)
+        conv = conv_info(p.padded())
+        x, _ = _tensors(rng, p)
+        nt = int(rng.integers(2, (conv.ohw - 1) // mk.n_win + 1))
+        ts = int(rng.integers(0, conv.ohw - nt * mk.n_win + 1))
+        if ts % mk.n_win == 0:
+            ts += 1 if ts + nt * mk.n_win < conv.ohw else -1
+        ic_off = int(rng.integers(1, p.ic))
+        nc = int(rng.integers(1, p.ic - ic_off + 1))
+        big = np.full((nt + 2, nc, fh, fw, mk.n_win + 3), np.nan, np.float32)
+        out = big[1:nt + 1, ..., 2:2 + mk.n_win]
+        t = pack_input(pad_input(x, p), conv, full_region(conv), (ts, 0),
+                       _strategy(nc), mk, nt=nt, batch=1, ic_off=ic_off,
+                       nc=nc, out=out)
+        assert t.data is out
+        kk = fh * fw
+        ref = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
+                                ts:ts + nt * mk.n_win]
+        want = ref.reshape(nc * kk, nt, mk.n_win).transpose(1, 0, 2)
+        assert np.array_equal(out.reshape(nt, nc * kk, mk.n_win), want)
+        out[:] = np.nan
+        assert np.isnan(big).all()
+
+
+def test_pack_input_allocates_no_gather_temporary(rng):
+    # The ResNet-50 stem: 20 tiles from an unaligned start, across three
+    # row breaks of the 112-wide output, packed into a given buffer. The
+    # strided copies need no temporary of the packed size.
+    p = ConvParams(n=1, ic=3, ih=224, iw=224, oc=64, fh=7, fw=7,
+                   stride_h=2, stride_w=2, pad_h=3, pad_w=3)
+    conv = conv_info(p.padded())
+    x, _ = _tensors(rng, p)
+    xp = pad_input(x, p)
+    out = np.empty((20, 3, 7, 7, REF_MK.n_win), np.float32)
+    args = (xp, conv, full_region(conv), (37, 0), _strategy(3), REF_MK)
+    pack_input(*args, nt=20, out=out)  # warm-up
+    tracemalloc.start()
+    try:
+        pack_input(*args, nt=20, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * out.nbytes, peak
+    _assert_columns_match_im2col(x, p, REF_MK, 37, nt=20, nc=3)
+
+
+@pytest.mark.parametrize("short", ["row", "col"])
+def test_pack_input_rejects_input_smaller_than_its_view(short):
+    # The input is one row or one column short of what the 4x4 output
+    # projects. It is a slice of a NaN-bordered buffer, so a strided view
+    # that reached past it would read NaNs rather than fail; even the
+    # first group, which reads no missing element, must be refused.
+    p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=4, fh=3, fw=3,
+                   stride_h=2, stride_w=2)
+    conv = conv_info(p)
+    big = np.full((1, 2, 10, 10), np.nan, np.float32)
+    big[:, :, :9, :9] = 1.0
+    x = big[:, :, :8, :9] if short == "row" else big[:, :, :9, :8]
+    region, strat, mk = full_region(conv), _strategy(2), MkInfo(n_win=4, n_f=4)
+    for ts in (0, conv.ohw - mk.n_win):
+        with pytest.raises(IndexError, match="does not hold"):
+            pack_input(x, conv, region, (ts, 0), strat, mk, nt=1)
+    ok = pack_input(big[:, :, :9, :9], conv, region, (0, 0), strat, mk, nt=4)
+    assert (ok.data == 1.0).all()
 
 
 def test_multipack_equals_concatenated_singles(rng):
