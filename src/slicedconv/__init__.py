@@ -5,31 +5,30 @@ filter/input packing with multipacking, and a two-level tiled macrokernel
 around an outer-product microkernel, plus an oracle-checked harness.
 """
 
-from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk, serialize_arch
+from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
 from .engine import RunInfo, run_convolution
 from .harness import ConvCase, CaseReport, load_suite, run_suite
-from .kernel import (RunCounters, build_plan, clear_microkernel_hook,
-                     execute_region, external_microkernel_hook, microkernel,
+from .kernel import (RunCounters, build_plan, execute_region, microkernel,
                      naive_fallback_region)
 from .model import ConvParams, out_shape, pad_input
 from .packing import PackedTile, TileKind, pack_filter, pack_input
 from .reference import im2col, naive_conv
 from .regions import (KernelRegion, RegionKind, coverage_check, plan_regions,
-                      regions_to_json, split_by_strategy, split_input_domain)
+                      split_by_strategy, split_input_domain)
 from .strategy import Schedule, TilingStrategy, analyze, cost_model, remainders
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk", "serialize_arch",
+    "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk",
     "RunInfo", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
-    "RunCounters", "build_plan", "clear_microkernel_hook", "execute_region",
-    "external_microkernel_hook", "microkernel", "naive_fallback_region",
+    "RunCounters", "build_plan", "execute_region", "microkernel",
+    "naive_fallback_region",
     "ConvParams", "out_shape", "pad_input",
     "PackedTile", "TileKind", "pack_filter", "pack_input",
     "im2col", "naive_conv",
     "KernelRegion", "RegionKind", "coverage_check", "plan_regions",
-    "regions_to_json", "split_by_strategy", "split_input_domain",
+    "split_by_strategy", "split_input_domain",
     "Schedule", "TilingStrategy", "analyze", "cost_model", "remainders",
 ]

@@ -130,15 +130,3 @@ def load_mk(path, n_win=None, n_f=None) -> MkInfo:
         raise ValueError("microkernel shape (n_win, n_f) not given and not in file")
     vec_bits = values.get("vector_bits", 128)
     return MkInfo(n_win=win, n_f=nf, vector_bytes=vec_bits // 8)
-
-
-def serialize_arch(arch: ArchInfo) -> str:
-    """Render an ArchInfo back to the file format (KiB granularity)."""
-    if arch.l1_bytes % 1024 or arch.l2_bytes % 1024 or arch.l3_bytes % 1024:
-        raise ValueError("cache sizes must be whole KiB to serialize")
-    return (
-        f"l1_kib = {arch.l1_bytes // 1024}\n"
-        f"l2_kib = {arch.l2_bytes // 1024}\n"
-        f"l3_kib = {arch.l3_bytes // 1024}\n"
-        f"cache_line = {arch.cache_line_bytes}\n"
-    )

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    slicedconv run --suite cases.jsonl --arch machine.txt --nwin 16 --nf 8 \
+    slicedconv run --suite cases.jsonl --arch machine.txt [--nwin N --nf N] \
         [--seed N] [--jobs N] [--out report.csv] [--verify-only] \
         [--dump-regions regions.json]
 
@@ -25,10 +25,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a convolution suite against the oracle")
     run_p.add_argument("--suite", required=True, help="JSONL suite of convolutions")
     run_p.add_argument("--arch", required=True, help="machine description file")
-    run_p.add_argument("--nwin", type=int, required=True,
-                       help="output windows per microkernel call")
-    run_p.add_argument("--nf", type=int, required=True,
-                       help="filters per microkernel call")
+    run_p.add_argument("--nwin", type=int, default=None,
+                       help="output windows per microkernel call "
+                            "(default: the arch file's n_win)")
+    run_p.add_argument("--nf", type=int, default=None,
+                       help="filters per microkernel call "
+                            "(default: the arch file's n_f)")
     run_p.add_argument("--seed", type=int, default=0,
                        help="unsigned 64-bit seed for tensor initialization "
                             "(default 0)")

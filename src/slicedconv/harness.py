@@ -8,8 +8,8 @@ Suite format is JSON Lines, one object per convolution:
 Scalar "stride", "pad" and "dil" expand to both axes; _h/_w variants set
 them independently. Defaults: n=1, stride=1, dil=1, pad=0, repeat=30.
 Records with "groups" != 1 are rejected (grouped convolutions are out of
-scope); malformed records, including non-integer fields or repeat, and
-records whose id repeats an earlier case's are reported and skipped.
+scope); malformed records, including non-integer fields, a repeat below 1
+and records whose id repeats an earlier case's, are reported and skipped.
 
 Tensors are initialized uniform [-1, 1] in f32 from NumPy's PCG64 generator
 seeded with (seed, case_index), input tensor drawn before the filter tensor,
@@ -50,6 +50,10 @@ class ConvCase:
     id: str
     params: ConvParams
     repeat: int = 30
+
+    def __post_init__(self):
+        if self.repeat < 1:
+            raise ValueError(f"repeat must be at least 1, got {self.repeat}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
             # The verification pass doubles as warm-up and is excluded.
             x, flt = init_tensors(case, seed, idx)
             times = []
-            for _ in range(max(case.repeat, 1)):
+            for _ in range(case.repeat):
                 t0 = time.perf_counter()
                 run_convolution(x, flt, case.params, arch, mk)
                 times.append(time.perf_counter() - t0)

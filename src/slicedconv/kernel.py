@@ -18,8 +18,8 @@ schedule is the mirror image: each filter set is packed once per batch
 and channel block, and inputs are multipacked per window set. The two tile
 loops are collapsed into one set-pair product: each chunk of window tiles
 is multiplied by the whole packed filter set in one batched GEMM, one
-(n_f, K) x (K, n_win) product per tile pair. A registered microkernel hook
-is still called once per tile pair.
+(n_f, K) x (K, n_win) product per tile pair. A microkernel hook, passed
+as execute_region's hook argument, is still called once per tile pair.
 
 _CHUNK_BYTES (64 KiB) bounds the set product's temporary: it takes as many
 window tiles per GEMM as its output fits, so peak memory does not grow with
@@ -51,29 +51,9 @@ from .packing import pack_filter, pack_input
 from .regions import KernelRegion, RegionKind
 from .strategy import Schedule, TilingStrategy
 
-_HOOK = None
-
 # Byte budget of one set-product GEMM's output. 128 KiB raised
 # resnet_late's traced peak 16 %.
 _CHUNK_BYTES = 64 * 1024
-
-
-def external_microkernel_hook(fn):
-    """Register fn as the microkernel for Main regions; None restores built-in.
-
-    The hook is called as fn(packed_in, packed_f, acc, k, n_win, n_f,
-    strides) with two (k, n) f32 matrices, the (n_f, n_win) accumulator to
-    update in place, and the byte strides of all three buffers. Results must
-    match the built-in kernel within the engine tolerance.
-    """
-    global _HOOK
-    _HOOK = fn
-    return fn
-
-
-def clear_microkernel_hook():
-    global _HOOK
-    _HOOK = None
 
 
 def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
@@ -87,10 +67,6 @@ def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
         raise ValueError(f"accumulator shape {acc.shape} != ({n_f}, {n_win})")
     acc += packed_f.T @ packed_in
     return acc
-
-
-def make_accumulator(n_f: int, n_win: int) -> np.ndarray:
-    return np.zeros((n_f, n_win), dtype=DTYPE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,12 +127,11 @@ class _SetPacker:
     records the packs.
     """
 
-    __slots__ = ("x", "filters", "conv", "region", "strategy", "mk",
-                 "counters", "bufs")
+    __slots__ = ("x", "filters", "conv", "region", "mk", "counters", "bufs")
 
-    def __init__(self, x, filters, conv, region, strategy, mk, counters):
+    def __init__(self, x, filters, conv, region, mk, counters):
         self.x, self.filters, self.conv = x, filters, conv
-        self.region, self.strategy, self.mk = region, strategy, mk
+        self.region, self.mk = region, mk
         self.counters = counters
         self.bufs = {}
 
@@ -182,13 +157,12 @@ class _SetPacker:
         if buf is None:
             buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
         if windows:
-            pack_input(self.x, self.conv, region, (first * mk.n_win, 0),
-                       self.strategy, mk, nt=count, batch=b, ic_off=ic_off,
-                       nc=ncl, out=buf[:count])
+            pack_input(self.x, self.conv, region, (first * mk.n_win, 0), mk,
+                       nt=count, nc=ncl, batch=b, ic_off=ic_off,
+                       out=buf[:count])
         else:
-            pack_filter(self.filters, region, self.strategy, mk, nt=count,
-                        f_tile_start=first, ic_off=ic_off, nc=ncl,
-                        out=buf[:count])
+            pack_filter(self.filters, region, mk, nt=count, nc=ncl,
+                        f_tile_start=first, ic_off=ic_off, out=buf[:count])
         if self.counters is not None:
             packs = (self.counters.input_packs if windows
                      else self.counters.filter_packs)
@@ -207,6 +181,12 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     x must be pre-padded (conv carries pad=0); out is (n, oc, oh, ow) and the
     region's output ranges must already hold the partial sums accumulated so
     far (zeros on first touch).
+
+    hook, when given, replaces the built-in set product and is called once
+    per tile pair as hook(packed_in, packed_f, acc, k, n_win, n_f, strides):
+    two (k, n) f32 matrices, the (n_f, n_win) accumulator to update in
+    place, and the byte strides of all three. Its results must match the
+    built-in kernel within the engine tolerance.
     """
     if region.kind is not RegionKind.Main:
         raise ValueError("execute_region expects a Main region")
@@ -216,14 +196,12 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     n_win, n_f = mk.n_win, mk.n_f
     if region.spatial_len % n_win or region.oc_len % n_f:
         raise ValueError("Main region is not aligned to the microkernel tile")
-    if hook is None:
-        hook = _HOOK
 
     plan = build_plan(region, strategy, mk, p.n)
     batch, chan, outer, inner = plan.loops[:4]
     windows_outer = outer.dim == "window_set"
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
-    packer = _SetPacker(x, filters, conv, region, strategy, mk, counters)
+    packer = _SetPacker(x, filters, conv, region, mk, counters)
 
     for b in range(batch.extent):
         for ic_off in range(0, chan.extent, chan.step):
@@ -306,7 +284,6 @@ def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         chunk_mk = MkInfo(width, mk.n_f, mk.vector_bytes)
         w0 = region.spatial_start + w_off
         for b in range(p.n):
-            # With nc given, pack_input reads no tiling strategy.
-            packed = pack_input(x, conv, region, (w_off, 0), None, chunk_mk,
-                                nt=1, batch=b, nc=region.ic_len)
+            packed = pack_input(x, conv, region, (w_off, 0), chunk_mk,
+                                nt=1, nc=region.ic_len, batch=b)
             out_flat[b, o0:o1, w0:w0 + width] += flt @ packed.matrix(0)

@@ -48,7 +48,6 @@ import numpy as np
 from .arch import ConvInfo, MkInfo
 from .model import DTYPE, ConvParams
 from .regions import KernelRegion
-from .strategy import TilingStrategy
 
 
 class TileKind(enum.Enum):
@@ -112,19 +111,16 @@ def input_pack_index_general(i_oout: int, i_oin: int, i_nwin: int,
     return it_h * tile_w + it_w
 
 
-def pack_filter(filters: np.ndarray, region: KernelRegion,
-                strategy: TilingStrategy, mk: MkInfo, nt: int,
-                f_tile_start: int = 0, ic_off: int = 0,
-                nc: int | None = None, out: np.ndarray | None = None) -> PackedTile:
-    """Pack nt consecutive filter tiles of a region.
+def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
+                nt: int, nc: int, f_tile_start: int = 0, ic_off: int = 0,
+                out: np.ndarray | None = None) -> PackedTile:
+    """Pack nt consecutive filter tiles of nc channels of a region.
 
     packed[i_nt, i_nc, i_fh, i_fw, i_nf] = filters[f0 + i_nt*n_f + i_nf,
     c0 + i_nc, i_fh, i_fw] with f0/c0 the region-relative starting filter
     and channel. Pure data movement, no replication.
     """
     fh, fw = filters.shape[2], filters.shape[3]
-    if nc is None:
-        nc = min(strategy.nc, region.ic_len - ic_off)
     f0 = region.oc_start + f_tile_start * mk.n_f
     c0 = region.ic_start + ic_off
     if f0 + nt * mk.n_f > region.oc_start + region.oc_len:
@@ -145,10 +141,10 @@ def pack_filter(filters: np.ndarray, region: KernelRegion,
 
 
 def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
-               loop_state: tuple[int, int], strategy: TilingStrategy,
-               mk: MkInfo, nt: int, batch: int = 0, ic_off: int = 0,
-               nc: int | None = None, out: np.ndarray | None = None) -> PackedTile:
-    """Pack nt consecutive window tiles of a region from a pre-padded input.
+               loop_state: tuple[int, int], mk: MkInfo, nt: int, nc: int,
+               batch: int = 0, ic_off: int = 0,
+               out: np.ndarray | None = None) -> PackedTile:
+    """Pack nt window tiles of nc channels of a region from a padded input.
 
     loop_state = (i_oout, i_oin) are the outer/inner spatial loop iterators
     in window units; together with the region offset they fix the absolute
@@ -162,8 +158,6 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
     p = conv.params
     if p.pad_h or p.pad_w:
         raise ValueError("engine core expects a pre-padded input")
-    if nc is None:
-        nc = min(strategy.nc, region.ic_len - ic_off)
     c0 = region.ic_start + ic_off
     if c0 + nc > region.ic_start + region.ic_len:
         raise IndexError("channel range overflows the region")

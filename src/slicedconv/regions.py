@@ -19,7 +19,6 @@ region-local loop indices into positions of the original tensor.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
 
 from .arch import ConvInfo, MkInfo
@@ -184,8 +183,3 @@ def coverage_check(regions: list[KernelRegion], conv: ConvInfo) -> bool:
 
 def _overlap(s0, l0, s1, l1) -> bool:
     return s0 < s1 + l1 and s1 < s0 + l0
-
-
-def regions_to_json(regions: list[KernelRegion], indent: int = 2) -> str:
-    """Serialize a region list for debug inspection."""
-    return json.dumps([r.to_dict() for r in regions], indent=indent)

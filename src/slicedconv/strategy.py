@@ -67,12 +67,6 @@ def tile_bytes(conv: ConvInfo, mk: MkInfo, nc: int) -> tuple[int, int, int]:
     return in_b, f_b, out_b
 
 
-def fits_l1(conv: ConvInfo, arch: ArchInfo, mk: MkInfo, nc: int) -> bool:
-    """True when one input + filter + output tile fit in L1 simultaneously."""
-    in_b, f_b, out_b = tile_bytes(conv, mk, nc)
-    return in_b + f_b + out_b <= arch.l1_bytes
-
-
 def window_tiles(conv: ConvInfo, mk: MkInfo) -> int:
     """Full n_win-window tiles in the flattened output spatial dimension."""
     return conv.ohw // mk.n_win

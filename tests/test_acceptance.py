@@ -14,10 +14,9 @@ from conftest import (CALIBRATED_ARCH, FILTER_SHAPES, FIXTURES, REF_MK,
                       REF_PARAMS, REPO_ROOT, cli_env, conv_info,
                       random_params)
 from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
-                        RunCounters, Schedule, TilingStrategy, analyze,
-                        im2col, load_arch, naive_conv, pack_filter, pack_input,
-                        pad_input, run_convolution, split_by_strategy,
-                        split_input_domain)
+                        RunCounters, Schedule, analyze, im2col, load_arch,
+                        naive_conv, pack_filter, pack_input, pad_input,
+                        run_convolution, split_by_strategy, split_input_domain)
 from slicedconv.harness import max_relative_error
 from slicedconv.regions import plan_regions
 from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
@@ -39,11 +38,6 @@ def _full_region(conv):
     return KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                         oc_len=conv.params.oc, ic_start=0,
                         ic_len=conv.params.ic, kind=RegionKind.Main, e_off=0)
-
-
-def _is_strategy(nc):
-    return TilingStrategy(schedule=Schedule.InputStationary, nc=nc, k2=1,
-                          k3=1, r_nc=0, r_k2=0, r_k3=0)
 
 
 def test_criterion_1_split_arithmetic():
@@ -113,9 +107,8 @@ def test_criterion_3_packing_matches_im2col():
             max_tiles = conv.ohw // n_win
             nt = int(rng.integers(1, min(max_tiles, 4) + 1))
             ts = int(rng.integers(0, conv.ohw - nt * n_win + 1))
-            packed = pack_input(xp, conv, _full_region(conv), (ts, 0),
-                                _is_strategy(nc), mk, nt=nt, ic_off=ic_off,
-                                nc=nc)
+            packed = pack_input(xp, conv, _full_region(conv), (ts, 0), mk,
+                                nt=nt, nc=nc, ic_off=ic_off)
             ref = im2col(x, p)
             kk = p.fh * p.fw
             rows = slice(ic_off * kk, (ic_off + nc) * kk)
@@ -129,8 +122,8 @@ def test_criterion_3_packing_matches_im2col():
                 p.oc, p.ic, p.fh, p.fw)
             ftiles = p.oc // mk.n_f
             if ftiles:
-                pf = pack_filter(flt, _full_region(conv), _is_strategy(p.ic),
-                                 mk, nt=ftiles, nc=p.ic)
+                pf = pack_filter(flt, _full_region(conv), mk, nt=ftiles,
+                                 nc=p.ic)
                 src = flt[:ftiles * mk.n_f].ravel()
                 assert pf.data.size == src.size
                 assert set(pf.data.ravel().tolist()) == set(src.tolist())
@@ -195,24 +188,21 @@ def test_criterion_6_multipack_consistency():
             wtiles = conv.ohw // mk.n_win
             if filter_checked < 50 and ftiles >= 2:
                 k = int(rng.integers(2, ftiles + 1))
-                group = pack_filter(flt, region, _is_strategy(strat_nc), mk,
-                                    nt=k, nc=strat_nc)
+                group = pack_filter(flt, region, mk, nt=k, nc=strat_nc)
                 singles = np.concatenate([
-                    pack_filter(flt, region, _is_strategy(strat_nc), mk, nt=1,
-                                f_tile_start=t, nc=strat_nc).data
+                    pack_filter(flt, region, mk, nt=1, nc=strat_nc,
+                                f_tile_start=t).data
                     for t in range(k)])
                 assert np.array_equal(group.data, singles)
                 filter_checked += 1
             if input_checked < 50 and wtiles >= 2:
                 k = int(rng.integers(2, wtiles + 1))
                 o_out = int(rng.integers(0, wtiles - k + 1)) * mk.n_win
-                group = pack_input(x, conv, region, (o_out, 0),
-                                   _is_strategy(strat_nc), mk, nt=k,
+                group = pack_input(x, conv, region, (o_out, 0), mk, nt=k,
                                    nc=strat_nc)
                 singles = np.concatenate([
-                    pack_input(x, conv, region, (o_out, t * mk.n_win),
-                               _is_strategy(strat_nc), mk, nt=1,
-                               nc=strat_nc).data
+                    pack_input(x, conv, region, (o_out, t * mk.n_win), mk,
+                               nt=1, nc=strat_nc).data
                     for t in range(k)])
                 assert np.array_equal(group.data, singles)
                 input_checked += 1

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import FIXTURES
-from slicedconv import ArchInfo, ConvInfo, ConvParams, MkInfo, load_arch, load_mk, serialize_arch
+from slicedconv import ArchInfo, ConvInfo, ConvParams, MkInfo, load_arch, load_mk
 from slicedconv.arch import parse_arch_text
 
 
@@ -28,13 +28,6 @@ def test_l1_exceeding_l2_rejected(tmp_path):
     f.write_text("l1_kib = 2048\nl2_kib = 512\n")
     with pytest.raises(ValueError):
         load_arch(f)
-
-
-def test_roundtrip(tmp_path):
-    arch = load_arch(FIXTURES / "calibrated.toml")
-    f = tmp_path / "rt.txt"
-    f.write_text(serialize_arch(arch))
-    assert load_arch(f) == arch
 
 
 @pytest.mark.parametrize("text", [

@@ -57,13 +57,17 @@ def test_load_suite_reports_bad_records(tmp_path):
         'not json at all\n'
         '{"id": "grp", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "groups": 4}\n'
         '{"id": "bad", "ic": 2, "ih": 2, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
-        '{"id": "ok", "ic": 3, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n')
+        '{"id": "ok", "ic": 3, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
+        '{"id": "rep0", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 0}\n'
+        '{"id": "neg", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": -5}\n')
     cases, errors = load_suite(suite)
     assert [c.id for c in cases] == ["ok"]
     assert [c.params.ic for c in cases] == [2]  # the first "ok" is kept
-    assert len(errors) == 4
+    assert len(errors) == 6
     assert any("grp" in e for e in errors)
-    assert errors[-1].startswith("line 5 (ok): duplicate id")
+    assert errors[3].startswith("line 5 (ok): duplicate id")
+    assert errors[4].startswith("line 6 (rep0): repeat must be at least 1")
+    assert errors[5].startswith("line 7 (neg): repeat must be at least 1")
 
 
 def test_init_tensors_deterministic():
@@ -266,9 +270,24 @@ def test_cli_accepts_largest_64_bit_seed():
                  "--seed", str(2**64 - 1), "--out", "/dev/null"]) == 0
 
 
-def test_cli_correctness_failure_exit_code(rng):
+def test_cli_microkernel_shape_defaults_to_arch_file(tmp_path):
+    # calibrated.toml gives n_win and n_f; intel.toml gives neither
+    args = ["run", "--suite", str(FIXTURES / "smoke.jsonl"), "--verify-only"]
+    proc = _run_cli([*args, "--arch", str(FIXTURES / "calibrated.toml")],
+                    cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 7  # header plus the six cases
+    proc = _run_cli([*args, "--arch", str(FIXTURES / "intel.toml")],
+                    cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_correctness_failure_exit_code(monkeypatch):
     # a garbage microkernel hook must surface as exit code 1
-    from slicedconv import clear_microkernel_hook, external_microkernel_hook
+    from slicedconv import harness
     from slicedconv.cli import main
 
     cases_ok = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
@@ -277,14 +296,13 @@ def test_cli_correctness_failure_exit_code(rng):
                      "--out", "/dev/null"])
     assert cases_ok == 0
 
-    external_microkernel_hook(lambda pin, pf, acc, k, nw, nf, s: None)
-    try:
-        rc = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
-                   "--arch", str(FIXTURES / "intel.toml"),
-                   "--nwin", "4", "--nf", "4", "--verify-only",
-                   "--out", "/dev/null"])
-    finally:
-        clear_microkernel_hook()
+    engine = harness.run_convolution
+    monkeypatch.setattr(harness, "run_convolution", lambda *args, **kw: engine(
+        *args, hook=lambda pin, pf, acc, k, nw, nf, s: None, **kw))
+    rc = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+               "--arch", str(FIXTURES / "intel.toml"),
+               "--nwin", "4", "--nf", "4", "--verify-only",
+               "--out", "/dev/null"])
     assert rc == 1
 
 

@@ -1,24 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import CALIBRATED_ARCH, REF_MK, conv_info, rand_tensors, random_params
 from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
-                        build_plan, clear_microkernel_hook, execute_region,
-                        external_microkernel_hook, microkernel, naive_conv,
+                        build_plan, execute_region, microkernel, naive_conv,
                         naive_fallback_region, run_convolution)
 from slicedconv import kernel
 from slicedconv.harness import max_relative_error
-from slicedconv.kernel import make_accumulator
+from slicedconv.model import DTYPE
 from slicedconv.packing import pack_input
 from slicedconv.regions import plan_regions
 
 
-@pytest.fixture(autouse=True)
-def _no_stale_hook():
-    clear_microkernel_hook()
-    yield
-    clear_microkernel_hook()
+def make_accumulator(n_f, n_win):
+    return np.zeros((n_f, n_win), dtype=DTYPE)
 
 
 def test_microkernel_single_outer_product():
@@ -248,10 +247,6 @@ def test_naive_fallback_empty_region_is_noop():
 
 
 def test_naive_fallback_tail_spanning_row_break(rng):
-    @external_microkernel_hook
-    def no_hook(pin, pf, acc, k, n_win, n_f, strides):
-        raise AssertionError("the fallback must not call the hook")
-
     square = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
     strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,
                          stride_h=2, dil_w=2)  # 6x10 out
@@ -290,21 +285,66 @@ def test_hook_wrapping_builtin_is_bit_identical(rng):
     assert np.array_equal(out, baseline)
 
 
+def test_fallback_never_calls_the_hook(rng):
+    # ohw = 9 < n_win and oc = 3 < n_f: every region is a Remainder
+    p = ConvParams(n=2, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3)
+    mk = MkInfo(n_win=16, n_f=8)
+
+    def raising(pin, pf, acc, k, n_win, n_f, strides):
+        raise AssertionError("the fallback must not call the hook")
+
+    out, ref, info, _ = _run_engine_case(rng, p, mk, hook=raising)
+    assert {r.kind for r in info.regions} == {RegionKind.Remainder}
+    assert max_relative_error(out, ref) <= 1e-4
+
+
 def test_hook_registry_and_garbage_hook_detected(rng):
     p = ConvParams(n=1, ic=4, ih=12, iw=12, oc=8, fh=3, fw=3)
     mk = MkInfo(n_win=4, n_f=4)
     x, flt = rand_tensors(rng, p)
     ref = naive_conv(x, flt, p)
 
-    @external_microkernel_hook
     def garbage(pin, pf, acc, k, n_win, n_f, strides):
         acc += 1.0
 
-    out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+    out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=garbage)
     assert max_relative_error(out, ref) > 1e-4  # negative test
-    clear_microkernel_hook()
     out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
     assert max_relative_error(out, ref) <= 1e-4
+
+
+def test_concurrent_hook_does_not_leak_into_other_runs(rng):
+    # One thread runs with a garbage hook while another runs without; the
+    # hook-less outputs must equal a serial run bitwise.
+    p = ConvParams(n=1, ic=8, ih=18, iw=18, oc=16, fh=3, fw=3)
+    mk = MkInfo(n_win=4, n_f=4)
+    x, flt = rand_tensors(rng, p)
+    serial, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+    start = threading.Barrier(2)
+    outs = {}
+
+    def garbage(pin, pf, acc, k, n_win, n_f, strides):
+        acc += 1.0
+
+    def run(name, hook):
+        start.wait(timeout=60)
+        outs[name] = [run_convolution(x, flt, p, CALIBRATED_ARCH, mk,
+                                      hook=hook)[0] for _ in range(20)]
+
+    threads = [threading.Thread(target=run, args=("garbage", garbage)),
+               threading.Thread(target=run, args=("plain", None))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads inside each run
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(out, serial) for out in outs["plain"])
+    assert all(not np.array_equal(out, serial) for out in outs["garbage"])
 
 
 def test_hook_reordered_reduction_within_tolerance(rng):

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, conv_info,
                       random_params)
-from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, Schedule,
-                        TilingStrategy, im2col, pack_filter, pack_input, pad_input)
+from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, im2col,
+                        pack_filter, pack_input, pad_input)
 from slicedconv.packing import (PackedTile, TileKind, dump_packed,
                                 filter_pack_index, input_pack_index_general,
                                 input_pack_index_simple)
@@ -15,11 +15,6 @@ from slicedconv.packing import (PackedTile, TileKind, dump_packed,
 def row_break_free(ts, windows, ow):
     """True when windows [ts, ts+windows) all lie in one output row."""
     return ts % ow + windows <= ow
-
-
-def _strategy(nc):
-    return TilingStrategy(schedule=Schedule.InputStationary, nc=nc, k2=1, k3=1,
-                          r_nc=0, r_k2=0, r_k3=0)
 
 
 def full_region(conv):
@@ -41,7 +36,7 @@ def test_filter_pack_index_examples():
 def test_pack_filter_reference_shape(rng):
     conv = conv_info(REF_PARAMS)
     flt = rng.uniform(-1, 1, (256, 32, 3, 3)).astype(np.float32)
-    t = pack_filter(flt, full_region(conv), _strategy(32), REF_MK, nt=1)
+    t = pack_filter(flt, full_region(conv), REF_MK, nt=1, nc=32)
     assert t.logical_shape == (32, 3, 3, 8)
     assert t.matrix(0).shape == (288, 8)
     assert np.isclose(t.data.sum(), flt[:8].sum(), rtol=1e-5)
@@ -51,8 +46,7 @@ def test_pack_filter_is_permutation():
     # unique source values: packed buffer must be an exact rearrangement
     flt = np.arange(16 * 4 * 3 * 3, dtype=np.float32).reshape(16, 4, 3, 3)
     conv = conv_info(ConvParams(n=1, ic=4, ih=9, iw=9, oc=16, fh=3, fw=3))
-    t = pack_filter(flt, full_region(conv), _strategy(4), MkInfo(n_win=4, n_f=8),
-                    nt=2)
+    t = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=8), nt=2, nc=4)
     assert t.data.size == flt.size
     assert set(t.data.ravel().tolist()) == set(flt.ravel().tolist())
     # spot-check the gather equation
@@ -66,8 +60,7 @@ def test_pack_filter_is_permutation():
 def test_pack_filter_single_element():
     flt = np.full((1, 1, 1, 1), 3.5, dtype=np.float32)
     conv = conv_info(ConvParams(n=1, ic=1, ih=4, iw=4, oc=1, fh=1, fw=1))
-    t = pack_filter(flt, full_region(conv), _strategy(1), MkInfo(n_win=4, n_f=1),
-                    nt=1)
+    t = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=1), nt=1, nc=1)
     assert t.data.ravel().tolist() == [3.5]
 
 
@@ -75,8 +68,7 @@ def test_pack_filter_range_overflow():
     conv = conv_info(ConvParams(n=1, ic=2, ih=8, iw=8, oc=8, fh=3, fw=3))
     flt = np.zeros((8, 2, 3, 3), dtype=np.float32)
     with pytest.raises(IndexError):
-        pack_filter(flt, full_region(conv), _strategy(2), MkInfo(n_win=4, n_f=8),
-                    nt=2)
+        pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=8), nt=2, nc=2)
 
 
 def test_input_pack_index_simple_examples():
@@ -132,7 +124,7 @@ def test_input_pack_index_multipack_advances_by_tile():
 def test_pack_input_reference_shape(rng):
     conv = conv_info(REF_PARAMS)
     x = rng.uniform(-1, 1, (1, 32, 77, 77)).astype(np.float32)
-    t = pack_input(x, conv, full_region(conv), (0, 0), _strategy(32), REF_MK, nt=1)
+    t = pack_input(x, conv, full_region(conv), (0, 0), REF_MK, nt=1, nc=32)
     assert t.logical_shape == (32, 3, 3, 16)
     assert t.matrix(0).shape == (288, 16)
 
@@ -143,7 +135,7 @@ def test_pack_input_pointwise_is_contiguous_copy(rng):
     x = rng.uniform(-1, 1, (1, 3, 6, 8)).astype(np.float32)
     mk = MkInfo(n_win=8, n_f=4)
     ts = 12
-    t = pack_input(x, conv, full_region(conv), (ts, 0), _strategy(3), mk, nt=1)
+    t = pack_input(x, conv, full_region(conv), (ts, 0), mk, nt=1, nc=3)
     flat = x[0].reshape(3, -1)
     assert np.array_equal(t.data[0][:, 0, 0, :], flat[:, ts:ts + 8])
 
@@ -153,8 +145,8 @@ def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
     conv = conv_info(p.padded())
     xp = pad_input(x, p)
     region = full_region(conv)
-    t = pack_input(xp, conv, region, (ts, 0), _strategy(nc), mk, nt=nt,
-                   ic_off=ic_off, nc=nc)
+    t = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc,
+                   ic_off=ic_off)
     ref = im2col(x, p)
     kk = p.fh * p.fw
     rows = slice(ic_off * kk, (ic_off + nc) * kk)
@@ -222,8 +214,7 @@ def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
         big = np.full((nt + 2, nc, fh, fw, mk.n_win + 3), np.nan, np.float32)
         out = big[1:nt + 1, ..., 2:2 + mk.n_win]
         t = pack_input(pad_input(x, p), conv, full_region(conv), (ts, 0),
-                       _strategy(nc), mk, nt=nt, batch=1, ic_off=ic_off,
-                       nc=nc, out=out)
+                       mk, nt=nt, nc=nc, batch=1, ic_off=ic_off, out=out)
         assert t.data is out
         kk = fh * fw
         ref = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
@@ -244,11 +235,11 @@ def test_pack_input_allocates_no_gather_temporary(rng):
     x, _ = _tensors(rng, p)
     xp = pad_input(x, p)
     out = np.empty((20, 3, 7, 7, REF_MK.n_win), np.float32)
-    args = (xp, conv, full_region(conv), (37, 0), _strategy(3), REF_MK)
-    pack_input(*args, nt=20, out=out)  # warm-up
+    args = (xp, conv, full_region(conv), (37, 0), REF_MK)
+    pack_input(*args, nt=20, nc=3, out=out)  # warm-up
     tracemalloc.start()
     try:
-        pack_input(*args, nt=20, out=out)
+        pack_input(*args, nt=20, nc=3, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,11 +259,11 @@ def test_pack_input_rejects_input_smaller_than_its_view(short):
     big = np.full((1, 2, 10, 10), np.nan, np.float32)
     big[:, :, :9, :9] = 1.0
     x = big[:, :, :8, :9] if short == "row" else big[:, :, :9, :8]
-    region, strat, mk = full_region(conv), _strategy(2), MkInfo(n_win=4, n_f=4)
+    region, mk = full_region(conv), MkInfo(n_win=4, n_f=4)
     for ts in (0, conv.ohw - mk.n_win):
         with pytest.raises(IndexError, match="does not hold"):
-            pack_input(x, conv, region, (ts, 0), strat, mk, nt=1)
-    ok = pack_input(big[:, :, :9, :9], conv, region, (0, 0), strat, mk, nt=4)
+            pack_input(x, conv, region, (ts, 0), mk, nt=1, nc=2)
+    ok = pack_input(big[:, :, :9, :9], conv, region, (0, 0), mk, nt=4, nc=2)
     assert (ok.data == 1.0).all()
 
 
@@ -284,19 +275,20 @@ def test_multipack_equals_concatenated_singles(rng):
         wtiles = conv.ohw // mk.n_win
         ftiles = conv.params.oc // mk.n_f
         x, flt = _tensors(rng, p)
-        strat = _strategy(p.ic)
         region = full_region(conv)
         if wtiles >= 2:
             k = int(rng.integers(2, wtiles + 1))
-            group = pack_input(x, conv, region, (0, 0), strat, mk, nt=k)
-            singles = [pack_input(x, conv, region, (0, t * mk.n_win), strat, mk, nt=1)
+            group = pack_input(x, conv, region, (0, 0), mk, nt=k, nc=p.ic)
+            singles = [pack_input(x, conv, region, (0, t * mk.n_win), mk, nt=1,
+                                  nc=p.ic)
                        for t in range(k)]
             assert np.array_equal(group.data,
                                   np.concatenate([s.data for s in singles]))
         if ftiles >= 2:
             k = int(rng.integers(2, ftiles + 1))
-            group = pack_filter(flt, region, strat, mk, nt=k)
-            singles = [pack_filter(flt, region, strat, mk, nt=1, f_tile_start=t)
+            group = pack_filter(flt, region, mk, nt=k, nc=p.ic)
+            singles = [pack_filter(flt, region, mk, nt=1, nc=p.ic,
+                                   f_tile_start=t)
                        for t in range(k)]
             assert np.array_equal(group.data,
                                   np.concatenate([s.data for s in singles]))
@@ -313,9 +305,9 @@ def test_edge_pack_equals_shifted_steady_state(rng):
     region = KernelRegion(spatial_start=e_off, spatial_len=conv.ohw - e_off,
                           oc_start=0, oc_len=4, ic_start=0, ic_len=3,
                           kind=RegionKind.Main, e_off=e_off)
-    strat = _strategy(3)
-    via_region = pack_input(x, conv, region, (0, 0), strat, mk, nt=1)
-    via_offset = pack_input(x, conv, full_region(conv), (e_off, 0), strat, mk, nt=1)
+    via_region = pack_input(x, conv, region, (0, 0), mk, nt=1, nc=3)
+    via_offset = pack_input(x, conv, full_region(conv), (e_off, 0), mk, nt=1,
+                            nc=3)
     assert np.array_equal(via_region.data, via_offset.data)
     ref = im2col(x, p)
     got = via_region.data[0].reshape(3 * 9, 8)
@@ -327,8 +319,8 @@ def test_pack_input_rejects_out_of_domain(rng):
     conv = conv_info(p)
     x, _ = _tensors(rng, p)
     with pytest.raises(IndexError):
-        pack_input(x, conv, full_region(conv), (conv.ohw - 2, 0), _strategy(2),
-                   MkInfo(n_win=4, n_f=4), nt=1)
+        pack_input(x, conv, full_region(conv), (conv.ohw - 2, 0),
+                   MkInfo(n_win=4, n_f=4), nt=1, nc=2)
 
 
 def test_pack_input_rejects_unpadded_problem(rng):
@@ -336,8 +328,8 @@ def test_pack_input_rejects_unpadded_problem(rng):
     conv = conv_info(p)
     x, _ = _tensors(rng, p)
     with pytest.raises(ValueError, match="pre-padded"):
-        pack_input(x, conv, full_region(conv), (0, 0), _strategy(2),
-                   MkInfo(n_win=4, n_f=4), nt=1)
+        pack_input(x, conv, full_region(conv), (0, 0), MkInfo(n_win=4, n_f=4),
+                   nt=1, nc=2)
 
 
 def test_packed_tile_rejects_size_mismatch():
@@ -351,8 +343,8 @@ def test_dump_packed_golden():
     conv = conv_info(p)
     gen = np.random.default_rng(42)
     x = np.round(gen.uniform(-4, 4, (1, 2, 6, 6))).astype(np.float32)
-    t = pack_input(x, conv, full_region(conv), (0, 0), _strategy(2),
-                   MkInfo(n_win=4, n_f=4), nt=2)
+    t = pack_input(x, conv, full_region(conv), (0, 0), MkInfo(n_win=4, n_f=4),
+                   nt=2, nc=2)
     text = dump_packed(t)
     golden = (GOLDEN / "packed_input_3x3.txt").read_text()
     assert text == golden

@@ -7,8 +7,8 @@ import numpy as np
 from conftest import (CALIBRATED_ARCH, REF_MK, REF_PARAMS, cli_env, conv_info,
                       random_params)
 from slicedconv import (MkInfo, RegionKind, Schedule, TilingStrategy, analyze,
-                        coverage_check, plan_regions, regions_to_json,
-                        split_by_strategy, split_input_domain)
+                        coverage_check, plan_regions, split_by_strategy,
+                        split_input_domain)
 
 
 def _strategy(nc, k2, k3, schedule=Schedule.InputStationary):
@@ -130,7 +130,7 @@ def test_regions_json_roundtrip():
     conv = conv_info(REF_PARAMS)
     strat = analyze(conv, CALIBRATED_ARCH, REF_MK)
     regions = plan_regions(conv, strat, REF_MK)
-    decoded = json.loads(regions_to_json(regions))
+    decoded = json.loads(json.dumps([r.to_dict() for r in regions]))
     assert len(decoded) == len(regions)
     assert decoded[0]["spatial_len"] == regions[0].spatial_len
     assert {d["kind"] for d in decoded} == {"main", "remainder"}

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import CALIBRATED_ARCH, REF_MK, REF_PARAMS, conv_info, random_params
 from slicedconv import ArchInfo, ConvParams, MkInfo, Schedule, TilingStrategy, analyze, cost_model, remainders
-from slicedconv.strategy import filter_tiles, fits_l1, tile_bytes, window_tiles
+from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
 
 
 def _strategy(schedule, nc, k2, k3):
@@ -119,7 +119,7 @@ def test_l1_fit_invariant(rng):
         try:
             s = analyze(conv, arch, mk)
         except ValueError:
-            assert not fits_l1(conv, arch, mk, 1)
+            assert sum(tile_bytes(conv, mk, 1)) > arch.l1_bytes
             continue
         in_b, f_b, out_b = tile_bytes(conv, mk, s.nc)
         assert in_b + f_b + out_b <= arch.l1_bytes
