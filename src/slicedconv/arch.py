@@ -1,7 +1,8 @@
 """Target machine and microkernel descriptors consumed by the tiling analysis.
 
 The arch description file is flat key/value text, one `key = value` pair per
-line, `#` comments allowed. Sizes are given in KiB and converted to bytes:
+line, `#` comments allowed, each key at most once. Sizes are given in KiB and
+converted to bytes:
 
     l1_kib = 32
     l2_kib = 512
@@ -90,7 +91,7 @@ _ARCH_KEYS = {"l1_kib", "l2_kib", "l3_kib", "cache_line",
 
 def parse_arch_text(text: str) -> dict:
     """Parse the flat key/value format into an int-valued dict."""
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,6 +102,10 @@ def parse_arch_text(text: str) -> dict:
         key = key.strip()
         if key not in _ARCH_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = int(val.strip())
         except ValueError:

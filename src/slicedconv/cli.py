@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arch import load_arch, load_mk
@@ -80,6 +81,12 @@ def cmd_run(args) -> int:
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+    # One file for both would keep only the regions JSON, losing the report.
+    if (args.out and args.dump_regions
+            and os.path.samefile(args.out, args.dump_regions)):
+        print(f"error: --out and --dump-regions name the same file "
+              f"({args.out!r}, {args.dump_regions!r})", file=sys.stderr)
+        return 2
 
     reports, regions_map = run_suite(
         cases, arch, mk, seed=args.seed, verify_only=args.verify_only,

@@ -1,9 +1,12 @@
-"""Ground-truth reference implementations: naive convolution and im2col.
+"""Ground-truth references: naive and row-blocked convolution, and im2col.
 
-These exist solely to check the tiled engine; performance is irrelevant.
-naive_conv walks every output coordinate and reduces its input patch in
-float64 before casting down, giving a tighter reference than the f32 engine
-path. im2col materializes the window-major matrix so packed tiles can be
+These exist solely to check the tiled engine. naive_conv walks every output
+coordinate and reduces its input patch in float64 before casting down,
+giving a tighter reference than the f32 engine path; its speed is
+irrelevant. rowwise_conv computes the same float64 convolution as one GEMM
+per output row over a strided view of the padded input, so the harness can
+verify whole suites quickly without sharing any code with the engine's
+packing. im2col materializes the window-major matrix so packed tiles can be
 compared column-for-column and the GEMM identity can be cross-checked.
 """
 
@@ -39,6 +42,32 @@ def naive_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarray:
                     patch = rows[:, :, c0:c0 + fw_span:p.dil_w]
                     out[b, o, r, c] = np.sum(patch * w)
     return out.astype(np.float32)
+
+
+def rowwise_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarray:
+    """naive_conv as one f64 (oc, K) @ (K, ow) GEMM per output row."""
+    if x.shape != (p.n, p.ic, p.ih, p.iw):
+        raise ValueError(f"input shape {x.shape} does not match params")
+    if filters.shape != (p.oc, p.ic, p.fh, p.fw):
+        raise ValueError(f"filter shape {filters.shape} does not match params")
+    oh, ow = out_shape(p)
+    # C order, whatever the input's layout: the view below is built on it.
+    xp = np.ascontiguousarray(pad_input(x, p), dtype=np.float64)
+    flt = filters.reshape(p.oc, -1).astype(np.float64)
+    # Rows go straight into the f32 output, rounding as astype does, so no
+    # f64 output is ever held.
+    out = np.empty((p.n, p.oc, oh, ow), dtype=np.float32)
+    # windows[b, c, i, j, r, q] is the input under filter offset (i, j) of
+    # output (r, q); only read, and in bounds by out_shape's arithmetic.
+    s_n, s_c, s_h, s_w = xp.strides
+    windows = np.ndarray(
+        (p.n, p.ic, p.fh, p.fw, oh, ow), np.float64, xp, 0,
+        (s_n, s_c, p.dil_h * s_h, p.dil_w * s_w,
+         p.stride_h * s_h, p.stride_w * s_w))
+    for b in range(p.n):
+        for r in range(oh):
+            out[b, :, r] = flt @ windows[b, ..., r, :].reshape(-1, ow)
+    return out
 
 
 def im2col(x: np.ndarray, p: ConvParams) -> np.ndarray:

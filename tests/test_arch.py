@@ -3,6 +3,7 @@ import pytest
 from conftest import FIXTURES
 from slicedconv import ArchInfo, ConvInfo, ConvParams, MkInfo, load_arch, load_mk
 from slicedconv.arch import parse_arch_text
+from slicedconv.cli import main
 
 
 def test_load_intel_fixture():
@@ -68,3 +69,17 @@ def test_descriptor_invariants():
         MkInfo(n_win=0, n_f=8)
     info = ConvInfo.from_params(ConvParams(n=1, ic=1, ih=5, iw=7, oc=1, fh=3, fw=3))
     assert info.ohw == info.oh * info.ow == 15
+
+
+def test_repeated_key_names_both_lines(tmp_path, capsys):
+    text = "l1_kib = 32\nl2_kib = 512\n# later\nl1_kib = 48\n"
+    with pytest.raises(ValueError, match=r"line 4: key 'l1_kib' repeats line 1"):
+        parse_arch_text(text)
+    f = tmp_path / "twice.toml"
+    f.write_text(text + "n_win = 16\nn_f = 8\n")
+    rc = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+               "--arch", str(f), "--verify-only"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 4"), captured.err
+    assert captured.out == ""

@@ -249,6 +249,20 @@ def test_cli_rejects_bad_outputs_and_jobs_before_running(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("dump", ["report.csv", "./report.csv"])
+def test_cli_rejects_one_file_for_report_and_regions(tmp_path, dump):
+    proc = _run_cli(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+                     "--arch", str(FIXTURES / "intel.toml"),
+                     "--nwin", "16", "--nf", "8", "--verify-only",
+                     "--out", "report.csv", "--dump-regions", dump],
+                    cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: --out and --dump-regions"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # the suite did not run
+    assert (tmp_path / "report.csv").read_text() == ""
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
 def test_cli_rejects_seed_outside_64_bits(tmp_path, seed):
     proc = _run_cli(["run", "--suite", str(FIXTURES / "smoke.jsonl"),

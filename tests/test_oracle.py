@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 
-from conftest import brute_force_conv, rand_tensors, random_params
-from slicedconv import ConvParams, im2col, naive_conv
-from slicedconv.reference import filters_as_matrix
+from conftest import FIXTURES, brute_force_conv, rand_tensors, random_params
+from slicedconv import (ConvParams, MkInfo, im2col, load_arch, load_suite,
+                        naive_conv, out_shape, run_convolution)
+from slicedconv.harness import (ENGINE_TOLERANCE, init_tensors,
+                                max_relative_error, run_suite)
+from slicedconv.reference import filters_as_matrix, rowwise_conv
 
 
 def test_all_ones_sum():
@@ -75,3 +79,68 @@ def test_im2col_padding_zeros():
     # window 0 (top-left) reads the padded corner at tap (0, 0)
     assert m[0, 0] == 0.0
     assert m[4, 0] == 1.0  # center tap hits the real input
+
+
+def _per_axis_params(rng, n=2, max_out=12):
+    """Random ConvParams whose stride, dilation and padding differ per axis."""
+    while True:
+        fh, fw = (int(v) for v in rng.integers(1, 8, 2))
+        sh, sw = (int(v) for v in rng.integers(1, 4, 2))
+        dh, dw = (int(v) for v in rng.integers(1, 3, 2))
+        ph, pw = (int(v) for v in rng.choice((0, 1, 3), 2))
+        oh, ow = (int(v) for v in rng.integers(1, max_out + 1, 2))
+        ih = (oh - 1) * sh + dh * (fh - 1) + 1 - 2 * ph
+        iw = (ow - 1) * sw + dw * (fw - 1) + 1 - 2 * pw
+        try:
+            return ConvParams(n=n, ic=int(rng.integers(1, 9)), ih=ih, iw=iw,
+                              oc=int(rng.integers(1, 17)), fh=fh, fw=fw,
+                              stride_h=sh, stride_w=sw, dil_h=dh, dil_w=dw,
+                              pad_h=ph, pad_w=pw)
+        except ValueError:
+            continue
+
+
+def test_rowwise_matches_naive_oracle(rng):
+    configs = [_per_axis_params(rng) for _ in range(30)]
+    configs += [random_params(rng, max_ic=8, max_oc=16, max_out=12, n=2)
+                for _ in range(10)]
+    for h, w in (("stride_h", "stride_w"), ("dil_h", "dil_w"),
+                 ("pad_h", "pad_w"), ("fh", "fw")):
+        assert any(getattr(p, h) != getattr(p, w) for p in configs)
+    for p in configs:
+        x, f = rand_tensors(rng, p)
+        got = rowwise_conv(x, f, p)
+        assert got.dtype == np.float32
+        assert got.shape == (p.n, p.oc, *out_shape(p))
+        assert max_relative_error(got, naive_conv(x, f, p)) <= 1e-6, p
+    # an input of the right shape in a permuted memory layout
+    p = ConvParams(n=2, ic=3, ih=5, iw=6, oc=4, fh=3, fw=3)
+    x, f = rand_tensors(rng, p)
+    permuted = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+    assert max_relative_error(rowwise_conv(permuted, f, p),
+                              naive_conv(x, f, p)) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", ["input", "filter"])
+def test_rowwise_rejects_mismatched_shapes(rng, bad):
+    p = ConvParams(n=1, ic=2, ih=5, iw=5, oc=3, fh=3, fw=3)
+    x, f = rand_tensors(rng, p)
+    if bad == "input":
+        x = x[:, :1]
+    else:
+        f = f[:, :, :2]
+    with pytest.raises(ValueError, match=f"{bad} shape"):
+        rowwise_conv(x, f, p)
+
+
+def test_run_suite_verdicts_match_naive_oracle():
+    cases, errors = load_suite(FIXTURES / "smoke.jsonl")
+    assert not errors
+    arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
+    reports, _ = run_suite(cases, arch, mk, seed=4, verify_only=True)
+    for idx, (case, report) in enumerate(zip(cases, reports)):
+        x, f = init_tensors(case, 4, idx)
+        out, _ = run_convolution(x, f, case.params, arch, mk)
+        want = max_relative_error(out, naive_conv(x, f, case.params))
+        assert report.correct == (want <= ENGINE_TOLERANCE)
+        assert report.max_rel_err == pytest.approx(want, rel=1e-6)
