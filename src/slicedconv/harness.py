@@ -90,8 +90,10 @@ def parse_case(rec: dict, default_id: str) -> ConvCase:
         if key not in rec:
             raise ValueError(f"missing required key {key!r}")
     case_id = str(rec.get("id", default_id))
-    if "," in case_id or "\n" in case_id:
-        raise ValueError("id must not contain commas or newlines")
+    # Any str.splitlines break (\r, \x0b, \x85, \u2028, ...) would split
+    # a CSV row as surely as \n does.
+    if "," in case_id or "".join(case_id.splitlines()) != case_id:
+        raise ValueError("id must not contain commas or line breaks")
     sh, sw = _axis_pair(rec, "stride", 1)
     dh, dw = _axis_pair(rec, "dil", 1)
     ph, pw = _axis_pair(rec, "pad", 0)

@@ -15,16 +15,22 @@ schedule the window-tile sets (k3 tiles) are stationary, each multipacked
 once when the set is entered, and the filter-tile sets (k2 tiles) stream
 inside them, multipacked per set. The weight-stationary
 schedule is the mirror image: each filter set is packed once per batch
-and channel block, and inputs are multipacked per window set. The two tile
-loops are collapsed into one set-pair product: each chunk of window tiles
-is multiplied by the whole packed filter set in one batched GEMM, one
-(n_f, K) x (K, n_win) product per tile pair. A microkernel hook, passed
-as execute_region's hook argument, is still called once per tile pair.
+and channel block, and inputs are multipacked per window set.
 
-_CHUNK_BYTES (64 KiB) bounds the set product's temporary: it takes as many
-window tiles per GEMM as its output fits, so peak memory does not grow with
-the set size. Packing needs no such bound: pack_input copies from a
-strided view of the input straight into the set's buffer.
+A set is packed as one matrix in the layout a GEMM reads best: a window
+set K-major, (K, windows), and a filter set row-major, (filters, K). The
+packers write it through a transposed view in their own tile layout, so
+their equations and dumps do not see the set layout. The two tile loops
+are collapsed into the set product: one microkernel call,
+(M, K) @ (K, W), per block of whole tiles of the set pair's output. A
+microkernel hook, passed as execute_region's hook argument, replaces
+exactly those calls.
+
+_CHUNK_BYTES (64 KiB) bounds one call's output block: the set pair's
+output is cut along its longer side, in whole tiles, so the GEMM's
+temporary does not grow with the set size. Packing needs no such bound:
+pack_input copies from a strided view of the input straight into the
+set's buffer.
 
 Remainder regions (sub-tile window or filter tails) take
 naive_fallback_region instead. It gathers windows through the same
@@ -51,8 +57,8 @@ from .packing import pack_filter, pack_input
 from .regions import KernelRegion, RegionKind
 from .strategy import Schedule, TilingStrategy
 
-# Byte budget of one set-product GEMM's output. 128 KiB raised
-# resnet_late's traced peak 16 %.
+# Byte budget of one microkernel call's output block. 128 KiB raised
+# resnet_late's peak_mib 5 % (1.188 -> 1.252 MiB), past its 0.05 bound.
 _CHUNK_BYTES = 64 * 1024
 
 
@@ -123,8 +129,10 @@ class _SetPacker:
     """Packs the window and filter sets of one region into reused buffers.
 
     A buffer is allocated once per (tensor, channel block width) and holds
-    one full set; pack() fills its first tiles with one multipack and
-    records the packs.
+    one full set as one matrix: a window set K-major, (K, windows), and a
+    filter set row-major, (filters, K). pack() fills its first tiles with
+    one multipack, through a view in the packers' tile layout, and records
+    the packs.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "mk", "counters", "bufs")
@@ -143,33 +151,41 @@ class _SetPacker:
 
     def pack(self, loop: LoopSpec, first: int, count: int, b: int,
              ic_off: int, ncl: int, scope: int | None = None) -> np.ndarray:
-        """Pack tiles [first, first+count) of loop's tensor as (count, K, n).
+        """Pack tiles [first, first+count) of loop's tensor as one matrix.
 
-        scope is None for the stationary set; for a streamed set it is the
-        first tile of the stationary set it is packed for, and becomes part
-        of the RunCounters key.
+        Window tiles come back as (K, count*n_win), filter tiles as
+        (count*n_f, K). scope is None for the stationary set; for a
+        streamed set it is the first tile of the stationary set it is
+        packed for, and becomes part of the RunCounters key.
         """
         p, mk, region = self.conv.params, self.mk, self.region
         windows = loop.dim == "window_set"
         n = mk.n_win if windows else mk.n_f
-        shape = (min(loop.step, loop.extent), ncl, p.fh, p.fw, n)
+        k = ncl * p.fh * p.fw
+        width = min(loop.step, loop.extent) * n
+        shape = (k, width) if windows else (width, k)
         buf = self.bufs.get((loop.dim, shape))
         if buf is None:
             buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
         if windows:
-            pack_input(self.x, self.conv, region, (first * mk.n_win, 0), mk,
+            mat = buf[:, :count * n]
+            pack_input(self.x, self.conv, region, (first * n, 0), mk,
                        nt=count, nc=ncl, batch=b, ic_off=ic_off,
-                       out=buf[:count])
+                       out=mat.reshape(ncl, p.fh, p.fw, count, n)
+                       .transpose(3, 0, 1, 2, 4))
         else:
+            mat = buf[:count * n]
             pack_filter(self.filters, region, mk, nt=count, nc=ncl,
-                        f_tile_start=first, ic_off=ic_off, out=buf[:count])
+                        f_tile_start=first, ic_off=ic_off,
+                        out=mat.reshape(count, n, ncl, p.fh, p.fw)
+                        .transpose(0, 2, 3, 4, 1))
         if self.counters is not None:
             packs = (self.counters.input_packs if windows
                      else self.counters.filter_packs)
             key = (b, ic_off) if scope is None else (b, ic_off, scope)
             tile0 = self.first_tile(loop, first)
             packs.update(key + (tile0 + t,) for t in range(count))
-        return buf[:count].reshape(count, ncl * p.fh * p.fw, n)
+        return mat
 
 
 def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
@@ -182,11 +198,12 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     region's output ranges must already hold the partial sums accumulated so
     far (zeros on first touch).
 
-    hook, when given, replaces the built-in set product and is called once
-    per tile pair as hook(packed_in, packed_f, acc, k, n_win, n_f, strides):
-    two (k, n) f32 matrices, the (n_f, n_win) accumulator to update in
-    place, and the byte strides of all three. Its results must match the
-    built-in kernel within the engine tolerance.
+    hook, when given, replaces each built-in microkernel call of the set
+    product (see _set_product) and is called as
+    hook(packed_in, packed_f, acc, k, width, height, strides): a (k, width)
+    and a (k, height) f32 matrix, the (height, width) accumulator block to
+    update in place, and the byte strides of all three. Its results must
+    match the built-in kernel within the engine tolerance.
     """
     if region.kind is not RegionKind.Main:
         raise ValueError("execute_region expects a Main region")
@@ -207,54 +224,59 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         for ic_off in range(0, chan.extent, chan.step):
             ncl = min(chan.step, chan.extent - ic_off)
             for s0 in range(0, outer.extent, outer.step):
-                s_mats = packer.pack(outer, s0,
-                                     min(outer.step, outer.extent - s0),
-                                     b, ic_off, ncl)
+                s_mat = packer.pack(outer, s0,
+                                    min(outer.step, outer.extent - s0),
+                                    b, ic_off, ncl)
                 scope = packer.first_tile(outer, s0)
                 for t0 in range(0, inner.extent, inner.step):
-                    t_mats = packer.pack(inner, t0,
-                                         min(inner.step, inner.extent - t0),
-                                         b, ic_off, ncl, scope)
+                    t_mat = packer.pack(inner, t0,
+                                        min(inner.step, inner.extent - t0),
+                                        b, ic_off, ncl, scope)
                     if windows_outer:
-                        in_mats, f_mats, ws, fs = s_mats, t_mats, s0, t0
+                        in_mat, f_mat, ws, fs = s_mat, t_mat, s0, t0
                     else:
-                        in_mats, f_mats, ws, fs = t_mats, s_mats, t0, s0
+                        in_mat, f_mat, ws, fs = t_mat, s_mat, t0, s0
                     w0 = region.spatial_start + ws * n_win
                     f0 = region.oc_start + fs * n_f
-                    _set_product(in_mats, f_mats, out_flat[
-                        b, f0:f0 + len(f_mats) * n_f,
-                        w0:w0 + len(in_mats) * n_win], hook)
+                    w1, f1 = w0 + in_mat.shape[1], f0 + f_mat.shape[0]
+                    _set_product(in_mat, f_mat, out_flat[b, f0:f1, w0:w1],
+                                 n_win, n_f, hook)
                     if counters is not None:
                         counters.acc_touches.update(
-                            (b, w0 // n_win + i, f0 // n_f + j)
-                            for i in range(len(in_mats))
-                            for j in range(len(f_mats)))
+                            (b, w // n_win, f // n_f)
+                            for w in range(w0, w1, n_win)
+                            for f in range(f0, f1, n_f))
 
 
-def _set_product(in_mats, f_mats, acc, hook):
-    """acc += the product of every (filter tile, window tile) pair of two sets.
+def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
+    """acc += f_mat @ in_mat, one microkernel call per block of whole tiles.
 
-    in_mats is (wn, K, n_win), f_mats (fn, K, n_f) and acc the
-    (fn*n_f, wn*n_win) output block. The built-in path multiplies a chunk of
-    window tiles by the whole filter set in one batched GEMM; a hook is
-    called once per tile pair on that pair's (n_f, n_win) slice of acc.
+    in_mat is a K-major window set (K, W), f_mat a row-major filter set
+    (M, K) and acc the (M, W) output block of the set pair. The product is
+    cut along acc's longer side, in whole n_win or n_f tiles, into blocks
+    whose GEMM output fits _CHUNK_BYTES (at least one tile each), and each
+    block is one call microkernel(in_mat[:, cols], f_mat[rows].T,
+    acc[rows, cols]). microkernel is looked up as a module global on every
+    call, so a wrapper installed there sees each GEMM. A hook replaces
+    exactly that call, with the same three arrays, so a hook that wraps
+    microkernel gives bitwise the built-in result.
     """
-    wn, k, n_win = in_mats.shape
-    n_f = f_mats.shape[2]
-    if hook is None:
-        f_t = f_mats.transpose(0, 2, 1)  # (fn, n_f, K)
-        m = acc.shape[0]
-        acc_w = acc.reshape(m, wn, n_win)  # a view: only columns split
-        step = max(1, _CHUNK_BYTES // (m * n_win * acc.itemsize))
-        for i in range(0, wn, step):
-            prod = np.matmul(f_t, in_mats[i:i + step][:, None])
-            acc_w[:, i:i + step] += prod.reshape(-1, m, n_win).transpose(1, 0, 2)
-        return
-    for i, in_mat in enumerate(in_mats):
-        for j, f_mat in enumerate(f_mats):
-            tile = acc[j * n_f:(j + 1) * n_f, i * n_win:(i + 1) * n_win]
-            hook(in_mat, f_mat, tile, k, n_win, n_f,
-                 (in_mat.strides, f_mat.strides, tile.strides))
+    k = in_mat.shape[0]
+    m, w = acc.shape
+    budget = _CHUNK_BYTES // acc.itemsize
+    if w >= m:
+        rows, cols = m, max(1, budget // (m * n_win)) * n_win
+    else:
+        rows, cols = max(1, budget // (w * n_f)) * n_f, w
+    for r in range(0, m, rows):
+        f_blk = f_mat[r:r + rows].T
+        for c in range(0, w, cols):
+            in_blk, blk = in_mat[:, c:c + cols], acc[r:r + rows, c:c + cols]
+            if hook is None:
+                microkernel(in_blk, f_blk, blk)
+            else:
+                hook(in_blk, f_blk, blk, k, blk.shape[1], blk.shape[0],
+                     (in_blk.strides, f_blk.strides, blk.strides))
 
 
 def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,

@@ -31,10 +31,18 @@ pack_input applies these equations as strides rather than as index arrays:
 one view of the input slice, shaped (nc, fh, fw, oh, ow) with
 strides (channel, dil_h*row, dil_w*col, stride_h*row, stride_w*col), holds
 every window's elements in place. Within one output row the equations are
-affine, so each piece of a group cut at row breaks and tile boundaries is a
-slice of that view, copied straight into the packed buffer. The scalar
+affine. pack_input's buffer is K-major: for each (i_nc, i_fh, i_fw) the
+group's nt*n_win windows are one run, tile after tile. So the group takes
+at most three slice copies from the view: the rest of its first output
+row, one block of whole rows, and the start of its last row. The scalar
 input_pack_index_* functions spell the same equations out as the tests'
 oracle.
+
+The logical (nt, nc, fh, fw, n) shape above is what both packers index
+and what dump_packed prints, whatever the memory order. Callers that hand
+in ``out`` choose that order: the macrokernel passes transposed views of
+one K-major (K, windows) window-set matrix and one row-major (filters, K)
+filter-set matrix.
 """
 
 from __future__ import annotations
@@ -118,7 +126,9 @@ def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
 
     packed[i_nt, i_nc, i_fh, i_fw, i_nf] = filters[f0 + i_nt*n_f + i_nf,
     c0 + i_nc, i_fh, i_fw] with f0/c0 the region-relative starting filter
-    and channel. Pure data movement, no replication.
+    and channel. Pure data movement, no replication. out may be any view
+    of that shape; one whose memory runs (nt, n_f, nc, fh, fw), as the
+    macrokernel's row-major filter sets do, takes a straight copy.
     """
     fh, fw = filters.shape[2], filters.shape[3]
     f0 = region.oc_start + f_tile_start * mk.n_f
@@ -154,6 +164,11 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
     by window ts + i_nt*n_win + i_nwin under filter offset (i_fh, i_fw).
     The input is read in place when x is C-contiguous (as the engine's
     always is) and copied one channel block per call otherwise.
+
+    out, like the buffer allocated without it, must be K-major: an
+    (nt, nc, fh, fw, n_win) view in which tile t's windows follow tile
+    t-1's, as a transposed view of a (K, nt*n_win) matrix is. Any other
+    out raises ValueError before anything is written.
     """
     p = conv.params
     if p.pad_h or p.pad_w:
@@ -188,31 +203,30 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
         (nc, p.fh, p.fw, oh, ow), chans.dtype, chans, 0,
         (cs, p.dil_h * rs, p.dil_w * es, p.stride_h * rs, p.stride_w * es))
 
+    shape = (nt, nc, p.fh, p.fw, n_win)
     if out is None:
-        out = np.empty((nt, nc, p.fh, p.fw, n_win), dtype=DTYPE)
-    if ow < n_win:
-        # Every tile crosses a row break: copy the group's output rows once
-        # and cut the flat window run into tiles.
-        r0, q0 = divmod(ts, ow)
-        rows = view[..., r0:(ts + total - 1) // ow + 1, :]
-        flat = rows.reshape(nc, p.fh, p.fw, -1)[..., q0:q0 + total]
-        out[:] = flat.reshape(nc, p.fh, p.fw, nt, n_win).transpose(3, 0, 1, 2, 4)
+        out = np.empty(shape[1:4] + (nt, n_win), DTYPE).transpose(3, 0, 1, 2, 4)
+    elif out.shape != shape or (nt > 1 and out.strides[0] != n_win * out.strides[4]):
+        raise ValueError(f"out must be a K-major view of shape {shape}: "
+                         f"tile t's windows right after tile t-1's")
+    # flat[i_nc, i_fh, i_fw, g] is window ts + g: a view, as out is K-major.
+    # The group is at most three slices of the view: the rest of its first
+    # output row, a block of whole rows, and the start of its last row.
+    flat = out.transpose(1, 2, 3, 0, 4).reshape(nc, p.fh, p.fw, total)
+    r0, q0 = divmod(ts, ow)
+    r1, q1 = divmod(ts + total, ow)
+    if r0 == r1:
+        flat[:] = view[..., r0, q0:q1]
     else:
-        # Walk the group by output row; each piece is a run of whole tiles
-        # inside one row or a part of a tile cut by a row break.
-        g = 0
-        while g < total:
-            r, q = divmod(ts + g, ow)
-            t, w = divmod(g, n_win)
-            k = min(ow - q, total - g)  # the group's windows left in row r
-            if w == 0 and k >= n_win:
-                k -= k % n_win
-                out[t:t + k // n_win] = view[..., r, q:q + k].reshape(
-                    nc, p.fh, p.fw, -1, n_win).transpose(3, 0, 1, 2, 4)
-            else:
-                k = min(k, n_win - w)
-                out[t, ..., w:w + k] = view[..., r, q:q + k]
-            g += k
+        head = -q0 % ow
+        if head:
+            flat[..., :head] = view[..., r0, q0:]
+        r = r0 + (head > 0)
+        if r < r1:
+            flat[..., head:total - q1].reshape(
+                nc, p.fh, p.fw, r1 - r, ow)[:] = view[..., r:r1, :]
+        if q1:
+            flat[..., total - q1:] = view[..., r1, :q1]
     return PackedTile(data=out, logical_shape=(nc, p.fh, p.fw, n_win),
                       kind=TileKind.Input, nt=nt)
 

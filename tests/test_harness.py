@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -40,6 +41,40 @@ def test_parse_rejects_csv_hostile_id():
     with pytest.raises(ValueError, match="comma"):
         parse_case({"id": "a,b", "ic": 4, "ih": 8, "iw": 8, "oc": 4,
                     "fh": 3, "fw": 3}, "x")
+
+
+# Every line break str.splitlines knows besides "\n": each splits a CSV row.
+LINE_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+def test_load_suite_skips_ids_with_line_breaks(tmp_path, brk):
+    base = {"ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}
+    suite = tmp_path / "s.jsonl"
+    suite.write_text("".join(json.dumps({"id": i, **base}) + "\n" for i in
+                             ("ok", f"a{brk}b", f"tail{brk}")))
+    cases, errors = load_suite(suite)
+    assert [c.id for c in cases] == ["ok"]
+    assert len(errors) == 2
+    assert all("line breaks" in e for e in errors)
+
+
+def test_cli_rejects_ids_with_line_breaks(tmp_path):
+    base = {"ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 1}
+    suite = tmp_path / "breaks.jsonl"
+    suite.write_text("".join(json.dumps({"id": i, **base}) + "\n" for i in
+                             ("ok", "cr\rid", "ls\u2028id")))
+    # Bytes, not text: text mode would turn a stray "\r" into "\n".
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicedconv.cli", "run", "--suite", str(suite),
+         "--arch", str(FIXTURES / "intel.toml"), "--nwin", "4", "--nf", "4",
+         "--verify-only"], capture_output=True, cwd=tmp_path, env=cli_env())
+    assert proc.returncode == 2, proc.stderr
+    report = proc.stdout.decode("utf-8")
+    assert len(report.splitlines()) == 2  # header plus the one valid case
+    rows = list(csv.reader(report.splitlines()))
+    assert [r[0] for r in rows] == ["id", "ok"]
 
 
 def test_parse_rejects_non_integer_fields():

@@ -515,3 +515,91 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
         # a streamed window set stays one multipack per filter set
         per_block = list(wsets) * fsets
     assert chunked_nts == per_block * blocks
+
+
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+@pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
+@pytest.mark.parametrize("chunk_bytes", [None, 448])
+def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
+                                                      k3, k2, chunk_bytes):
+    # 7 window tiles of 7 and 5 filter tiles of 4 over two channel blocks
+    # (4 and 2 channels). 448 B is two 8x7 or 14x4 output tiles: (3, 2)
+    # set pairs are then cut between window tiles, (2, 4) ones between
+    # filter tiles; unpatched, every set pair is one call.
+    p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=7, n_f=4)
+    strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
+                           r_nc=0, r_k2=0, r_k3=0)
+    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
+                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                          kind=RegionKind.Main, e_off=0)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk_bytes)
+    x, flt = rand_tensors(rng, p)
+    out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+    calls = []
+
+    def recording(pin, pf, acc, k, width, height, strides):
+        assert pin.shape == (k, width) and pf.shape == (k, height)
+        assert acc.shape == (height, width)
+        assert strides == (pin.strides, pf.strides, acc.strides)
+        offset = (acc.ctypes.data - out.ctypes.data) // acc.itemsize
+        b, rest = divmod(offset, p.oc * conv.ohw)
+        calls.append((b, k, *divmod(rest, conv.ohw), height, width))
+        microkernel(pin, pf, acc)
+
+    execute_region(x, flt, out, conv, region, strat, mk, hook=recording)
+    cover = {}
+    for b, k, f0, w0, height, width in calls:
+        # whole tiles, and the reduction depth of the call's channel block
+        assert k in (4 * 9, 2 * 9)
+        assert f0 % mk.n_f == 0 and height % mk.n_f == 0
+        assert w0 % mk.n_win == 0 and width % mk.n_win == 0
+        # inside one set pair
+        assert f0 // (k2 * mk.n_f) == (f0 + height - 1) // (k2 * mk.n_f)
+        assert w0 // (k3 * mk.n_win) == (w0 + width - 1) // (k3 * mk.n_win)
+        cells = cover.setdefault((b, k), np.zeros((p.oc, conv.ohw), int))
+        cells[f0:f0 + height, w0:w0 + width] += 1
+    # every output element once per batch and channel block
+    assert sorted(cover) == [(b, k) for b in range(p.n) for k in (18, 36)]
+    assert all((cells == 1).all() for cells in cover.values())
+    assert any(h > mk.n_f or w > mk.n_win for *_, h, w in calls)
+    if chunk_bytes is None:
+        assert len(calls) == 2 * 2 * -(-7 // k3) * -(-5 // k2)
+    else:
+        assert all(h * w * 4 <= chunk_bytes for *_, h, w in calls)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+
+
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
+    # K = 64*3*3 = 576 with 16-window tiles: a hook that wraps microkernel
+    # gets the built-in path's calls, so the outputs agree bit for bit.
+    p = ConvParams(n=1, ic=64, ih=16, iw=16, oc=32, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=16, n_f=8)
+    strat = TilingStrategy(schedule=sched, nc=64, k2=2, k3=5,
+                           r_nc=0, r_k2=0, r_k3=0)
+    region = KernelRegion(spatial_start=0, spatial_len=192, oc_start=0,
+                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                          kind=RegionKind.Main, e_off=0)
+    x, flt = rand_tensors(rng, p)
+    depths = set()
+
+    def wrapped(pin, pf, acc, k, width, height, strides):
+        depths.add(k)
+        microkernel(pin, pf, acc)
+
+    outs = []
+    for hook in (None, wrapped):
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        execute_region(x, flt, out, conv, region, strat, mk, hook=hook)
+        outs.append(out)
+    assert depths == {576}
+    assert np.array_equal(outs[0], outs[1])
+    got = outs[0].reshape(p.oc, -1)[:, :192]
+    ref = naive_conv(x, flt, p).reshape(p.oc, -1)[:, :192]
+    assert max_relative_error(got, ref) <= 1e-4

@@ -189,7 +189,7 @@ def test_pack_input_row_break_route(rng):
 @pytest.mark.parametrize("stride, dil", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
     # Multipacks of nt > 1 tiles from unaligned group starts, for channel
-    # block ic_off > 0 of batch 1 of 2, into a strided slice of a larger
+    # block ic_off > 0 of batch 1 of 2, into a K-major slice of a larger
     # buffer. Every group spans more than one output row. Tile i_nt's
     # column w must be im2col's column of window ts + i_nt*n_win + w,
     # bitwise; the buffer around the slice must keep its NaNs.
@@ -211,8 +211,9 @@ def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
             ts += 1 if ts + nt * mk.n_win < conv.ohw else -1
         ic_off = int(rng.integers(1, p.ic))
         nc = int(rng.integers(1, p.ic - ic_off + 1))
-        big = np.full((nt + 2, nc, fh, fw, mk.n_win + 3), np.nan, np.float32)
-        out = big[1:nt + 1, ..., 2:2 + mk.n_win]
+        big = np.full((nc + 2, fh, fw, nt * mk.n_win + 3), np.nan, np.float32)
+        out = big[1:nc + 1, ..., 2:2 + nt * mk.n_win].reshape(
+            nc, fh, fw, nt, mk.n_win).transpose(3, 0, 1, 2, 4)
         t = pack_input(pad_input(x, p), conv, full_region(conv), (ts, 0),
                        mk, nt=nt, nc=nc, batch=1, ic_off=ic_off, out=out)
         assert t.data is out
@@ -234,7 +235,8 @@ def test_pack_input_allocates_no_gather_temporary(rng):
     conv = conv_info(p.padded())
     x, _ = _tensors(rng, p)
     xp = pad_input(x, p)
-    out = np.empty((20, 3, 7, 7, REF_MK.n_win), np.float32)
+    out = np.empty((3, 7, 7, 20, REF_MK.n_win), np.float32).transpose(
+        3, 0, 1, 2, 4)
     args = (xp, conv, full_region(conv), (37, 0), REF_MK)
     pack_input(*args, nt=20, nc=3, out=out)  # warm-up
     tracemalloc.start()
@@ -245,6 +247,59 @@ def test_pack_input_allocates_no_gather_temporary(rng):
         tracemalloc.stop()
     assert peak < 0.05 * out.nbytes, peak
     _assert_columns_match_im2col(x, p, REF_MK, 37, nt=20, nc=3)
+
+
+@pytest.mark.parametrize("oh, ow, n_win, ts, nt", [
+    (7, 21, 4, 3, 3),    # inside one output row
+    (7, 8, 4, 8, 4),     # whole rows 1-2 only
+    (7, 6, 4, 22, 5),    # ends at the last window: no row after it is read
+    (7, 7, 4, 5, 4),     # rest of row 0, rows 1-2, start of row 3
+    (7, 3, 8, 1, 2),     # ow < n_win: every tile crosses a row break
+    (7, 3, 8, 5, 2),     # ow < n_win, ending at the last window
+    (7, 4, 4, 2, 3),     # ow == n_win, unaligned
+    (7, 4, 4, 4, 6),     # ow == n_win, whole rows to the last window
+])
+def test_pack_input_row_pieces_match_im2col(rng, oh, ow, n_win, ts, nt):
+    # pack_input copies a group as at most three slices: the rest of its
+    # first output row, a block of whole rows and the start of its last
+    # row. Each case drops some of them; packed into a default buffer and
+    # into a K-major slice of a NaN-filled one, both must equal im2col
+    # bitwise, and the NaNs around the slice must stay.
+    p = ConvParams(n=2, ic=4, ih=oh + 2, iw=2 * ow - 1, oc=4, fh=3, fw=2,
+                   stride_w=2, dil_h=2, pad_h=1, pad_w=1)
+    conv = conv_info(p.padded())
+    assert (conv.oh, conv.ow) == (oh, ow)
+    mk = MkInfo(n_win=n_win, n_f=4)
+    x, _ = _tensors(rng, p)
+    xp, region = pad_input(x, p), full_region(conv)
+    nc, ic_off, kk = 2, 1, p.fh * p.fw
+    want = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
+                             ts:ts + nt * n_win]
+    big = np.full((nc, p.fh, p.fw, nt * n_win + 5), np.nan, np.float32)
+    out = big[..., 3:3 + nt * n_win].reshape(
+        nc, p.fh, p.fw, nt, n_win).transpose(3, 0, 1, 2, 4)
+    for given in (None, out):
+        t = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc, batch=1,
+                       ic_off=ic_off, out=given)
+        got = t.data.transpose(1, 2, 3, 0, 4).reshape(nc * kk, nt * n_win)
+        assert np.array_equal(got, want)
+    assert np.isnan(big[..., :3]).all() and np.isnan(big[..., -2:]).all()
+
+
+def test_pack_input_rejects_tile_major_out(rng):
+    # A tile-major buffer (each tile's K x n_win block contiguous) cannot
+    # take the group's windows as one run per k; it is refused before any
+    # element is written, as is a buffer of the wrong shape.
+    p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=4, fh=3, fw=3)
+    conv = conv_info(p)
+    x, _ = _tensors(rng, p)
+    mk = MkInfo(n_win=4, n_f=4)
+    args = (x, conv, full_region(conv), (5, 0), mk)
+    for shape in ((3, 2, 3, 3, 4), (3, 2, 3, 3, 5)):
+        out = np.full(shape, np.nan, np.float32)
+        with pytest.raises(ValueError, match="K-major"):
+            pack_input(*args, nt=3, nc=2, out=out)
+        assert np.isnan(out).all()
 
 
 @pytest.mark.parametrize("short", ["row", "col"])
