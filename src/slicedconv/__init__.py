@@ -11,7 +11,7 @@ from .harness import ConvCase, CaseReport, load_suite, run_suite
 from .kernel import (RunCounters, build_plan, execute_region, microkernel,
                      naive_fallback_region)
 from .model import ConvParams, out_shape, pad_input
-from .packing import PackedTile, TileKind, pack_filter, pack_input
+from .packing import pack_filter, pack_input
 from .reference import im2col, naive_conv
 from .regions import (KernelRegion, RegionKind, coverage_check, plan_regions,
                       split_by_strategy, split_input_domain)
@@ -26,7 +26,7 @@ __all__ = [
     "RunCounters", "build_plan", "execute_region", "microkernel",
     "naive_fallback_region",
     "ConvParams", "out_shape", "pad_input",
-    "PackedTile", "TileKind", "pack_filter", "pack_input",
+    "pack_filter", "pack_input",
     "im2col", "naive_conv",
     "KernelRegion", "RegionKind", "coverage_check", "plan_regions",
     "split_by_strategy", "split_input_domain",

@@ -129,7 +129,7 @@ def load_suite(path) -> tuple[list[ConvCase], list[str]]:
                 cases.append(case)
             except (ValueError, TypeError, RecursionError) as exc:
                 rec_id = rec.get("id", default_id) if isinstance(rec, dict) else default_id
-                errors.append(f"line {lineno} ({rec_id}): {exc}")
+                errors.append(f"line {lineno} ({rec_id!r}): {exc}")
     return cases, errors
 
 

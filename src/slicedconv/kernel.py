@@ -17,14 +17,12 @@ inside them, multipacked per set. The weight-stationary
 schedule is the mirror image: each filter set is packed once per batch
 and channel block, and inputs are multipacked per window set.
 
-A set is packed as one matrix in the layout a GEMM reads best: a window
-set K-major, (K, windows), and a filter set row-major, (filters, K). The
-packers write it through a transposed view in their own tile layout, so
-their equations and dumps do not see the set layout. The two tile loops
-are collapsed into the set product: one microkernel call,
-(M, K) @ (K, W), per block of whole tiles of the set pair's output. A
-microkernel hook, passed as execute_region's hook argument, replaces
-exactly those calls.
+A set is packed as one matrix in the layout a GEMM reads best, which is
+the packers' own: a window set K-major, (K, windows), and a filter set
+row-major, (filters, K). The two tile loops are collapsed into the set
+product: one microkernel call, (M, K) @ (K, W), per block of whole tiles
+of the set pair's output. A microkernel hook, passed as execute_region's
+hook argument, replaces exactly those calls.
 
 _CHUNK_BYTES (64 KiB) bounds one call's output block: the set pair's
 output is cut along its longer side, in whole tiles, so the GEMM's
@@ -131,8 +129,7 @@ class _SetPacker:
     A buffer is allocated once per (tensor, channel block width) and holds
     one full set as one matrix: a window set K-major, (K, windows), and a
     filter set row-major, (filters, K). pack() fills its first tiles with
-    one multipack, through a view in the packers' tile layout, and records
-    the packs.
+    one multipack and records the packs.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "mk", "counters", "bufs")
@@ -168,17 +165,13 @@ class _SetPacker:
         if buf is None:
             buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
         if windows:
-            mat = buf[:, :count * n]
-            pack_input(self.x, self.conv, region, (first * n, 0), mk,
-                       nt=count, nc=ncl, batch=b, ic_off=ic_off,
-                       out=mat.reshape(ncl, p.fh, p.fw, count, n)
-                       .transpose(3, 0, 1, 2, 4))
+            mat = pack_input(self.x, self.conv, region, (first * n, 0), mk,
+                             nt=count, nc=ncl, batch=b, ic_off=ic_off,
+                             out=buf[:, :count * n])
         else:
-            mat = buf[:count * n]
-            pack_filter(self.filters, region, mk, nt=count, nc=ncl,
-                        f_tile_start=first, ic_off=ic_off,
-                        out=mat.reshape(count, n, ncl, p.fh, p.fw)
-                        .transpose(0, 2, 3, 4, 1))
+            mat = pack_filter(self.filters, region, mk, nt=count, nc=ncl,
+                              f_tile_start=first, ic_off=ic_off,
+                              out=buf[:count * n])
         if self.counters is not None:
             packs = (self.counters.input_packs if windows
                      else self.counters.filter_packs)
@@ -199,11 +192,10 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     far (zeros on first touch).
 
     hook, when given, replaces each built-in microkernel call of the set
-    product (see _set_product) and is called as
-    hook(packed_in, packed_f, acc, k, width, height, strides): a (k, width)
-    and a (k, height) f32 matrix, the (height, width) accumulator block to
-    update in place, and the byte strides of all three. Its results must
-    match the built-in kernel within the engine tolerance.
+    product (see _set_product) and is called as microkernel is,
+    hook(packed_in, packed_f, acc): a (k, width) and a (k, height) f32
+    matrix and the (height, width) accumulator block to update in place.
+    Its results must match the built-in kernel within the engine tolerance.
     """
     if region.kind is not RegionKind.Main:
         raise ValueError("execute_region expects a Main region")
@@ -256,12 +248,11 @@ def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
     cut along acc's longer side, in whole n_win or n_f tiles, into blocks
     whose GEMM output fits _CHUNK_BYTES (at least one tile each), and each
     block is one call microkernel(in_mat[:, cols], f_mat[rows].T,
-    acc[rows, cols]). microkernel is looked up as a module global on every
-    call, so a wrapper installed there sees each GEMM. A hook replaces
-    exactly that call, with the same three arrays, so a hook that wraps
-    microkernel gives bitwise the built-in result.
+    acc[rows, cols]). A hook replaces exactly that call, with the same
+    three arrays, so a hook that wraps microkernel gives bitwise the
+    built-in result. microkernel is looked up as a module global on every
+    call, so a wrapper installed there sees each GEMM.
     """
-    k = in_mat.shape[0]
     m, w = acc.shape
     budget = _CHUNK_BYTES // acc.itemsize
     if w >= m:
@@ -271,12 +262,8 @@ def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
     for r in range(0, m, rows):
         f_blk = f_mat[r:r + rows].T
         for c in range(0, w, cols):
-            in_blk, blk = in_mat[:, c:c + cols], acc[r:r + rows, c:c + cols]
-            if hook is None:
-                microkernel(in_blk, f_blk, blk)
-            else:
-                hook(in_blk, f_blk, blk, k, blk.shape[1], blk.shape[0],
-                     (in_blk.strides, f_blk.strides, blk.strides))
+            (microkernel if hook is None else hook)(
+                in_mat[:, c:c + cols], f_blk, acc[r:r + rows, c:c + cols])
 
 
 def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
@@ -306,6 +293,6 @@ def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         chunk_mk = MkInfo(width, mk.n_f, mk.vector_bytes)
         w0 = region.spatial_start + w_off
         for b in range(p.n):
-            packed = pack_input(x, conv, region, (w_off, 0), chunk_mk,
-                                nt=1, nc=region.ic_len, batch=b)
-            out_flat[b, o0:o1, w0:w0 + width] += flt @ packed.matrix(0)
+            out_flat[b, o0:o1, w0:w0 + width] += flt @ pack_input(
+                x, conv, region, (w_off, 0), chunk_mk, nt=1,
+                nc=region.ic_len, batch=b)

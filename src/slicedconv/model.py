@@ -14,11 +14,9 @@ import numpy as np
 DTYPE = np.float32
 
 
-def make_tensor4d(data, dims=None) -> np.ndarray:
-    """Validate (and if needed reshape) `data` into a contiguous f32 4-D array."""
+def make_tensor4d(data) -> np.ndarray:
+    """Validate `data` as a contiguous f32 4-D array."""
     arr = np.ascontiguousarray(data, dtype=DTYPE)
-    if dims is not None:
-        arr = arr.reshape(dims)
     if arr.ndim != 4:
         raise ValueError(f"expected a 4-D tensor, got shape {arr.shape}")
     if min(arr.shape) < 1:

@@ -88,9 +88,3 @@ def im2col(x: np.ndarray, p: ConvParams) -> np.ndarray:
     g = xp[0][:, r_idx, c_idx]
     g = np.transpose(g, (0, 3, 4, 1, 2))
     return np.ascontiguousarray(g.reshape(p.ic * p.fh * p.fw, oh * ow))
-
-
-def filters_as_matrix(filters: np.ndarray) -> np.ndarray:
-    """FCHW filters flattened to (oc, ic*fh*fw), matching im2col row order."""
-    oc = filters.shape[0]
-    return filters.reshape(oc, -1)

@@ -113,7 +113,7 @@ def test_criterion_3_packing_matches_im2col():
             kk = p.fh * p.fw
             rows = slice(ic_off * kk, (ic_off + nc) * kk)
             for t in range(nt):
-                cols = packed.data[t].reshape(nc * kk, n_win)
+                cols = packed[:, t * n_win:(t + 1) * n_win]
                 for w in range(n_win):
                     assert np.array_equal(cols[:, w],
                                           ref[rows, ts + t * n_win + w])
@@ -125,8 +125,8 @@ def test_criterion_3_packing_matches_im2col():
                 pf = pack_filter(flt, _full_region(conv), mk, nt=ftiles,
                                  nc=p.ic)
                 src = flt[:ftiles * mk.n_f].ravel()
-                assert pf.data.size == src.size
-                assert set(pf.data.ravel().tolist()) == set(src.tolist())
+                assert pf.size == src.size
+                assert set(pf.ravel().tolist()) == set(src.tolist())
 
 
 def test_criterion_4_analysis_invariants():
@@ -191,9 +191,9 @@ def test_criterion_6_multipack_consistency():
                 group = pack_filter(flt, region, mk, nt=k, nc=strat_nc)
                 singles = np.concatenate([
                     pack_filter(flt, region, mk, nt=1, nc=strat_nc,
-                                f_tile_start=t).data
+                                f_tile_start=t)
                     for t in range(k)])
-                assert np.array_equal(group.data, singles)
+                assert np.array_equal(group, singles)
                 filter_checked += 1
             if input_checked < 50 and wtiles >= 2:
                 k = int(rng.integers(2, wtiles + 1))
@@ -202,9 +202,9 @@ def test_criterion_6_multipack_consistency():
                                    nc=strat_nc)
                 singles = np.concatenate([
                     pack_input(x, conv, region, (o_out, t * mk.n_win), mk,
-                               nt=1, nc=strat_nc).data
-                    for t in range(k)])
-                assert np.array_equal(group.data, singles)
+                               nt=1, nc=strat_nc)
+                    for t in range(k)], axis=1)
+                assert np.array_equal(group, singles)
                 input_checked += 1
 
 

@@ -63,8 +63,9 @@ def test_load_suite_skips_ids_with_line_breaks(tmp_path, brk):
 def test_cli_rejects_ids_with_line_breaks(tmp_path):
     base = {"ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 1}
     suite = tmp_path / "breaks.jsonl"
+    bad = ("cr\rid", "ls\u2028id", "nl\nfake", "cr\rx")
     suite.write_text("".join(json.dumps({"id": i, **base}) + "\n" for i in
-                             ("ok", "cr\rid", "ls\u2028id")))
+                             ("ok", *bad)))
     # Bytes, not text: text mode would turn a stray "\r" into "\n".
     proc = subprocess.run(
         [sys.executable, "-m", "slicedconv.cli", "run", "--suite", str(suite),
@@ -75,6 +76,14 @@ def test_cli_rejects_ids_with_line_breaks(tmp_path):
     assert len(report.splitlines()) == 2  # header plus the one valid case
     rows = list(csv.reader(report.splitlines()))
     assert [r[0] for r in rows] == ["id", "ok"]
+    # Each rejected record is one stderr line, whatever breaks its id holds.
+    errs = proc.stderr.decode("utf-8")
+    assert "\r" not in errs
+    skipped = [l for l in errs.split("\n") if l.startswith("skipped record:")]
+    assert [l.split(" (")[0] for l in skipped] == [
+        f"skipped record: line {n}" for n in range(2, 2 + len(bad))], errs
+    assert all("line breaks" in l for l in skipped)
+    assert errs.count("skipped record") == len(bad)
 
 
 def test_parse_rejects_non_integer_fields():
@@ -100,9 +109,9 @@ def test_load_suite_reports_bad_records(tmp_path):
     assert [c.params.ic for c in cases] == [2]  # the first "ok" is kept
     assert len(errors) == 6
     assert any("grp" in e for e in errors)
-    assert errors[3].startswith("line 5 (ok): duplicate id")
-    assert errors[4].startswith("line 6 (rep0): repeat must be at least 1")
-    assert errors[5].startswith("line 7 (neg): repeat must be at least 1")
+    assert errors[3].startswith("line 5 ('ok'): duplicate id")
+    assert errors[4].startswith("line 6 ('rep0'): repeat must be at least 1")
+    assert errors[5].startswith("line 7 ('neg'): repeat must be at least 1")
 
 
 def test_init_tensors_deterministic():
@@ -347,7 +356,7 @@ def test_cli_correctness_failure_exit_code(monkeypatch):
 
     engine = harness.run_convolution
     monkeypatch.setattr(harness, "run_convolution", lambda *args, **kw: engine(
-        *args, hook=lambda pin, pf, acc, k, nw, nf, s: None, **kw))
+        *args, hook=lambda pin, pf, acc: None, **kw))
     rc = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
                "--arch", str(FIXTURES / "intel.toml"),
                "--nwin", "4", "--nf", "4", "--verify-only",
@@ -367,7 +376,7 @@ def test_cli_rejects_non_integer_records(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.count("\n") == 2  # header plus the one valid case
     skipped = [l for l in proc.stderr.splitlines() if l.startswith("skipped record")]
-    assert len(skipped) == 2 and "(half)" in skipped[0] and "(flag)" in skipped[1]
+    assert len(skipped) == 2 and "('half')" in skipped[0] and "('flag')" in skipped[1]
 
 
 def test_cli_says_why_a_case_failed(tmp_path):

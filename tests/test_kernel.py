@@ -278,7 +278,7 @@ def test_hook_wrapping_builtin_is_bit_identical(rng):
     mk = MkInfo(n_win=4, n_f=4)
     baseline, _, _, (x, flt) = _run_engine_case(rng, p, mk)
 
-    def wrapped(pin, pf, acc, k, n_win, n_f, strides):
+    def wrapped(pin, pf, acc):
         microkernel(pin, pf, acc)
 
     out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=wrapped)
@@ -290,7 +290,7 @@ def test_fallback_never_calls_the_hook(rng):
     p = ConvParams(n=2, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3)
     mk = MkInfo(n_win=16, n_f=8)
 
-    def raising(pin, pf, acc, k, n_win, n_f, strides):
+    def raising(pin, pf, acc):
         raise AssertionError("the fallback must not call the hook")
 
     out, ref, info, _ = _run_engine_case(rng, p, mk, hook=raising)
@@ -304,7 +304,7 @@ def test_hook_registry_and_garbage_hook_detected(rng):
     x, flt = rand_tensors(rng, p)
     ref = naive_conv(x, flt, p)
 
-    def garbage(pin, pf, acc, k, n_win, n_f, strides):
+    def garbage(pin, pf, acc):
         acc += 1.0
 
     out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=garbage)
@@ -323,7 +323,7 @@ def test_concurrent_hook_does_not_leak_into_other_runs(rng):
     start = threading.Barrier(2)
     outs = {}
 
-    def garbage(pin, pf, acc, k, n_win, n_f, strides):
+    def garbage(pin, pf, acc):
         acc += 1.0
 
     def run(name, hook):
@@ -353,7 +353,7 @@ def test_hook_reordered_reduction_within_tolerance(rng):
     x, flt = rand_tensors(rng, p)
     baseline, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
 
-    def reversed_k(pin, pf, acc, k, n_win, n_f, strides):
+    def reversed_k(pin, pf, acc):
         acc += pf[::-1].T @ pin[::-1]
 
     out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=reversed_k)
@@ -449,7 +449,7 @@ def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
                        counters=counters)
         return out, counters
 
-    def per_tile(pin, pf, acc, k, n_win, n_f, strides):
+    def per_tile(pin, pf, acc):
         microkernel(pin, pf, acc)
 
     batched, c_batched = run(None)
@@ -495,7 +495,7 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
                        counters=counters)
         return out, counters
 
-    def per_tile(pin, pf, acc, k, n_win, n_f, strides):
+    def per_tile(pin, pf, acc):
         microkernel(pin, pf, acc)
 
     chunked, c_chunked = run(None)
@@ -541,10 +541,9 @@ def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
     out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
     calls = []
 
-    def recording(pin, pf, acc, k, width, height, strides):
-        assert pin.shape == (k, width) and pf.shape == (k, height)
-        assert acc.shape == (height, width)
-        assert strides == (pin.strides, pf.strides, acc.strides)
+    def recording(pin, pf, acc):
+        (k, width), height = pin.shape, acc.shape[0]
+        assert pf.shape == (k, height) and acc.shape == (height, width)
         offset = (acc.ctypes.data - out.ctypes.data) // acc.itemsize
         b, rest = divmod(offset, p.oc * conv.ohw)
         calls.append((b, k, *divmod(rest, conv.ohw), height, width))
@@ -589,8 +588,8 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     x, flt = rand_tensors(rng, p)
     depths = set()
 
-    def wrapped(pin, pf, acc, k, width, height, strides):
-        depths.add(k)
+    def wrapped(pin, pf, acc):
+        depths.add(pin.shape[0])
         microkernel(pin, pf, acc)
 
     outs = []

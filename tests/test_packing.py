@@ -7,8 +7,8 @@ from conftest import (FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, conv_info,
                       random_params)
 from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, im2col,
                         pack_filter, pack_input, pad_input)
-from slicedconv.packing import (PackedTile, TileKind, dump_packed,
-                                filter_pack_index, input_pack_index_general,
+from slicedconv.packing import (dump_packed, filter_pack_index,
+                                input_pack_index_general,
                                 input_pack_index_simple)
 
 
@@ -36,32 +36,31 @@ def test_filter_pack_index_examples():
 def test_pack_filter_reference_shape(rng):
     conv = conv_info(REF_PARAMS)
     flt = rng.uniform(-1, 1, (256, 32, 3, 3)).astype(np.float32)
-    t = pack_filter(flt, full_region(conv), REF_MK, nt=1, nc=32)
-    assert t.logical_shape == (32, 3, 3, 8)
-    assert t.matrix(0).shape == (288, 8)
-    assert np.isclose(t.data.sum(), flt[:8].sum(), rtol=1e-5)
+    m = pack_filter(flt, full_region(conv), REF_MK, nt=1, nc=32)
+    assert m.shape == (8, 288)
+    assert np.isclose(m.sum(), flt[:8].sum(), rtol=1e-5)
 
 
 def test_pack_filter_is_permutation():
     # unique source values: packed buffer must be an exact rearrangement
     flt = np.arange(16 * 4 * 3 * 3, dtype=np.float32).reshape(16, 4, 3, 3)
     conv = conv_info(ConvParams(n=1, ic=4, ih=9, iw=9, oc=16, fh=3, fw=3))
-    t = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=8), nt=2, nc=4)
-    assert t.data.size == flt.size
-    assert set(t.data.ravel().tolist()) == set(flt.ravel().tolist())
+    m = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=8), nt=2, nc=4)
+    assert m.size == flt.size
+    assert set(m.ravel().tolist()) == set(flt.ravel().tolist())
     # spot-check the gather equation
     mk = MkInfo(n_win=4, n_f=8)
     for (i_nt, i_nc, i_fh, i_fw, i_nf) in ((0, 0, 0, 0, 0), (1, 3, 2, 1, 7),
                                            (1, 0, 1, 2, 3)):
         src = filter_pack_index(i_nc, i_fh, i_fw, i_nf, i_nt, mk)
-        assert t.data[i_nt, i_nc, i_fh, i_fw, i_nf] == flt[src]
+        assert m[i_nt * 8 + i_nf, (i_nc * 3 + i_fh) * 3 + i_fw] == flt[src]
 
 
 def test_pack_filter_single_element():
     flt = np.full((1, 1, 1, 1), 3.5, dtype=np.float32)
     conv = conv_info(ConvParams(n=1, ic=1, ih=4, iw=4, oc=1, fh=1, fw=1))
-    t = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=1), nt=1, nc=1)
-    assert t.data.ravel().tolist() == [3.5]
+    m = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=1), nt=1, nc=1)
+    assert m.ravel().tolist() == [3.5]
 
 
 def test_pack_filter_range_overflow():
@@ -124,9 +123,8 @@ def test_input_pack_index_multipack_advances_by_tile():
 def test_pack_input_reference_shape(rng):
     conv = conv_info(REF_PARAMS)
     x = rng.uniform(-1, 1, (1, 32, 77, 77)).astype(np.float32)
-    t = pack_input(x, conv, full_region(conv), (0, 0), REF_MK, nt=1, nc=32)
-    assert t.logical_shape == (32, 3, 3, 16)
-    assert t.matrix(0).shape == (288, 16)
+    m = pack_input(x, conv, full_region(conv), (0, 0), REF_MK, nt=1, nc=32)
+    assert m.shape == (288, 16)
 
 
 def test_pack_input_pointwise_is_contiguous_copy(rng):
@@ -135,9 +133,9 @@ def test_pack_input_pointwise_is_contiguous_copy(rng):
     x = rng.uniform(-1, 1, (1, 3, 6, 8)).astype(np.float32)
     mk = MkInfo(n_win=8, n_f=4)
     ts = 12
-    t = pack_input(x, conv, full_region(conv), (ts, 0), mk, nt=1, nc=3)
+    m = pack_input(x, conv, full_region(conv), (ts, 0), mk, nt=1, nc=3)
     flat = x[0].reshape(3, -1)
-    assert np.array_equal(t.data[0][:, 0, 0, :], flat[:, ts:ts + 8])
+    assert np.array_equal(m, flat[:, ts:ts + 8])
 
 
 def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
@@ -145,16 +143,13 @@ def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
     conv = conv_info(p.padded())
     xp = pad_input(x, p)
     region = full_region(conv)
-    t = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc,
+    m = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc,
                    ic_off=ic_off)
     ref = im2col(x, p)
     kk = p.fh * p.fw
     rows = slice(ic_off * kk, (ic_off + nc) * kk)
-    for i_nt in range(nt):
-        for w in range(mk.n_win):
-            got = t.data[i_nt].reshape(nc * kk, mk.n_win)[:, w]
-            want = ref[rows, ts + i_nt * mk.n_win + w]
-            assert np.array_equal(got, want)
+    for w in range(nt * mk.n_win):
+        assert np.array_equal(m[:, w], ref[rows, ts + w])
 
 
 def test_pack_input_matches_im2col_randomized(rng):
@@ -189,8 +184,7 @@ def test_pack_input_row_break_route(rng):
 @pytest.mark.parametrize("stride, dil", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
     # Multipacks of nt > 1 tiles from unaligned group starts, for channel
-    # block ic_off > 0 of batch 1 of 2, into a K-major slice of a larger
-    # buffer. Every group spans more than one output row. Tile i_nt's
+    # block ic_off > 0 of batch 1 of 2, into a slice of a larger buffer. Every group spans more than one output row. Tile i_nt's
     # column w must be im2col's column of window ts + i_nt*n_win + w,
     # bitwise; the buffer around the slice must keep its NaNs.
     mk = MkInfo(n_win=8, n_f=4)
@@ -211,17 +205,15 @@ def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
             ts += 1 if ts + nt * mk.n_win < conv.ohw else -1
         ic_off = int(rng.integers(1, p.ic))
         nc = int(rng.integers(1, p.ic - ic_off + 1))
-        big = np.full((nc + 2, fh, fw, nt * mk.n_win + 3), np.nan, np.float32)
-        out = big[1:nc + 1, ..., 2:2 + nt * mk.n_win].reshape(
-            nc, fh, fw, nt, mk.n_win).transpose(3, 0, 1, 2, 4)
-        t = pack_input(pad_input(x, p), conv, full_region(conv), (ts, 0),
-                       mk, nt=nt, nc=nc, batch=1, ic_off=ic_off, out=out)
-        assert t.data is out
         kk = fh * fw
+        big = np.full((nc * kk + 2, nt * mk.n_win + 3), np.nan, np.float32)
+        out = big[1:nc * kk + 1, 2:2 + nt * mk.n_win]
+        m = pack_input(pad_input(x, p), conv, full_region(conv), (ts, 0),
+                       mk, nt=nt, nc=nc, batch=1, ic_off=ic_off, out=out)
+        assert m is out
         ref = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
                                 ts:ts + nt * mk.n_win]
-        want = ref.reshape(nc * kk, nt, mk.n_win).transpose(1, 0, 2)
-        assert np.array_equal(out.reshape(nt, nc * kk, mk.n_win), want)
+        assert np.array_equal(out, ref)
         out[:] = np.nan
         assert np.isnan(big).all()
 
@@ -235,8 +227,7 @@ def test_pack_input_allocates_no_gather_temporary(rng):
     conv = conv_info(p.padded())
     x, _ = _tensors(rng, p)
     xp = pad_input(x, p)
-    out = np.empty((3, 7, 7, 20, REF_MK.n_win), np.float32).transpose(
-        3, 0, 1, 2, 4)
+    out = np.empty((3 * 7 * 7, 20 * REF_MK.n_win), np.float32)
     args = (xp, conv, full_region(conv), (37, 0), REF_MK)
     pack_input(*args, nt=20, nc=3, out=out)  # warm-up
     tracemalloc.start()
@@ -262,9 +253,10 @@ def test_pack_input_allocates_no_gather_temporary(rng):
 def test_pack_input_row_pieces_match_im2col(rng, oh, ow, n_win, ts, nt):
     # pack_input copies a group as at most three slices: the rest of its
     # first output row, a block of whole rows and the start of its last
-    # row. Each case drops some of them; packed into a default buffer and
-    # into a K-major slice of a NaN-filled one, both must equal im2col
-    # bitwise, and the NaNs around the slice must stay.
+    # row. Each case drops some of them; packed into a default buffer, into
+    # a column slice of a NaN-filled one and into a Fortran-ordered matrix
+    # (so splitting K of out must stay a view whatever its strides), all
+    # must equal im2col bitwise, and the NaNs around the slice must stay.
     p = ConvParams(n=2, ic=4, ih=oh + 2, iw=2 * ow - 1, oc=4, fh=3, fw=2,
                    stride_w=2, dil_h=2, pad_h=1, pad_w=1)
     conv = conv_info(p.padded())
@@ -275,31 +267,83 @@ def test_pack_input_row_pieces_match_im2col(rng, oh, ow, n_win, ts, nt):
     nc, ic_off, kk = 2, 1, p.fh * p.fw
     want = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
                              ts:ts + nt * n_win]
-    big = np.full((nc, p.fh, p.fw, nt * n_win + 5), np.nan, np.float32)
-    out = big[..., 3:3 + nt * n_win].reshape(
-        nc, p.fh, p.fw, nt, n_win).transpose(3, 0, 1, 2, 4)
-    for given in (None, out):
-        t = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc, batch=1,
-                       ic_off=ic_off, out=given)
-        got = t.data.transpose(1, 2, 3, 0, 4).reshape(nc * kk, nt * n_win)
+    big = np.full((nc * kk, nt * n_win + 5), np.nan, np.float32)
+    out = big[:, 3:3 + nt * n_win]
+    for given in (None, out, np.empty(want.shape, np.float32, order="F")):
+        got = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc,
+                         batch=1, ic_off=ic_off, out=given)
+        assert given is None or got is given
         assert np.array_equal(got, want)
-    assert np.isnan(big[..., :3]).all() and np.isnan(big[..., -2:]).all()
+    assert np.isnan(big[:, :3]).all() and np.isnan(big[:, -2:]).all()
+
+
+def _assert_outs_refused(rng, shapes_in, shapes_f):
+    # Each out is NaN-filled; the packers must refuse it with ValueError
+    # before writing any element. The packed input matrix is K = 2*3*3 = 18
+    # by 12 windows, the packed filter matrix 8 filters by K.
+    p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=8, fh=3, fw=3)
+    conv = conv_info(p)
+    x, flt = _tensors(rng, p)
+    mk = MkInfo(n_win=4, n_f=4)
+    region = full_region(conv)
+    for shape in shapes_in:
+        out = np.full(shape, np.nan, np.float32)
+        with pytest.raises(ValueError, match="not \\(18, 12\\)"):
+            pack_input(x, conv, region, (5, 0), mk, nt=3, nc=2, out=out)
+        assert np.isnan(out).all()
+    for shape in shapes_f:
+        out = np.full(shape, np.nan, np.float32)
+        with pytest.raises(ValueError, match="not \\(8, 18\\)"):
+            pack_filter(flt, region, mk, nt=2, nc=2, out=out)
+        assert np.isnan(out).all()
+
+
+def test_packers_reject_wrong_shape_out(rng):
+    # The transposed matrix holds as many elements but is refused, as is
+    # the filters' old per-tile (nt, nc, fh, fw, n_f) layout.
+    _assert_outs_refused(rng, [(12, 18)], [(18, 8), (2, 4, 2, 3, 3)])
 
 
 def test_pack_input_rejects_tile_major_out(rng):
-    # A tile-major buffer (each tile's K x n_win block contiguous) cannot
-    # take the group's windows as one run per k; it is refused before any
-    # element is written, as is a buffer of the wrong shape.
-    p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
-    x, _ = _tensors(rng, p)
-    mk = MkInfo(n_win=4, n_f=4)
-    args = (x, conv, full_region(conv), (5, 0), mk)
-    for shape in ((3, 2, 3, 3, 4), (3, 2, 3, 3, 5)):
-        out = np.full(shape, np.nan, np.float32)
-        with pytest.raises(ValueError, match="K-major"):
-            pack_input(*args, nt=3, nc=2, out=out)
-        assert np.isnan(out).all()
+    # The old tile-major (nt, nc, fh, fw, n_win) layout, with or without a
+    # padded window axis, is not the K-major matrix and is refused.
+    _assert_outs_refused(rng, [(3, 2, 3, 3, 4), (3, 2, 3, 3, 5)], [])
+
+
+def test_packed_tile_rejects_size_mismatch(rng):
+    # An out that holds more or fewer elements than the packed matrix (a
+    # wider buffer, the matrix of one tile fewer) is refused.
+    _assert_outs_refused(rng, [(18, 13), (18, 8)], [(8, 19), (4, 18)])
+
+
+def test_pack_filter_matrix_is_the_filter_block(rng):
+    # The packed filter matrix is the (filters, K) block of the FCHW tensor
+    # viewed as (oc, ic*fh*fw), bitwise, whichever tiles and channels the
+    # region and offsets select: allocated, or written into a column slice
+    # of a wider buffer or a Fortran-ordered matrix.
+    for _ in range(20):
+        fh, fw = FILTER_SHAPES[int(rng.integers(len(FILTER_SHAPES)))]
+        oc, ic, n_f = (int(v) for v in rng.integers(1, 9, 3))
+        p = ConvParams(n=1, ic=ic, ih=fh + 2, iw=fw + 2, oc=oc * n_f,
+                       fh=fh, fw=fw)
+        conv = conv_info(p)
+        _, flt = _tensors(rng, p)
+        mk = MkInfo(n_win=4, n_f=n_f)
+        f_tile = int(rng.integers(0, oc))
+        nt = int(rng.integers(1, oc - f_tile + 1))
+        ic_off = int(rng.integers(0, ic))
+        nc = int(rng.integers(1, ic - ic_off + 1))
+        kk = fh * fw
+        want = flt.reshape(p.oc, -1)[f_tile * n_f:(f_tile + nt) * n_f,
+                                     ic_off * kk:(ic_off + nc) * kk]
+        buf = np.full((nt * n_f, nc * kk + 3), np.nan, np.float32)
+        fortran = np.empty(want.shape, np.float32, order="F")
+        for out in (None, buf[:, 1:-2], fortran):
+            m = pack_filter(flt, full_region(conv), mk, nt=nt, nc=nc,
+                            f_tile_start=f_tile, ic_off=ic_off, out=out)
+            assert out is None or m is out
+            assert np.array_equal(m, want)
+        assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, -2:]).all()
 
 
 @pytest.mark.parametrize("short", ["row", "col"])
@@ -319,7 +363,7 @@ def test_pack_input_rejects_input_smaller_than_its_view(short):
         with pytest.raises(IndexError, match="does not hold"):
             pack_input(x, conv, region, (ts, 0), mk, nt=1, nc=2)
     ok = pack_input(big[:, :, :9, :9], conv, region, (0, 0), mk, nt=4, nc=2)
-    assert (ok.data == 1.0).all()
+    assert (ok == 1.0).all()
 
 
 def test_multipack_equals_concatenated_singles(rng):
@@ -337,16 +381,14 @@ def test_multipack_equals_concatenated_singles(rng):
             singles = [pack_input(x, conv, region, (0, t * mk.n_win), mk, nt=1,
                                   nc=p.ic)
                        for t in range(k)]
-            assert np.array_equal(group.data,
-                                  np.concatenate([s.data for s in singles]))
+            assert np.array_equal(group, np.concatenate(singles, axis=1))
         if ftiles >= 2:
             k = int(rng.integers(2, ftiles + 1))
             group = pack_filter(flt, region, mk, nt=k, nc=p.ic)
             singles = [pack_filter(flt, region, mk, nt=1, nc=p.ic,
                                    f_tile_start=t)
                        for t in range(k)]
-            assert np.array_equal(group.data,
-                                  np.concatenate([s.data for s in singles]))
+            assert np.array_equal(group, np.concatenate(singles))
 
 
 def test_edge_pack_equals_shifted_steady_state(rng):
@@ -363,10 +405,9 @@ def test_edge_pack_equals_shifted_steady_state(rng):
     via_region = pack_input(x, conv, region, (0, 0), mk, nt=1, nc=3)
     via_offset = pack_input(x, conv, full_region(conv), (e_off, 0), mk, nt=1,
                             nc=3)
-    assert np.array_equal(via_region.data, via_offset.data)
+    assert np.array_equal(via_region, via_offset)
     ref = im2col(x, p)
-    got = via_region.data[0].reshape(3 * 9, 8)
-    assert np.array_equal(got, ref[:, e_off:e_off + 8])
+    assert np.array_equal(via_region, ref[:, e_off:e_off + 8])
 
 
 def test_pack_input_rejects_out_of_domain(rng):
@@ -387,12 +428,6 @@ def test_pack_input_rejects_unpadded_problem(rng):
                    nt=1, nc=2)
 
 
-def test_packed_tile_rejects_size_mismatch():
-    with pytest.raises(ValueError, match="does not hold"):
-        PackedTile(data=np.zeros((2, 3), np.float32), logical_shape=(2, 2),
-                   kind=TileKind.Input, nt=2)
-
-
 def test_dump_packed_golden():
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
@@ -400,7 +435,7 @@ def test_dump_packed_golden():
     x = np.round(gen.uniform(-4, 4, (1, 2, 6, 6))).astype(np.float32)
     t = pack_input(x, conv, full_region(conv), (0, 0), MkInfo(n_win=4, n_f=4),
                    nt=2, nc=2)
-    text = dump_packed(t)
+    text = dump_packed(t, "input", 4, (2, 3, 3))
     golden = (GOLDEN / "packed_input_3x3.txt").read_text()
     assert text == golden
 
