@@ -1,11 +1,11 @@
 """End-to-end driver: pad once, analyze, split into regions, execute.
 
 Padding is materialized up front so the tiled pipeline and every packing
-equation can assume pad = 0. Regions eligible for the pipeline (whole
-microkernel tiles in both the window and filter dimensions) run the tiled
-macrokernel; sub-tile remainder regions take the fallback, which gathers
-their windows through the same pack_input and does one GEMM per chunk of
-at most n_win windows.
+equation can assume pad = 0. Main regions (whole n_win window tiles, over
+any number of filters) run the tiled macrokernel; the window tail, a
+Remainder region of fewer than n_win windows, takes the fallback, which
+gathers its windows through the same pack_input and does one GEMM per
+batch image.
 """
 
 from __future__ import annotations

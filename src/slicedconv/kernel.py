@@ -30,11 +30,11 @@ temporary does not grow with the set size. Packing needs no such bound:
 pack_input copies from a strided view of the input straight into the
 set's buffer.
 
-Remainder regions (sub-tile window or filter tails) take
-naive_fallback_region instead. It gathers windows through the same
-pack_input, as tiles of at most n_win windows over all of the region's
-channels, and multiplies each by the region's filter block in one GEMM.
-pack_input is therefore the engine's only window gather.
+The window tail (fewer than n_win windows, a Remainder region) takes
+naive_fallback_region instead; the filter tail (oc mod n_f) is a short
+last filter tile of a Main region. The fallback gathers the tail's
+windows through the same pack_input, over all channels, in one GEMM per
+batch, so pack_input is the engine's only window gather.
 
 Partial sums are accumulated directly into the output tensor, which the
 driver zero-initializes; an output tile is therefore touched once per
@@ -93,8 +93,8 @@ class RunCounters:
     """Pack/accumulate instrumentation, keyed by absolute tile coordinates.
 
     A tile packed once per reuse scope shows up as count 1 under a key that
-    names that scope: the stationary tensor's tiles are keyed
-    (batch, channel block, tile) and the streamed tensor's tiles additionally
+    names that scope: the stationary tensor's tiles are keyed (batch, first
+    channel of the block, tile) and the streamed tensor's tiles additionally
     carry the stationary set they were repacked for.
     """
 
@@ -109,7 +109,7 @@ def build_plan(region: KernelRegion, strategy: TilingStrategy,
     if region.kind is not RegionKind.Main:
         raise ValueError("build_plan expects a Main region")
     wtiles = region.spatial_len // mk.n_win
-    ftiles = region.oc_len // mk.n_f
+    ftiles = -(-region.oc_len // mk.n_f)  # a short last tile counts
     batch = LoopSpec("batch", n_batches, 1)
     chan = LoopSpec("channel", region.ic_len, strategy.nc)
     wset = LoopSpec("window_set", wtiles, strategy.k3)
@@ -127,9 +127,9 @@ class _SetPacker:
     """Packs the window and filter sets of one region into reused buffers.
 
     A buffer is allocated once per (tensor, channel block width) and holds
-    one full set as one matrix: a window set K-major, (K, windows), and a
-    filter set row-major, (filters, K). pack() fills its first tiles with
-    one multipack and records the packs.
+    one set, or the whole region if smaller, as one matrix: a window set
+    K-major, (K, windows), and a filter set row-major, (filters, K).
+    pack() fills its first tiles with one multipack and records the packs.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "mk", "counters", "bufs")
@@ -150,16 +150,18 @@ class _SetPacker:
              ic_off: int, ncl: int, scope: int | None = None) -> np.ndarray:
         """Pack tiles [first, first+count) of loop's tensor as one matrix.
 
-        Window tiles come back as (K, count*n_win), filter tiles as
-        (count*n_f, K). scope is None for the stationary set; for a
-        streamed set it is the first tile of the stationary set it is
-        packed for, and becomes part of the RunCounters key.
+        Window tiles come back as (K, count*n_win), filter tiles as (rows,
+        K), short of count*n_f by a partial last tile. scope is None for
+        the stationary set; for a streamed set it is the first tile of the
+        stationary set it is packed for, part of the RunCounters key.
         """
         p, mk, region = self.conv.params, self.mk, self.region
         windows = loop.dim == "window_set"
         n = mk.n_win if windows else mk.n_f
+        extent = region.spatial_len if windows else region.oc_len
         k = ncl * p.fh * p.fw
-        width = min(loop.step, loop.extent) * n
+        width = min(loop.step * n, extent)
+        used = min(count * n, extent - first * n)
         shape = (k, width) if windows else (width, k)
         buf = self.bufs.get((loop.dim, shape))
         if buf is None:
@@ -167,15 +169,16 @@ class _SetPacker:
         if windows:
             mat = pack_input(self.x, self.conv, region, (first * n, 0), mk,
                              nt=count, nc=ncl, batch=b, ic_off=ic_off,
-                             out=buf[:, :count * n])
+                             out=buf[:, :used])
         else:
             mat = pack_filter(self.filters, region, mk, nt=count, nc=ncl,
                               f_tile_start=first, ic_off=ic_off,
-                              out=buf[:count * n])
+                              out=buf[:used])
         if self.counters is not None:
             packs = (self.counters.input_packs if windows
                      else self.counters.filter_packs)
-            key = (b, ic_off) if scope is None else (b, ic_off, scope)
+            key = (b, region.ic_start + ic_off)  # the absolute channel block
+            key += () if scope is None else (scope,)
             tile0 = self.first_tile(loop, first)
             packs.update(key + (tile0 + t,) for t in range(count))
         return mat
@@ -203,8 +206,8 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         raise ValueError("output tensor must be C-contiguous")
     p = conv.params
     n_win, n_f = mk.n_win, mk.n_f
-    if region.spatial_len % n_win or region.oc_len % n_f:
-        raise ValueError("Main region is not aligned to the microkernel tile")
+    if region.spatial_len % n_win:
+        raise ValueError("Main region is not aligned to n_win windows")
 
     plan = build_plan(region, strategy, mk, p.n)
     batch, chan, outer, inner = plan.loops[:4]
@@ -245,13 +248,14 @@ def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
 
     in_mat is a K-major window set (K, W), f_mat a row-major filter set
     (M, K) and acc the (M, W) output block of the set pair. The product is
-    cut along acc's longer side, in whole n_win or n_f tiles, into blocks
-    whose GEMM output fits _CHUNK_BYTES (at least one tile each), and each
-    block is one call microkernel(in_mat[:, cols], f_mat[rows].T,
-    acc[rows, cols]). A hook replaces exactly that call, with the same
-    three arrays, so a hook that wraps microkernel gives bitwise the
-    built-in result. microkernel is looked up as a module global on every
-    call, so a wrapper installed there sees each GEMM.
+    cut along acc's longer side, in whole n_win or n_f tiles (a block that
+    ends at M may hold a partial one), into blocks whose GEMM output fits
+    _CHUNK_BYTES (at least one tile each), and each block is one call
+    microkernel(in_mat[:, cols], f_mat[rows].T, acc[rows, cols]). A hook
+    replaces exactly that call, with the same three arrays, so a hook that
+    wraps microkernel gives bitwise the built-in result. microkernel is
+    looked up as a module global on every call, so a wrapper installed
+    there sees each GEMM.
     """
     m, w = acc.shape
     budget = _CHUNK_BYTES // acc.itemsize
@@ -271,11 +275,11 @@ def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                           mk: MkInfo) -> None:
     """Direct convolution of a remainder region; accumulates into out.
 
-    Serves remainder regions smaller than the microkernel tile, which skip
-    the tiling analysis and the hook. The region's windows are gathered in
-    chunks of at most mk.n_win by pack_input, across all of the region's
-    channels, and each chunk is multiplied by the region's filter block in
-    one GEMM.
+    The engine sends it only the window tail, a Remainder region of fewer
+    than n_win windows, which skips the tiling analysis and the hook; any
+    region is accepted. The region's windows are gathered in chunks of at
+    most mk.n_win by pack_input, across all of the region's channels, and
+    each chunk is multiplied by the region's filter block in one GEMM.
     """
     p = conv.params
     if region.spatial_len == 0 or region.oc_len == 0 or region.ic_len == 0:

@@ -34,8 +34,8 @@ every window's elements in place. Within one output row the equations are
 affine, and each row of the K-major matrix holds the group's nt*n_win
 windows as one run. So the group takes at most three slice copies from the
 view: the rest of its first output row, one block of whole rows, and the
-start of its last row. The scalar input_pack_index_* functions spell the
-same equations out as the tests' oracle.
+start of its last row. The tests' oracle, tests/packing_oracle.py, spells
+the same equations out as scalar index functions.
 """
 
 from __future__ import annotations
@@ -43,41 +43,8 @@ from __future__ import annotations
 import numpy as np
 
 from .arch import ConvInfo, MkInfo
-from .model import DTYPE, ConvParams
+from .model import DTYPE
 from .regions import KernelRegion
-
-
-def filter_pack_index(i_nc: int, i_fh: int, i_fw: int, i_nf: int,
-                      i_nt: int, mk: MkInfo) -> tuple[int, int, int, int]:
-    """Source (filter, channel, row, col) for one packed filter element."""
-    return (i_nt * mk.n_f + i_nf, i_nc, i_fh, i_fw)
-
-
-def input_pack_index_simple(i_fh: int, i_fw: int, i_nwin: int,
-                            p: ConvParams, tile_w: int) -> int:
-    """Tile-relative flat index, single-row case (no row break in the tile)."""
-    it_h = i_fh * p.dil_h
-    it_w = i_nwin * p.stride_w + i_fw * p.dil_w
-    return it_h * tile_w + it_w
-
-
-def input_pack_index_general(i_oout: int, i_oin: int, i_nwin: int,
-                             i_fh: int, i_fw: int, i_nt: int, e_off: int,
-                             conv: ConvInfo, tile_w: int,
-                             n_win: int) -> int:
-    """Tile-relative flat index in the general (row-break capable) case.
-
-    tile_w must be the row width of the extracted slice (the full padded
-    input width when row breaks can occur); the returned column offset may
-    be negative relative to the group origin. Multipack callers pass the
-    group start through i_oout with i_oin = 0.
-    """
-    p = conv.params
-    ts = i_oout + i_oin + e_off
-    w = ts + i_nt * n_win + i_nwin
-    it_h = (w // conv.ow - ts // conv.ow) * p.stride_h + i_fh * p.dil_h
-    it_w = (w % conv.ow - ts % conv.ow) * p.stride_w + i_fw * p.dil_w
-    return it_h * tile_w + it_w
 
 
 def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
@@ -85,22 +52,24 @@ def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Pack nt consecutive filter tiles of nc channels of a region.
 
-    Returns the (nt*n_f, nc*fh*fw) matrix whose row i_nt*n_f + i_nf is
+    Returns the (rows, nc*fh*fw) matrix whose row i_nt*n_f + i_nf is
     filters[f0 + i_nt*n_f + i_nf, c0:c0 + nc] flattened, with f0/c0 the
-    region-relative starting filter and channel. Pure data movement, no
-    replication. out, when given, must have that shape (ValueError before
-    anything is written) and is filled and returned.
+    region-relative starting filter and channel, and rows = nt*n_f less
+    what a partial last tile at the region's end lacks. Pure data movement,
+    no replication. out, when given, must have that shape (ValueError
+    before anything is written) and is filled and returned.
     """
     fh, fw = filters.shape[2], filters.shape[3]
     f0 = region.oc_start + f_tile_start * mk.n_f
     c0 = region.ic_start + ic_off
-    if f0 + nt * mk.n_f > region.oc_start + region.oc_len:
+    f_end = region.oc_start + region.oc_len
+    if f0 + (nt - 1) * mk.n_f >= f_end:
         raise IndexError("filter range overflows the region")
     if c0 + nc > region.ic_start + region.ic_len:
         raise IndexError("channel range overflows the region")
 
-    src = filters[f0:f0 + nt * mk.n_f, c0:c0 + nc]
-    out = _matrix_out(out, (nt * mk.n_f, nc * fh * fw))
+    src = filters[f0:min(f0 + nt * mk.n_f, f_end), c0:c0 + nc]
+    out = _matrix_out(out, (len(src), nc * fh * fw))
     out.reshape(src.shape)[:] = src
     return out
 
@@ -184,21 +153,3 @@ def _matrix_out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
     if out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, not {shape}")
     return out
-
-
-def dump_packed(mat: np.ndarray, kind: str, n: int, tile_shape: tuple) -> str:
-    """Flat text form of a packed matrix, one tile per line (golden tests).
-
-    kind is "input" for pack_input's (K, nt*n) matrix or "filter" for
-    pack_filter's (nt*n, K) one, n the tile width (n_win or n_f) and
-    tile_shape the (nc, fh, fw) split of K. Each tile prints in
-    (i_nc, i_fh, i_fw, i_n) order.
-    """
-    tiles = mat if kind == "input" else mat.T
-    nt = tiles.shape[1] // n
-    lines = [f"# kind={kind} nt={nt} "
-             f"shape={'x'.join(map(str, (*tile_shape, n)))}"]
-    for i in range(nt):
-        vals = tiles[:, i * n:(i + 1) * n].ravel()
-        lines.append(" ".join(f"{float(v):.9g}" for v in vals))
-    return "\n".join(lines) + "\n"

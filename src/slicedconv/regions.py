@@ -3,14 +3,14 @@
 The full iteration space (flattened output windows x output channels x input
 channels) is carved into disjoint rectangular regions before tiling:
 
-  1. a structural split peels the window tail (windows mod n_win) and the
-     filter tail (oc mod n_f) into Remainder regions. They skip the tiling
-     analysis and run the fallback, which packs their windows with the same
-     pack_input as partial-width tiles;
-  2. the aligned main region is then split in order k2 -> k3 -> nc wherever
-     the corresponding tile-size remainder is nonzero. Every peeled region
-     here still spans whole microkernel tiles and re-enters the full tiling
-     and packing pipeline with locally recomputed set counts.
+  1. a structural split peels the window tail (windows mod n_win) into a
+     Remainder region. It skips the tiling analysis and runs the fallback,
+     which packs its windows with the same pack_input as a partial tile;
+  2. the main region, over all output channels, is then split in order
+     k2 -> k3 -> nc wherever the corresponding tile-size remainder is
+     nonzero. Every region here re-enters the full tiling and packing
+     pipeline with locally recomputed set counts; the filter tail
+     (oc mod n_f) is a short last filter tile of one of them.
 
 Regions record their absolute window offset (e_off) so packing can translate
 region-local loop indices into positions of the original tensor.
@@ -89,9 +89,10 @@ def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
     """Split a main region in order k2 -> k3 -> nc on its local remainders.
 
     Each step peels the trailing misaligned part of one dimension into its
-    own region; peeled regions keep Main kind because they still hold whole
-    n_win x n_f tiles and run the full pipeline. Returns regions in peel
-    order ending with the fully aligned core.
+    own region; peeled regions keep Main kind and run the full pipeline.
+    Filter tiles are counted whole, so a partial last filter tile stays in
+    whichever region holds the last whole tiles (or the core when there
+    are none). Returns regions in peel order ending with the core.
     """
     if region.kind is not RegionKind.Main:
         raise ValueError("split_by_strategy expects a Main region")
@@ -135,26 +136,16 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
                  mk: MkInfo) -> list[KernelRegion]:
     """Full region decomposition for a convolution.
 
-    Structural tails (windows mod n_win, oc mod n_f) are Remainder regions
-    served by the fallback; everything else comes from split_by_strategy.
+    The window tail (windows mod n_win) is a Remainder region served by the
+    fallback; everything else comes from split_by_strategy.
     """
-    oc = conv.params.oc
-    ic = conv.params.ic
+    main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=conv.params.oc,
+                                    ic_len=conv.params.ic)
     regions = []
-
-    main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=oc, ic_len=ic)
     if tail is not None:
         regions.append(tail)
-
     if main is not None:
-        oc_main = (oc // mk.n_f) * mk.n_f
-        if oc_main < oc:
-            regions.append(_region(main.spatial_start, main.spatial_len,
-                                   oc_main, oc - oc_main, 0, ic,
-                                   RegionKind.Remainder))
-        if oc_main:
-            aligned = replace(main, oc_len=oc_main)
-            regions.extend(split_by_strategy(aligned, strategy, mk))
+        regions.extend(split_by_strategy(main, strategy, mk))
     return regions
 
 

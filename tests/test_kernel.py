@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -286,7 +287,7 @@ def test_hook_wrapping_builtin_is_bit_identical(rng):
 
 
 def test_fallback_never_calls_the_hook(rng):
-    # ohw = 9 < n_win and oc = 3 < n_f: every region is a Remainder
+    # ohw = 9 < n_win: the only region is the window tail, a Remainder
     p = ConvParams(n=2, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3)
     mk = MkInfo(n_win=16, n_f=8)
 
@@ -361,7 +362,13 @@ def test_hook_reordered_reduction_within_tolerance(rng):
 
 
 def test_accumulator_touch_count(rng):
-    p = ConvParams(n=2, ic=10, ih=12, iw=12, oc=8, fh=3, fw=3)  # 10 = 3 blocks of nc=4
+    # ic 10 = 3 blocks of nc=4; oc 10 ends in a partial 2-filter tile
+    for oc in (8, 10):
+        _check_accumulator_touches(rng, oc)
+
+
+def _check_accumulator_touches(rng, oc):
+    p = ConvParams(n=2, ic=10, ih=12, iw=12, oc=oc, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=5, n_f=4)
     arch = ArchInfo(l1_bytes=2048, l2_bytes=64 * 1024, l3_bytes=256 * 1024)
@@ -370,13 +377,16 @@ def test_accumulator_touch_count(rng):
     counters = RunCounters()
     x, flt = rand_tensors(rng, p)
     out, info = run_convolution(x, flt, p, arch, mk, counters=counters)
-    import math
     expected = math.ceil(p.ic / strat.nc)
-    # every pipelined output tile is touched once per channel block
+    # every pipelined output tile, the partial filter tile included, is
+    # touched once per channel block, and every tile is packed once per
+    # reuse scope
     wtiles_main = conv.ohw // mk.n_win
-    ftiles = p.oc // mk.n_f
+    ftiles = math.ceil(p.oc / mk.n_f)
     assert len(counters.acc_touches) == p.n * wtiles_main * ftiles
     assert set(counters.acc_touches.values()) == {expected}
+    assert set(counters.input_packs.values()) == {1}
+    assert set(counters.filter_packs.values()) == {1}
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
@@ -523,11 +533,19 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
 @pytest.mark.parametrize("chunk_bytes", [None, 448])
 def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
                                                       k3, k2, chunk_bytes):
-    # 7 window tiles of 7 and 5 filter tiles of 4 over two channel blocks
-    # (4 and 2 channels). 448 B is two 8x7 or 14x4 output tiles: (3, 2)
-    # set pairs are then cut between window tiles, (2, 4) ones between
-    # filter tiles; unpatched, every set pair is one call.
-    p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
+    # 7 window tiles of 7 and 5 filter tiles of 4 (the last one 2 filters
+    # short when oc = 18) over two channel blocks (4 and 2 channels). 448 B
+    # is two 8x7 or 14x4 output tiles: (3, 2) set pairs are then cut
+    # between window tiles, (2, 4) ones between filter tiles; unpatched,
+    # every set pair is one call.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk_bytes)
+    for oc in (20, 18):
+        _check_hook_calls(rng, sched, k3, k2, chunk_bytes, oc)
+
+
+def _check_hook_calls(rng, sched, k3, k2, chunk_bytes, oc):
+    p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=7, n_f=4)
     strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
@@ -535,8 +553,6 @@ def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
-    if chunk_bytes is not None:
-        monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk_bytes)
     x, flt = rand_tensors(rng, p)
     out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
     calls = []
@@ -552,9 +568,11 @@ def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
     execute_region(x, flt, out, conv, region, strat, mk, hook=recording)
     cover = {}
     for b, k, f0, w0, height, width in calls:
-        # whole tiles, and the reduction depth of the call's channel block
+        # whole tiles, but for a block that ends at oc, and the reduction
+        # depth of the call's channel block
         assert k in (4 * 9, 2 * 9)
-        assert f0 % mk.n_f == 0 and height % mk.n_f == 0
+        assert f0 % mk.n_f == 0
+        assert height % mk.n_f == 0 or f0 + height == p.oc
         assert w0 % mk.n_win == 0 and width % mk.n_win == 0
         # inside one set pair
         assert f0 // (k2 * mk.n_f) == (f0 + height - 1) // (k2 * mk.n_f)
@@ -565,6 +583,7 @@ def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
     assert sorted(cover) == [(b, k) for b in range(p.n) for k in (18, 36)]
     assert all((cells == 1).all() for cells in cover.values())
     assert any(h > mk.n_f or w > mk.n_win for *_, h, w in calls)
+    assert any(h % mk.n_f for *_, h, w in calls) == bool(p.oc % mk.n_f)
     if chunk_bytes is None:
         assert len(calls) == 2 * 2 * -(-7 // k3) * -(-5 // k2)
     else:

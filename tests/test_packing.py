@@ -1,15 +1,15 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import (FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, conv_info,
                       random_params)
+from packing_oracle import (dump_packed, filter_pack_index,
+                            input_pack_index_general, input_pack_index_simple)
 from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, im2col,
                         pack_filter, pack_input, pad_input)
-from slicedconv.packing import (dump_packed, filter_pack_index,
-                                input_pack_index_general,
-                                input_pack_index_simple)
 
 
 def row_break_free(ts, windows, ow):
@@ -64,10 +64,29 @@ def test_pack_filter_single_element():
 
 
 def test_pack_filter_range_overflow():
-    conv = conv_info(ConvParams(n=1, ic=2, ih=8, iw=8, oc=8, fh=3, fw=3))
-    flt = np.zeros((8, 2, 3, 3), dtype=np.float32)
-    with pytest.raises(IndexError):
-        pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=8), nt=2, nc=2)
+    # Only the region's last tile may be short: a tile that starts at or
+    # past the region's end is refused. oc = 8 is one tile of 8; oc = 13
+    # is three tiles of 4 and a 1-filter last tile, and its first 10
+    # filters are two tiles of 4 and a 2-filter one.
+    for oc, oc_len, n_f, f_tile, nt in ((8, 8, 8, 0, 2), (8, 8, 8, 1, 1),
+                                        (13, 13, 4, 0, 5), (13, 13, 4, 3, 2),
+                                        (13, 13, 4, 4, 1), (13, 10, 4, 3, 1)):
+        conv = conv_info(ConvParams(n=1, ic=2, ih=8, iw=8, oc=oc, fh=3, fw=3))
+        flt = np.zeros((oc, 2, 3, 3), dtype=np.float32)
+        region = replace(full_region(conv), oc_len=oc_len)
+        with pytest.raises(IndexError):
+            pack_filter(flt, region, MkInfo(n_win=4, n_f=n_f), nt=nt, nc=2,
+                        f_tile_start=f_tile)
+    # An out of the full tiles' shape does not hold a short last tile; it
+    # is refused before anything is written.
+    conv = conv_info(ConvParams(n=1, ic=2, ih=8, iw=8, oc=13, fh=3, fw=3))
+    flt = np.zeros((13, 2, 3, 3), dtype=np.float32)
+    for f_tile, nt, rows in ((3, 1, 1), (2, 2, 5)):
+        out = np.full((nt * 4, 18), np.nan, np.float32)
+        with pytest.raises(ValueError, match=f"not \\({rows}, 18\\)"):
+            pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=4),
+                        nt=nt, nc=2, f_tile_start=f_tile, out=out)
+        assert np.isnan(out).all()
 
 
 def test_input_pack_index_simple_examples():
@@ -320,23 +339,28 @@ def test_pack_filter_matrix_is_the_filter_block(rng):
     # The packed filter matrix is the (filters, K) block of the FCHW tensor
     # viewed as (oc, ic*fh*fw), bitwise, whichever tiles and channels the
     # region and offsets select: allocated, or written into a column slice
-    # of a wider buffer or a Fortran-ordered matrix.
-    for _ in range(20):
+    # of a wider buffer or a Fortran-ordered matrix. In odd rounds oc is
+    # short of whole tiles, and the block runs to the partial last tile,
+    # (oc - f0, K).
+    for i in range(20):
         fh, fw = FILTER_SHAPES[int(rng.integers(len(FILTER_SHAPES)))]
         oc, ic, n_f = (int(v) for v in rng.integers(1, 9, 3))
-        p = ConvParams(n=1, ic=ic, ih=fh + 2, iw=fw + 2, oc=oc * n_f,
+        n_f += i % 2  # at least 2, so that a tile can be short
+        short = int(rng.integers(1, n_f)) if i % 2 else 0
+        p = ConvParams(n=1, ic=ic, ih=fh + 2, iw=fw + 2, oc=oc * n_f - short,
                        fh=fh, fw=fw)
         conv = conv_info(p)
         _, flt = _tensors(rng, p)
         mk = MkInfo(n_win=4, n_f=n_f)
         f_tile = int(rng.integers(0, oc))
-        nt = int(rng.integers(1, oc - f_tile + 1))
+        nt = oc - f_tile if short else int(rng.integers(1, oc - f_tile + 1))
         ic_off = int(rng.integers(0, ic))
         nc = int(rng.integers(1, ic - ic_off + 1))
         kk = fh * fw
         want = flt.reshape(p.oc, -1)[f_tile * n_f:(f_tile + nt) * n_f,
                                      ic_off * kk:(ic_off + nc) * kk]
-        buf = np.full((nt * n_f, nc * kk + 3), np.nan, np.float32)
+        assert len(want) == (p.oc - f_tile * n_f if short else nt * n_f)
+        buf = np.full((len(want), nc * kk + 3), np.nan, np.float32)
         fortran = np.empty(want.shape, np.float32, order="F")
         for out in (None, buf[:, 1:-2], fortran):
             m = pack_filter(flt, full_region(conv), mk, nt=nt, nc=nc,

@@ -5,10 +5,12 @@ import sys
 import numpy as np
 
 from conftest import (CALIBRATED_ARCH, REF_MK, REF_PARAMS, cli_env, conv_info,
-                      random_params)
+                      rand_tensors, random_params)
 from slicedconv import (MkInfo, RegionKind, Schedule, TilingStrategy, analyze,
-                        coverage_check, plan_regions, split_by_strategy,
-                        split_input_domain)
+                        coverage_check, naive_conv, pack_filter, plan_regions,
+                        run_convolution, split_by_strategy, split_input_domain)
+from slicedconv import kernel
+from slicedconv.harness import max_relative_error
 
 
 def _strategy(nc, k2, k3, schedule=Schedule.InputStationary):
@@ -92,6 +94,10 @@ def test_coverage_random_plans(rng):
         assert coverage_check(regions, conv)
         assert _exhaustive_cover(regions, conv)
         assert all(r.e_off == r.spatial_start for r in regions)
+        # the only Remainder region is the window tail
+        assert all(r.spatial_len < mk.n_win and r.oc_len == p.oc
+                   and r.ic_len == p.ic for r in regions
+                   if r.kind is RegionKind.Remainder)
 
 
 def test_coverage_detects_duplicate_and_gap():
@@ -114,16 +120,33 @@ def test_reference_plan_lens():
     assert coverage_check(regions, conv)
 
 
-def test_structural_oc_tail_is_remainder():
+def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
+    # 13 mod 8 = 5 filters: no region of their own, but a 5-row last
+    # filter set in the main regions, which span every output channel
     p = random_params(np.random.default_rng(9), max_out=8)
-    p = type(p)(**{**p.__dict__, "oc": 13})  # 13 mod 8 = 5 filters peel off
+    p = type(p)(**{**p.__dict__, "oc": 13})
     conv = conv_info(p.padded())
     mk = MkInfo(n_win=4, n_f=8)
     strat = analyze(conv, CALIBRATED_ARCH, mk)
     regions = plan_regions(conv, strat, mk)
-    tails = [r for r in regions if r.kind is RegionKind.Remainder and r.oc_len == 5]
-    assert tails and all(t.oc_start == 8 for t in tails)
+    mains = [r for r in regions if r.kind is RegionKind.Main]
+    assert mains and all((r.oc_start, r.oc_len) == (0, 13) for r in mains)
+    assert all(r.oc_len == 13 for r in regions
+               if r.kind is RegionKind.Remainder)
     assert coverage_check(regions, conv)
+
+    rows = {}
+
+    def recording(filters, region, mk, nt, nc, f_tile_start=0, **kw):
+        m = pack_filter(filters, region, mk, nt, nc, f_tile_start, **kw)
+        rows[f_tile_start] = m.shape[0]
+        return m
+
+    monkeypatch.setattr(kernel, "pack_filter", recording)
+    x, flt = rand_tensors(rng, p)
+    out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+    assert rows == {0: 8, 1: 5}
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
 def test_regions_json_roundtrip():
