@@ -13,18 +13,19 @@ The loop nest for one region comes from build_plan, outermost to innermost:
 execute_region walks the four outer loops. Under the input-stationary
 schedule the window-tile sets (k3 tiles) are stationary, each multipacked
 once when the set is entered, and the filter-tile sets (k2 tiles) stream
-inside them, multipacked per set. The weight-stationary
-schedule is the mirror image: each filter set is packed once per batch
-and channel block, and inputs are multipacked per window set.
+inside them, taken per set. The weight-stationary schedule is the mirror
+image: each filter set is taken once per batch and channel block, and
+inputs are multipacked per window set.
 
-A set is packed as one matrix in the layout a GEMM reads best, which is
-the packers' own: a window set K-major, (K, windows), and a filter set
-row-major, (filters, K). The two tile loops are collapsed into the set
-product: one microkernel call, (M, K) @ (K, W), per block of whole tiles
-of the set pair's output. A microkernel hook, passed as execute_region's
-hook argument, replaces exactly those calls.
+A set is one matrix in the layout a GEMM reads best, which is the
+packers' own: a window set K-major, (K, windows), copied into a reused
+buffer, and a filter set row-major, (filters, K), a read-only view of the
+filter tensor that nothing copies. The two tile loops are collapsed into
+the set product: one microkernel call, (M, K) @ (K, W), per block of
+whole tiles of the set pair's output. A microkernel hook, passed as
+execute_region's hook argument, replaces exactly those calls.
 
-_CHUNK_BYTES (64 KiB) bounds one call's output block: the set pair's
+_CHUNK_BYTES (256 KiB) bounds one call's output block: the set pair's
 output is cut along its longer side, in whole tiles, so the GEMM's
 temporary does not grow with the set size. Packing needs no such bound:
 pack_input copies from a strided view of the input straight into the
@@ -55,9 +56,13 @@ from .packing import pack_filter, pack_input
 from .regions import KernelRegion, RegionKind
 from .strategy import Schedule, TilingStrategy
 
-# Byte budget of one microkernel call's output block. 128 KiB raised
-# resnet_late's peak_mib 5 % (1.188 -> 1.252 MiB), past its 0.05 bound.
-_CHUNK_BYTES = 64 * 1024
+# Byte budget of one microkernel call's output block, and so of the GEMM's
+# temporary, which counts toward a run's peak memory. Larger blocks mean
+# fewer, faster GEMMs. Filter sets are views and take no buffer (one would
+# be up to 256 KiB), and 256 KiB blocks spend that headroom. A 1 MiB block
+# was faster still per layer, but its temporary pushed resnet_late's
+# peak_mib past its 5 % bound.
+_CHUNK_BYTES = 256 * 1024
 
 
 def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
@@ -95,7 +100,9 @@ class RunCounters:
     A tile packed once per reuse scope shows up as count 1 under a key that
     names that scope: the stationary tensor's tiles are keyed (batch, first
     channel of the block, tile) and the streamed tensor's tiles additionally
-    carry the stationary set they were repacked for.
+    carry the stationary set they were repacked for. A filter tile counts
+    when its set is taken as a view of the filter tensor, though nothing is
+    copied.
     """
 
     input_packs: Counter = field(default_factory=Counter)
@@ -124,12 +131,14 @@ def build_plan(region: KernelRegion, strategy: TilingStrategy,
 
 
 class _SetPacker:
-    """Packs the window and filter sets of one region into reused buffers.
+    """Packs the window sets of one region into reused buffers and takes
+    its filter sets as views; records both.
 
-    A buffer is allocated once per (tensor, channel block width) and holds
-    one set, or the whole region if smaller, as one matrix: a window set
-    K-major, (K, windows), and a filter set row-major, (filters, K).
-    pack() fills its first tiles with one multipack and records the packs.
+    A window buffer is allocated once per channel block width and holds
+    one set, or the whole region if smaller, as one K-major matrix,
+    (K, windows); pack() fills its first columns with one multipack. A
+    filter set is the read-only (filters, K) view pack_filter returns,
+    which needs no buffer.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "mk", "counters", "bufs")
@@ -150,30 +159,26 @@ class _SetPacker:
              ic_off: int, ncl: int, scope: int | None = None) -> np.ndarray:
         """Pack tiles [first, first+count) of loop's tensor as one matrix.
 
-        Window tiles come back as (K, count*n_win), filter tiles as (rows,
-        K), short of count*n_f by a partial last tile. scope is None for
-        the stationary set; for a streamed set it is the first tile of the
-        stationary set it is packed for, part of the RunCounters key.
+        Window tiles come back as (K, count*n_win) in a buffer, filter
+        tiles as a read-only (rows, K) view, short of count*n_f by a
+        partial last tile. scope is None for the stationary set; for a
+        streamed set it is the first tile of the stationary set it is
+        packed for, part of the RunCounters key.
         """
         p, mk, region = self.conv.params, self.mk, self.region
         windows = loop.dim == "window_set"
-        n = mk.n_win if windows else mk.n_f
-        extent = region.spatial_len if windows else region.oc_len
-        k = ncl * p.fh * p.fw
-        width = min(loop.step * n, extent)
-        used = min(count * n, extent - first * n)
-        shape = (k, width) if windows else (width, k)
-        buf = self.bufs.get((loop.dim, shape))
-        if buf is None:
-            buf = self.bufs[loop.dim, shape] = np.empty(shape, dtype=DTYPE)
         if windows:
+            n = mk.n_win
+            shape = (ncl * p.fh * p.fw, min(loop.step * n, region.spatial_len))
+            buf = self.bufs.get(shape)
+            if buf is None:
+                buf = self.bufs[shape] = np.empty(shape, dtype=DTYPE)
             mat = pack_input(self.x, self.conv, region, (first * n, 0), mk,
                              nt=count, nc=ncl, batch=b, ic_off=ic_off,
-                             out=buf[:, :used])
+                             out=buf[:, :count * n])
         else:
             mat = pack_filter(self.filters, region, mk, nt=count, nc=ncl,
-                              f_tile_start=first, ic_off=ic_off,
-                              out=buf[:used])
+                              f_tile_start=first, ic_off=ic_off)
         if self.counters is not None:
             packs = (self.counters.input_packs if windows
                      else self.counters.filter_packs)
@@ -247,10 +252,11 @@ def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
     """acc += f_mat @ in_mat, one microkernel call per block of whole tiles.
 
     in_mat is a K-major window set (K, W), f_mat a row-major filter set
-    (M, K) and acc the (M, W) output block of the set pair. The product is
-    cut along acc's longer side, in whole n_win or n_f tiles (a block that
-    ends at M may hold a partial one), into blocks whose GEMM output fits
-    _CHUNK_BYTES (at least one tile each), and each block is one call
+    (M, K), a read-only view of the filter tensor, and acc the (M, W)
+    output block of the set pair. The product is cut along acc's longer
+    side, in whole n_win or n_f tiles (a block that ends at M may hold a
+    partial one), into blocks whose GEMM output fits _CHUNK_BYTES, 256 KiB
+    (at least one tile each), and each block is one call
     microkernel(in_mat[:, cols], f_mat[rows].T, acc[rows, cols]). A hook
     replaces exactly that call, with the same three arrays, so a hook that
     wraps microkernel gives bitwise the built-in result. microkernel is

@@ -3,10 +3,16 @@
 Each packer returns its nt tiles as one GEMM operand, with the reduction
 axis K = nc*fh*fw ordered (i_nc, i_fh, i_fw) as im2col's rows are:
 
-  filter: (nt*n_f, K) row-major - a copy of the filter slice, no
-                                  replication;
+  filter: (nt*n_f, K) row-major - the filter slice itself, no
+                                  replication: a read-only view of a
+                                  C-contiguous filter tensor, with row
+                                  stride ic*fh*fw, or a copy into out=;
   input:  (K, nt*n_win) K-major - one column per window; elements shared
                                   by overlapping windows are replicated.
+
+The filter slice needs no packing to be a GEMM operand, since the GEMM
+behind the microkernel packs its own operands; only the input's windows
+are gathered.
 
 Multipacking packs ``nt`` consecutive tiles in one pass: tile t of a
 multipack starts n_f filters (or n_win windows) after tile t-1.
@@ -55,9 +61,12 @@ def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
     Returns the (rows, nc*fh*fw) matrix whose row i_nt*n_f + i_nf is
     filters[f0 + i_nt*n_f + i_nf, c0:c0 + nc] flattened, with f0/c0 the
     region-relative starting filter and channel, and rows = nt*n_f less
-    what a partial last tile at the region's end lacks. Pure data movement,
-    no replication. out, when given, must have that shape (ValueError
-    before anything is written) and is filled and returned.
+    what a partial last tile at the region's end lacks. Without out, the
+    matrix is a read-only view of filters when they are C-contiguous (as
+    the engine's always are), with row stride ic*fh*fw: nothing is copied,
+    and a kernel that writes into it raises ValueError rather than change
+    the caller's filters. out, when given, must have that shape
+    (ValueError before anything is written) and is filled and returned.
     """
     fh, fw = filters.shape[2], filters.shape[3]
     f0 = region.oc_start + f_tile_start * mk.n_f
@@ -69,7 +78,14 @@ def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
         raise IndexError("channel range overflows the region")
 
     src = filters[f0:min(f0 + nt * mk.n_f, f_end), c0:c0 + nc]
-    out = _matrix_out(out, (len(src), nc * fh * fw))
+    shape = (len(src), nc * fh * fw)
+    if out is None:
+        mat = src.reshape(shape)
+        # Not flags.writeable = False: each such assignment left ~57 B
+        # allocated, which the traced peak counts.
+        mat.setflags(write=False)
+        return mat
+    out = _matrix_out(out, shape)
     out.reshape(src.shape)[:] = src
     return out
 

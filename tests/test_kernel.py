@@ -1,15 +1,17 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import CALIBRATED_ARCH, REF_MK, conv_info, rand_tensors, random_params
+from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
+                      rand_tensors, random_params)
 from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
-                        build_plan, execute_region, microkernel, naive_conv,
-                        naive_fallback_region, run_convolution)
+                        build_plan, execute_region, load_arch, microkernel,
+                        naive_conv, naive_fallback_region, run_convolution)
 from slicedconv import kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
@@ -312,6 +314,47 @@ def test_hook_registry_and_garbage_hook_detected(rng):
     assert max_relative_error(out, ref) > 1e-4  # negative test
     out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
     assert max_relative_error(out, ref) <= 1e-4
+
+
+def test_hook_cannot_write_into_the_filters(rng):
+    # run_convolution passes C-contiguous f32 filters through uncopied and
+    # packed_f is a view of them, so the view is read-only: a hook that
+    # writes into it fails instead of changing the caller's tensor.
+    p = ConvParams(n=1, ic=4, ih=12, iw=12, oc=10, fh=3, fw=3)
+    mk = MkInfo(n_win=4, n_f=4)
+    x, flt = rand_tensors(rng, p)
+    before = flt.tobytes()
+
+    def scribbling(pin, pf, acc):
+        pf[...] = 0.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=scribbling)
+    assert flt.tobytes() == before and flt.flags.writeable
+
+
+def test_weight_stationary_run_holds_no_filter_set_copy(rng):
+    # Pointwise 256 -> 1024 at 4x4 under intel.toml: weight-stationary,
+    # one 1024-filter set per 64-channel block, and a filter tensor of
+    # 1 MiB next to a 64 KiB output. Filter sets are views of the filter
+    # tensor, so the run's whole traced peak stays below the bytes of one
+    # filter set, which a run that copied its sets would hold on top.
+    p = ConvParams(n=1, ic=256, ih=4, iw=4, oc=1024, fh=1, fw=1)
+    arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
+    strat = analyze(conv_info(p), arch, mk)
+    assert strat.schedule is Schedule.WeightStationary
+    set_bytes = min(strat.k2 * mk.n_f, p.oc) * strat.nc * p.fh * p.fw * 4
+    assert set_bytes >= 256 * 1024
+    x, flt = rand_tensors(rng, p)
+    run_convolution(x, flt, p, arch, mk)  # warm-up
+    tracemalloc.start()
+    try:
+        out, _ = run_convolution(x, flt, p, arch, mk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < set_bytes, (peak, set_bytes)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
 def test_concurrent_hook_does_not_leak_into_other_runs(rng):

@@ -338,10 +338,10 @@ def test_packed_tile_rejects_size_mismatch(rng):
 def test_pack_filter_matrix_is_the_filter_block(rng):
     # The packed filter matrix is the (filters, K) block of the FCHW tensor
     # viewed as (oc, ic*fh*fw), bitwise, whichever tiles and channels the
-    # region and offsets select: allocated, or written into a column slice
-    # of a wider buffer or a Fortran-ordered matrix. In odd rounds oc is
-    # short of whole tiles, and the block runs to the partial last tile,
-    # (oc - f0, K).
+    # region and offsets select: a read-only view of the filters, or
+    # written into a column slice of a wider buffer or a Fortran-ordered
+    # matrix. In odd rounds oc is short of whole tiles, and the block runs
+    # to the partial last tile, (oc - f0, K).
     for i in range(20):
         fh, fw = FILTER_SHAPES[int(rng.integers(len(FILTER_SHAPES)))]
         oc, ic, n_f = (int(v) for v in rng.integers(1, 9, 3))
@@ -362,12 +362,20 @@ def test_pack_filter_matrix_is_the_filter_block(rng):
         assert len(want) == (p.oc - f_tile * n_f if short else nt * n_f)
         buf = np.full((len(want), nc * kk + 3), np.nan, np.float32)
         fortran = np.empty(want.shape, np.float32, order="F")
+        got = []
         for out in (None, buf[:, 1:-2], fortran):
             m = pack_filter(flt, full_region(conv), mk, nt=nt, nc=nc,
                             f_tile_start=f_tile, ic_off=ic_off, out=out)
             assert out is None or m is out
             assert np.array_equal(m, want)
+            got.append(m)
         assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, -2:]).all()
+        view = got[0]
+        assert np.shares_memory(view, flt) and not view.flags.writeable
+        assert flt.flags.writeable
+        for copy in got[1:]:
+            assert not np.shares_memory(copy, flt)
+            assert view.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("short", ["row", "col"])
