@@ -8,8 +8,7 @@ around an outer-product microkernel, plus an oracle-checked harness.
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
 from .engine import RunInfo, run_convolution
 from .harness import ConvCase, CaseReport, load_suite, run_suite
-from .kernel import (RunCounters, build_plan, execute_region, microkernel,
-                     naive_fallback_region)
+from .kernel import RunCounters, build_plan, execute_region, microkernel
 from .model import ConvParams, out_shape, pad_input
 from .packing import pack_filter, pack_input
 from .reference import im2col, naive_conv
@@ -24,7 +23,6 @@ __all__ = [
     "RunInfo", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
     "RunCounters", "build_plan", "execute_region", "microkernel",
-    "naive_fallback_region",
     "ConvParams", "out_shape", "pad_input",
     "pack_filter", "pack_input",
     "im2col", "naive_conv",

@@ -10,7 +10,7 @@ converted to bytes:
     cache_line = 64     # bytes
     n_win = 16          # optional microkernel defaults
     n_f = 8
-    vector_bits = 128
+    vector_bits = 128   # accepted and integer-checked; the engine ignores it
 
 Omitted keys fall back to documented defaults (32 KiB / 1 MiB / no L3 / 64 B).
 """
@@ -57,17 +57,14 @@ class ArchInfo:
 
 @dataclass(frozen=True)
 class MkInfo:
-    """Microkernel shape: windows x filters per call, plus vector width."""
+    """Microkernel shape: windows x filters per tile."""
 
     n_win: int
     n_f: int
-    vector_bytes: int = 16
 
     def __post_init__(self):
         if self.n_win < 1 or self.n_f < 1:
             raise ValueError("n_win and n_f must be >= 1")
-        if self.vector_bytes < 1:
-            raise ValueError("vector_bytes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -133,5 +130,4 @@ def load_mk(path, n_win=None, n_f=None) -> MkInfo:
     nf = n_f if n_f is not None else values.get("n_f")
     if win is None or nf is None:
         raise ValueError("microkernel shape (n_win, n_f) not given and not in file")
-    vec_bits = values.get("vector_bits", 128)
-    return MkInfo(n_win=win, n_f=nf, vector_bytes=vec_bits // 8)
+    return MkInfo(n_win=win, n_f=nf)

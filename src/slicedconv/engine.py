@@ -1,11 +1,10 @@
 """End-to-end driver: pad once, analyze, split into regions, execute.
 
 Padding is materialized up front so the tiled pipeline and every packing
-equation can assume pad = 0. Main regions (whole n_win window tiles, over
-any number of filters) run the tiled macrokernel; the window tail, a
-Remainder region of fewer than n_win windows, takes the fallback, which
-gathers its windows through the same pack_input and does one GEMM per
-batch image.
+equation can assume pad = 0. Every region runs the tiled macrokernel. The
+window tail, a Remainder region of fewer than n_win windows, runs as one
+set pair: one partial window tile against all its filters over all its
+channels, which is one GEMM per batch image.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchInfo, ConvInfo, MkInfo
-from .kernel import RunCounters, execute_region, naive_fallback_region
+from .kernel import RunCounters, execute_region
 from .model import DTYPE, ConvParams, make_tensor4d, out_shape, pad_input
 from .regions import KernelRegion, RegionKind, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
@@ -56,10 +55,13 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
 
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
     for region in regions:
-        if region.kind is RegionKind.Main:
-            execute_region(xp, filters, out, conv, region, strategy, mk,
-                           hook=hook, counters=counters)
-        else:
-            naive_fallback_region(xp, filters, out, conv, region, mk)
+        strat = strategy
+        if region.kind is RegionKind.Remainder:
+            # Positional, not dataclasses.replace: its keyword call leaves a
+            # dict on CPython's free list, which the traced peak counts.
+            strat = TilingStrategy(strategy.schedule, region.ic_len,
+                                   -(-region.oc_len // mk.n_f), 1, 0, 0, 0)
+        execute_region(xp, filters, out, conv, region, strat, mk,
+                       hook=hook, counters=counters)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 

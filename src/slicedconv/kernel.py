@@ -31,11 +31,11 @@ temporary does not grow with the set size. Packing needs no such bound:
 pack_input copies from a strided view of the input straight into the
 set's buffer.
 
-The window tail (fewer than n_win windows, a Remainder region) takes
-naive_fallback_region instead; the filter tail (oc mod n_f) is a short
-last filter tile of a Main region. The fallback gathers the tail's
-windows through the same pack_input, over all channels, in one GEMM per
-batch, so pack_input is the engine's only window gather.
+Every region runs through execute_region. A region's last window tile
+and last filter tile may be short: the window tail (fewer than n_win
+windows, a Remainder region) is one partial window tile, and the filter
+tail (oc mod n_f) a partial last filter tile; the packers cut them at the
+region's end and the GEMM takes any width.
 
 Partial sums are accumulated directly into the output tensor, which the
 driver zero-initializes; an output tile is therefore touched once per
@@ -53,7 +53,7 @@ import numpy as np
 from .arch import ConvInfo, MkInfo
 from .model import DTYPE
 from .packing import pack_filter, pack_input
-from .regions import KernelRegion, RegionKind
+from .regions import KernelRegion
 from .strategy import Schedule, TilingStrategy
 
 # Byte budget of one microkernel call's output block, and so of the GEMM's
@@ -112,11 +112,12 @@ class RunCounters:
 
 def build_plan(region: KernelRegion, strategy: TilingStrategy,
                mk: MkInfo, n_batches: int = 1) -> LoopNestPlan:
-    """Loop nest for a Main region under the chosen schedule."""
-    if region.kind is not RegionKind.Main:
-        raise ValueError("build_plan expects a Main region")
-    wtiles = region.spatial_len // mk.n_win
-    ftiles = -(-region.oc_len // mk.n_f)  # a short last tile counts
+    """Loop nest for a region under the chosen schedule.
+
+    Tiles are counted with a ceiling: a short last tile counts.
+    """
+    wtiles = -(-region.spatial_len // mk.n_win)
+    ftiles = -(-region.oc_len // mk.n_f)
     batch = LoopSpec("batch", n_batches, 1)
     chan = LoopSpec("channel", region.ic_len, strategy.nc)
     wset = LoopSpec("window_set", wtiles, strategy.k3)
@@ -136,9 +137,9 @@ class _SetPacker:
 
     A window buffer is allocated once per channel block width and holds
     one set, or the whole region if smaller, as one K-major matrix,
-    (K, windows); pack() fills its first columns with one multipack. A
-    filter set is the read-only (filters, K) view pack_filter returns,
-    which needs no buffer.
+    (K, windows); pack() fills its first columns, as many as the region
+    has windows left, with one multipack. A filter set is the read-only
+    (filters, K) view pack_filter returns, which needs no buffer.
     """
 
     __slots__ = ("x", "filters", "conv", "region", "mk", "counters", "bufs")
@@ -159,23 +160,24 @@ class _SetPacker:
              ic_off: int, ncl: int, scope: int | None = None) -> np.ndarray:
         """Pack tiles [first, first+count) of loop's tensor as one matrix.
 
-        Window tiles come back as (K, count*n_win) in a buffer, filter
-        tiles as a read-only (rows, K) view, short of count*n_f by a
-        partial last tile. scope is None for the stationary set; for a
-        streamed set it is the first tile of the stationary set it is
-        packed for, part of the RunCounters key.
+        Window tiles come back as (K, columns) in a buffer, filter tiles
+        as a read-only (rows, K) view, each short of count*n_win or
+        count*n_f by a partial last tile at the region's end. scope is
+        None for the stationary set; for a streamed set it is the first
+        tile of the stationary set it is packed for, part of the
+        RunCounters key.
         """
         p, mk, region = self.conv.params, self.mk, self.region
         windows = loop.dim == "window_set"
         if windows:
-            n = mk.n_win
+            n, w0 = mk.n_win, first * mk.n_win
             shape = (ncl * p.fh * p.fw, min(loop.step * n, region.spatial_len))
             buf = self.bufs.get(shape)
             if buf is None:
                 buf = self.bufs[shape] = np.empty(shape, dtype=DTYPE)
-            mat = pack_input(self.x, self.conv, region, (first * n, 0), mk,
+            mat = pack_input(self.x, self.conv, region, (w0, 0), mk,
                              nt=count, nc=ncl, batch=b, ic_off=ic_off,
-                             out=buf[:, :count * n])
+                             out=buf[:, :min(count * n, region.spatial_len - w0)])
         else:
             mat = pack_filter(self.filters, region, mk, nt=count, nc=ncl,
                               f_tile_start=first, ic_off=ic_off)
@@ -193,7 +195,7 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                    conv: ConvInfo, region: KernelRegion,
                    strategy: TilingStrategy, mk: MkInfo,
                    hook=None, counters: RunCounters | None = None) -> None:
-    """Run the tiled pipeline for one Main region; accumulates into out.
+    """Run the tiled pipeline for one region; accumulates into out.
 
     x must be pre-padded (conv carries pad=0); out is (n, oc, oh, ow) and the
     region's output ranges must already hold the partial sums accumulated so
@@ -205,14 +207,10 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     matrix and the (height, width) accumulator block to update in place.
     Its results must match the built-in kernel within the engine tolerance.
     """
-    if region.kind is not RegionKind.Main:
-        raise ValueError("execute_region expects a Main region")
     if not out.flags.c_contiguous:
         raise ValueError("output tensor must be C-contiguous")
     p = conv.params
     n_win, n_f = mk.n_win, mk.n_f
-    if region.spatial_len % n_win:
-        raise ValueError("Main region is not aligned to n_win windows")
 
     plan = build_plan(region, strategy, mk, p.n)
     batch, chan, outer, inner = plan.loops[:4]
@@ -254,9 +252,9 @@ def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
     in_mat is a K-major window set (K, W), f_mat a row-major filter set
     (M, K), a read-only view of the filter tensor, and acc the (M, W)
     output block of the set pair. The product is cut along acc's longer
-    side, in whole n_win or n_f tiles (a block that ends at M may hold a
-    partial one), into blocks whose GEMM output fits _CHUNK_BYTES, 256 KiB
-    (at least one tile each), and each block is one call
+    side, in whole n_win or n_f tiles (a block that ends at W or M may
+    hold a partial one), into blocks whose GEMM output fits _CHUNK_BYTES,
+    256 KiB (at least one tile each), and each block is one call
     microkernel(in_mat[:, cols], f_mat[rows].T, acc[rows, cols]). A hook
     replaces exactly that call, with the same three arrays, so a hook that
     wraps microkernel gives bitwise the built-in result. microkernel is
@@ -274,35 +272,3 @@ def _set_product(in_mat, f_mat, acc, n_win, n_f, hook):
         for c in range(0, w, cols):
             (microkernel if hook is None else hook)(
                 in_mat[:, c:c + cols], f_blk, acc[r:r + rows, c:c + cols])
-
-
-def naive_fallback_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
-                          conv: ConvInfo, region: KernelRegion,
-                          mk: MkInfo) -> None:
-    """Direct convolution of a remainder region; accumulates into out.
-
-    The engine sends it only the window tail, a Remainder region of fewer
-    than n_win windows, which skips the tiling analysis and the hook; any
-    region is accepted. The region's windows are gathered in chunks of at
-    most mk.n_win by pack_input, across all of the region's channels, and
-    each chunk is multiplied by the region's filter block in one GEMM.
-    """
-    p = conv.params
-    if region.spatial_len == 0 or region.oc_len == 0 or region.ic_len == 0:
-        return
-    if not out.flags.c_contiguous:
-        raise ValueError("output tensor must be C-contiguous")
-    c0, c1 = region.ic_start, region.ic_start + region.ic_len
-    o0, o1 = region.oc_start, region.oc_start + region.oc_len
-    flt = filters[o0:o1, c0:c1].reshape(region.oc_len, -1)
-    out_flat = out.reshape(p.n, p.oc, conv.ohw)
-    for w_off in range(0, region.spatial_len, mk.n_win):
-        width = min(mk.n_win, region.spatial_len - w_off)
-        # Positional, not dataclasses.replace: its keyword call leaves a
-        # dict on CPython's free list, which the traced peak counts.
-        chunk_mk = MkInfo(width, mk.n_f, mk.vector_bytes)
-        w0 = region.spatial_start + w_off
-        for b in range(p.n):
-            out_flat[b, o0:o1, w0:w0 + width] += flt @ pack_input(
-                x, conv, region, (w_off, 0), chunk_mk, nt=1,
-                nc=region.ic_len, batch=b)

@@ -15,7 +15,9 @@ behind the microkernel packs its own operands; only the input's windows
 are gathered.
 
 Multipacking packs ``nt`` consecutive tiles in one pass: tile t of a
-multipack starts n_f filters (or n_win windows) after tile t-1.
+multipack starts n_f filters (or n_win windows) after tile t-1. Either
+packer takes a partial last tile at the region's end, so a region needs
+no whole number of tiles on either axis.
 
 Input packing is driven by the window arithmetic over the flattened output
 spatial dimension. With ``ts`` the absolute starting window of the group
@@ -37,8 +39,8 @@ pack_input applies these equations as strides rather than as index arrays:
 one view of the input slice, shaped (nc, fh, fw, oh, ow) with
 strides (channel, dil_h*row, dil_w*col, stride_h*row, stride_w*col), holds
 every window's elements in place. Within one output row the equations are
-affine, and each row of the K-major matrix holds the group's nt*n_win
-windows as one run. So the group takes at most three slice copies from the
+affine, and each row of the K-major matrix holds the group's windows as
+one run. So the group takes at most three slice copies from the
 view: the rest of its first output row, one block of whole rows, and the
 start of its last row. The tests' oracle, tests/packing_oracle.py, spells
 the same equations out as scalar index functions.
@@ -100,9 +102,11 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
     in window units; together with the region offset they fix the absolute
     group start ts. Multipack callers pass i_oin = 0.
 
-    Returns the K-major (nc*fh*fw, nt*n_win) matrix whose column g holds
+    Returns the K-major (nc*fh*fw, windows) matrix whose column g holds
     the input elements projected by window ts + g, one per (i_nc, i_fh,
-    i_fw). The input is read in place when x is C-contiguous (as the
+    i_fw), with windows = nt*n_win less what a partial last tile at the
+    region's end lacks; a tile that starts at or past that end raises
+    IndexError. The input is read in place when x is C-contiguous (as the
     engine's always is) and copied one channel block per call otherwise.
     out, when given, must have that shape (ValueError before anything is
     written) and is filled and returned; any strides will do.
@@ -116,11 +120,12 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
 
     i_oout, i_oin = loop_state
     ts = region.e_off + i_oout + i_oin
-    total = nt * mk.n_win
-    if ts < 0 or ts + total > conv.ohw:
+    end = region.e_off + region.spatial_len
+    if ts < 0 or ts + (nt - 1) * mk.n_win >= end or end > conv.ohw:
         raise IndexError(
-            f"window group [{ts}, {ts + total}) outside output domain "
-            f"(splitting bug)")
+            f"window group of {nt} tiles at {ts} outside region "
+            f"[{region.e_off}, {end}) of {conv.ohw} windows (splitting bug)")
+    total = min(nt * mk.n_win, end - ts)
 
     # view[i_nc, i_fh, i_fw, r, q] is the element that output (r, q) reads
     # under filter offset (i_fh, i_fw): the packing equations as strides.

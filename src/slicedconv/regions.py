@@ -4,8 +4,9 @@ The full iteration space (flattened output windows x output channels x input
 channels) is carved into disjoint rectangular regions before tiling:
 
   1. a structural split peels the window tail (windows mod n_win) into a
-     Remainder region. It skips the tiling analysis and runs the fallback,
-     which packs its windows with the same pack_input as a partial tile;
+     Remainder region. It skips the tiling analysis: it runs the same
+     pipeline as one set pair, a partial window tile over all channels
+     and filters;
   2. the main region, over all output channels, is then split in order
      k2 -> k3 -> nc wherever the corresponding tile-size remainder is
      nonzero. Every region here re-enters the full tiling and packing
@@ -136,8 +137,8 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
                  mk: MkInfo) -> list[KernelRegion]:
     """Full region decomposition for a convolution.
 
-    The window tail (windows mod n_win) is a Remainder region served by the
-    fallback; everything else comes from split_by_strategy.
+    The window tail (windows mod n_win) is a Remainder region, run as one
+    set pair; everything else comes from split_by_strategy.
     """
     main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=conv.params.oc,
                                     ic_len=conv.params.ic)

@@ -47,8 +47,12 @@ def test_comments_and_blanks():
 
 
 def test_load_mk_from_file_and_override():
+    # calibrated.toml also sets vector_bits, which is accepted and
+    # integer-checked but describes no part of the microkernel shape
     mk = load_mk(FIXTURES / "calibrated.toml")
-    assert (mk.n_win, mk.n_f, mk.vector_bytes) == (16, 8, 16)
+    assert mk == MkInfo(n_win=16, n_f=8)
+    with pytest.raises(ValueError, match="vector_bits"):
+        parse_arch_text("vector_bits = wide\n")
     mk = load_mk(FIXTURES / "calibrated.toml", n_win=4, n_f=4)
     assert (mk.n_win, mk.n_f) == (4, 4)
 

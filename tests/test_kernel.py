@@ -11,12 +11,14 @@ from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
 from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
                         build_plan, execute_region, load_arch, microkernel,
-                        naive_conv, naive_fallback_region, run_convolution)
+                        naive_conv, run_convolution)
 from slicedconv import kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
 from slicedconv.packing import pack_input
 from slicedconv.regions import plan_regions
+
+SCHEDULES = (Schedule.InputStationary, Schedule.WeightStationary)
 
 
 def make_accumulator(n_f, n_win):
@@ -160,11 +162,10 @@ def test_both_schedules_match_oracle(rng):
         strat = TilingStrategy(schedule=sched, nc=8, k2=2, k3=3,
                                r_nc=0, r_k2=0, r_k3=0)
         out = np.zeros((1, 16, conv.oh, conv.ow), dtype=np.float32)
-        for region in plan_regions(conv, strat, mk):
-            if region.kind is RegionKind.Main:
-                execute_region(x, flt, out, conv, region, strat, mk)
-            else:
-                naive_fallback_region(x, flt, out, conv, region, mk)
+        regions = plan_regions(conv, strat, mk)
+        assert regions[0].kind is RegionKind.Remainder  # one-window tail
+        for region in regions:
+            execute_region(x, flt, out, conv, region, strat, mk)
         assert max_relative_error(out, ref) <= 1e-4
 
 
@@ -202,10 +203,7 @@ def test_region_order_is_irrelevant(rng):
     def run(order):
         out = np.zeros((1, 12, conv.oh, conv.ow), dtype=np.float32)
         for region in order:
-            if region.kind is RegionKind.Main:
-                execute_region(x, flt, out, conv, region, strat, mk)
-            else:
-                naive_fallback_region(x, flt, out, conv, region, mk)
+            execute_region(x, flt, out, conv, region, strat, mk)
         return out
 
     a = run(regions)
@@ -213,7 +211,14 @@ def test_region_order_is_irrelevant(rng):
     assert np.array_equal(a, b)
 
 
-def test_naive_fallback_nine_window_tail(rng):
+def _one_set_pair(sched, region, mk):
+    """The engine's strategy for a window tail: one set pair."""
+    return TilingStrategy(schedule=sched, nc=region.ic_len,
+                          k2=-(-region.oc_len // mk.n_f), k3=1,
+                          r_nc=0, r_k2=0, r_k3=0)
+
+
+def test_execute_region_nine_window_tail(rng):
     # the 75x75 example's 9-window tail, checked against the oracle
     from conftest import REF_PARAMS
     conv = conv_info(REF_PARAMS)
@@ -224,56 +229,66 @@ def test_naive_fallback_nine_window_tail(rng):
     p_small = ConvParams(n=1, ic=2, ih=77, iw=77, oc=4, fh=3, fw=3)
     conv_small = conv_info(p_small)
     x, flt = rand_tensors(rng, p_small)
-    out = np.zeros((1, 4, 75, 75), dtype=np.float32)
     tail_small = type(tail)(spatial_start=5616, spatial_len=9, oc_start=0,
                             oc_len=4, ic_start=0, ic_len=2,
                             kind=RegionKind.Remainder, e_off=5616)
-    naive_fallback_region(x, flt, out, conv_small, tail_small, REF_MK)
     ref = naive_conv(x, flt, p_small).reshape(1, 4, -1)
-    got = out.reshape(1, 4, -1)
-    assert np.allclose(got[:, :, 5616:], ref[:, :, 5616:], rtol=1e-5, atol=1e-6)
-    assert np.all(got[:, :, :5616] == 0)
+    for sched in SCHEDULES:
+        out = np.zeros((1, 4, 75, 75), dtype=np.float32)
+        execute_region(x, flt, out, conv_small, tail_small,
+                       _one_set_pair(sched, tail_small, REF_MK), REF_MK)
+        got = out.reshape(1, 4, -1)
+        assert np.allclose(got[:, :, 5616:], ref[:, :, 5616:],
+                           rtol=1e-5, atol=1e-6)
+        assert np.all(got[:, :, :5616] == 0)
 
 
-def test_naive_fallback_empty_region_is_noop():
-    from slicedconv import KernelRegion
+def test_execute_region_empty_region_is_noop():
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
     out = np.zeros((1, 4, 4, 4), dtype=np.float32)
     region = KernelRegion(spatial_start=0, spatial_len=0, oc_start=0, oc_len=4,
                           ic_start=0, ic_len=2, kind=RegionKind.Remainder,
                           e_off=0)
     x = np.ones((1, 2, 6, 6), dtype=np.float32)
     flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    naive_fallback_region(x, flt, out, conv, region, MkInfo(n_win=4, n_f=4))
+    for sched in SCHEDULES:
+        execute_region(x, flt, out, conv, region,
+                       _one_set_pair(sched, region, mk), mk)
     assert np.all(out == 0)
 
 
-def test_naive_fallback_tail_spanning_row_break(rng):
+def test_execute_region_tail_spanning_row_break(rng):
     square = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
     strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,
                          stride_h=2, dil_w=2)  # 6x10 out
     cases = [
         # (params, n_win, windows [s0, s0+len), filters [o0, o0+len))
-        (square, 16, (4, 13), (0, 5)),   # one chunk across two row breaks
-        (square, 4, (4, 13), (0, 5)),    # four chunks, [4, 8) crosses a row
+        (square, 16, (4, 13), (0, 5)),   # one partial tile, two row breaks
+        (square, 4, (4, 13), (0, 5)),    # three tiles, [4, 8) crosses a row
         (strided, 3, (7, 41), (4, 3)),   # batch 2, stride and dilation
     ]
     for p, n_win, (s0, slen), (o0, olen) in cases:
         conv = conv_info(p)
+        mk = MkInfo(n_win=n_win, n_f=4)
         x, flt = rand_tensors(rng, p)
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
         region = KernelRegion(spatial_start=s0, spatial_len=slen, oc_start=o0,
                               oc_len=olen, ic_start=0, ic_len=p.ic,
                               kind=RegionKind.Remainder, e_off=s0)
-        naive_fallback_region(x, flt, out, conv, region,
-                              MkInfo(n_win=n_win, n_f=4))
         ref = naive_conv(x, flt, p).reshape(p.n, p.oc, -1)
-        got = out.reshape(p.n, p.oc, -1)
         inside = np.s_[:, o0:o0 + olen, s0:s0 + slen]
-        assert np.allclose(got[inside], ref[inside], rtol=1e-5, atol=1e-6)
-        got[inside] = 0
-        assert np.all(got == 0)
+        # the one set pair the engine gives a window tail, and window sets
+        # of two tiles over channel blocks of 2 and 1
+        for strat in [st for sched in SCHEDULES
+                      for st in (_one_set_pair(sched, region, mk),
+                                 TilingStrategy(sched, 2, 1, 2, 0, 0, 0))]:
+            out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+            execute_region(x, flt, out, conv, region, strat, mk)
+            got = out.reshape(p.n, p.oc, -1)
+            assert np.allclose(got[inside], ref[inside], rtol=1e-5, atol=1e-6)
+            got[inside] = 0
+            assert np.all(got == 0)
 
 
 def test_hook_wrapping_builtin_is_bit_identical(rng):
@@ -288,17 +303,35 @@ def test_hook_wrapping_builtin_is_bit_identical(rng):
     assert np.array_equal(out, baseline)
 
 
-def test_fallback_never_calls_the_hook(rng):
-    # ohw = 9 < n_win: the only region is the window tail, a Remainder
-    p = ConvParams(n=2, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3)
+def test_hook_sees_the_window_tail(rng):
+    # ohw = 9 < n_win: the only region is the window tail, a Remainder;
+    # ohw = 121 is 7 tiles of 16 in Main regions and a 9-window tail
+    all_tail = ConvParams(n=2, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3)
+    with_main = ConvParams(n=1, ic=5, ih=13, iw=13, oc=12, fh=3, fw=3)
     mk = MkInfo(n_win=16, n_f=8)
+    for p in (all_tail, with_main):
+        baseline, ref, info, (x, flt) = _run_engine_case(rng, p, mk)
+        kinds = [r.kind for r in info.regions]
+        assert kinds.count(RegionKind.Remainder) == 1
+        assert info.regions[0].spatial_len == 9
+        assert (len(kinds) > 1) == (p is with_main)
+        assert max_relative_error(baseline, ref) <= 1e-4
+        widths = []
+
+        def wrapped(pin, pf, acc):
+            widths.append(pin.shape[1])
+            microkernel(pin, pf, acc)
+
+        out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=wrapped)
+        assert np.array_equal(out, baseline)
+        assert widths.count(9) == p.n  # one tail GEMM per batch image
 
     def raising(pin, pf, acc):
-        raise AssertionError("the fallback must not call the hook")
+        raise RuntimeError("hook called")
 
-    out, ref, info, _ = _run_engine_case(rng, p, mk, hook=raising)
-    assert {r.kind for r in info.regions} == {RegionKind.Remainder}
-    assert max_relative_error(out, ref) <= 1e-4
+    x, flt = rand_tensors(rng, all_tail)
+    with pytest.raises(RuntimeError, match="hook called"):
+        run_convolution(x, flt, all_tail, CALIBRATED_ARCH, mk, hook=raising)
 
 
 def test_hook_registry_and_garbage_hook_detected(rng):
@@ -443,10 +476,7 @@ def test_pack_once_instrumentation_is(rng):
     x, flt = rand_tensors(rng, p)
     out = np.zeros((1, 16, 16, 16), dtype=np.float32)
     for region in plan_regions(conv, strat, mk):
-        if region.kind is RegionKind.Main:
-            execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
-        else:
-            naive_fallback_region(x, flt, out, conv, region, mk)
+        execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
     # IS: every input tile packed exactly once per (batch, channel block)
     assert set(counters.input_packs.values()) == {1}
     assert len(counters.input_packs) == 2 * (256 // 4)  # 2 blocks x 64 tiles
@@ -483,11 +513,19 @@ def test_pack_once_instrumentation_ws(rng):
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
 def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
-    # 7 window tiles and 5 filter tiles: the last set is partial on both
-    # sides; (3, 2) has window sets larger than filter sets, (2, 4) smaller
+    # 49 windows in 7 tiles of 7, or in 9 tiles of 6 whose last one holds
+    # a single window, and 5 filter tiles: the last set is partial on both
+    # sides, and with n_win = 6 and k3 = 3 it is two whole window tiles
+    # and a partial one. (3, 2) has window sets larger than filter sets,
+    # (2, 4) smaller
+    for n_win in (7, 6):
+        _check_set_product(rng, sched, k3, k2, n_win)
+
+
+def _check_set_product(rng, sched, k3, k2, n_win):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
     conv = conv_info(p)
-    mk = MkInfo(n_win=7, n_f=4)
+    mk = MkInfo(n_win=n_win, n_f=4)
     strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
                            r_nc=0, r_k2=0, r_k3=0)
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,

@@ -443,12 +443,37 @@ def test_edge_pack_equals_shifted_steady_state(rng):
 
 
 def test_pack_input_rejects_out_of_domain(rng):
+    # Only the region's last tile may be short: a tile that starts at or
+    # past the region's end is refused. A 4x4 output is 16 windows; the
+    # region [3, 13) is two tiles of 4 and a 2-window last tile.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
     x, _ = _tensors(rng, p)
-    with pytest.raises(IndexError):
-        pack_input(x, conv, full_region(conv), (conv.ohw - 2, 0),
-                   MkInfo(n_win=4, n_f=4), nt=1, nc=2)
+    inner = KernelRegion(spatial_start=3, spatial_len=10, oc_start=0, oc_len=4,
+                         ic_start=0, ic_len=2, kind=RegionKind.Remainder,
+                         e_off=3)
+    for region, w_off, nt in ((full_region(conv), 16, 1),
+                              (full_region(conv), 12, 2),
+                              (full_region(conv), 0, 5),
+                              (inner, 0, 4), (inner, 8, 2), (inner, 10, 1)):
+        with pytest.raises(IndexError):
+            pack_input(x, conv, region, (w_off, 0), mk, nt=nt, nc=2)
+    # A group that ends inside its last tile returns the short matrix, and
+    # its columns are im2col's, bit for bit.
+    ref = im2col(x, p)
+    for region, w_off, nt, (w0, w1) in ((full_region(conv), 14, 1, (14, 16)),
+                                        (inner, 0, 3, (3, 13)),
+                                        (inner, 4, 2, (7, 13)),
+                                        (inner, 8, 1, (11, 13))):
+        got = pack_input(x, conv, region, (w_off, 0), mk, nt=nt, nc=2)
+        assert np.array_equal(got, ref[:, w0:w1])
+    # An out of the full tiles' shape does not hold a short last tile; it
+    # is refused before anything is written.
+    out = np.full((18, 8), np.nan, np.float32)
+    with pytest.raises(ValueError, match="not \\(18, 6\\)"):
+        pack_input(x, conv, inner, (4, 0), mk, nt=2, nc=2, out=out)
+    assert np.isnan(out).all()
 
 
 def test_pack_input_rejects_unpadded_problem(rng):
