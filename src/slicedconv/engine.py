@@ -1,10 +1,15 @@
 """End-to-end driver: pad once, analyze, split into regions, execute.
 
 Padding is materialized up front so the tiled pipeline and every packing
-equation can assume pad = 0. Every region runs the tiled macrokernel. The
-window tail, a Remainder region of fewer than n_win windows, runs as one
-set pair: one partial window tile against all its filters over all its
-channels, which is one GEMM per batch image.
+equation can assume pad = 0. Every region runs the tiled macrokernel.
+
+The analysis sizes tiles as the paper does; _region_strategy maps them onto
+the GEMM microkernel, and is the one place that sizes execution. Every set
+spans all input channels, since the GEMM blocks its reduction itself, and
+a window set at that depth holds at most the arch file's L2, in whole
+tiles and at least one. The window tail, a Remainder region of fewer than
+n_win windows, runs as one set pair: one partial window tile against all
+filters, which is one GEMM per batch image.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import ArchInfo, ConvInfo, MkInfo
+from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, execute_region
 from .model import DTYPE, ConvParams, make_tensor4d, out_shape, pad_input
 from .regions import KernelRegion, RegionKind, coverage_check, plan_regions
@@ -53,15 +58,32 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     if not coverage_check(regions, conv):
         raise RuntimeError("region decomposition does not cover")
 
+    # Every element is written by exactly one GEMM; zeros give a hook that
+    # adds into acc the right answer too.
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
     for region in regions:
-        strat = strategy
-        if region.kind is RegionKind.Remainder:
-            # Positional, not dataclasses.replace: its keyword call leaves a
-            # dict on CPython's free list, which the traced peak counts.
-            strat = TilingStrategy(strategy.schedule, region.ic_len,
-                                   -(-region.oc_len // mk.n_f), 1, 0, 0, 0)
-        execute_region(xp, filters, out, conv, region, strat, mk,
+        execute_region(xp, filters, out, conv, region,
+                       _region_strategy(region, strategy, conv, arch, mk), mk,
                        hook=hook, counters=counters)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
+
+
+def _region_strategy(region: KernelRegion, strategy: TilingStrategy,
+                     conv: ConvInfo, arch: ArchInfo, mk: MkInfo
+                     ) -> TilingStrategy:
+    """The analysed strategy as one region executes it.
+
+    nc is the region's channels. The window tail is one set pair; any
+    other region keeps k2 and caps k3 so that a window set at full depth
+    holds at most l2_bytes.
+    """
+    p = conv.params
+    if region.kind is RegionKind.Remainder:
+        k2, k3 = -(-region.oc_len // mk.n_f), 1
+    else:
+        tile = region.ic_len * p.fh * p.fw * mk.n_win * ELEM_BYTES
+        k2, k3 = strategy.k2, min(strategy.k3, max(1, arch.l2_bytes // tile))
+    # Positional, not dataclasses.replace: its keyword call leaves a dict
+    # on CPython's free list, which the traced peak counts.
+    return TilingStrategy(strategy.schedule, region.ic_len, k2, k3, 0, 0, 0)
 

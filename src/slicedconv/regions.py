@@ -7,11 +7,15 @@ channels) is carved into disjoint rectangular regions before tiling:
      Remainder region. It skips the tiling analysis: it runs the same
      pipeline as one set pair, a partial window tile over all channels
      and filters;
-  2. the main region, over all output channels, is then split in order
-     k2 -> k3 -> nc wherever the corresponding tile-size remainder is
+  2. the main region, over all output and input channels, is then split
+     in order k2 -> k3 wherever the corresponding tile-size remainder is
      nonzero. Every region here re-enters the full tiling and packing
      pipeline with locally recomputed set counts; the filter tail
      (oc mod n_f) is a short last filter tile of one of them.
+
+No region splits input channels: the executor runs each set pair as one
+GEMM over all of them, which blocks the reduction itself, so the
+analysis's nc and its remainder r_nc size no region.
 
 Regions record their absolute window offset (e_off) so packing can translate
 region-local loop indices into positions of the original tensor.
@@ -87,7 +91,7 @@ def split_input_domain(total_windows: int, n_win: int,
 
 def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
                       mk: MkInfo) -> list[KernelRegion]:
-    """Split a main region in order k2 -> k3 -> nc on its local remainders.
+    """Split a main region in order k2 -> k3 on its local remainders.
 
     Each step peels the trailing misaligned part of one dimension into its
     own region; peeled regions keep Main kind and run the full pipeline.
@@ -122,13 +126,6 @@ def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
                               spatial_len=cur.spatial_len - keep,
                               e_off=tail_start))
         cur = replace(cur, spatial_len=keep)
-
-    # nc: input channels beyond the last whole nc block.
-    r_nc = cur.ic_len % strategy.nc
-    keep = cur.ic_len - r_nc
-    if r_nc and keep:
-        peeled.append(replace(cur, ic_start=cur.ic_start + keep, ic_len=r_nc))
-        cur = replace(cur, ic_len=keep)
 
     return [cur] + peeled
 

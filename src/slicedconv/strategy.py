@@ -13,6 +13,12 @@ Given a convolution, a cache hierarchy, and a microkernel shape, pick
 
 plus the remainders of each dimension against its tile size.
 
+These are the paper's tile sizes, and the CSV report gives them as
+analysed. The executor maps them onto a BLAS GEMM microkernel, which
+blocks its reduction for L1 itself: it runs every set over all input
+channels rather than in nc blocks, and caps a window set at full depth
+to L2 (see engine.py), so nc and r_nc size no region or loop there.
+
 Tile-count semantics are fixed per dimension: k2 always counts filter tiles
 and k3 always counts window tiles, for both schedules. nc candidates are
 powers of two capped by ic, chosen against a per-channel L1 budget; together
@@ -90,7 +96,8 @@ def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[i
 
     k3 remainders are expressed in n_win-window tiles over the main spatial
     extent (the sub-n_win window tail is peeled separately and never enters
-    the tile-set arithmetic).
+    the tile-set arithmetic). r_nc is the analysis's figure only: no region
+    splits input channels, since each GEMM reduces over all of them.
     """
     r_nc = conv.params.ic % nc
     r_k2 = filter_tiles(conv, mk) % k2

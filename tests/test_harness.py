@@ -185,6 +185,8 @@ def test_run_suite_divisible_case_single_region():
     by_id = {r.id: r for r in reports}
     assert by_id["divisible_3x3"].regions == 1
     assert by_id["pointwise_8x8"].regions == 1
+    # ic 5 against the analysis's nc 4 peels no channel region
+    assert (by_id["dilated_rect"].nc, by_id["dilated_rect"].regions) == (4, 1)
 
 
 def test_run_suite_timed_mode_excludes_warmup():

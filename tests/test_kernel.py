@@ -17,6 +17,7 @@ from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
 from slicedconv.packing import pack_input
 from slicedconv.regions import plan_regions
+from slicedconv.strategy import tile_bytes
 
 SCHEDULES = (Schedule.InputStationary, Schedule.WeightStationary)
 
@@ -31,17 +32,22 @@ def test_microkernel_single_outer_product():
     acc = make_accumulator(2, 2)
     microkernel(pin, pf, acc)
     assert np.array_equal(acc, [[10, 14], [15, 21]])
-    microkernel(pin, pf, acc)  # pure accumulation, no zeroing
-    assert np.array_equal(acc, [[20, 28], [30, 42]])
+    microkernel(pin, pf, acc)  # writes acc, does not add to it
+    assert np.array_equal(acc, [[10, 14], [15, 21]])
 
 
 def test_microkernel_zero_filter_is_identity():
+    # the kernel writes acc in place: a zero filter block gives zeros
+    # whatever acc held, in a strided block of a larger array too
     rng = np.random.default_rng(1)
     pin = rng.uniform(-1, 1, (12, 4)).astype(np.float32)
-    acc = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
-    before = acc.copy()
-    microkernel(pin, np.zeros((12, 3), dtype=np.float32), acc)
-    assert np.array_equal(acc, before)
+    big = rng.uniform(-1, 1, (5, 9)).astype(np.float32)
+    before = big.copy()
+    acc = big[1:4, 2:6]
+    assert microkernel(pin, np.zeros((12, 3), dtype=np.float32), acc) is acc
+    assert np.all(acc == 0)
+    acc[...] = before[1:4, 2:6]
+    assert np.array_equal(big, before)
 
 
 def test_microkernel_matches_triple_loop_exactly():
@@ -83,10 +89,10 @@ def test_build_plan_is_order_and_multipack():
     conv, strat, main = _ref_region_and_strategy()
     plan = build_plan(main, strat, REF_MK)
     dims = [l.dim for l in plan.loops]
-    assert dims == ["batch", "channel", "window_set", "filter_set",
+    # no channel-block loop: every set spans the region's channels
+    assert dims == ["batch", "window_set", "filter_set",
                     "window_tile", "filter_tile"]
     steps = {l.dim: l.step for l in plan.loops}
-    assert steps["channel"] == strat.nc
     assert steps["window_set"] == strat.k3
     assert steps["filter_set"] == strat.k2
 
@@ -97,7 +103,7 @@ def test_build_plan_ws_mirror():
                         k2=strat.k2, k3=strat.k3, r_nc=0, r_k2=0, r_k3=0)
     plan = build_plan(main, ws, REF_MK)
     dims = [l.dim for l in plan.loops]
-    assert dims == ["batch", "channel", "filter_set", "window_set",
+    assert dims == ["batch", "filter_set", "window_set",
                     "filter_tile", "window_tile"]
 
 
@@ -108,6 +114,8 @@ def test_build_plan_degenerate_two_level():
     plan = build_plan(main, unit, REF_MK)
     steps = {l.dim: l.step for l in plan.loops}
     assert steps["window_set"] == 1 and steps["filter_set"] == 1
+    assert build_plan(main, TilingStrategy(Schedule.InputStationary, 1, 1, 1,
+                                           0, 0, 0), REF_MK) == plan
 
 
 def _run_engine_case(rng, p, mk, arch=CALIBRATED_ARCH, **kw):
@@ -192,7 +200,7 @@ def test_single_region_touches_only_its_window(rng):
 
 
 def test_region_order_is_irrelevant(rng):
-    p = ConvParams(n=1, ic=9, ih=11, iw=11, oc=12, fh=3, fw=3)  # nc/oc/spatial tails
+    p = ConvParams(n=1, ic=9, ih=11, iw=11, oc=12, fh=3, fw=3)  # oc/spatial tails
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
     strat = analyze(conv, CALIBRATED_ARCH, mk)
@@ -259,6 +267,26 @@ def test_execute_region_empty_region_is_noop():
     assert np.all(out == 0)
 
 
+def test_execute_region_rejects_a_channel_split():
+    # the set pair's GEMM writes its output block, so a region over part
+    # of the channels would leave a partial sum: rejected before writing
+    p = ConvParams(n=1, ic=4, ih=6, iw=6, oc=4, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
+    out = np.zeros((1, 4, 4, 4), dtype=np.float32)
+    x = np.ones((1, 4, 6, 6), dtype=np.float32)
+    flt = np.ones((4, 4, 3, 3), dtype=np.float32)
+    for c0, clen in ((0, 2), (2, 2)):
+        region = KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,
+                              oc_len=4, ic_start=c0, ic_len=clen,
+                              kind=RegionKind.Main, e_off=0)
+        with pytest.raises(ValueError, match="does not accumulate"):
+            execute_region(x, flt, out, conv, region,
+                           _one_set_pair(Schedule.InputStationary, region, mk),
+                           mk)
+    assert np.all(out == 0)
+
+
 def test_execute_region_tail_spanning_row_break(rng):
     square = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
     strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,
@@ -279,7 +307,7 @@ def test_execute_region_tail_spanning_row_break(rng):
         ref = naive_conv(x, flt, p).reshape(p.n, p.oc, -1)
         inside = np.s_[:, o0:o0 + olen, s0:s0 + slen]
         # the one set pair the engine gives a window tail, and window sets
-        # of two tiles over channel blocks of 2 and 1
+        # of two tiles against one filter tile each (nc is not read)
         for strat in [st for sched in SCHEDULES
                       for st in (_one_set_pair(sched, region, mk),
                                  TilingStrategy(sched, 2, 1, 2, 0, 0, 0))]:
@@ -368,10 +396,11 @@ def test_hook_cannot_write_into_the_filters(rng):
 
 def test_weight_stationary_run_holds_no_filter_set_copy(rng):
     # Pointwise 256 -> 1024 at 4x4 under intel.toml: weight-stationary,
-    # one 1024-filter set per 64-channel block, and a filter tensor of
+    # one 1024-filter set over all 256 channels, and a filter tensor of
     # 1 MiB next to a 64 KiB output. Filter sets are views of the filter
-    # tensor, so the run's whole traced peak stays below the bytes of one
-    # filter set, which a run that copied its sets would hold on top.
+    # tensor, so the run's whole traced peak stays below the bytes of
+    # even a quarter of that set (the analysis's 64 channels), which a
+    # run that copied its sets would hold on top.
     p = ConvParams(n=1, ic=256, ih=4, iw=4, oc=1024, fh=1, fw=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
     strat = analyze(conv_info(p), arch, mk)
@@ -438,7 +467,8 @@ def test_hook_reordered_reduction_within_tolerance(rng):
 
 
 def test_accumulator_touch_count(rng):
-    # ic 10 = 3 blocks of nc=4; oc 10 ends in a partial 2-filter tile
+    # ic 10 is 3 blocks of the analysis's nc=4, but the GEMM reduces over
+    # all 10; oc 10 ends in a partial 2-filter tile
     for oc in (8, 10):
         _check_accumulator_touches(rng, oc)
 
@@ -449,18 +479,18 @@ def _check_accumulator_touches(rng, oc):
     mk = MkInfo(n_win=5, n_f=4)
     arch = ArchInfo(l1_bytes=2048, l2_bytes=64 * 1024, l3_bytes=256 * 1024)
     strat = analyze(conv, arch, mk)
-    assert strat.nc < p.ic  # force several channel blocks
+    assert strat.nc < p.ic and p.ic % strat.nc  # analysed channel blocks
     counters = RunCounters()
     x, flt = rand_tensors(rng, p)
     out, info = run_convolution(x, flt, p, arch, mk, counters=counters)
-    expected = math.ceil(p.ic / strat.nc)
-    # every pipelined output tile, the partial filter tile included, is
-    # touched once per channel block, and every tile is packed once per
-    # reuse scope
-    wtiles_main = conv.ohw // mk.n_win
+    assert all(r.ic_len == p.ic for r in info.regions)
+    # every output tile, the partial filter tile and the window tail
+    # included, is written once, and every tile is packed once per reuse
+    # scope
+    wtiles = math.ceil(conv.ohw / mk.n_win)
     ftiles = math.ceil(p.oc / mk.n_f)
-    assert len(counters.acc_touches) == p.n * wtiles_main * ftiles
-    assert set(counters.acc_touches.values()) == {expected}
+    assert len(counters.acc_touches) == p.n * wtiles * ftiles
+    assert set(counters.acc_touches.values()) == {1}
     assert set(counters.input_packs.values()) == {1}
     assert set(counters.filter_packs.values()) == {1}
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
@@ -477,15 +507,17 @@ def test_pack_once_instrumentation_is(rng):
     out = np.zeros((1, 16, 16, 16), dtype=np.float32)
     for region in plan_regions(conv, strat, mk):
         execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
-    # IS: every input tile packed exactly once per (batch, channel block)
+    # IS: every input tile packed exactly once per batch image, at full
+    # depth: nc = 4 of ic = 8 is not read
     assert set(counters.input_packs.values()) == {1}
-    assert len(counters.input_packs) == 2 * (256 // 4)  # 2 blocks x 64 tiles
-    # filters are repacked once per window set
+    assert len(counters.input_packs) == 256 // 4
+    # filters are taken once per window set
     wsets = (256 // 4) // strat.k3
-    per_filter_tile = {k[3] for k in counters.filter_packs}
+    per_filter_tile = {k[2] for k in counters.filter_packs}
     assert per_filter_tile == set(range(16 // 4))
     assert set(counters.filter_packs.values()) == {1}
-    assert len(counters.filter_packs) == 2 * wsets * (16 // 4)
+    assert len(counters.filter_packs) == wsets * (16 // 4)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
 def test_pack_once_instrumentation_ws(rng):
@@ -499,7 +531,7 @@ def test_pack_once_instrumentation_ws(rng):
     out = np.zeros((1, 16, 16, 16), dtype=np.float32)
     for region in plan_regions(conv, strat, mk):
         execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
-    # WS: every filter tile packed exactly once per (batch, channel block)
+    # WS: every filter tile taken exactly once per batch image
     assert set(counters.filter_packs.values()) == {1}
     assert len(counters.filter_packs) == 1 * (16 // 4)
     # inputs are multipacked once per (filter set, window tile)
@@ -547,7 +579,8 @@ def _check_set_product(rng, sched, k3, k2, n_win):
     tiled, c_tiled = run(per_tile)
     assert np.array_equal(batched, tiled)
     assert c_batched == c_tiled
-    assert set(c_batched.acc_touches.values()) == {2}  # two channel blocks
+    # all 6 channels in one GEMM, though nc = 4: each tile written once
+    assert set(c_batched.acc_touches.values()) == {1}
     assert max_relative_error(batched, naive_conv(x, flt, p)) <= 1e-4
 
 
@@ -555,22 +588,19 @@ def _check_set_product(rng, sched, k3, k2, n_win):
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("chunk", [1, 3, 16])
 def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
+    # Window sets are chunked to L2: the engine caps the analysed k3 at
+    # the full-depth window tiles l2_bytes holds, here `chunk` of them.
     # 6x6 outputs in 9 window tiles of 4, so tiles 1, 4 and 7 cross a row
-    # break; window sets of 5 and 4 tiles, which a chunk of 3 divides into
-    # uneven parts, and 16 covers. A full filter set's output tile is
-    # 16*4*4 = 256 B, the same as an input tile (K = 4*2*2), so the set
-    # product takes `chunk` window tiles per GEMM.
-    p = ConvParams(n=2, ic=8, ih=7, iw=7, oc=20, fh=2, fw=2)
-    conv = conv_info(p)
+    # break. K = 8*2*2 = 32 at full depth, so a window tile is 512 B. The
+    # analysis sets k3 = 9, the whole region, against L3; chunks of 1 and
+    # 3 cut it, 16 leaves it. 6 filter tiles, in sets of k2 = 3 or 6, so
+    # the plan is one region.
+    p = ConvParams(n=2 if sched is Schedule.InputStationary else 1,
+                   ic=8, ih=7, iw=7, oc=24, fh=2, fw=2)
     mk = MkInfo(n_win=4, n_f=4)
-    strat = TilingStrategy(schedule=sched, nc=4, k2=4, k3=5,
-                           r_nc=0, r_k2=0, r_k3=0)
-    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                          kind=RegionKind.Main, e_off=0)
+    tile = p.ic * p.fh * p.fw * mk.n_win * 4
+    arch = ArchInfo(l1_bytes=512, l2_bytes=chunk * tile, l3_bytes=1 << 20)
     x, flt = rand_tensors(rng, p)
-    tile_bytes = strat.nc * p.fh * p.fw * mk.n_win * 4
-    monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk * tile_bytes)
     pack_nts = []
 
     def counting_pack_input(*args, **kw):
@@ -581,51 +611,55 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
 
     def run(hook):
         counters = RunCounters()
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, strat, mk, hook=hook,
-                       counters=counters)
-        return out, counters
+        out, info = run_convolution(x, flt, p, arch, mk, hook=hook,
+                                    counters=counters)
+        return out, info, counters
+
+    widths = []
 
     def per_tile(pin, pf, acc):
+        widths.append(pin.shape[1])
         microkernel(pin, pf, acc)
 
-    chunked, c_chunked = run(None)
+    chunked, info, c_chunked = run(None)
     chunked_nts = list(pack_nts)
-    tiled, c_tiled = run(per_tile)
+    tiled, _, c_tiled = run(per_tile)
+    assert info.strategy.schedule is sched and info.strategy.k3 == 9
+    assert info.strategy.nc < p.ic and len(info.regions) == 1
     assert np.array_equal(chunked, tiled)
     assert c_chunked == c_tiled
-    assert set(c_chunked.acc_touches.values()) == {2}  # two channel blocks
+    assert set(c_chunked.acc_touches.values()) == {1}
     assert max_relative_error(chunked, naive_conv(x, flt, p)) <= 1e-4
 
-    wsets, fsets, blocks = (5, 4), 2, p.n * 2
+    k3 = min(9, chunk)
+    wsets = [k3] * (9 // k3)
+    assert max(widths) == k3 * mk.n_win
+    fsets = 6 // info.strategy.k2
     if sched is Schedule.InputStationary:
-        # each stationary window set in exactly one multipack, whatever
-        # the chunk size of the set product
-        per_block = list(wsets)
+        # each stationary window set in exactly one multipack
+        per_batch = wsets
     else:
         # a streamed window set stays one multipack per filter set
-        per_block = list(wsets) * fsets
-    assert chunked_nts == per_block * blocks
+        per_batch = wsets * fsets
+    assert chunked_nts == per_batch * p.n
 
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
-@pytest.mark.parametrize("chunk_bytes", [None, 448])
-def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
-                                                      k3, k2, chunk_bytes):
+@pytest.mark.parametrize("adding", [None, "adding"])
+def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, sched, k3, k2,
+                                                      adding):
     # 7 window tiles of 7 and 5 filter tiles of 4 (the last one 2 filters
-    # short when oc = 18) over two channel blocks (4 and 2 channels). 448 B
-    # is two 8x7 or 14x4 output tiles: (3, 2) set pairs are then cut
-    # between window tiles, (2, 4) ones between filter tiles; unpatched,
-    # every set pair is one call.
-    if chunk_bytes is not None:
-        monkeypatch.setattr(kernel, "_CHUNK_BYTES", chunk_bytes)
+    # short when oc = 18), K = 6*9 = 54 whatever nc says: every set pair
+    # is one call, which writes its output block once. The "adding" hook
+    # adds into acc, as one written for an accumulating kernel would;
+    # acc arrives zeroed, so the output is the same.
     for oc in (20, 18):
-        _check_hook_calls(rng, sched, k3, k2, chunk_bytes, oc)
+        _check_hook_calls(rng, sched, k3, k2, adding, oc)
 
 
-def _check_hook_calls(rng, sched, k3, k2, chunk_bytes, oc):
+def _check_hook_calls(rng, sched, k3, k2, adding, oc):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=7, n_f=4)
@@ -641,34 +675,103 @@ def _check_hook_calls(rng, sched, k3, k2, chunk_bytes, oc):
     def recording(pin, pf, acc):
         (k, width), height = pin.shape, acc.shape[0]
         assert pf.shape == (k, height) and acc.shape == (height, width)
+        assert not acc.any()
         offset = (acc.ctypes.data - out.ctypes.data) // acc.itemsize
         b, rest = divmod(offset, p.oc * conv.ohw)
         calls.append((b, k, *divmod(rest, conv.ohw), height, width))
-        microkernel(pin, pf, acc)
+        if adding:
+            acc += pf.T @ pin
+        else:
+            microkernel(pin, pf, acc)
 
     execute_region(x, flt, out, conv, region, strat, mk, hook=recording)
-    cover = {}
+    cover = np.zeros((p.n, p.oc, conv.ohw), int)
     for b, k, f0, w0, height, width in calls:
-        # whole tiles, but for a block that ends at oc, and the reduction
-        # depth of the call's channel block
-        assert k in (4 * 9, 2 * 9)
+        # the whole reduction, and whole tiles but for a block that ends
+        # at oc
+        assert k == p.ic * 9
         assert f0 % mk.n_f == 0
         assert height % mk.n_f == 0 or f0 + height == p.oc
         assert w0 % mk.n_win == 0 and width % mk.n_win == 0
-        # inside one set pair
-        assert f0 // (k2 * mk.n_f) == (f0 + height - 1) // (k2 * mk.n_f)
-        assert w0 // (k3 * mk.n_win) == (w0 + width - 1) // (k3 * mk.n_win)
-        cells = cover.setdefault((b, k), np.zeros((p.oc, conv.ohw), int))
-        cells[f0:f0 + height, w0:w0 + width] += 1
-    # every output element once per batch and channel block
-    assert sorted(cover) == [(b, k) for b in range(p.n) for k in (18, 36)]
-    assert all((cells == 1).all() for cells in cover.values())
-    assert any(h > mk.n_f or w > mk.n_win for *_, h, w in calls)
+        # exactly one set pair
+        assert f0 % (k2 * mk.n_f) == 0 and w0 % (k3 * mk.n_win) == 0
+        assert height == min(k2 * mk.n_f, p.oc - f0)
+        assert width == min(k3 * mk.n_win, conv.ohw - w0)
+        cover[b, f0:f0 + height, w0:w0 + width] += 1
+    # every output element once
+    assert (cover == 1).all()
     assert any(h % mk.n_f for *_, h, w in calls) == bool(p.oc % mk.n_f)
-    if chunk_bytes is None:
-        assert len(calls) == 2 * 2 * -(-7 // k3) * -(-5 // k2)
-    else:
-        assert all(h * w * 4 <= chunk_bytes for *_, h, w in calls)
+    assert len(calls) == p.n * -(-7 // k3) * -(-5 // k2)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+
+
+def _full_depth_tile_bytes(p, mk):
+    return p.ic * p.fh * p.fw * mk.n_win * 4
+
+
+def test_every_gemm_writes_a_zeroed_block_once(rng):
+    # A hook that refuses an accumulator holding anything but zeros: each
+    # output element is written by exactly one GEMM, over all channels,
+    # and a window set at full depth holds at most l2_bytes (at least one
+    # tile). The third arch's L2 holds exactly one full-depth tile.
+    arches = (CALIBRATED_ARCH, load_arch(FIXTURES / "intel.toml"), None)
+    schedules, calls, one_tile_sets = set(), 0, 0
+    for i in range(60):
+        p = random_params(rng, max_ic=24, max_oc=48, max_out=16)
+        mk = MkInfo(n_win=int(rng.choice((4, 8, 16))),
+                    n_f=int(rng.choice((4, 8))))
+        k = p.ic * p.fh * p.fw
+        tile = _full_depth_tile_bytes(p, mk)
+        arch = arches[i % 3]
+        if arch is None:
+            l1 = sum(tile_bytes(conv_info(p.padded()), mk, 1))
+            arch = ArchInfo(l1_bytes=l1, l2_bytes=max(l1, tile),
+                            l3_bytes=1 << 24)
+        widths = []
+
+        def write_once(pin, pf, acc):
+            if acc.any():
+                raise AssertionError("accumulator not zero on entry")
+            widths.append(pin.shape[1])
+            if pin.shape[0] != k:
+                raise AssertionError(f"K {pin.shape[0]} != ic*fh*fw {k}")
+            microkernel(pin, pf, acc)
+
+        x, flt = rand_tensors(rng, p)
+        out, info = run_convolution(x, flt, p, arch, mk, hook=write_once)
+        assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+        assert all(k * w * 4 <= max(arch.l2_bytes, tile) for w in widths)
+        if arch.l2_bytes < 2 * tile:
+            assert max(widths) <= mk.n_win
+            one_tile_sets += 1
+        schedules.add(info.strategy.schedule)
+        calls += len(widths)
+    assert schedules == set(SCHEDULES)
+    assert one_tile_sets >= 15 and calls > 300, (one_tile_sets, calls)
+
+
+def test_window_set_memory_is_bounded_by_l2(rng):
+    # IS, 32 -> 64 channels, 3x3 pad 1 at 40x40 under intel.toml: the
+    # analysis sets k3 = 100 window tiles against L3, a 1.8 MB set at
+    # full depth. Capped to L2, the run's traced peak stays within the
+    # output, the padded input, l2_bytes and 64 KiB.
+    p = ConvParams(n=1, ic=32, ih=40, iw=40, oc=64, fh=3, fw=3,
+                   pad_h=1, pad_w=1)
+    arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
+    strat = analyze(conv_info(p.padded()), arch, mk)
+    assert strat.schedule is Schedule.InputStationary and strat.k3 == 100
+    assert strat.k3 * _full_depth_tile_bytes(p, mk) > arch.l2_bytes
+    x, flt = rand_tensors(rng, p)
+    run_convolution(x, flt, p, arch, mk)  # warm-up
+    tracemalloc.start()
+    try:
+        out, _ = run_convolution(x, flt, p, arch, mk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = out.nbytes + 32 * 42 * 42 * 4 + arch.l2_bytes + 64 * 1024
+    assert bound == 1_225_216
+    assert peak <= bound, (peak, bound)
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 

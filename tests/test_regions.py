@@ -94,6 +94,8 @@ def test_coverage_random_plans(rng):
         assert coverage_check(regions, conv)
         assert _exhaustive_cover(regions, conv)
         assert all(r.e_off == r.spatial_start for r in regions)
+        # no region splits input channels, whatever nc is
+        assert all((r.ic_start, r.ic_len) == (0, p.ic) for r in regions)
         # the only Remainder region is the window tail
         assert all(r.spatial_len < mk.n_win and r.oc_len == p.oc
                    and r.ic_len == p.ic for r in regions
