@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import ConvParams, out_shape
+from .model import ConvParams, out_shape, require_int
 
 DEFAULT_L1_KIB = 32
 DEFAULT_L2_KIB = 1024
@@ -39,6 +39,8 @@ class ArchInfo:
     cache_line_bytes: int = 64
 
     def __post_init__(self):
+        for name in ("l1_bytes", "l2_bytes", "l3_bytes", "cache_line_bytes"):
+            require_int(name, getattr(self, name))
         if self.l1_bytes < 1 or self.l2_bytes < 1:
             raise ValueError("L1 and L2 sizes must be positive")
         if self.l1_bytes > self.l2_bytes:
@@ -63,6 +65,8 @@ class MkInfo:
     n_f: int
 
     def __post_init__(self):
+        require_int("n_win", self.n_win)
+        require_int("n_f", self.n_f)
         if self.n_win < 1 or self.n_f < 1:
             raise ValueError("n_win and n_f must be >= 1")
 

@@ -4,12 +4,13 @@ Padding is materialized up front so the tiled pipeline and every packing
 equation can assume pad = 0. Every region runs the tiled macrokernel.
 
 The analysis sizes tiles as the paper does; _region_strategy maps them onto
-the GEMM microkernel, and is the one place that sizes execution. Every set
-spans all input channels, since the GEMM blocks its reduction itself, and
-a window set at that depth holds at most the arch file's L2, in whole
-tiles and at least one. The window tail, a Remainder region of fewer than
-n_win windows, runs as one set pair: one partial window tile against all
-filters, which is one GEMM per batch image.
+the GEMM microkernel, and is the one place that sizes execution. The GEMM
+blocks its own operands, so a set spans all input channels (nc) and all
+of its region's filters (k2): every set pair is one window set against
+every filter, (oc_len, K) @ (K, W). A window set at full depth holds at
+most the arch file's L2, in whole tiles and at least one. The window
+tail, a Remainder region of fewer than n_win windows, is one partial
+window tile, so it runs as one set pair, one GEMM per batch image.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, execute_region
 from .model import DTYPE, ConvParams, make_tensor4d, out_shape, pad_input
-from .regions import KernelRegion, RegionKind, coverage_check, plan_regions
+from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
 
@@ -73,16 +74,14 @@ def _region_strategy(region: KernelRegion, strategy: TilingStrategy,
                      ) -> TilingStrategy:
     """The analysed strategy as one region executes it.
 
-    nc is the region's channels. The window tail is one set pair; any
-    other region keeps k2 and caps k3 so that a window set at full depth
-    holds at most l2_bytes.
+    nc is the region's channels and k2 its filter tiles, so a filter set
+    is every filter. k3 is capped so that a window set at full depth holds
+    at most l2_bytes; the window tail, one window tile, is one set.
     """
     p = conv.params
-    if region.kind is RegionKind.Remainder:
-        k2, k3 = -(-region.oc_len // mk.n_f), 1
-    else:
-        tile = region.ic_len * p.fh * p.fw * mk.n_win * ELEM_BYTES
-        k2, k3 = strategy.k2, min(strategy.k3, max(1, arch.l2_bytes // tile))
+    k2 = -(-region.oc_len // mk.n_f)
+    tile = region.ic_len * p.fh * p.fw * mk.n_win * ELEM_BYTES
+    k3 = min(strategy.k3, max(1, arch.l2_bytes // tile))
     # Positional, not dataclasses.replace: its keyword call leaves a dict
     # on CPython's free list, which the traced peak counts.
     return TilingStrategy(strategy.schedule, region.ic_len, k2, k3, 0, 0, 0)

@@ -14,7 +14,10 @@ schedule the window-tile sets (k3 tiles) are stationary, each multipacked
 once when the set is entered, and the filter-tile sets (k2 tiles) stream
 inside them, taken per set. The weight-stationary schedule is the mirror
 image: each filter set is taken once per batch image, and inputs are
-multipacked per window set.
+multipacked per window set. The engine makes a filter set every filter
+of the region (k2 = its filter tiles), so either schedule packs each
+window tile once per batch image and runs the same GEMMs, in another
+order.
 
 There is no channel-block loop. The analysis's nc sizes a tile for L1,
 but the microkernel is a BLAS GEMM, which blocks its reduction for L1
@@ -27,7 +30,8 @@ packers' own: a window set K-major, (K, windows), copied into a reused
 buffer, and a filter set row-major, (filters, K), a read-only view of the
 filter tensor that nothing copies. The two tile loops are collapsed into
 the set product: one microkernel call, (M, K) @ (K, W), per set pair,
-which writes the pair's output block in place. A microkernel hook,
+which writes the pair's output block in place; from the engine, M is
+the region's oc_len. A microkernel hook,
 passed as execute_region's hook argument, replaces exactly that call.
 
 Every region runs through execute_region. A region's last window tile

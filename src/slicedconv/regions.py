@@ -7,15 +7,16 @@ channels) is carved into disjoint rectangular regions before tiling:
      Remainder region. It skips the tiling analysis: it runs the same
      pipeline as one set pair, a partial window tile over all channels
      and filters;
-  2. the main region, over all output and input channels, is then split
-     in order k2 -> k3 wherever the corresponding tile-size remainder is
-     nonzero. Every region here re-enters the full tiling and packing
-     pipeline with locally recomputed set counts; the filter tail
-     (oc mod n_f) is a short last filter tile of one of them.
+  2. the main region, over all output and input channels, then peels the
+     window tiles that do not fill a whole k3 set (r_k3) into a second
+     Main region. Both re-enter the full tiling and packing pipeline with
+     locally recomputed set counts; the filter tail (oc mod n_f) is a
+     short last filter tile of each.
 
-No region splits input channels: the executor runs each set pair as one
-GEMM over all of them, which blocks the reduction itself, so the
-analysis's nc and its remainder r_nc size no region.
+No region splits input or output channels: the executor runs each set
+pair as one GEMM over all of its region's channels and filters, which
+blocks its operands itself, so the analysis's nc and k2 and their
+remainders r_nc and r_k2 size no region.
 
 Regions record their absolute window offset (e_off) so packing can translate
 region-local loop indices into positions of the original tensor.
@@ -91,43 +92,25 @@ def split_input_domain(total_windows: int, n_win: int,
 
 def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
                       mk: MkInfo) -> list[KernelRegion]:
-    """Split a main region in order k2 -> k3 on its local remainders.
+    """Peel a main region's window tiles that do not fill a whole k3 set.
 
-    Each step peels the trailing misaligned part of one dimension into its
-    own region; peeled regions keep Main kind and run the full pipeline.
-    Filter tiles are counted whole, so a partial last filter tile stays in
-    whichever region holds the last whole tiles (or the core when there
-    are none). Returns regions in peel order ending with the core.
+    The peeled trailing windows keep Main kind and run the full pipeline.
+    Returns [core] or [core, peel].
     """
     if region.kind is not RegionKind.Main:
         raise ValueError("split_by_strategy expects a Main region")
     if region.spatial_len % mk.n_win:
         raise ValueError("main region must be aligned to n_win windows")
 
-    peeled = []
-    cur = region
-
-    # k2: output-channel tiles not filling a whole k2 set.
-    ftiles = cur.oc_len // mk.n_f
-    r_k2 = ftiles % strategy.k2
-    keep = (ftiles - r_k2) * mk.n_f
-    if r_k2 and keep:
-        peeled.append(replace(cur, oc_start=cur.oc_start + keep,
-                              oc_len=cur.oc_len - keep))
-        cur = replace(cur, oc_len=keep)
-
-    # k3: window tiles not filling a whole k3 set.
-    wtiles = cur.spatial_len // mk.n_win
+    wtiles = region.spatial_len // mk.n_win
     r_k3 = wtiles % strategy.k3
     keep = (wtiles - r_k3) * mk.n_win
-    if r_k3 and keep:
-        tail_start = cur.spatial_start + keep
-        peeled.append(replace(cur, spatial_start=tail_start,
-                              spatial_len=cur.spatial_len - keep,
-                              e_off=tail_start))
-        cur = replace(cur, spatial_len=keep)
-
-    return [cur] + peeled
+    if not (r_k3 and keep):
+        return [region]
+    tail_start = region.spatial_start + keep
+    return [replace(region, spatial_len=keep),
+            replace(region, spatial_start=tail_start,
+                    spatial_len=region.spatial_len - keep, e_off=tail_start)]
 
 
 def plan_regions(conv: ConvInfo, strategy: TilingStrategy,

@@ -15,9 +15,10 @@ plus the remainders of each dimension against its tile size.
 
 These are the paper's tile sizes, and the CSV report gives them as
 analysed. The executor maps them onto a BLAS GEMM microkernel, which
-blocks its reduction for L1 itself: it runs every set over all input
-channels rather than in nc blocks, and caps a window set at full depth
-to L2 (see engine.py), so nc and r_nc size no region or loop there.
+blocks its own operands: it runs every set over all input channels
+rather than in nc blocks, makes a filter set every filter of its region
+rather than k2 tiles, and caps a window set at full depth to L2 (see
+engine.py), so nc, k2, r_nc and r_k2 size no region or loop there.
 
 Tile-count semantics are fixed per dimension: k2 always counts filter tiles
 and k3 always counts window tiles, for both schedules. nc candidates are
@@ -96,8 +97,9 @@ def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[i
 
     k3 remainders are expressed in n_win-window tiles over the main spatial
     extent (the sub-n_win window tail is peeled separately and never enters
-    the tile-set arithmetic). r_nc is the analysis's figure only: no region
-    splits input channels, since each GEMM reduces over all of them.
+    the tile-set arithmetic). r_nc and r_k2 are the analysis's figures
+    only: no region splits input or output channels, since each GEMM
+    spans all of both.
     """
     r_nc = conv.params.ic % nc
     r_k2 = filter_tiles(conv, mk) % k2

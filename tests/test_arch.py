@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
@@ -73,6 +74,29 @@ def test_descriptor_invariants():
         MkInfo(n_win=0, n_f=8)
     info = ConvInfo.from_params(ConvParams(n=1, ic=1, ih=5, iw=7, oc=1, fh=3, fw=3))
     assert info.ohw == info.oh * info.ow == 15
+
+
+@pytest.mark.parametrize("kw", [
+    {"l1_bytes": 49152.5}, {"l2_bytes": 524288.0}, {"l3_bytes": 0.0},
+    {"cache_line_bytes": True}, {"l1_bytes": "49152"},
+])
+def test_arch_fields_must_be_integers(kw):
+    # a float or bool would otherwise surface later, inside analyze
+    fields = {"l1_bytes": 49152, "l2_bytes": 524288, **kw}
+    with pytest.raises(TypeError, match=next(iter(kw))):
+        ArchInfo(**fields)
+
+
+@pytest.mark.parametrize("n_win,n_f", [(16.0, 8), (16, 8.0), (True, 8),
+                                       (16, False), ("16", 8)])
+def test_mk_fields_must_be_integers(n_win, n_f):
+    with pytest.raises(TypeError, match="must be an integer"):
+        MkInfo(n_win, n_f)
+
+
+def test_numpy_integer_fields_are_accepted():
+    assert MkInfo(np.int64(16), np.int32(8)).n_f == 8
+    assert ArchInfo(l1_bytes=np.int64(1024), l2_bytes=2048).l1_bytes == 1024
 
 
 def test_repeated_key_names_both_lines(tmp_path, capsys):

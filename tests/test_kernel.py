@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
                         build_plan, execute_region, load_arch, microkernel,
                         naive_conv, run_convolution)
-from slicedconv import kernel
+from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
 from slicedconv.packing import pack_input
@@ -593,8 +594,8 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     # 6x6 outputs in 9 window tiles of 4, so tiles 1, 4 and 7 cross a row
     # break. K = 8*2*2 = 32 at full depth, so a window tile is 512 B. The
     # analysis sets k3 = 9, the whole region, against L3; chunks of 1 and
-    # 3 cut it, 16 leaves it. 6 filter tiles, in sets of k2 = 3 or 6, so
-    # the plan is one region.
+    # 3 cut it, 16 leaves it. 6 filter tiles, one filter set of all 24
+    # filters whatever the analysed k2, and the plan is one region.
     p = ConvParams(n=2 if sched is Schedule.InputStationary else 1,
                    ic=8, ih=7, iw=7, oc=24, fh=2, fw=2)
     mk = MkInfo(n_win=4, n_f=4)
@@ -615,10 +616,11 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
                                     counters=counters)
         return out, info, counters
 
-    widths = []
+    widths, heights = [], []
 
     def per_tile(pin, pf, acc):
         widths.append(pin.shape[1])
+        heights.append(pf.shape[1])
         microkernel(pin, pf, acc)
 
     chunked, info, c_chunked = run(None)
@@ -634,14 +636,10 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     k3 = min(9, chunk)
     wsets = [k3] * (9 // k3)
     assert max(widths) == k3 * mk.n_win
-    fsets = 6 // info.strategy.k2
-    if sched is Schedule.InputStationary:
-        # each stationary window set in exactly one multipack
-        per_batch = wsets
-    else:
-        # a streamed window set stays one multipack per filter set
-        per_batch = wsets * fsets
-    assert chunked_nts == per_batch * p.n
+    assert set(heights) == {p.oc}
+    # each window set in exactly one multipack per batch image, under
+    # both schedules: there is one filter set to stream it against
+    assert chunked_nts == wsets * p.n
 
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,
@@ -711,9 +709,10 @@ def _full_depth_tile_bytes(p, mk):
 
 def test_every_gemm_writes_a_zeroed_block_once(rng):
     # A hook that refuses an accumulator holding anything but zeros: each
-    # output element is written by exactly one GEMM, over all channels,
-    # and a window set at full depth holds at most l2_bytes (at least one
-    # tile). The third arch's L2 holds exactly one full-depth tile.
+    # output element is written by exactly one GEMM, over all channels
+    # and against every filter, and a window set at full depth holds at
+    # most l2_bytes (at least one tile). The third arch's L2 holds exactly
+    # one full-depth tile.
     arches = (CALIBRATED_ARCH, load_arch(FIXTURES / "intel.toml"), None)
     schedules, calls, one_tile_sets = set(), 0, 0
     for i in range(60):
@@ -735,6 +734,8 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
             widths.append(pin.shape[1])
             if pin.shape[0] != k:
                 raise AssertionError(f"K {pin.shape[0]} != ic*fh*fw {k}")
+            if pf.shape[1] != p.oc:
+                raise AssertionError(f"height {pf.shape[1]} != oc {p.oc}")
             microkernel(pin, pf, acc)
 
         x, flt = rand_tensors(rng, p)
@@ -747,7 +748,48 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
         schedules.add(info.strategy.schedule)
         calls += len(widths)
     assert schedules == set(SCHEDULES)
-    assert one_tile_sets >= 15 and calls > 300, (one_tile_sets, calls)
+    assert one_tile_sets >= 15 and calls > 200, (one_tile_sets, calls)
+
+
+@pytest.mark.parametrize("sched", SCHEDULES)
+def test_one_filter_set_per_region(rng, monkeypatch, sched):
+    # conv5 3x3, 512 -> 512 at 7x7 pad 1 under intel.toml with 16x8: WS,
+    # and the analysis's k2 of 56 filter tiles is short of all 64. Each
+    # window range is still one region against every filter, so each
+    # window tile is packed once per batch image under either schedule
+    # (the IS run replaces the analysed schedule).
+    p = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
+                   pad_h=1, pad_w=1)
+    arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
+    strat = analyze(conv_info(p.padded()), arch, mk)
+    assert strat.schedule is Schedule.WeightStationary
+    assert strat.k2 == 56 < p.oc // mk.n_f
+
+    monkeypatch.setattr(engine, "analyze", lambda *a: replace(
+        analyze(*a), schedule=sched))
+    heights = []
+
+    def recording(pin, pf, acc):
+        heights.append(pf.shape[1])
+        microkernel(pin, pf, acc)
+
+    x, flt = rand_tensors(rng, p)
+    counters = RunCounters()
+    out, info = run_convolution(x, flt, p, arch, mk, hook=recording,
+                                counters=counters)
+    assert info.strategy.schedule is sched
+    ranges = [(r.spatial_start, r.spatial_len) for r in info.regions]
+    assert len(ranges) == len(set(ranges)) == 2
+    assert all((r.oc_start, r.oc_len) == (0, p.oc) for r in info.regions)
+    keys = list(counters.input_packs)
+    if sched is Schedule.WeightStationary:
+        # streamed windows carry the stationary filter set: there is one
+        assert {k[1] for k in keys} == {0}
+        keys = [(b, tile) for b, _, tile in keys]
+    assert sorted(keys) == [(0, t) for t in range(4)]
+    assert set(counters.input_packs.values()) == {1}
+    assert heights and set(heights) == {p.oc}
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
 def test_window_set_memory_is_bounded_by_l2(rng):

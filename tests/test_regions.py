@@ -54,16 +54,17 @@ def test_split_by_strategy_noop():
 
 
 def test_split_by_strategy_nested_peels():
-    # both k2 and k3 remainders nonzero -> three fully pipelined regions
+    # k2 and k3 remainders both nonzero -> only the k3 peel: every region
+    # keeps all 6 filter tiles, since a filter set is every filter
     main, _ = split_input_domain(160, 16, oc_len=48, ic_len=8)  # 10 tiles, 6 f-tiles
     parts = split_by_strategy(main, _strategy(nc=8, k2=4, k3=3), MkInfo(n_win=16, n_f=8))
-    assert len(parts) == 3
+    assert len(parts) == 2
     assert all(r.kind is RegionKind.Main for r in parts)
-    assert all(r.spatial_len % 16 == 0 and r.oc_len % 8 == 0 for r in parts)
-    core, k2_rem, k3_rem = parts
-    assert k2_rem.oc_len == 2 * 8          # 6 f-tiles mod 4 -> 2 tiles peeled
+    assert all(r.spatial_len % 16 == 0 for r in parts)
+    assert all((r.oc_start, r.oc_len) == (0, 48) for r in parts)
+    core, k3_rem = parts
     assert k3_rem.spatial_len == 1 * 16    # 10 w-tiles mod 3 -> 1 tile peeled
-    assert core.spatial_len == 144 and core.oc_len == 32
+    assert k3_rem.spatial_start == core.spatial_len == 144
 
 
 def test_split_order_stable():
@@ -123,8 +124,8 @@ def test_reference_plan_lens():
 
 
 def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
-    # 13 mod 8 = 5 filters: no region of their own, but a 5-row last
-    # filter set in the main regions, which span every output channel
+    # 13 mod 8 = 5 filters: no region of their own, but a short last
+    # filter tile in the one filter set of each region, all 13 filters
     p = random_params(np.random.default_rng(9), max_out=8)
     p = type(p)(**{**p.__dict__, "oc": 13})
     conv = conv_info(p.padded())
@@ -147,7 +148,7 @@ def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
     monkeypatch.setattr(kernel, "pack_filter", recording)
     x, flt = rand_tensors(rng, p)
     out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
-    assert rows == {0: 8, 1: 5}
+    assert rows == {0: 13}
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
