@@ -1,14 +1,14 @@
 """Sliced direct-convolution engine.
 
 Cache-aware tiling analysis, recursive edge-case splitting, affine-equation
-filter/input packing with multipacking, and a two-level tiled macrokernel
-around an outer-product microkernel, plus an oracle-checked harness.
+input packing with multipacking, and one region executor that runs each
+window set against every filter as one GEMM, plus an oracle-checked harness.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
 from .engine import RunInfo, run_convolution
 from .harness import ConvCase, CaseReport, load_suite, run_suite
-from .kernel import RunCounters, build_plan, execute_region, microkernel
+from .kernel import RunCounters, execute_region, microkernel
 from .model import ConvParams, out_shape, pad_input
 from .packing import pack_filter, pack_input
 from .reference import im2col, naive_conv
@@ -22,7 +22,7 @@ __all__ = [
     "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk",
     "RunInfo", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
-    "RunCounters", "build_plan", "execute_region", "microkernel",
+    "RunCounters", "execute_region", "microkernel",
     "ConvParams", "out_shape", "pad_input",
     "pack_filter", "pack_input",
     "im2col", "naive_conv",

@@ -1,16 +1,17 @@
 """End-to-end driver: pad once, analyze, split into regions, execute.
 
 Padding is materialized up front so the tiled pipeline and every packing
-equation can assume pad = 0. Every region runs the tiled macrokernel.
+equation can assume pad = 0. Every region runs through execute_region.
 
-The analysis sizes tiles as the paper does; _region_strategy maps them onto
-the GEMM microkernel, and is the one place that sizes execution. The GEMM
-blocks its own operands, so a set spans all input channels (nc) and all
-of its region's filters (k2): every set pair is one window set against
-every filter, (oc_len, K) @ (K, W). A window set at full depth holds at
-most the arch file's L2, in whole tiles and at least one. The window
-tail, a Remainder region of fewer than n_win windows, is one partial
-window tile, so it runs as one set pair, one GEMM per batch image.
+The analysis sizes tiles as the paper does; _window_set_tiles maps them
+onto the GEMM microkernel, and is the one place that sizes execution. The
+GEMM blocks its own operands, so each window set runs over all input
+channels against every filter of its region, (oc_len, K) @ (K, W), and
+only the window-set size is left to choose: the analysed k3, capped so
+that a set at full depth holds at most the arch file's L2, in whole tiles
+and at least one. The schedule, nc and k2 are reported, not executed. The
+window tail, a Remainder region of fewer than n_win windows, is one
+partial window tile, so it runs as one GEMM per batch image.
 """
 
 from __future__ import annotations
@@ -64,25 +65,15 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
     for region in regions:
         execute_region(xp, filters, out, conv, region,
-                       _region_strategy(region, strategy, conv, arch, mk), mk,
-                       hook=hook, counters=counters)
+                       _window_set_tiles(region, strategy, conv, arch, mk),
+                       mk, hook=hook, counters=counters)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 
-def _region_strategy(region: KernelRegion, strategy: TilingStrategy,
-                     conv: ConvInfo, arch: ArchInfo, mk: MkInfo
-                     ) -> TilingStrategy:
-    """The analysed strategy as one region executes it.
-
-    nc is the region's channels and k2 its filter tiles, so a filter set
-    is every filter. k3 is capped so that a window set at full depth holds
-    at most l2_bytes; the window tail, one window tile, is one set.
-    """
+def _window_set_tiles(region: KernelRegion, strategy: TilingStrategy,
+                      conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> int:
+    """Window tiles per set for one region: the analysed k3, capped so that
+    a set at full depth holds at most l2_bytes, and at least one."""
     p = conv.params
-    k2 = -(-region.oc_len // mk.n_f)
     tile = region.ic_len * p.fh * p.fw * mk.n_win * ELEM_BYTES
-    k3 = min(strategy.k3, max(1, arch.l2_bytes // tile))
-    # Positional, not dataclasses.replace: its keyword call leaves a dict
-    # on CPython's free list, which the traced peak counts.
-    return TilingStrategy(strategy.schedule, region.ic_len, k2, k3, 0, 0, 0)
-
+    return min(strategy.k3, max(1, arch.l2_bytes // tile))

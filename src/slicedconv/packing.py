@@ -6,7 +6,7 @@ axis K = nc*fh*fw ordered (i_nc, i_fh, i_fw) as im2col's rows are:
   filter: (nt*n_f, K) row-major - the filter slice itself, no
                                   replication: a read-only view of a
                                   C-contiguous filter tensor, with row
-                                  stride ic*fh*fw, or a copy into out=;
+                                  stride ic*fh*fw;
   input:  (K, nt*n_win) K-major - one column per window; elements shared
                                   by overlapping windows are replicated.
 
@@ -56,19 +56,18 @@ from .regions import KernelRegion
 
 
 def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
-                nt: int, nc: int, f_tile_start: int = 0, ic_off: int = 0,
-                out: np.ndarray | None = None) -> np.ndarray:
+                nt: int, nc: int, f_tile_start: int = 0, ic_off: int = 0
+                ) -> np.ndarray:
     """Pack nt consecutive filter tiles of nc channels of a region.
 
     Returns the (rows, nc*fh*fw) matrix whose row i_nt*n_f + i_nf is
     filters[f0 + i_nt*n_f + i_nf, c0:c0 + nc] flattened, with f0/c0 the
     region-relative starting filter and channel, and rows = nt*n_f less
-    what a partial last tile at the region's end lacks. Without out, the
-    matrix is a read-only view of filters when they are C-contiguous (as
-    the engine's always are), with row stride ic*fh*fw: nothing is copied,
-    and a kernel that writes into it raises ValueError rather than change
-    the caller's filters. out, when given, must have that shape
-    (ValueError before anything is written) and is filled and returned.
+    what a partial last tile at the region's end lacks. The matrix is a
+    read-only view of filters when they are C-contiguous (as the engine's
+    always are), with row stride ic*fh*fw: nothing is copied, and a kernel
+    that writes into it raises ValueError rather than change the caller's
+    filters.
     """
     fh, fw = filters.shape[2], filters.shape[3]
     f0 = region.oc_start + f_tile_start * mk.n_f
@@ -80,16 +79,11 @@ def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
         raise IndexError("channel range overflows the region")
 
     src = filters[f0:min(f0 + nt * mk.n_f, f_end), c0:c0 + nc]
-    shape = (len(src), nc * fh * fw)
-    if out is None:
-        mat = src.reshape(shape)
-        # Not flags.writeable = False: each such assignment left ~57 B
-        # allocated, which the traced peak counts.
-        mat.setflags(write=False)
-        return mat
-    out = _matrix_out(out, shape)
-    out.reshape(src.shape)[:] = src
-    return out
+    mat = src.reshape(len(src), nc * fh * fw)
+    # Not flags.writeable = False: each such assignment left ~57 B
+    # allocated, which the traced peak counts.
+    mat.setflags(write=False)
+    return mat
 
 
 def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
@@ -144,7 +138,11 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
         (nc, p.fh, p.fw, oh, ow), chans.dtype, chans, 0,
         (cs, p.dil_h * rs, p.dil_w * es, p.stride_h * rs, p.stride_w * es))
 
-    out = _matrix_out(out, (nc * p.fh * p.fw, total))
+    shape = (nc * p.fh * p.fw, total)
+    if out is None:
+        out = np.empty(shape, DTYPE)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, not {shape}")
     # flat[i_nc, i_fh, i_fw, g] is window ts + g. Splitting K is a view for
     # any 2-D out. The group is at most three slices of the view: the rest
     # of its first output row, a block of whole rows, and the start of its
@@ -166,11 +164,3 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
             flat[..., total - q1:] = view[..., r1, :q1]
     return out
 
-
-def _matrix_out(out: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    """A new f32 matrix of shape, or out after checking its shape."""
-    if out is None:
-        return np.empty(shape, DTYPE)
-    if out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, not {shape}")
-    return out

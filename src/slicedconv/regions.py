@@ -5,7 +5,7 @@ channels) is carved into disjoint rectangular regions before tiling:
 
   1. a structural split peels the window tail (windows mod n_win) into a
      Remainder region. It skips the tiling analysis: it runs the same
-     pipeline as one set pair, a partial window tile over all channels
+     pipeline as one window set, a partial window tile over all channels
      and filters;
   2. the main region, over all output and input channels, then peels the
      window tiles that do not fill a whole k3 set (r_k3) into a second
@@ -13,8 +13,8 @@ channels) is carved into disjoint rectangular regions before tiling:
      locally recomputed set counts; the filter tail (oc mod n_f) is a
      short last filter tile of each.
 
-No region splits input or output channels: the executor runs each set
-pair as one GEMM over all of its region's channels and filters, which
+No region splits input or output channels: the executor runs each window
+set as one GEMM over all of its region's channels and filters, which
 blocks its operands itself, so the analysis's nc and k2 and their
 remainders r_nc and r_k2 size no region.
 
@@ -118,7 +118,7 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
     """Full region decomposition for a convolution.
 
     The window tail (windows mod n_win) is a Remainder region, run as one
-    set pair; everything else comes from split_by_strategy.
+    window set; everything else comes from split_by_strategy.
     """
     main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=conv.params.oc,
                                     ic_len=conv.params.ic)

@@ -15,10 +15,11 @@ plus the remainders of each dimension against its tile size.
 
 These are the paper's tile sizes, and the CSV report gives them as
 analysed. The executor maps them onto a BLAS GEMM microkernel, which
-blocks its own operands: it runs every set over all input channels
-rather than in nc blocks, makes a filter set every filter of its region
-rather than k2 tiles, and caps a window set at full depth to L2 (see
-engine.py), so nc, k2, r_nc and r_k2 size no region or loop there.
+packs and blocks its own operands: it runs each window set over all input
+channels against every filter of its region, and takes from the analysis
+only k3, capped so that a window set at full depth holds at most L2 (see
+engine.py). The schedule orders nothing in execution, and nc, k2, r_nc
+and r_k2 size no region or loop there.
 
 Tile-count semantics are fixed per dimension: k2 always counts filter tiles
 and k3 always counts window tiles, for both schedules. nc candidates are

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
                       rand_tensors, random_params)
 from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
-                        build_plan, execute_region, load_arch, microkernel,
-                        naive_conv, run_convolution)
+                        execute_region, load_arch, microkernel, naive_conv,
+                        run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
@@ -76,49 +77,6 @@ def test_microkernel_shape_errors():
                     make_accumulator(2, 2))
 
 
-def _ref_region_and_strategy():
-    from conftest import REF_PARAMS
-    conv = conv_info(REF_PARAMS)
-    strat = analyze(conv, CALIBRATED_ARCH, REF_MK)
-    regions = plan_regions(conv, strat, REF_MK)
-    main = max((r for r in regions if r.kind is RegionKind.Main),
-               key=lambda r: r.spatial_len)
-    return conv, strat, main
-
-
-def test_build_plan_is_order_and_multipack():
-    conv, strat, main = _ref_region_and_strategy()
-    plan = build_plan(main, strat, REF_MK)
-    dims = [l.dim for l in plan.loops]
-    # no channel-block loop: every set spans the region's channels
-    assert dims == ["batch", "window_set", "filter_set",
-                    "window_tile", "filter_tile"]
-    steps = {l.dim: l.step for l in plan.loops}
-    assert steps["window_set"] == strat.k3
-    assert steps["filter_set"] == strat.k2
-
-
-def test_build_plan_ws_mirror():
-    conv, strat, main = _ref_region_and_strategy()
-    ws = TilingStrategy(schedule=Schedule.WeightStationary, nc=strat.nc,
-                        k2=strat.k2, k3=strat.k3, r_nc=0, r_k2=0, r_k3=0)
-    plan = build_plan(main, ws, REF_MK)
-    dims = [l.dim for l in plan.loops]
-    assert dims == ["batch", "filter_set", "window_set",
-                    "filter_tile", "window_tile"]
-
-
-def test_build_plan_degenerate_two_level():
-    conv, strat, main = _ref_region_and_strategy()
-    unit = TilingStrategy(schedule=Schedule.InputStationary, nc=strat.nc,
-                          k2=1, k3=1, r_nc=0, r_k2=0, r_k3=0)
-    plan = build_plan(main, unit, REF_MK)
-    steps = {l.dim: l.step for l in plan.loops}
-    assert steps["window_set"] == 1 and steps["filter_set"] == 1
-    assert build_plan(main, TilingStrategy(Schedule.InputStationary, 1, 1, 1,
-                                           0, 0, 0), REF_MK) == plan
-
-
 def _run_engine_case(rng, p, mk, arch=CALIBRATED_ARCH, **kw):
     x, flt = rand_tensors(rng, p)
     out, info = run_convolution(x, flt, p, arch, mk, **kw)
@@ -161,21 +119,26 @@ def test_asymmetric_parameters_match_oracle(rng):
         assert max_relative_error(out, ref) <= 1e-4, p
 
 
-def test_both_schedules_match_oracle(rng):
+def test_both_schedules_match_oracle(rng, monkeypatch):
+    # The analysed schedule orders nothing in execution: an engine run
+    # under either, in window sets of k3 = 3 tiles and a one-window tail,
+    # matches the oracle, and the two outputs agree bit for bit.
     p = ConvParams(n=1, ic=8, ih=13, iw=13, oc=16, fh=3, fw=3)
-    conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
     x, flt = rand_tensors(rng, p)
     ref = naive_conv(x, flt, p)
-    for sched in (Schedule.InputStationary, Schedule.WeightStationary):
+    outs = []
+    for sched in SCHEDULES:
         strat = TilingStrategy(schedule=sched, nc=8, k2=2, k3=3,
                                r_nc=0, r_k2=0, r_k3=0)
-        out = np.zeros((1, 16, conv.oh, conv.ow), dtype=np.float32)
-        regions = plan_regions(conv, strat, mk)
-        assert regions[0].kind is RegionKind.Remainder  # one-window tail
-        for region in regions:
-            execute_region(x, flt, out, conv, region, strat, mk)
+        monkeypatch.setattr(engine, "analyze", lambda *a: strat)
+        out, info = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+        assert info.strategy is strat
+        assert info.regions[0].kind is RegionKind.Remainder  # one-window tail
+        assert info.regions[0].spatial_len == 1
         assert max_relative_error(out, ref) <= 1e-4
+        outs.append(out)
+    assert np.array_equal(*outs)
 
 
 def test_single_region_touches_only_its_window(rng):
@@ -187,7 +150,7 @@ def test_single_region_touches_only_its_window(rng):
     region = regions[0]
     x, flt = rand_tensors(rng, p)
     out = np.zeros((1, 8, conv.oh, conv.ow), dtype=np.float32)
-    execute_region(x, flt, out, conv, region, strat, mk)
+    execute_region(x, flt, out, conv, region, strat.k3, mk)
     ref = naive_conv(x, flt, p).reshape(1, 8, -1)
     got = out.reshape(1, 8, -1)
     s0, s1 = region.spatial_start, region.spatial_start + region.spatial_len
@@ -212,19 +175,12 @@ def test_region_order_is_irrelevant(rng):
     def run(order):
         out = np.zeros((1, 12, conv.oh, conv.ow), dtype=np.float32)
         for region in order:
-            execute_region(x, flt, out, conv, region, strat, mk)
+            execute_region(x, flt, out, conv, region, strat.k3, mk)
         return out
 
     a = run(regions)
     b = run(list(reversed(regions)))
     assert np.array_equal(a, b)
-
-
-def _one_set_pair(sched, region, mk):
-    """The engine's strategy for a window tail: one set pair."""
-    return TilingStrategy(schedule=sched, nc=region.ic_len,
-                          k2=-(-region.oc_len // mk.n_f), k3=1,
-                          r_nc=0, r_k2=0, r_k3=0)
 
 
 def test_execute_region_nine_window_tail(rng):
@@ -242,14 +198,12 @@ def test_execute_region_nine_window_tail(rng):
                             oc_len=4, ic_start=0, ic_len=2,
                             kind=RegionKind.Remainder, e_off=5616)
     ref = naive_conv(x, flt, p_small).reshape(1, 4, -1)
-    for sched in SCHEDULES:
-        out = np.zeros((1, 4, 75, 75), dtype=np.float32)
-        execute_region(x, flt, out, conv_small, tail_small,
-                       _one_set_pair(sched, tail_small, REF_MK), REF_MK)
-        got = out.reshape(1, 4, -1)
-        assert np.allclose(got[:, :, 5616:], ref[:, :, 5616:],
-                           rtol=1e-5, atol=1e-6)
-        assert np.all(got[:, :, :5616] == 0)
+    out = np.zeros((1, 4, 75, 75), dtype=np.float32)
+    execute_region(x, flt, out, conv_small, tail_small, 1, REF_MK)
+    got = out.reshape(1, 4, -1)
+    assert np.allclose(got[:, :, 5616:], ref[:, :, 5616:],
+                       rtol=1e-5, atol=1e-6)
+    assert np.all(got[:, :, :5616] == 0)
 
 
 def test_execute_region_empty_region_is_noop():
@@ -262,14 +216,32 @@ def test_execute_region_empty_region_is_noop():
                           e_off=0)
     x = np.ones((1, 2, 6, 6), dtype=np.float32)
     flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    for sched in SCHEDULES:
-        execute_region(x, flt, out, conv, region,
-                       _one_set_pair(sched, region, mk), mk)
+    execute_region(x, flt, out, conv, region, 1, mk)
     assert np.all(out == 0)
 
 
+@pytest.mark.parametrize("set_tiles", [0, -1, 2.0, True])
+def test_execute_region_rejects_a_bad_set_size(set_tiles):
+    # A set size below 1 would make an empty window-set loop and leave the
+    # region unwritten; a float or a bool is not a tile count. Each is
+    # refused before anything is written.
+    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
+    region = KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,
+                          oc_len=4, ic_start=0, ic_len=2,
+                          kind=RegionKind.Main, e_off=0)
+    x = np.ones((1, 2, 6, 6), dtype=np.float32)
+    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
+    out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32)
+    error = TypeError if isinstance(set_tiles, (bool, float)) else ValueError
+    with pytest.raises(error, match="set_tiles"):
+        execute_region(x, flt, out, conv, region, set_tiles, mk)
+    assert np.all(out == 7.0)
+
+
 def test_execute_region_rejects_a_channel_split():
-    # the set pair's GEMM writes its output block, so a region over part
+    # each window set's GEMM writes its output block, so a region over part
     # of the channels would leave a partial sum: rejected before writing
     p = ConvParams(n=1, ic=4, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
@@ -282,9 +254,7 @@ def test_execute_region_rejects_a_channel_split():
                               oc_len=4, ic_start=c0, ic_len=clen,
                               kind=RegionKind.Main, e_off=0)
         with pytest.raises(ValueError, match="does not accumulate"):
-            execute_region(x, flt, out, conv, region,
-                           _one_set_pair(Schedule.InputStationary, region, mk),
-                           mk)
+            execute_region(x, flt, out, conv, region, 1, mk)
     assert np.all(out == 0)
 
 
@@ -307,13 +277,11 @@ def test_execute_region_tail_spanning_row_break(rng):
                               kind=RegionKind.Remainder, e_off=s0)
         ref = naive_conv(x, flt, p).reshape(p.n, p.oc, -1)
         inside = np.s_[:, o0:o0 + olen, s0:s0 + slen]
-        # the one set pair the engine gives a window tail, and window sets
-        # of two tiles against one filter tile each (nc is not read)
-        for strat in [st for sched in SCHEDULES
-                      for st in (_one_set_pair(sched, region, mk),
-                                 TilingStrategy(sched, 2, 1, 2, 0, 0, 0))]:
+        # window sets of one tile, of two, and of up to eight, which
+        # hold all of each region but the strided one's 12 tiles
+        for set_tiles in (1, 2, 8):
             out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-            execute_region(x, flt, out, conv, region, strat, mk)
+            execute_region(x, flt, out, conv, region, set_tiles, mk)
             got = out.reshape(p.n, p.oc, -1)
             assert np.allclose(got[inside], ref[inside], rtol=1e-5, atol=1e-6)
             got[inside] = 0
@@ -497,70 +465,54 @@ def _check_accumulator_touches(rng, oc):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def test_pack_once_instrumentation_is(rng):
-    p = ConvParams(n=1, ic=8, ih=18, iw=18, oc=16, fh=3, fw=3)
-    conv = conv_info(p)
+def test_pack_once_instrumentation_is(rng, monkeypatch):
+    _check_pack_once(rng, monkeypatch, Schedule.InputStationary)
+
+
+def test_pack_once_instrumentation_ws(rng, monkeypatch):
+    _check_pack_once(rng, monkeypatch, Schedule.WeightStationary)
+
+
+def _check_pack_once(rng, monkeypatch, sched):
+    # 16x16 outputs in 64 window tiles of 4, 16 filters in 4 tiles, batch
+    # 2, and k3 = 6: a main region of 60 tiles and a k3 peel of 4, under
+    # an analysed schedule that orders nothing in execution.
+    p = ConvParams(n=2, ic=8, ih=18, iw=18, oc=16, fh=3, fw=3)
     mk = MkInfo(n_win=4, n_f=4)
-    strat = TilingStrategy(schedule=Schedule.InputStationary, nc=4, k2=2, k3=8,
-                           r_nc=0, r_k2=0, r_k3=0)
+    strat = TilingStrategy(schedule=sched, nc=4, k2=2, k3=6,
+                           r_nc=0, r_k2=0, r_k3=4)
+    monkeypatch.setattr(engine, "analyze", lambda *a: strat)
     counters = RunCounters()
     x, flt = rand_tensors(rng, p)
-    out = np.zeros((1, 16, 16, 16), dtype=np.float32)
-    for region in plan_regions(conv, strat, mk):
-        execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
-    # IS: every input tile packed exactly once per batch image, at full
-    # depth: nc = 4 of ic = 8 is not read
-    assert set(counters.input_packs.values()) == {1}
-    assert len(counters.input_packs) == 256 // 4
-    # filters are taken once per window set
-    wsets = (256 // 4) // strat.k3
-    per_filter_tile = {k[2] for k in counters.filter_packs}
-    assert per_filter_tile == set(range(16 // 4))
-    assert set(counters.filter_packs.values()) == {1}
-    assert len(counters.filter_packs) == wsets * (16 // 4)
+    out, info = run_convolution(x, flt, p, CALIBRATED_ARCH, mk,
+                                counters=counters)
+    starts = [r.spatial_start // mk.n_win for r in info.regions]
+    assert starts == [0, 60]
+    # every window tile packed once per batch image, at full depth: nc = 4
+    # of ic = 8 is not read
+    assert counters.input_packs == Counter(
+        {(b, t): 1 for b in range(p.n) for t in range(64)})
+    # each region's filters taken once, as one view, keyed by the region's
+    # first window tile
+    assert counters.filter_packs == Counter(
+        {(s, f): 1 for s in starts for f in range(4)})
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def test_pack_once_instrumentation_ws(rng):
-    p = ConvParams(n=1, ic=8, ih=18, iw=18, oc=16, fh=3, fw=3)
-    conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
-    strat = TilingStrategy(schedule=Schedule.WeightStationary, nc=8, k2=2, k3=8,
-                           r_nc=0, r_k2=0, r_k3=0)
-    counters = RunCounters()
-    x, flt = rand_tensors(rng, p)
-    out = np.zeros((1, 16, 16, 16), dtype=np.float32)
-    for region in plan_regions(conv, strat, mk):
-        execute_region(x, flt, out, conv, region, strat, mk, counters=counters)
-    # WS: every filter tile taken exactly once per batch image
-    assert set(counters.filter_packs.values()) == {1}
-    assert len(counters.filter_packs) == 1 * (16 // 4)
-    # inputs are multipacked once per (filter set, window tile)
-    fsets = (16 // 4) // strat.k2
-    assert set(counters.input_packs.values()) == {1}
-    assert len(counters.input_packs) == 1 * fsets * (256 // 4)
-    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
-
-
-@pytest.mark.parametrize("sched", [Schedule.InputStationary,
-                                   Schedule.WeightStationary])
-@pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
-def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
+@pytest.mark.parametrize("set_tiles", [3, 2])
+def test_set_product_matches_per_tile_hook(rng, set_tiles):
     # 49 windows in 7 tiles of 7, or in 9 tiles of 6 whose last one holds
-    # a single window, and 5 filter tiles: the last set is partial on both
-    # sides, and with n_win = 6 and k3 = 3 it is two whole window tiles
-    # and a partial one. (3, 2) has window sets larger than filter sets,
-    # (2, 4) smaller
+    # a single window, and 5 filter tiles: the last window set is partial,
+    # and with n_win = 6 and 3-tile sets it is two whole window tiles and
+    # a partial one
     for n_win in (7, 6):
-        _check_set_product(rng, sched, k3, k2, n_win)
+        _check_set_product(rng, set_tiles, n_win)
 
 
-def _check_set_product(rng, sched, k3, k2, n_win):
+def _check_set_product(rng, set_tiles, n_win):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=n_win, n_f=4)
-    strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
-                           r_nc=0, r_k2=0, r_k3=0)
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
@@ -569,18 +521,24 @@ def _check_set_product(rng, sched, k3, k2, n_win):
     def run(hook):
         counters = RunCounters()
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, strat, mk, hook=hook,
+        execute_region(x, flt, out, conv, region, set_tiles, mk, hook=hook,
                        counters=counters)
         return out, counters
 
+    heights = []
+
     def per_tile(pin, pf, acc):
+        heights.append(pf.shape[1])
         microkernel(pin, pf, acc)
 
     batched, c_batched = run(None)
     tiled, c_tiled = run(per_tile)
     assert np.array_equal(batched, tiled)
     assert c_batched == c_tiled
-    # all 6 channels in one GEMM, though nc = 4: each tile written once
+    # every window set is one GEMM against all 20 filters
+    wtiles = -(-conv.ohw // n_win)
+    assert heights == [p.oc] * (p.n * -(-wtiles // set_tiles))
+    # all 6 channels in one GEMM: each tile written once
     assert set(c_batched.acc_touches.values()) == {1}
     assert max_relative_error(batched, naive_conv(x, flt, p)) <= 1e-4
 
@@ -638,31 +596,26 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     assert max(widths) == k3 * mk.n_win
     assert set(heights) == {p.oc}
     # each window set in exactly one multipack per batch image, under
-    # both schedules: there is one filter set to stream it against
+    # both schedules
     assert chunked_nts == wsets * p.n
 
 
-@pytest.mark.parametrize("sched", [Schedule.InputStationary,
-                                   Schedule.WeightStationary])
-@pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
+@pytest.mark.parametrize("set_tiles", [3, 2])
 @pytest.mark.parametrize("adding", [None, "adding"])
-def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, sched, k3, k2,
-                                                      adding):
+def test_hook_calls_tile_each_window_set_in_whole_tiles(rng, set_tiles, adding):
     # 7 window tiles of 7 and 5 filter tiles of 4 (the last one 2 filters
-    # short when oc = 18), K = 6*9 = 54 whatever nc says: every set pair
-    # is one call, which writes its output block once. The "adding" hook
-    # adds into acc, as one written for an accumulating kernel would;
-    # acc arrives zeroed, so the output is the same.
+    # short when oc = 18), K = 6*9 = 54: every window set is one call
+    # against all filters, which writes its output block once. The
+    # "adding" hook adds into acc, as one written for an accumulating
+    # kernel would; acc arrives zeroed, so the output is the same.
     for oc in (20, 18):
-        _check_hook_calls(rng, sched, k3, k2, adding, oc)
+        _check_hook_calls(rng, set_tiles, adding, oc)
 
 
-def _check_hook_calls(rng, sched, k3, k2, adding, oc):
+def _check_hook_calls(rng, set_tiles, adding, oc):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=7, n_f=4)
-    strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
-                           r_nc=0, r_k2=0, r_k3=0)
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
@@ -682,24 +635,20 @@ def _check_hook_calls(rng, sched, k3, k2, adding, oc):
         else:
             microkernel(pin, pf, acc)
 
-    execute_region(x, flt, out, conv, region, strat, mk, hook=recording)
+    execute_region(x, flt, out, conv, region, set_tiles, mk, hook=recording)
     cover = np.zeros((p.n, p.oc, conv.ohw), int)
     for b, k, f0, w0, height, width in calls:
-        # the whole reduction, and whole tiles but for a block that ends
-        # at oc
+        # the whole reduction against every filter, and one window set of
+        # whole tiles
         assert k == p.ic * 9
-        assert f0 % mk.n_f == 0
-        assert height % mk.n_f == 0 or f0 + height == p.oc
-        assert w0 % mk.n_win == 0 and width % mk.n_win == 0
-        # exactly one set pair
-        assert f0 % (k2 * mk.n_f) == 0 and w0 % (k3 * mk.n_win) == 0
-        assert height == min(k2 * mk.n_f, p.oc - f0)
-        assert width == min(k3 * mk.n_win, conv.ohw - w0)
+        assert (f0, height) == (0, p.oc)
+        assert w0 % (set_tiles * mk.n_win) == 0
+        assert width == min(set_tiles * mk.n_win, conv.ohw - w0)
+        assert width % mk.n_win == 0
         cover[b, f0:f0 + height, w0:w0 + width] += 1
     # every output element once
     assert (cover == 1).all()
-    assert any(h % mk.n_f for *_, h, w in calls) == bool(p.oc % mk.n_f)
-    assert len(calls) == p.n * -(-7 // k3) * -(-5 // k2)
+    assert len(calls) == p.n * -(-7 // set_tiles)
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
@@ -781,13 +730,10 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     ranges = [(r.spatial_start, r.spatial_len) for r in info.regions]
     assert len(ranges) == len(set(ranges)) == 2
     assert all((r.oc_start, r.oc_len) == (0, p.oc) for r in info.regions)
-    keys = list(counters.input_packs)
-    if sched is Schedule.WeightStationary:
-        # streamed windows carry the stationary filter set: there is one
-        assert {k[1] for k in keys} == {0}
-        keys = [(b, tile) for b, _, tile in keys]
-    assert sorted(keys) == [(0, t) for t in range(4)]
-    assert set(counters.input_packs.values()) == {1}
+    assert counters.input_packs == Counter({(0, t): 1 for t in range(4)})
+    # one view of all 64 filter tiles per region
+    assert counters.filter_packs == Counter(
+        {(s // mk.n_win, f): 1 for s, _ in ranges for f in range(64)})
     assert heights and set(heights) == {p.oc}
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
@@ -817,16 +763,12 @@ def test_window_set_memory_is_bounded_by_l2(rng):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-@pytest.mark.parametrize("sched", [Schedule.InputStationary,
-                                   Schedule.WeightStationary])
-def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
+def test_deep_reduction_matches_microkernel_hook_bitwise(rng):
     # K = 64*3*3 = 576 with 16-window tiles: a hook that wraps microkernel
     # gets the built-in path's calls, so the outputs agree bit for bit.
     p = ConvParams(n=1, ic=64, ih=16, iw=16, oc=32, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=16, n_f=8)
-    strat = TilingStrategy(schedule=sched, nc=64, k2=2, k3=5,
-                           r_nc=0, r_k2=0, r_k3=0)
     region = KernelRegion(spatial_start=0, spatial_len=192, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
@@ -840,7 +782,7 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     outs = []
     for hook in (None, wrapped):
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, strat, mk, hook=hook)
+        execute_region(x, flt, out, conv, region, 5, mk, hook=hook)
         outs.append(out)
     assert depths == {576}
     assert np.array_equal(outs[0], outs[1])

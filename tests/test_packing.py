@@ -77,16 +77,6 @@ def test_pack_filter_range_overflow():
         with pytest.raises(IndexError):
             pack_filter(flt, region, MkInfo(n_win=4, n_f=n_f), nt=nt, nc=2,
                         f_tile_start=f_tile)
-    # An out of the full tiles' shape does not hold a short last tile; it
-    # is refused before anything is written.
-    conv = conv_info(ConvParams(n=1, ic=2, ih=8, iw=8, oc=13, fh=3, fw=3))
-    flt = np.zeros((13, 2, 3, 3), dtype=np.float32)
-    for f_tile, nt, rows in ((3, 1, 1), (2, 2, 5)):
-        out = np.full((nt * 4, 18), np.nan, np.float32)
-        with pytest.raises(ValueError, match=f"not \\({rows}, 18\\)"):
-            pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=4),
-                        nt=nt, nc=2, f_tile_start=f_tile, out=out)
-        assert np.isnan(out).all()
 
 
 def test_input_pack_index_simple_examples():
@@ -296,52 +286,45 @@ def test_pack_input_row_pieces_match_im2col(rng, oh, ow, n_win, ts, nt):
     assert np.isnan(big[:, :3]).all() and np.isnan(big[:, -2:]).all()
 
 
-def _assert_outs_refused(rng, shapes_in, shapes_f):
-    # Each out is NaN-filled; the packers must refuse it with ValueError
+def _assert_outs_refused(rng, shapes):
+    # Each out is NaN-filled; pack_input must refuse it with ValueError
     # before writing any element. The packed input matrix is K = 2*3*3 = 18
-    # by 12 windows, the packed filter matrix 8 filters by K.
+    # by 12 windows.
     p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=8, fh=3, fw=3)
     conv = conv_info(p)
-    x, flt = _tensors(rng, p)
+    x, _ = _tensors(rng, p)
     mk = MkInfo(n_win=4, n_f=4)
     region = full_region(conv)
-    for shape in shapes_in:
+    for shape in shapes:
         out = np.full(shape, np.nan, np.float32)
         with pytest.raises(ValueError, match="not \\(18, 12\\)"):
             pack_input(x, conv, region, (5, 0), mk, nt=3, nc=2, out=out)
         assert np.isnan(out).all()
-    for shape in shapes_f:
-        out = np.full(shape, np.nan, np.float32)
-        with pytest.raises(ValueError, match="not \\(8, 18\\)"):
-            pack_filter(flt, region, mk, nt=2, nc=2, out=out)
-        assert np.isnan(out).all()
 
 
 def test_packers_reject_wrong_shape_out(rng):
-    # The transposed matrix holds as many elements but is refused, as is
-    # the filters' old per-tile (nt, nc, fh, fw, n_f) layout.
-    _assert_outs_refused(rng, [(12, 18)], [(18, 8), (2, 4, 2, 3, 3)])
+    # The transposed matrix holds as many elements but is refused.
+    _assert_outs_refused(rng, [(12, 18)])
 
 
 def test_pack_input_rejects_tile_major_out(rng):
     # The old tile-major (nt, nc, fh, fw, n_win) layout, with or without a
     # padded window axis, is not the K-major matrix and is refused.
-    _assert_outs_refused(rng, [(3, 2, 3, 3, 4), (3, 2, 3, 3, 5)], [])
+    _assert_outs_refused(rng, [(3, 2, 3, 3, 4), (3, 2, 3, 3, 5)])
 
 
 def test_packed_tile_rejects_size_mismatch(rng):
     # An out that holds more or fewer elements than the packed matrix (a
     # wider buffer, the matrix of one tile fewer) is refused.
-    _assert_outs_refused(rng, [(18, 13), (18, 8)], [(8, 19), (4, 18)])
+    _assert_outs_refused(rng, [(18, 13), (18, 8)])
 
 
 def test_pack_filter_matrix_is_the_filter_block(rng):
     # The packed filter matrix is the (filters, K) block of the FCHW tensor
     # viewed as (oc, ic*fh*fw), bitwise, whichever tiles and channels the
-    # region and offsets select: a read-only view of the filters, or
-    # written into a column slice of a wider buffer or a Fortran-ordered
-    # matrix. In odd rounds oc is short of whole tiles, and the block runs
-    # to the partial last tile, (oc - f0, K).
+    # region and offsets select, and a read-only view of the filters. In
+    # odd rounds oc is short of whole tiles, and the block runs to the
+    # partial last tile, (oc - f0, K).
     for i in range(20):
         fh, fw = FILTER_SHAPES[int(rng.integers(len(FILTER_SHAPES)))]
         oc, ic, n_f = (int(v) for v in rng.integers(1, 9, 3))
@@ -360,22 +343,12 @@ def test_pack_filter_matrix_is_the_filter_block(rng):
         want = flt.reshape(p.oc, -1)[f_tile * n_f:(f_tile + nt) * n_f,
                                      ic_off * kk:(ic_off + nc) * kk]
         assert len(want) == (p.oc - f_tile * n_f if short else nt * n_f)
-        buf = np.full((len(want), nc * kk + 3), np.nan, np.float32)
-        fortran = np.empty(want.shape, np.float32, order="F")
-        got = []
-        for out in (None, buf[:, 1:-2], fortran):
-            m = pack_filter(flt, full_region(conv), mk, nt=nt, nc=nc,
-                            f_tile_start=f_tile, ic_off=ic_off, out=out)
-            assert out is None or m is out
-            assert np.array_equal(m, want)
-            got.append(m)
-        assert np.isnan(buf[:, 0]).all() and np.isnan(buf[:, -2:]).all()
-        view = got[0]
+        view = pack_filter(flt, full_region(conv), mk, nt=nt, nc=nc,
+                           f_tile_start=f_tile, ic_off=ic_off)
+        assert np.array_equal(view, want)
+        assert view.tobytes() == want.tobytes()
         assert np.shares_memory(view, flt) and not view.flags.writeable
         assert flt.flags.writeable
-        for copy in got[1:]:
-            assert not np.shares_memory(copy, flt)
-            assert view.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("short", ["row", "col"])

@@ -18,3 +18,20 @@ def test_readme_python_examples_run():
     assert "my_kernel" in ns and ns["info"].regions
     ref = rowwise_conv(ns["x"], ns["w"], ns["p"])
     assert max_relative_error(ns["out"], ref) <= 1e-4
+
+
+def test_readme_export_list_matches_all():
+    # Every name in __all__ resolves, and every backticked identifier in
+    # the README's "Lower-level pieces are exported too" paragraph is one
+    # of them, so a name dropped from the package but left in the README
+    # fails here.
+    import slicedconv
+    missing = [n for n in slicedconv.__all__ if not hasattr(slicedconv, n)]
+    assert not missing
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    para = re.search(r"^Lower-level pieces are exported too:.*?(?=\n\n)",
+                     text, re.M | re.S)
+    assert para
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", para.group(0)))
+    assert {"execute_region", "pack_filter", "RunCounters"} <= named
+    assert named <= set(slicedconv.__all__), named - set(slicedconv.__all__)
