@@ -499,23 +499,38 @@ def _check_pack_once(rng, monkeypatch, sched):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-@pytest.mark.parametrize("set_tiles", [3, 2])
-def test_set_product_matches_per_tile_hook(rng, set_tiles):
+def _engine_set_tiles(sched, k3, k2, region, conv, mk):
+    """The engine's window-set size for an analysed strategy: k3, whatever
+    the schedule and k2 say (the L2 cap does not bind at these sizes)."""
+    strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
+                           r_nc=0, r_k2=0, r_k3=0)
+    set_tiles = engine._window_set_tiles(region, strat, conv,
+                                         CALIBRATED_ARCH, mk)
+    assert set_tiles == k3
+    return set_tiles
+
+
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+@pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
+def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
     # 49 windows in 7 tiles of 7, or in 9 tiles of 6 whose last one holds
     # a single window, and 5 filter tiles: the last window set is partial,
-    # and with n_win = 6 and 3-tile sets it is two whole window tiles and
-    # a partial one
+    # and with n_win = 6 and k3 = 3 it is two whole window tiles and a
+    # partial one. The schedule and k2 size nothing: (3, 2) and (2, 4)
+    # differ only in the window-set size
     for n_win in (7, 6):
-        _check_set_product(rng, set_tiles, n_win)
+        _check_set_product(rng, sched, k3, k2, n_win)
 
 
-def _check_set_product(rng, set_tiles, n_win):
+def _check_set_product(rng, sched, k3, k2, n_win):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=n_win, n_f=4)
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
+    set_tiles = _engine_set_tiles(sched, k3, k2, region, conv, mk)
     x, flt = rand_tensors(rng, p)
 
     def run(hook):
@@ -600,25 +615,30 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     assert chunked_nts == wsets * p.n
 
 
-@pytest.mark.parametrize("set_tiles", [3, 2])
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+@pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
 @pytest.mark.parametrize("adding", [None, "adding"])
-def test_hook_calls_tile_each_window_set_in_whole_tiles(rng, set_tiles, adding):
+def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, sched, k3, k2,
+                                                      adding):
     # 7 window tiles of 7 and 5 filter tiles of 4 (the last one 2 filters
-    # short when oc = 18), K = 6*9 = 54: every window set is one call
-    # against all filters, which writes its output block once. The
-    # "adding" hook adds into acc, as one written for an accumulating
-    # kernel would; acc arrives zeroed, so the output is the same.
+    # short when oc = 18), K = 6*9 = 54 whatever nc says: a set pair is a
+    # window set of k3 tiles against all filters, whatever k2 says, and
+    # each is one call, which writes its output block once. The "adding"
+    # hook adds into acc, as one written for an accumulating kernel
+    # would; acc arrives zeroed, so the output is the same.
     for oc in (20, 18):
-        _check_hook_calls(rng, set_tiles, adding, oc)
+        _check_hook_calls(rng, sched, k3, k2, adding, oc)
 
 
-def _check_hook_calls(rng, set_tiles, adding, oc):
+def _check_hook_calls(rng, sched, k3, k2, adding, oc):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=7, n_f=4)
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
+    set_tiles = _engine_set_tiles(sched, k3, k2, region, conv, mk)
     x, flt = rand_tensors(rng, p)
     out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
     calls = []
@@ -763,15 +783,19 @@ def test_window_set_memory_is_bounded_by_l2(rng):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def test_deep_reduction_matches_microkernel_hook_bitwise(rng):
+@pytest.mark.parametrize("sched", [Schedule.InputStationary,
+                                   Schedule.WeightStationary])
+def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     # K = 64*3*3 = 576 with 16-window tiles: a hook that wraps microkernel
     # gets the built-in path's calls, so the outputs agree bit for bit.
+    # The engine sizes window sets of k3 = 5 tiles under either schedule.
     p = ConvParams(n=1, ic=64, ih=16, iw=16, oc=32, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=16, n_f=8)
     region = KernelRegion(spatial_start=0, spatial_len=192, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
+    set_tiles = _engine_set_tiles(sched, 5, 2, region, conv, mk)
     x, flt = rand_tensors(rng, p)
     depths = set()
 
@@ -782,7 +806,7 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng):
     outs = []
     for hook in (None, wrapped):
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, 5, mk, hook=hook)
+        execute_region(x, flt, out, conv, region, set_tiles, mk, hook=hook)
         outs.append(out)
     assert depths == {576}
     assert np.array_equal(outs[0], outs[1])
