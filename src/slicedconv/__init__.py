@@ -2,7 +2,8 @@
 
 Cache-aware tiling analysis, recursive edge-case splitting, affine-equation
 input packing with multipacking, and one region executor that runs each
-window set against every filter as one GEMM, plus an oracle-checked harness.
+window set against every filter in one GEMM per channel chunk, plus an
+oracle-checked harness.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk

@@ -3,15 +3,18 @@
 Padding is materialized up front so the tiled pipeline and every packing
 equation can assume pad = 0. Every region runs through execute_region.
 
-The analysis sizes tiles as the paper does; _window_set_tiles maps them
-onto the GEMM microkernel, and is the one place that sizes execution. The
-GEMM blocks its own operands, so each window set runs over all input
-channels against every filter of its region, (oc_len, K) @ (K, W), and
-only the window-set size is left to choose: the analysed k3, capped so
-that a set at full depth holds at most the arch file's L2, in whole tiles
-and at least one. The schedule, nc and k2 are reported, not executed. The
+The analysis sizes tiles as the paper does; _region_shape maps them onto
+the GEMM microkernel, and is the one place that sizes execution. The GEMM
+blocks its own operands, so each window set runs against every filter of
+its region, (oc_len, K) @ (K, W), and two numbers are left to choose per
+region: the window-set size, from the analysed k3, and the channel-chunk
+size, which splits the reduction where capping a set at full depth to L2
+would cut a deep region into several sets, each streaming all of its
+filters (the paper's nc channel tiling, sized by L2 rather than by the
+analysed nc). The schedule, nc and k2 are reported, not executed. The
 window tail, a Remainder region of fewer than n_win windows, is one
-partial window tile, so it runs as one GEMM per batch image.
+partial window tile over all channels, so it runs as one GEMM per batch
+image.
 """
 
 from __future__ import annotations
@@ -60,20 +63,56 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     if not coverage_check(regions, conv):
         raise RuntimeError("region decomposition does not cover")
 
-    # Every element is written by exactly one GEMM; zeros give a hook that
-    # adds into acc the right answer too.
+    # Every element is written by the first GEMM of one window set; zeros
+    # give a hook that adds into acc the right answer too.
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
     for region in regions:
-        execute_region(xp, filters, out, conv, region,
-                       _window_set_tiles(region, strategy, conv, arch, mk),
-                       mk, hook=hook, counters=counters)
+        set_tiles, chunk = _region_shape(region, strategy, conv, arch, mk)
+        execute_region(xp, filters, out, conv, region, set_tiles, mk,
+                       hook=hook, counters=counters, chunk=chunk)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 
-def _window_set_tiles(region: KernelRegion, strategy: TilingStrategy,
-                      conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> int:
-    """Window tiles per set for one region: the analysed k3, capped so that
-    a set at full depth holds at most l2_bytes, and at least one."""
+def _region_shape(region: KernelRegion, strategy: TilingStrategy,
+                  conv: ConvInfo, arch: ArchInfo,
+                  mk: MkInfo) -> tuple[int, int]:
+    """(window tiles per set, channels per chunk) for one region.
+
+    The default is one chunk of all ic_len channels, in window sets of
+    capped tiles: the analysed k3, capped so that a set at full depth
+    (K = ic_len*fh*fw rows) holds at most l2_bytes, and at least one. It
+    stands whenever such a set covers the region's wtiles window tiles.
+    Otherwise the reduction may be split instead: sets of min(k3, wtiles)
+    tiles, W windows, in `chunks` near-equal chunks of at most cc channels
+    (the last one may be shorter), where both the packed chunk
+    (cc*fh*fw, W) and the (oc_len, W) partial-sum block fit in half of
+    l2_bytes. The chunked shape is taken only when its modelled traffic,
+    in elements,
+
+        sets*oc_len*K + 2*(chunks - 1)*oc_len*windows
+
+    with `windows` the region's, is lower than the default's
+    ceil(wtiles/capped)*oc_len*K: every set streams the region's filters
+    once, and every chunk after the first writes a partial block that is
+    then added into the output.
+    """
     p = conv.params
-    tile = region.ic_len * p.fh * p.fw * mk.n_win * ELEM_BYTES
-    return min(strategy.k3, max(1, arch.l2_bytes // tile))
+    ff = p.fh * p.fw
+    k = region.ic_len * ff
+    capped = min(strategy.k3,
+                 max(1, arch.l2_bytes // (k * mk.n_win * ELEM_BYTES)))
+    if capped * mk.n_win >= region.spatial_len:
+        return capped, region.ic_len
+    wtiles = -(-region.spatial_len // mk.n_win)
+    tiles = min(strategy.k3, wtiles)
+    width = min(tiles * mk.n_win, region.spatial_len)
+    half = arch.l2_bytes // (2 * ELEM_BYTES)
+    cc = half // (ff * width)
+    if cc < 1 or region.oc_len * width > half:
+        return capped, region.ic_len
+    chunks = -(-region.ic_len // cc)
+    chunked = (-(-wtiles // tiles) * k
+               + 2 * (chunks - 1) * region.spatial_len) * region.oc_len
+    if chunked >= -(-wtiles // capped) * region.oc_len * k:
+        return capped, region.ic_len
+    return tiles, -(-region.ic_len // chunks)

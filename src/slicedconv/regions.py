@@ -14,9 +14,10 @@ channels) is carved into disjoint rectangular regions before tiling:
      short last filter tile of each.
 
 No region splits input or output channels: the executor runs each window
-set as one GEMM over all of its region's channels and filters, which
-blocks its operands itself, so the analysis's nc and k2 and their
-remainders r_nc and r_k2 size no region.
+set against all of its region's filters and reduces over all of its
+channels (in L2-sized chunks where the engine splits a deep reduction),
+and the GEMM blocks its operands itself, so the analysis's nc and k2 and
+their remainders r_nc and r_k2 size no region.
 
 Regions record their absolute window offset (e_off) so packing can translate
 region-local loop indices into positions of the original tensor.

@@ -15,11 +15,14 @@ plus the remainders of each dimension against its tile size.
 
 These are the paper's tile sizes, and the CSV report gives them as
 analysed. The executor maps them onto a BLAS GEMM microkernel, which
-packs and blocks its own operands: it runs each window set over all input
-channels against every filter of its region, and takes from the analysis
-only k3, capped so that a window set at full depth holds at most L2 (see
-engine.py). The schedule orders nothing in execution, and nc, k2, r_nc
-and r_k2 size no region or loop there.
+packs and blocks its own operands: it runs each window set against every
+filter of its region, and takes from the analysis only k3. The engine
+caps a window set so that it holds at most L2 at full depth or, where
+that cap would cut a deep region into several sets, keeps one set and
+splits its reduction into channel chunks that each fit half of L2 (see
+engine.py). That chunk comes from the engine's L2 rule, not from nc: the
+schedule orders nothing in execution, and nc, k2, r_nc and r_k2 size no
+region or loop there.
 
 Tile-count semantics are fixed per dimension: k2 always counts filter tiles
 and k3 always counts window tiles, for both schedules. nc candidates are
@@ -99,8 +102,8 @@ def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[i
     k3 remainders are expressed in n_win-window tiles over the main spatial
     extent (the sub-n_win window tail is peeled separately and never enters
     the tile-set arithmetic). r_nc and r_k2 are the analysis's figures
-    only: no region splits input or output channels, since each GEMM
-    spans all of both.
+    only: no region splits input or output channels, since each region's
+    GEMMs write all of its filters and reduce over all of its channels.
     """
     r_nc = conv.params.ic % nc
     r_k2 = filter_tiles(conv, mk) % k2

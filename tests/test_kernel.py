@@ -240,6 +240,26 @@ def test_execute_region_rejects_a_bad_set_size(set_tiles):
     assert np.all(out == 7.0)
 
 
+@pytest.mark.parametrize("chunk", [0, -1, 3, 2.0, True])
+def test_execute_region_rejects_a_bad_chunk_size(chunk):
+    # A chunk of no channels, or of more than the region's two, is no
+    # split of its reduction; a float or a bool is not a channel count.
+    # Each is refused before anything is written.
+    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
+    region = KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,
+                          oc_len=4, ic_start=0, ic_len=2,
+                          kind=RegionKind.Main, e_off=0)
+    x = np.ones((1, 2, 6, 6), dtype=np.float32)
+    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
+    out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32)
+    error = TypeError if isinstance(chunk, (bool, float)) else ValueError
+    with pytest.raises(error, match="chunk"):
+        execute_region(x, flt, out, conv, region, 1, mk, chunk=chunk)
+    assert np.all(out == 7.0)
+
+
 def test_execute_region_rejects_a_channel_split():
     # each window set's GEMM writes its output block, so a region over part
     # of the channels would leave a partial sum: rejected before writing
@@ -501,13 +521,13 @@ def _check_pack_once(rng, monkeypatch, sched):
 
 def _engine_set_tiles(sched, k3, k2, region, conv, mk):
     """The engine's window-set size for an analysed strategy: k3, whatever
-    the schedule and k2 say (the L2 cap does not bind at these sizes)."""
+    the schedule and k2 say (the L2 cap does not bind at these sizes), in
+    one chunk of all channels."""
     strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
                            r_nc=0, r_k2=0, r_k3=0)
-    set_tiles = engine._window_set_tiles(region, strat, conv,
-                                         CALIBRATED_ARCH, mk)
-    assert set_tiles == k3
-    return set_tiles
+    shape = engine._region_shape(region, strat, conv, CALIBRATED_ARCH, mk)
+    assert shape == (k3, region.ic_len)
+    return k3
 
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,
@@ -676,14 +696,45 @@ def _full_depth_tile_bytes(p, mk):
     return p.ic * p.fh * p.fw * mk.n_win * 4
 
 
+def _set_recorder(sets, p):
+    """A hook that wraps microkernel and groups its calls into window sets.
+
+    It refuses an accumulator that is not zeroed, a reduction that is not
+    whole channels and a height other than oc. sets gets one [depth so
+    far, width, chunk depths] per window set; a set is complete once its
+    depths add up to ic*fh*fw, and each of its calls has its width.
+    """
+    ff, k = p.fh * p.fw, p.ic * p.fh * p.fw
+
+    def record(pin, pf, acc):
+        if acc.any():
+            raise AssertionError("accumulator not zero on entry")
+        depth, width = pin.shape
+        if depth % ff:
+            raise AssertionError(f"K {depth} is not whole channels")
+        if pf.shape != (depth, p.oc):
+            raise AssertionError(f"filters {pf.shape} != ({depth}, {p.oc})")
+        if not sets or sets[-1][0] == k:
+            sets.append([0, width, []])
+        if width != sets[-1][1]:
+            raise AssertionError(f"width {width} within a set of "
+                                 f"{sets[-1][1]}")
+        sets[-1][0] += depth
+        sets[-1][2].append(depth)
+        microkernel(pin, pf, acc)
+    return record
+
+
 def test_every_gemm_writes_a_zeroed_block_once(rng):
     # A hook that refuses an accumulator holding anything but zeros: each
-    # output element is written by exactly one GEMM, over all channels
-    # and against every filter, and a window set at full depth holds at
-    # most l2_bytes (at least one tile). The third arch's L2 holds exactly
-    # one full-depth tile.
+    # output element is written by the first GEMM of exactly one window
+    # set, against every filter, and a window set's GEMMs reduce over
+    # consecutive channel chunks that together hold all channels. A set at
+    # full depth holds at most l2_bytes (at least one tile); a chunk of
+    # one holds at most half of it. The third arch's L2 holds exactly one
+    # full-depth tile.
     arches = (CALIBRATED_ARCH, load_arch(FIXTURES / "intel.toml"), None)
-    schedules, calls, one_tile_sets = set(), 0, 0
+    schedules, calls, one_tile_sets, chunked = set(), 0, 0, 0
     for i in range(60):
         p = random_params(rng, max_ic=24, max_oc=48, max_out=16)
         mk = MkInfo(n_win=int(rng.choice((4, 8, 16))),
@@ -695,29 +746,28 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
             l1 = sum(tile_bytes(conv_info(p.padded()), mk, 1))
             arch = ArchInfo(l1_bytes=l1, l2_bytes=max(l1, tile),
                             l3_bytes=1 << 24)
-        widths = []
-
-        def write_once(pin, pf, acc):
-            if acc.any():
-                raise AssertionError("accumulator not zero on entry")
-            widths.append(pin.shape[1])
-            if pin.shape[0] != k:
-                raise AssertionError(f"K {pin.shape[0]} != ic*fh*fw {k}")
-            if pf.shape[1] != p.oc:
-                raise AssertionError(f"height {pf.shape[1]} != oc {p.oc}")
-            microkernel(pin, pf, acc)
-
+        sets = []
         x, flt = rand_tensors(rng, p)
-        out, info = run_convolution(x, flt, p, arch, mk, hook=write_once)
+        out, info = run_convolution(x, flt, p, arch, mk,
+                                    hook=_set_recorder(sets, p))
         assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
-        assert all(k * w * 4 <= max(arch.l2_bytes, tile) for w in widths)
+        # each set's chunks add up to the whole reduction
+        assert all(depth == k for depth, _, _ in sets)
+        full = [width for _, width, depths in sets if len(depths) == 1]
+        assert all(k * width * 4 <= max(arch.l2_bytes, tile)
+                   for width in full)
         if arch.l2_bytes < 2 * tile:
-            assert max(widths) <= mk.n_win
+            assert max(full, default=0) <= mk.n_win
             one_tile_sets += 1
+        for _, width, depths in sets:
+            if len(depths) > 1:
+                assert max(depths) * width * 4 <= arch.l2_bytes // 2
+                chunked += 1
         schedules.add(info.strategy.schedule)
-        calls += len(widths)
+        calls += sum(len(depths) for _, _, depths in sets)
     assert schedules == set(SCHEDULES)
     assert one_tile_sets >= 15 and calls > 200, (one_tile_sets, calls)
+    assert chunked >= 1
 
 
 @pytest.mark.parametrize("sched", SCHEDULES)
@@ -758,6 +808,21 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
+def _traced_run(rng, p, arch, mk):
+    """(output, traced peak bytes) of a run after a warm-up run, checked
+    against the oracle."""
+    x, flt = rand_tensors(rng, p)
+    run_convolution(x, flt, p, arch, mk)  # warm-up
+    tracemalloc.start()
+    try:
+        out, _ = run_convolution(x, flt, p, arch, mk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+    return out, peak
+
+
 def test_window_set_memory_is_bounded_by_l2(rng):
     # IS, 32 -> 64 channels, 3x3 pad 1 at 40x40 under intel.toml: the
     # analysis sets k3 = 100 window tiles against L3, a 1.8 MB set at
@@ -769,18 +834,10 @@ def test_window_set_memory_is_bounded_by_l2(rng):
     strat = analyze(conv_info(p.padded()), arch, mk)
     assert strat.schedule is Schedule.InputStationary and strat.k3 == 100
     assert strat.k3 * _full_depth_tile_bytes(p, mk) > arch.l2_bytes
-    x, flt = rand_tensors(rng, p)
-    run_convolution(x, flt, p, arch, mk)  # warm-up
-    tracemalloc.start()
-    try:
-        out, _ = run_convolution(x, flt, p, arch, mk)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced_run(rng, p, arch, mk)
     bound = out.nbytes + 32 * 42 * 42 * 4 + arch.l2_bytes + 64 * 1024
     assert bound == 1_225_216
     assert peak <= bound, (peak, bound)
-    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,
@@ -813,3 +870,107 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     got = outs[0].reshape(p.oc, -1)[:, :192]
     ref = naive_conv(x, flt, p).reshape(p.oc, -1)[:, :192]
     assert max_relative_error(got, ref) <= 1e-4
+
+
+# conv4 and conv5 of ResNet-50 (bench/layers.jsonl), under intel.toml with
+# 16x8: a window set at full depth (K = 2304 and 4608) holds 3 and 1 of
+# their 12 and 3 main window tiles in L2, so the engine splits the
+# reduction instead, into one window set per region.
+CONV4 = ConvParams(n=1, ic=256, ih=14, iw=14, oc=256, fh=3, fw=3,
+                   pad_h=1, pad_w=1)
+CONV5 = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
+                   pad_h=1, pad_w=1)
+
+
+def _intel_16x8():
+    return load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
+
+
+def _region_shapes(p, arch, mk):
+    """[(region, (set_tiles, chunk))] as the engine sizes them."""
+    conv = conv_info(p.padded())
+    strat = analyze(conv, arch, mk)
+    return [(r, engine._region_shape(r, strat, conv, arch, mk))
+            for r in plan_regions(conv, strat, mk)]
+
+
+@pytest.mark.parametrize("p, main_shape",
+                         [(CONV4, (12, 37)), (CONV5, (3, 128))],
+                         ids=["conv4", "conv5"])
+def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
+    # conv4's main region is one set of 12 window tiles in 7 chunks of at
+    # most 37 channels, conv5's one set of 3 tiles in 4 chunks of 128. The
+    # window tail is one tile, which L2 holds at full depth: one chunk.
+    # Every hook call's reduction is whole channels, a set's calls add up
+    # to all of them, and each accumulator arrives zeroed, the partial
+    # block of a later chunk included.
+    arch, mk = _intel_16x8()
+    shapes = {r.kind: shape for r, shape in _region_shapes(p, arch, mk)}
+    assert shapes[RegionKind.Main] == main_shape
+    assert shapes[RegionKind.Remainder][1] == p.ic
+    k = p.ic * p.fh * p.fw
+    chunks = -(-p.ic // main_shape[1])
+    sets = []
+    x, flt = rand_tensors(rng, p)
+    counters = RunCounters()
+    out, info = run_convolution(x, flt, p, arch, mk,
+                                hook=_set_recorder(sets, p),
+                                counters=counters)
+    tail, main = info.regions
+    assert [(depth, width, len(depths)) for depth, width, depths in sets] \
+        == [(k, tail.spatial_len, 1), (k, main.spatial_len, chunks)]
+    builtin, _ = run_convolution(x, flt, p, arch, mk)
+    assert np.array_equal(out, builtin)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+    # the chunks of a set are disjoint channel slices: each window and
+    # filter tile counts one pack, and each output tile one touch per GEMM
+    ftiles = p.oc // mk.n_f
+    main_tiles = main.spatial_len // mk.n_win
+    assert counters.input_packs == Counter(
+        {(0, t): 1 for t in range(main_tiles + 1)})
+    assert set(counters.filter_packs.values()) == {1}
+    assert counters.acc_touches == Counter(
+        {(0, t, f): chunks if t < main_tiles else 1
+         for t in range(main_tiles + 1) for f in range(ftiles)})
+
+
+@pytest.mark.parametrize("p", [CONV4, CONV5], ids=["conv4", "conv5"])
+def test_chunked_run_memory_is_bounded_by_l2(rng, p):
+    # The packed chunk and the partial-sum block each hold at most half of
+    # L2, so the run's traced peak stays within the output, the padded
+    # input, l2_bytes and 64 KiB (which covers NumPy's ufunc buffer for
+    # adding a partial block into a strided output block).
+    arch, mk = _intel_16x8()
+    out, peak = _traced_run(rng, p, arch, mk)
+    padded = p.n * p.ic * (p.ih + 2) * (p.iw + 2) * 4
+    bound = out.nbytes + padded + arch.l2_bytes + 64 * 1024
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("p", [
+    ConvParams(n=1, ic=3, ih=224, iw=224, oc=64, fh=7, fw=7,
+               stride_h=2, stride_w=2, pad_h=3, pad_w=3),
+    ConvParams(n=1, ic=64, ih=56, iw=56, oc=64, fh=3, fw=3, pad_h=1, pad_w=1),
+    ConvParams(n=1, ic=32, ih=77, iw=77, oc=256, fh=3, fw=3),
+    ConvParams(n=1, ic=256, ih=14, iw=14, oc=1024, fh=1, fw=1),
+    ConvParams(n=1, ic=64, ih=15, iw=15, oc=100, fh=3, fw=3),
+    ConvParams(n=1, ic=48, ih=23, iw=23, oc=60, fh=3, fw=3),
+    ConvParams(n=2, ic=24, ih=19, iw=21, oc=30, fh=5, fw=5, pad_h=2, pad_w=2),
+    replace(CONV4, oc=1024),
+], ids=["stem", "conv2", "paper_reference", "pointwise", "tail_64_100",
+        "tail_48_60", "tail_batch2", "conv4_1024_filters"])
+def test_regions_that_keep_one_chunk(p):
+    # The resnet_early and tail_heavy layers of bench/layers.jsonl, and the
+    # pointwise layer of resnet_late: every region runs in one chunk of all
+    # channels, in window sets of k3 capped to L2 at full depth. tail_48_60
+    # is capped at 18 of its 27 window tiles, but one set of all 27 would
+    # take 3 chunks whose partial sums cost more than a second pass over
+    # the filters. conv4 with 1024 filters would move fewer elements in
+    # chunks than in its 4 capped sets, but its (1024, 192) partial-sum
+    # block is 768 KiB, more than half of L2.
+    arch, mk = _intel_16x8()
+    strat = analyze(conv_info(p.padded()), arch, mk)
+    for region, (set_tiles, chunk) in _region_shapes(p, arch, mk):
+        tile = region.ic_len * p.fh * p.fw * mk.n_win * 4
+        assert chunk == region.ic_len
+        assert set_tiles == min(strat.k3, max(1, arch.l2_bytes // tile))
