@@ -11,22 +11,26 @@ region: the window-set size, from the analysed k3, and the channel-chunk
 size, which splits the reduction where capping a set at full depth to L2
 would cut a deep region into several sets, each streaming all of its
 filters (the paper's nc channel tiling, sized by L2 rather than by the
-analysed nc). The schedule, nc and k2 are reported, not executed. The
-window tail, a Remainder region of fewer than n_win windows, is one
-partial window tile over all channels, so it runs as one GEMM per batch
-image.
+analysed nc). The schedule, nc and k2 are reported, not executed.
+
+The window tail, planned as a Remainder region of fewer than n_win
+windows, does not run as a GEMM of its own, which would stream every
+filter for a few windows: its windows run as the partial last tile of
+the last window set of the region whose windows end where it starts (the
+Main region, or its k3 peel). Only a layer that is all tail (ohw < n_win)
+runs it alone. The plan and RunInfo.regions keep the tail region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
-from .kernel import RunCounters, execute_region
+from .kernel import RunCounters, execute_region, window_sets
 from .model import DTYPE, ConvParams, make_tensor4d, out_shape, pad_input
-from .regions import KernelRegion, coverage_check, plan_regions
+from .regions import KernelRegion, RegionKind, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
 
@@ -66,28 +70,44 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     # Every element is written by the first GEMM of one window set; zeros
     # give a hook that adds into acc the right answer too.
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
-    for region in regions:
+    for region in _fold_window_tail(regions):
         set_tiles, chunk = _region_shape(region, strategy, conv, arch, mk)
         execute_region(xp, filters, out, conv, region, set_tiles, mk,
                        hook=hook, counters=counters, chunk=chunk)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 
+def _fold_window_tail(regions: list[KernelRegion]) -> list[KernelRegion]:
+    """The regions as they run, in window order: the window tail's windows
+    join the region that ends where the tail starts, unless the tail is
+    the only region."""
+    runs = sorted(regions, key=lambda r: r.spatial_start)
+    if len(runs) > 1 and runs[-1].kind is RegionKind.Remainder:
+        tail = runs.pop()
+        runs[-1] = replace(runs[-1],
+                           spatial_len=runs[-1].spatial_len + tail.spatial_len)
+    return runs
+
+
 def _region_shape(region: KernelRegion, strategy: TilingStrategy,
                   conv: ConvInfo, arch: ArchInfo,
                   mk: MkInfo) -> tuple[int, int]:
-    """(window tiles per set, channels per chunk) for one region.
+    """(window tiles per set, channels per chunk) for one region as it runs
+    (the window tail included, see _fold_window_tail).
 
-    The default is one chunk of all ic_len channels, in window sets of
-    capped tiles: the analysed k3, capped so that a set at full depth
-    (K = ic_len*fh*fw rows) holds at most l2_bytes, and at least one. It
-    stands whenever such a set covers the region's wtiles window tiles.
-    Otherwise the reduction may be split instead: sets of min(k3, wtiles)
-    tiles, W windows, in `chunks` near-equal chunks of at most cc channels
-    (the last one may be shorter), where both the packed chunk
-    (cc*fh*fw, W) and the (oc_len, W) partial-sum block fit in half of
-    l2_bytes. The chunked shape is taken only when its modelled traffic,
-    in elements,
+    Window sets are counted in the region's wtiles whole window tiles (at
+    least one); a partial last tile joins the last set (see
+    kernel.window_sets). The default is one chunk of all ic_len channels,
+    in window sets of capped tiles: the analysed k3, capped so that a set
+    of whole tiles at full depth (K = ic_len*fh*fw rows) holds at most
+    l2_bytes, and at least one; the last set may exceed that by its
+    partial tile, fewer than n_win windows. It stands whenever such a set
+    covers the region's whole tiles. Otherwise the reduction may be split
+    instead: sets of min(k3, wtiles) tiles, at most W windows with the
+    partial tile, in `chunks` near-equal chunks of at most cc channels (the
+    last one may be shorter), where both the packed chunk (cc*fh*fw, W) and
+    the (oc_len, W) partial-sum block fit in half of l2_bytes. The
+    chunked shape is taken only when its modelled traffic, in elements,
 
         sets*oc_len*K + 2*(chunks - 1)*oc_len*windows
 
@@ -101,11 +121,12 @@ def _region_shape(region: KernelRegion, strategy: TilingStrategy,
     k = region.ic_len * ff
     capped = min(strategy.k3,
                  max(1, arch.l2_bytes // (k * mk.n_win * ELEM_BYTES)))
-    if capped * mk.n_win >= region.spatial_len:
+    wtiles = max(1, region.spatial_len // mk.n_win)
+    if capped >= wtiles:
         return capped, region.ic_len
-    wtiles = -(-region.spatial_len // mk.n_win)
     tiles = min(strategy.k3, wtiles)
-    width = min(tiles * mk.n_win, region.spatial_len)
+    width = max(cols for _, cols in
+                window_sets(region.spatial_len, tiles, mk.n_win))
     half = arch.l2_bytes // (2 * ELEM_BYTES)
     cc = half // (ff * width)
     if cc < 1 or region.oc_len * width > half:

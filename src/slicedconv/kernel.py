@@ -6,7 +6,8 @@ execute_region runs one loop nest for every region:
     take the region's filters as one (oc_len, chunk*fh*fw) view per
     channel chunk                                          (once per region)
     batch image
-      window set of set_tiles window tiles
+      window set of set_tiles whole window tiles (the last set also takes
+      a trailing partial tile)
         channel chunk
           pack the set's chunk into a reused (chunk*fh*fw, windows) buffer
           microkernel: acc[f, w] = sum_k pf[k, f] * pi[k, w]
@@ -23,17 +24,21 @@ call.
 Where the engine splits the reduction into channel chunks (so that a
 window set can span its whole region while its packed chunk stays
 L2-sized), the first chunk's GEMM writes the output block and each later
-chunk's GEMM writes a reused partial block, which is then added in.
+chunk's GEMM writes a reused partial block, which is then added in
+without a temporary.
 
 The analysis's schedule (input- or weight-stationary), nc and k2 order
 and size nothing here: the engine passes the window-set size and the
 chunk size from its own L2 rule (see engine.py).
 
 Every region runs through execute_region. A region's last window tile
-and last filter tile may be short: the window tail (fewer than n_win
-windows, a Remainder region) is one partial window tile, and the filter
-tail (oc mod n_f) a partial last filter tile; the packers cut them at the
-region's end and the GEMM takes any width.
+and last filter tile may be short, and the packers cut them at the
+region's end, since the GEMM takes any width. Window sets are counted in
+whole tiles, so a partial last window tile runs in the last set rather
+than in a GEMM of its own: the engine hands the window tail (fewer than
+n_win windows, planned as a Remainder region) to the region before it,
+where it is that partial tile. The filter tail (oc mod n_f) is a partial
+last filter tile.
 
 Regions write disjoint output ranges, and every output element is written
 by the first chunk's GEMM of exactly one window set.
@@ -74,9 +79,12 @@ class RunCounters:
     per batch image, keyed (batch, window tile): a region split into
     channel chunks packs each chunk of a window set in its own call, but
     the chunks are disjoint channel slices of one set, so the set still
-    counts once. A region's filter tiles are taken once, as views of the
-    filter tensor that copy nothing (one per chunk, over disjoint
-    channels), keyed (first window tile of the region, filter tile).
+    counts once. The window tail's partial tile is counted with the last
+    set of the region it runs in, and counts once too. A region's filter
+    tiles are taken once, as views of the filter tensor that copy nothing
+    (one per chunk, over disjoint channels), keyed (first window tile of
+    the region as it runs, filter tile): the tail, run in the region
+    before it, takes none of its own.
     acc_touches counts one touch of each output tile per GEMM that
     reaches it, so once per channel chunk.
     """
@@ -86,12 +94,31 @@ class RunCounters:
     acc_touches: Counter = field(default_factory=Counter)  # (b, w_tile, f_tile)
 
 
+def window_sets(span: int, set_tiles: int,
+                n_win: int) -> list[tuple[int, int]]:
+    """(first window, windows) of each window set of a span of windows.
+
+    Sets are counted in whole window tiles, set_tiles of them each (the
+    last set may hold fewer); a trailing partial tile joins the last set,
+    and a span shorter than one tile is one set of its own.
+    """
+    starts = [t * n_win for t in range(0, span // n_win, set_tiles)]
+    if not starts and span:
+        starts = [0]
+    return [(a, b - a) for a, b in zip(starts, starts[1:] + [span])]
+
+
 def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                    conv: ConvInfo, region: KernelRegion, set_tiles: int,
                    mk: MkInfo, hook=None, counters: RunCounters | None = None,
                    chunk: int | None = None) -> None:
     """Run one region in window sets of set_tiles tiles, reducing over
     chunks of chunk input channels; writes its block of out.
+
+    Sets are counted in whole window tiles (see window_sets): a partial
+    last tile joins the last set, so that set may be up to n_win - 1
+    windows wider than set_tiles tiles, and one buffer as wide as the
+    widest set serves every set.
 
     x must be pre-padded (conv carries pad=0); out is (n, oc, oh, ow). The
     region must span every input channel, since the first chunk's GEMM
@@ -133,7 +160,7 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                          f"{p.ic}: the GEMM writes, it does not accumulate")
     n_win, n_f = mk.n_win, mk.n_f
     ff = p.fh * p.fw
-    wtiles = -(-region.spatial_len // n_win)
+    sets = window_sets(region.spatial_len, set_tiles, n_win)
     ftiles = -(-region.oc_len // n_f)
     w_tile0, f_tile0 = region.spatial_start // n_win, region.oc_start // n_f
     f0, f1 = region.oc_start, region.oc_start + region.oc_len
@@ -146,38 +173,64 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         cc = min(chunk, p.ic - c0)
         later.append((c0, cc, pack_filter(filters, region, mk, nt=ftiles,
                                           nc=cc, ic_off=c0)))
-    width = min(set_tiles * n_win, region.spatial_len)
-    buf = np.empty((chunk * ff, width), DTYPE)
-    part = np.empty((region.oc_len, width), DTYPE) if later else None
+    # One buffer as wide as the widest set, for the packed chunk and, in a
+    # chunked region, for a copy of an output block (see _add_into).
+    width = max((cols for _, cols in sets), default=0)
+    rows = max(chunk * ff, region.oc_len if later else 0)
+    buf = np.empty((rows, width), DTYPE)
+    part = np.empty(region.oc_len * width, DTYPE) if later else None
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
     if counters is not None:
         counters.filter_packs.update((w_tile0, f_tile0 + t)
                                      for t in range(ftiles))
 
     for b in range(p.n):
-        for s in range(0, wtiles, set_tiles):
-            nt = min(set_tiles, wtiles - s)
-            cols = min(nt * n_win, region.spatial_len - s * n_win)
-            in_mat = pack_input(x, conv, region, (s * n_win, 0), mk, nt=nt,
-                                nc=chunk, batch=b, out=buf[:, :cols])
-            w0 = region.spatial_start + s * n_win
-            (microkernel if hook is None else hook)(
-                in_mat, f_mat.T, out_flat[b, f0:f1, w0:w0 + cols])
+        for s0, cols in sets:
+            nt = -(-cols // n_win)
+            in_mat = pack_input(x, conv, region, (s0, 0), mk, nt=nt, nc=chunk,
+                                batch=b, out=buf[:chunk * ff, :cols])
+            w0 = region.spatial_start + s0
+            blk = out_flat[b, f0:f1, w0:w0 + cols]
+            (microkernel if hook is None else hook)(in_mat, f_mat.T, blk)
             for c0, cc, f_chunk in later:
-                in_mat = pack_input(x, conv, region, (s * n_win, 0), mk,
+                in_mat = pack_input(x, conv, region, (s0, 0), mk,
                                     nt=nt, nc=cc, batch=b, ic_off=c0,
                                     out=buf[:cc * ff, :cols])
-                acc = part[:, :cols]
+                acc = _matrix(part, region.oc_len, cols)
                 if hook is not None:
                     acc.fill(0)  # a hook may add into acc
                 (microkernel if hook is None else hook)(in_mat, f_chunk.T,
                                                         acc)
-                out_flat[b, f0:f1, w0:w0 + cols] += acc
+                _add_into(blk, acc, buf)
             if counters is not None:
-                counters.input_packs.update((b, w_tile0 + s + t)
+                counters.input_packs.update((b, w_tile0 + s0 // n_win + t)
                                             for t in range(nt))
                 counters.acc_touches.update(
                     (b, w // n_win, f // n_f)
                     for _ in range(1 + len(later))
                     for w in range(w0, w0 + cols, n_win)
                     for f in range(f0, f1, n_f))
+
+
+def _matrix(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous (rows, cols) matrix over the start of buf."""
+    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
+
+
+def _add_into(blk: np.ndarray, part: np.ndarray, buf: np.ndarray) -> None:
+    """blk += part, allocating nothing; part is C-contiguous, and buf is a
+    contiguous buffer of at least blk's size, free to overwrite.
+
+    A ufunc over a strided 2-D operand runs NumPy's buffered iterator,
+    which allocates its buffers (64 KiB under NumPy 2.4); over C-contiguous
+    operands it allocates nothing, and neither does a copy. So a strided
+    block, a window set of a region that does not span the whole output,
+    is copied into buf, added to part and copied back.
+    """
+    if blk.flags.c_contiguous:
+        blk += part
+    else:
+        scratch = _matrix(buf, *blk.shape)
+        scratch[...] = blk
+        part += scratch
+        blk[...] = part

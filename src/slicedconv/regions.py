@@ -4,9 +4,11 @@ The full iteration space (flattened output windows x output channels x input
 channels) is carved into disjoint rectangular regions before tiling:
 
   1. a structural split peels the window tail (windows mod n_win) into a
-     Remainder region. It skips the tiling analysis: it runs the same
-     pipeline as one window set, a partial window tile over all channels
-     and filters;
+     Remainder region. It skips the tiling analysis, and the engine runs
+     no GEMM for it alone: its windows run as the partial last tile of
+     the last window set of the region that ends where it starts (the
+     Main region below, or its k3 peel), and only a layer that is all
+     tail runs it as a region of its own;
   2. the main region, over all output and input channels, then peels the
      window tiles that do not fill a whole k3 set (r_k3) into a second
      Main region. Both re-enter the full tiling and packing pipeline with
@@ -118,8 +120,9 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
                  mk: MkInfo) -> list[KernelRegion]:
     """Full region decomposition for a convolution.
 
-    The window tail (windows mod n_win) is a Remainder region, run as one
-    window set; everything else comes from split_by_strategy.
+    The window tail (windows mod n_win) is a Remainder region, which the
+    engine runs in the last window set of the region before it;
+    everything else comes from split_by_strategy.
     """
     main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=conv.params.oc,
                                     ic_len=conv.params.ic)

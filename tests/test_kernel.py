@@ -12,8 +12,8 @@ from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
                       rand_tensors, random_params)
 from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
-                        execute_region, load_arch, microkernel, naive_conv,
-                        run_convolution)
+                        execute_region, load_arch, load_suite, microkernel,
+                        naive_conv, run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
@@ -321,12 +321,14 @@ def test_hook_wrapping_builtin_is_bit_identical(rng):
 
 
 def test_hook_sees_the_window_tail(rng):
-    # ohw = 9 < n_win: the only region is the window tail, a Remainder;
-    # ohw = 121 is 7 tiles of 16 in Main regions and a 9-window tail
+    # ohw = 9 < n_win: the only region is the window tail, a Remainder,
+    # and it runs alone; ohw = 121 is 7 tiles of 16 in a Main region and a
+    # 9-window tail, which runs as the partial last tile of the main
+    # region's one window set, so the hook sees no GEMM of the tail alone
     all_tail = ConvParams(n=2, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3)
     with_main = ConvParams(n=1, ic=5, ih=13, iw=13, oc=12, fh=3, fw=3)
     mk = MkInfo(n_win=16, n_f=8)
-    for p in (all_tail, with_main):
+    for p, width in ((all_tail, 9), (with_main, 121)):
         baseline, ref, info, (x, flt) = _run_engine_case(rng, p, mk)
         kinds = [r.kind for r in info.regions]
         assert kinds.count(RegionKind.Remainder) == 1
@@ -341,7 +343,7 @@ def test_hook_sees_the_window_tail(rng):
 
         out, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=wrapped)
         assert np.array_equal(out, baseline)
-        assert widths.count(9) == p.n  # one tail GEMM per batch image
+        assert widths == [width] * p.n  # one GEMM per batch image
 
     def raising(pin, pf, acc):
         raise RuntimeError("hook called")
@@ -534,11 +536,12 @@ def _engine_set_tiles(sched, k3, k2, region, conv, mk):
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
 def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
-    # 49 windows in 7 tiles of 7, or in 9 tiles of 6 whose last one holds
-    # a single window, and 5 filter tiles: the last window set is partial,
-    # and with n_win = 6 and k3 = 3 it is two whole window tiles and a
-    # partial one. The schedule and k2 size nothing: (3, 2) and (2, 4)
-    # differ only in the window-set size
+    # 49 windows in 7 tiles of 7, or in 8 whole tiles of 6 and a partial
+    # one of a single window, and 5 filter tiles. Window sets are counted
+    # in whole tiles and the partial tile joins the last set: with
+    # n_win = 6 it is two whole tiles and the partial one under either k3,
+    # so k3 = 2 runs 4 sets, not 5. The schedule and k2 size nothing:
+    # (3, 2) and (2, 4) differ only in the window-set size
     for n_win in (7, 6):
         _check_set_product(rng, sched, k3, k2, n_win)
 
@@ -571,8 +574,11 @@ def _check_set_product(rng, sched, k3, k2, n_win):
     assert np.array_equal(batched, tiled)
     assert c_batched == c_tiled
     # every window set is one GEMM against all 20 filters
-    wtiles = -(-conv.ohw // n_win)
-    assert heights == [p.oc] * (p.n * -(-wtiles // set_tiles))
+    whole = conv.ohw // n_win
+    assert heights == [p.oc] * (p.n * -(-whole // set_tiles))
+    # the partial tile is packed once, in the last set
+    assert c_batched.input_packs == Counter(
+        {(b, t): 1 for b in range(p.n) for t in range(-(-conv.ohw // n_win))})
     # all 6 channels in one GEMM: each tile written once
     assert set(c_batched.acc_touches.values()) == {1}
     assert max_relative_error(batched, naive_conv(x, flt, p)) <= 1e-4
@@ -730,9 +736,11 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
     # output element is written by the first GEMM of exactly one window
     # set, against every filter, and a window set's GEMMs reduce over
     # consecutive channel chunks that together hold all channels. A set at
-    # full depth holds at most l2_bytes (at least one tile); a chunk of
-    # one holds at most half of it. The third arch's L2 holds exactly one
-    # full-depth tile.
+    # full depth holds at most l2_bytes in whole tiles (at least one); a
+    # set that ends a region may exceed that by its partial last tile,
+    # fewer than n_win windows, since the window tail runs there. A chunk
+    # of one holds at most half of L2, the partial tile included. The
+    # third arch's L2 holds exactly one full-depth tile.
     arches = (CALIBRATED_ARCH, load_arch(FIXTURES / "intel.toml"), None)
     schedules, calls, one_tile_sets, chunked = set(), 0, 0, 0
     for i in range(60):
@@ -753,7 +761,8 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
         assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
         # each set's chunks add up to the whole reduction
         assert all(depth == k for depth, _, _ in sets)
-        full = [width for _, width, depths in sets if len(depths) == 1]
+        full = [width - width % mk.n_win
+                for _, width, depths in sets if len(depths) == 1]
         assert all(k * width * 4 <= max(arch.l2_bytes, tile)
                    for width in full)
         if arch.l2_bytes < 2 * tile:
@@ -776,7 +785,9 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     # and the analysis's k2 of 56 filter tiles is short of all 64. Each
     # window range is still one region against every filter, so each
     # window tile is packed once per batch image under either schedule
-    # (the IS run replaces the analysed schedule).
+    # (the IS run replaces the analysed schedule). The plan keeps the
+    # 1-window tail region, but the tail runs in the main region's window
+    # set, so the filters are taken once, for the main region.
     p = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
                    pad_h=1, pad_w=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
@@ -801,9 +812,8 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     assert len(ranges) == len(set(ranges)) == 2
     assert all((r.oc_start, r.oc_len) == (0, p.oc) for r in info.regions)
     assert counters.input_packs == Counter({(0, t): 1 for t in range(4)})
-    # one view of all 64 filter tiles per region
-    assert counters.filter_packs == Counter(
-        {(s // mk.n_win, f): 1 for s, _ in ranges for f in range(64)})
+    # one view of all 64 filter tiles, for the one region that runs
+    assert counters.filter_packs == Counter({(0, f): 1 for f in range(64)})
     assert heights and set(heights) == {p.oc}
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
@@ -887,11 +897,12 @@ def _intel_16x8():
 
 
 def _region_shapes(p, arch, mk):
-    """[(region, (set_tiles, chunk))] as the engine sizes them."""
+    """[(region, (set_tiles, chunk))] as the engine runs and sizes them,
+    the window tail in the region before it."""
     conv = conv_info(p.padded())
     strat = analyze(conv, arch, mk)
-    return [(r, engine._region_shape(r, strat, conv, arch, mk))
-            for r in plan_regions(conv, strat, mk)]
+    runs = engine._fold_window_tail(plan_regions(conv, strat, mk))
+    return [(r, engine._region_shape(r, strat, conv, arch, mk)) for r in runs]
 
 
 @pytest.mark.parametrize("p, main_shape",
@@ -900,14 +911,16 @@ def _region_shapes(p, arch, mk):
 def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
     # conv4's main region is one set of 12 window tiles in 7 chunks of at
     # most 37 channels, conv5's one set of 3 tiles in 4 chunks of 128. The
-    # window tail is one tile, which L2 holds at full depth: one chunk.
-    # Every hook call's reduction is whole channels, a set's calls add up
-    # to all of them, and each accumulator arrives zeroed, the partial
-    # block of a later chunk included.
+    # window tail (4 and 1 windows) is the partial last tile of that set,
+    # sized with it, so the layer runs as one region and the tail in no
+    # GEMM of its own. Every hook call's reduction is whole channels, a
+    # set's calls add up to all of them, and each accumulator arrives
+    # zeroed, the partial block of a later chunk included.
     arch, mk = _intel_16x8()
-    shapes = {r.kind: shape for r, shape in _region_shapes(p, arch, mk)}
-    assert shapes[RegionKind.Main] == main_shape
-    assert shapes[RegionKind.Remainder][1] == p.ic
+    conv = conv_info(p.padded())
+    [(run, shape)] = _region_shapes(p, arch, mk)
+    assert (run.spatial_start, run.spatial_len) == (0, conv.ohw)
+    assert shape == main_shape
     k = p.ic * p.fh * p.fw
     chunks = -(-p.ic // main_shape[1])
     sets = []
@@ -916,35 +929,157 @@ def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
     out, info = run_convolution(x, flt, p, arch, mk,
                                 hook=_set_recorder(sets, p),
                                 counters=counters)
-    tail, main = info.regions
+    assert [r.kind for r in info.regions] == [RegionKind.Remainder,
+                                              RegionKind.Main]
     assert [(depth, width, len(depths)) for depth, width, depths in sets] \
-        == [(k, tail.spatial_len, 1), (k, main.spatial_len, chunks)]
+        == [(k, conv.ohw, chunks)]
     builtin, _ = run_convolution(x, flt, p, arch, mk)
     assert np.array_equal(out, builtin)
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
     # the chunks of a set are disjoint channel slices: each window and
     # filter tile counts one pack, and each output tile one touch per GEMM
     ftiles = p.oc // mk.n_f
-    main_tiles = main.spatial_len // mk.n_win
+    wtiles = -(-conv.ohw // mk.n_win)
     assert counters.input_packs == Counter(
-        {(0, t): 1 for t in range(main_tiles + 1)})
+        {(0, t): 1 for t in range(wtiles)})
     assert set(counters.filter_packs.values()) == {1}
     assert counters.acc_touches == Counter(
-        {(0, t, f): chunks if t < main_tiles else 1
-         for t in range(main_tiles + 1) for f in range(ftiles)})
+        {(0, t, f): chunks for t in range(wtiles) for f in range(ftiles)})
 
 
 @pytest.mark.parametrize("p", [CONV4, CONV5], ids=["conv4", "conv5"])
 def test_chunked_run_memory_is_bounded_by_l2(rng, p):
     # The packed chunk and the partial-sum block each hold at most half of
     # L2, so the run's traced peak stays within the output, the padded
-    # input, l2_bytes and 64 KiB (which covers NumPy's ufunc buffer for
-    # adding a partial block into a strided output block).
+    # input, l2_bytes and 64 KiB. Adding a partial block into the output
+    # allocates nothing (see test_later_chunk_add_allocates_nothing).
     arch, mk = _intel_16x8()
     out, peak = _traced_run(rng, p, arch, mk)
     padded = p.n * p.ic * (p.ih + 2) * (p.iw + 2) * 4
     bound = out.nbytes + padded + arch.l2_bytes + 64 * 1024
     assert peak <= bound, (peak, bound)
+
+
+def test_later_chunk_add_allocates_nothing(rng):
+    # 17x17 outputs in 18 window tiles of 16 and a 1-window partial tile,
+    # in window sets of 8 whole tiles: (0, 128), (128, 128) and (256, 33),
+    # the last with the partial tile. 8 channels in chunks of 3, 3 and 2,
+    # so each set adds two partial blocks into its output block, a strided
+    # (64, width) slice of the (64, 289) output. The run holds its output
+    # and two (64, 128) buffers, the packed chunk (widened to 64 rows so
+    # that it can take a copy of the block) and the partial block; NumPy's
+    # buffered iterator for a ufunc into the strided block would allocate
+    # another 64 KiB per add.
+    p = ConvParams(n=1, ic=8, ih=19, iw=19, oc=64, fh=3, fw=3)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=16, n_f=8)
+    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
+                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                          kind=RegionKind.Main, e_off=0)
+    assert kernel.window_sets(conv.ohw, 8, mk.n_win) == [
+        (0, 128), (128, 128), (256, 33)]
+    x, flt = rand_tensors(rng, p)
+
+    def run():
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        execute_region(x, flt, out, conv, region, 8, mk, chunk=3)
+        return out
+
+    run()  # warm-up
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 2 * p.oc * 128 * 4
+    assert peak <= out.nbytes + buffers + 8 * 1024, (peak, out.nbytes, buffers)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+
+
+# (layer, arch and microkernel, GEMM widths of one run in call order): the
+# window tail runs as the partial last tile of the last window set of the
+# region that ends where it starts, so no GEMM is the tail alone unless the
+# layer is all tail.
+TAIL_CASES = {
+    # one set of 3 tiles and the 1-window tail, in 4 channel chunks
+    "conv5": (CONV5, "intel", [49] * 4),
+    # one set of 12 tiles and the 4-window tail, in 7 channel chunks
+    "conv4": (CONV4, "intel", [196] * 7),
+    # one set of 12 tiles and the 4-window tail, in one chunk
+    "pointwise": (ConvParams(n=1, ic=256, ih=14, iw=14, oc=1024,
+                             fh=1, fw=1), "intel", [196]),
+    # ohw = 9 < n_win: the tail is the only region and runs alone
+    "all_tail": (ConvParams(n=1, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3),
+                 "intel", [9]),
+    # the reference layer's plan with 8 filters: a main region of 348
+    # tiles in capped sets of 28, then a k3 peel of 3 tiles that takes the
+    # 9-window tail
+    "peel": (ConvParams(n=1, ic=32, ih=77, iw=77, oc=8, fh=3, fw=3),
+             "calibrated", [448] * 12 + [192, 57]),
+    # 24 tiles in capped sets of 13, the 15-window tail in the second,
+    # per batch image
+    "batch2": (ConvParams(n=2, ic=24, ih=19, iw=21, oc=30, fh=5, fw=5,
+                          pad_h=2, pad_w=2), "intel", [208, 191] * 2),
+}
+
+
+@pytest.mark.parametrize("case", list(TAIL_CASES))
+def test_window_tail_runs_in_the_last_set(rng, case):
+    p, arch_name, widths = TAIL_CASES[case]
+    arch, mk = ((CALIBRATED_ARCH, REF_MK) if arch_name == "calibrated"
+                else _intel_16x8())
+    conv = conv_info(p.padded())
+    strat = analyze(conv, arch, mk)
+    regions = plan_regions(conv, strat, mk)
+    # the plan keeps the window tail as a Remainder region
+    tail = [r for r in regions if r.kind is RegionKind.Remainder]
+    assert [r.spatial_len for r in tail] == [conv.ohw % mk.n_win]
+    if case == "peel":
+        assert len(regions) == 3
+    x, flt = rand_tensors(rng, p)
+    seen = []
+
+    def wrapped(pin, pf, acc):
+        seen.append(pin.shape[1])
+        microkernel(pin, pf, acc)
+
+    counters = RunCounters()
+    out, info = run_convolution(x, flt, p, arch, mk, hook=wrapped,
+                                counters=counters)
+    assert info.regions == tuple(regions)
+    assert seen == widths
+    # every window tile packed exactly once per batch image, the tail's
+    # partial tile included
+    wtiles = -(-conv.ohw // mk.n_win)
+    assert counters.input_packs == Counter(
+        {(b, t): 1 for b in range(p.n) for t in range(wtiles)})
+    builtin, _ = run_convolution(x, flt, p, arch, mk)
+    assert np.array_equal(out, builtin)
+    assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
+
+
+def test_deep_suite_holds_a_peel_followed_by_a_tail():
+    # fixtures/deep.jsonl, which CI runs through the installed CLI, holds
+    # the pointwise layer and a layer whose plan under intel.toml with
+    # 16x8 has a k3 peel followed by the window tail: 198x198 outputs are
+    # 2450 tiles and 4 windows, and k3 = 2427. The engine runs the tail in
+    # the peel's window set.
+    cases, errors = load_suite(FIXTURES / "deep.jsonl")
+    assert not errors
+    params = {c.id: c.params for c in cases}
+    assert "pointwise_256_1024_14" in params
+    arch, mk = _intel_16x8()
+    conv = conv_info(params["peel_tail_3x3_32_198"].padded())
+    strat = analyze(conv, arch, mk)
+    regions = plan_regions(conv, strat, mk)
+    assert strat.k3 == 2427
+    assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == [
+        (RegionKind.Remainder, 39200, 4), (RegionKind.Main, 0, 38832),
+        (RegionKind.Main, 38832, 368)]
+    runs = engine._fold_window_tail(regions)
+    assert [(r.kind, r.spatial_start, r.spatial_len) for r in runs] == [
+        (RegionKind.Main, 0, 38832), (RegionKind.Main, 38832, 372)]
 
 
 @pytest.mark.parametrize("p", [
