@@ -225,7 +225,11 @@ def _add_into(blk: np.ndarray, part: np.ndarray, buf: np.ndarray) -> None:
     which allocates its buffers (64 KiB under NumPy 2.4); over C-contiguous
     operands it allocates nothing, and neither does a copy. So a strided
     block, a window set of a region that does not span the whole output,
-    is copied into buf, added to part and copied back.
+    is copied into buf, added to part and copied back. A contiguous block
+    is added in place, in one pass rather than the copy form's three: the
+    chunked deep layers run one window set that spans the output, so their
+    adds are all contiguous, and the copy form slows them measurably (see
+    CHANGES.md).
     """
     if blk.flags.c_contiguous:
         blk += part
