@@ -81,12 +81,19 @@ def cmd_run(args) -> int:
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-    # One file for both would keep only the regions JSON, losing the report.
-    if (args.out and args.dump_regions
-            and os.path.samefile(args.out, args.dump_regions)):
-        print(f"error: --out and --dump-regions name the same file "
-              f"({args.out!r}, {args.dump_regions!r})", file=sys.stderr)
-        return 2
+    # An output that names an input would overwrite it, and one file for
+    # both outputs would keep only the regions JSON, losing the report.
+    earlier = [("--suite", args.suite), ("--arch", args.arch)]
+    for flag, path in (("--out", args.out),
+                       ("--dump-regions", args.dump_regions)):
+        if not path:
+            continue
+        for other_flag, other in earlier:
+            if os.path.samefile(other, path):
+                print(f"error: {other_flag} and {flag} name the same file "
+                      f"({other!r}, {path!r})", file=sys.stderr)
+                return 2
+        earlier.append((flag, path))
 
     reports, regions_map = run_suite(
         cases, arch, mk, seed=args.seed, verify_only=args.verify_only,

@@ -1,29 +1,28 @@
-"""End-to-end driver: pad once, analyze, split into regions, execute.
+"""End-to-end driver: pad once, analyze, plan regions, execute.
 
 Padding is materialized up front so the tiled pipeline and every packing
-equation can assume pad = 0. Every region runs through execute_region.
+equation can assume pad = 0.
 
-The analysis sizes tiles as the paper does; _region_shape maps them onto
-the GEMM microkernel, and is the one place that sizes execution. The GEMM
-blocks its own operands, so each window set runs against every filter of
-its region, (oc_len, K) @ (K, W), and two numbers are left to choose per
-region: the window-set size, from the analysed k3, and the channel-chunk
-size, which splits the reduction where capping a set at full depth to L2
-would cut a deep region into several sets, each streaming all of its
-filters (the paper's nc channel tiling, sized by L2 rather than by the
-analysed nc). The schedule, nc and k2 are reported, not executed.
+The layer runs as one span, and the plan is reported: plan_regions splits
+off the window tail and the k3 peel as the paper does, and RunInfo.regions
+keeps that plan, but execution reads nothing from it. One execute_region
+call runs every window, filter and channel of the layer; the GEMM blocks
+its own operands, and the packers cut a partial last tile, so region edges
+need no code of their own.
 
-The window tail, planned as a Remainder region of fewer than n_win
-windows, does not run as a GEMM of its own, which would stream every
-filter for a few windows: its windows run as the partial last tile of
-the last window set of the region whose windows end where it starts (the
-Main region, or its k3 peel). Only a layer that is all tail (ohw < n_win)
-runs it alone. The plan and RunInfo.regions keep the tail region.
+The analysis sizes tiles as the paper does; _layer_shape maps them onto
+the GEMM microkernel, and is the one place that sizes execution. Each
+window set runs against every filter, (oc, K) @ (K, W), and two numbers
+are left to choose: the window-set size, from the analysed k3, and the
+channel-chunk size, which splits the reduction where capping a set at
+full depth to L2 would cut a deep layer into several sets, each streaming
+all of its filters (the paper's nc channel tiling, sized by L2 rather than
+by the analysed nc). The schedule, nc and k2 are reported, not executed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,70 +69,55 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     # Every element is written by the first GEMM of one window set; zeros
     # give a hook that adds into acc the right answer too.
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
-    for region in _fold_window_tail(regions):
-        set_tiles, chunk = _region_shape(region, strategy, conv, arch, mk)
-        execute_region(xp, filters, out, conv, region, set_tiles, mk,
-                       hook=hook, counters=counters, chunk=chunk)
+    layer = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
+                         oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                         kind=RegionKind.Main, e_off=0)
+    set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
+    execute_region(xp, filters, out, conv, layer, set_tiles, mk, hook=hook,
+                   counters=counters, chunk=chunk)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 
-def _fold_window_tail(regions: list[KernelRegion]) -> list[KernelRegion]:
-    """The regions as they run, in window order: the window tail's windows
-    join the region that ends where the tail starts, unless the tail is
-    the only region."""
-    runs = sorted(regions, key=lambda r: r.spatial_start)
-    if len(runs) > 1 and runs[-1].kind is RegionKind.Remainder:
-        tail = runs.pop()
-        runs[-1] = replace(runs[-1],
-                           spatial_len=runs[-1].spatial_len + tail.spatial_len)
-    return runs
+def _layer_shape(strategy: TilingStrategy, conv: ConvInfo, arch: ArchInfo,
+                 mk: MkInfo) -> tuple[int, int]:
+    """(window tiles per set, channels per chunk) for the layer's one span.
 
-
-def _region_shape(region: KernelRegion, strategy: TilingStrategy,
-                  conv: ConvInfo, arch: ArchInfo,
-                  mk: MkInfo) -> tuple[int, int]:
-    """(window tiles per set, channels per chunk) for one region as it runs
-    (the window tail included, see _fold_window_tail).
-
-    Window sets are counted in the region's wtiles whole window tiles (at
+    Window sets are counted in the layer's wtiles whole window tiles (at
     least one); a partial last tile joins the last set (see
-    kernel.window_sets). The default is one chunk of all ic_len channels,
-    in window sets of capped tiles: the analysed k3, capped so that a set
-    of whole tiles at full depth (K = ic_len*fh*fw rows) holds at most
-    l2_bytes, and at least one; the last set may exceed that by its
-    partial tile, fewer than n_win windows. It stands whenever such a set
-    covers the region's whole tiles. Otherwise the reduction may be split
-    instead: sets of min(k3, wtiles) tiles, at most W windows with the
-    partial tile, in `chunks` near-equal chunks of at most cc channels (the
-    last one may be shorter), where both the packed chunk (cc*fh*fw, W) and
-    the (oc_len, W) partial-sum block fit in half of l2_bytes. The
-    chunked shape is taken only when its modelled traffic, in elements,
+    kernel.window_sets). The default is one chunk of all ic channels, in
+    window sets of capped tiles: the analysed k3, capped so that a set of
+    whole tiles at full depth (K = ic*fh*fw rows) holds at most l2_bytes,
+    and at least one; the last set may exceed that by its partial tile,
+    fewer than n_win windows. It stands whenever such a set covers the
+    layer's whole tiles. Otherwise the reduction may be split instead:
+    sets of k3 tiles (analyze clamps k3 to wtiles), at most W windows with
+    the partial tile, in `chunks` near-equal chunks of at most cc channels
+    (the last one may be shorter), where both the packed chunk
+    (cc*fh*fw, W) and the (oc, W) partial-sum block fit in half of
+    l2_bytes. The chunked shape is taken only when its modelled traffic,
+    in elements,
 
-        sets*oc_len*K + 2*(chunks - 1)*oc_len*windows
+        sets*oc*K + 2*(chunks - 1)*oc*ohw
 
-    with `windows` the region's, is lower than the default's
-    ceil(wtiles/capped)*oc_len*K: every set streams the region's filters
-    once, and every chunk after the first writes a partial block that is
-    then added into the output.
+    is lower than the default's ceil(wtiles/capped)*oc*K: every set
+    streams all filters once, and every chunk after the first writes a
+    partial block that is then added into the output.
     """
     p = conv.params
     ff = p.fh * p.fw
-    k = region.ic_len * ff
-    capped = min(strategy.k3,
-                 max(1, arch.l2_bytes // (k * mk.n_win * ELEM_BYTES)))
-    wtiles = max(1, region.spatial_len // mk.n_win)
+    k = p.ic * ff
+    k3 = strategy.k3
+    capped = min(k3, max(1, arch.l2_bytes // (k * mk.n_win * ELEM_BYTES)))
+    wtiles = max(1, conv.ohw // mk.n_win)
     if capped >= wtiles:
-        return capped, region.ic_len
-    tiles = min(strategy.k3, wtiles)
-    width = max(cols for _, cols in
-                window_sets(region.spatial_len, tiles, mk.n_win))
+        return capped, p.ic
+    width = max(cols for _, cols in window_sets(conv.ohw, k3, mk.n_win))
     half = arch.l2_bytes // (2 * ELEM_BYTES)
     cc = half // (ff * width)
-    if cc < 1 or region.oc_len * width > half:
-        return capped, region.ic_len
-    chunks = -(-region.ic_len // cc)
-    chunked = (-(-wtiles // tiles) * k
-               + 2 * (chunks - 1) * region.spatial_len) * region.oc_len
-    if chunked >= -(-wtiles // capped) * region.oc_len * k:
-        return capped, region.ic_len
-    return tiles, -(-region.ic_len // chunks)
+    if cc < 1 or p.oc * width > half:
+        return capped, p.ic
+    chunks = -(-p.ic // cc)
+    chunked = (-(-wtiles // k3) * k + 2 * (chunks - 1) * conv.ohw) * p.oc
+    if chunked >= -(-wtiles // capped) * p.oc * k:
+        return capped, p.ic
+    return k3, -(-p.ic // chunks)

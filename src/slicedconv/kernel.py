@@ -31,17 +31,16 @@ The analysis's schedule (input- or weight-stationary), nc and k2 order
 and size nothing here: the engine passes the window-set size and the
 chunk size from its own L2 rule (see engine.py).
 
-Every region runs through execute_region. A region's last window tile
-and last filter tile may be short, and the packers cut them at the
-region's end, since the GEMM takes any width. Window sets are counted in
-whole tiles, so a partial last window tile runs in the last set rather
-than in a GEMM of its own: the engine hands the window tail (fewer than
-n_win windows, planned as a Remainder region) to the region before it,
-where it is that partial tile. The filter tail (oc mod n_f) is a partial
-last filter tile.
+A region's last window tile and last filter tile may be short, and the
+packers cut them at the region's end, since the GEMM takes any width.
+Window sets are counted in whole tiles, so a partial last window tile
+runs in the last set rather than in a GEMM of its own. The engine runs
+each layer as one region of all its windows, filters and channels (see
+engine.py), so the window tail (windows mod n_win) and the filter tail
+(oc mod n_f) are its partial last tiles.
 
-Regions write disjoint output ranges, and every output element is written
-by the first chunk's GEMM of exactly one window set.
+Every output element of the region is written by the first chunk's GEMM
+of exactly one window set.
 """
 
 from __future__ import annotations
@@ -79,12 +78,10 @@ class RunCounters:
     per batch image, keyed (batch, window tile): a region split into
     channel chunks packs each chunk of a window set in its own call, but
     the chunks are disjoint channel slices of one set, so the set still
-    counts once. The window tail's partial tile is counted with the last
-    set of the region it runs in, and counts once too. A region's filter
-    tiles are taken once, as views of the filter tensor that copy nothing
-    (one per chunk, over disjoint channels), keyed (first window tile of
-    the region as it runs, filter tile): the tail, run in the region
-    before it, takes none of its own.
+    counts once. A partial last tile is counted with the last set, once
+    too. A region's filter tiles are taken once, as views of the filter
+    tensor that copy nothing (one per chunk, over disjoint channels),
+    keyed (first window tile of the region, filter tile).
     acc_touches counts one touch of each output tile per GEMM that
     reaches it, so once per channel chunk.
     """
@@ -165,21 +162,21 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     w_tile0, f_tile0 = region.spatial_start // n_win, region.oc_start // n_f
     f0, f1 = region.oc_start, region.oc_start + region.oc_len
 
-    # The first chunk's filter view, and (first channel, channels, view)
-    # of each later chunk: none when one chunk holds every channel.
-    f_mat = pack_filter(filters, region, mk, nt=ftiles, nc=chunk)
-    later = []
-    for c0 in range(chunk, p.ic, chunk):
-        cc = min(chunk, p.ic - c0)
-        later.append((c0, cc, pack_filter(filters, region, mk, nt=ftiles,
-                                          nc=cc, ic_off=c0)))
-    # One buffer as wide as the widest set, for the packed chunk and, in a
-    # chunked region, for a copy of an output block (see _add_into).
+    # (first channel, channels, filter view) of each chunk.
+    chunks = [(c0, min(chunk, p.ic - c0),
+               pack_filter(filters, region, mk, nt=ftiles,
+                           nc=min(chunk, p.ic - c0), ic_off=c0))
+              for c0 in range(0, p.ic, chunk)]
+    # One buffer as wide as the widest set holds the packed chunk and, in
+    # a chunked region, a copy of an output block (see _add_into); a
+    # chunked region also has a partial block.
+    split = len(chunks) > 1
     width = max((cols for _, cols in sets), default=0)
-    rows = max(chunk * ff, region.oc_len if later else 0)
+    rows = max(chunk * ff, region.oc_len if split else 0)
     buf = np.empty((rows, width), DTYPE)
-    part = np.empty(region.oc_len * width, DTYPE) if later else None
+    part = np.empty(region.oc_len * width, DTYPE) if split else None
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
+    gemm = microkernel if hook is None else hook
     if counters is not None:
         counters.filter_packs.update((w_tile0, f_tile0 + t)
                                      for t in range(ftiles))
@@ -187,27 +184,26 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     for b in range(p.n):
         for s0, cols in sets:
             nt = -(-cols // n_win)
-            in_mat = pack_input(x, conv, region, (s0, 0), mk, nt=nt, nc=chunk,
-                                batch=b, out=buf[:chunk * ff, :cols])
             w0 = region.spatial_start + s0
             blk = out_flat[b, f0:f1, w0:w0 + cols]
-            (microkernel if hook is None else hook)(in_mat, f_mat.T, blk)
-            for c0, cc, f_chunk in later:
-                in_mat = pack_input(x, conv, region, (s0, 0), mk,
-                                    nt=nt, nc=cc, batch=b, ic_off=c0,
+            for c0, cc, f_chunk in chunks:
+                in_mat = pack_input(x, conv, region, (s0, 0), mk, nt=nt,
+                                    nc=cc, batch=b, ic_off=c0,
                                     out=buf[:cc * ff, :cols])
-                acc = _matrix(part, region.oc_len, cols)
-                if hook is not None:
+                # The first chunk writes the output block, a later one a
+                # partial block that is then added in.
+                acc = _matrix(part, region.oc_len, cols) if c0 else blk
+                if c0 and hook is not None:
                     acc.fill(0)  # a hook may add into acc
-                (microkernel if hook is None else hook)(in_mat, f_chunk.T,
-                                                        acc)
-                _add_into(blk, acc, buf)
+                gemm(in_mat, f_chunk.T, acc)
+                if c0:
+                    _add_into(blk, acc, buf)
             if counters is not None:
                 counters.input_packs.update((b, w_tile0 + s0 // n_win + t)
                                             for t in range(nt))
                 counters.acc_touches.update(
                     (b, w // n_win, f // n_f)
-                    for _ in range(1 + len(later))
+                    for _ in chunks
                     for w in range(w0, w0 + cols, n_win)
                     for f in range(f0, f1, n_f))
 

@@ -4,22 +4,17 @@ The full iteration space (flattened output windows x output channels x input
 channels) is carved into disjoint rectangular regions before tiling:
 
   1. a structural split peels the window tail (windows mod n_win) into a
-     Remainder region. It skips the tiling analysis, and the engine runs
-     no GEMM for it alone: its windows run as the partial last tile of
-     the last window set of the region that ends where it starts (the
-     Main region below, or its k3 peel), and only a layer that is all
-     tail runs it as a region of its own;
+     Remainder region, which skips the tiling analysis;
   2. the main region, over all output and input channels, then peels the
      window tiles that do not fill a whole k3 set (r_k3) into a second
-     Main region. Both re-enter the full tiling and packing pipeline with
-     locally recomputed set counts; the filter tail (oc mod n_f) is a
-     short last filter tile of each.
+     Main region.
 
-No region splits input or output channels: the executor runs each window
-set against all of its region's filters and reduces over all of its
-channels (in L2-sized chunks where the engine splits a deep reduction),
-and the GEMM blocks its operands itself, so the analysis's nc and k2 and
-their remainders r_nc and r_k2 size no region.
+No region splits input or output channels: a window set runs against all
+filters and reduces over all channels (in L2-sized chunks where the
+engine splits a deep reduction), and the GEMM blocks its operands itself,
+so the analysis's nc and k2 and their remainders r_nc and r_k2 size no
+region. The engine reports this plan and runs the layer as one span (see
+engine.py).
 
 Regions record their absolute window offset (e_off) so packing can translate
 region-local loop indices into positions of the original tensor.
@@ -97,7 +92,7 @@ def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
                       mk: MkInfo) -> list[KernelRegion]:
     """Peel a main region's window tiles that do not fill a whole k3 set.
 
-    The peeled trailing windows keep Main kind and run the full pipeline.
+    The peeled trailing windows keep Main kind.
     Returns [core] or [core, peel].
     """
     if region.kind is not RegionKind.Main:
@@ -120,9 +115,8 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
                  mk: MkInfo) -> list[KernelRegion]:
     """Full region decomposition for a convolution.
 
-    The window tail (windows mod n_win) is a Remainder region, which the
-    engine runs in the last window set of the region before it;
-    everything else comes from split_by_strategy.
+    The window tail (windows mod n_win) is a Remainder region; everything
+    else comes from split_by_strategy.
     """
     main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=conv.params.oc,
                                     ic_len=conv.params.ic)

@@ -309,6 +309,29 @@ def test_cli_rejects_one_file_for_report_and_regions(tmp_path, dump):
     assert (tmp_path / "report.csv").read_text() == ""
 
 
+@pytest.mark.parametrize("output", ["--out", "--dump-regions"])
+@pytest.mark.parametrize("source", ["--suite", "--arch"])
+def test_cli_rejects_an_output_that_names_an_input(tmp_path, source, output):
+    # Writing the report or the regions JSON over the suite or the arch
+    # file would destroy an input: the run stops before it starts, and
+    # the input keeps every byte.
+    inputs = {"--suite": tmp_path / "cases.jsonl",
+              "--arch": tmp_path / "machine.toml"}
+    inputs["--suite"].write_bytes((FIXTURES / "smoke.jsonl").read_bytes())
+    inputs["--arch"].write_bytes((FIXTURES / "intel.toml").read_bytes())
+    before = inputs[source].read_bytes()
+    proc = _run_cli(["run", "--suite", "cases.jsonl", "--arch",
+                     str(inputs["--arch"]), "--nwin", "16", "--nf", "8",
+                     "--verify-only", output, f"./{inputs[source].name}"],
+                    cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {source} and {output} name the "
+                                  f"same file"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # the suite did not run
+    assert inputs[source].read_bytes() == before
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
 def test_cli_rejects_seed_outside_64_bits(tmp_path, seed):
     proc = _run_cli(["run", "--suite", str(FIXTURES / "smoke.jsonl"),

@@ -514,21 +514,20 @@ def _check_pack_once(rng, monkeypatch, sched):
     # of ic = 8 is not read
     assert counters.input_packs == Counter(
         {(b, t): 1 for b in range(p.n) for t in range(64)})
-    # each region's filters taken once, as one view, keyed by the region's
-    # first window tile
-    assert counters.filter_packs == Counter(
-        {(s, f): 1 for s in starts for f in range(4)})
+    # the layer runs as one region, so its filters are taken once, as one
+    # view, keyed by its first window tile
+    assert counters.filter_packs == Counter({(0, f): 1 for f in range(4)})
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def _engine_set_tiles(sched, k3, k2, region, conv, mk):
+def _engine_set_tiles(sched, k3, k2, conv, mk):
     """The engine's window-set size for an analysed strategy: k3, whatever
     the schedule and k2 say (the L2 cap does not bind at these sizes), in
     one chunk of all channels."""
     strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
                            r_nc=0, r_k2=0, r_k3=0)
-    shape = engine._region_shape(region, strat, conv, CALIBRATED_ARCH, mk)
-    assert shape == (k3, region.ic_len)
+    shape = engine._layer_shape(strat, conv, CALIBRATED_ARCH, mk)
+    assert shape == (k3, conv.params.ic)
     return k3
 
 
@@ -553,7 +552,7 @@ def _check_set_product(rng, sched, k3, k2, n_win):
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
-    set_tiles = _engine_set_tiles(sched, k3, k2, region, conv, mk)
+    set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
 
     def run(hook):
@@ -664,7 +663,7 @@ def _check_hook_calls(rng, sched, k3, k2, adding, oc):
     region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
-    set_tiles = _engine_set_tiles(sched, k3, k2, region, conv, mk)
+    set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
     out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
     calls = []
@@ -737,7 +736,7 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
     # set, against every filter, and a window set's GEMMs reduce over
     # consecutive channel chunks that together hold all channels. A set at
     # full depth holds at most l2_bytes in whole tiles (at least one); a
-    # set that ends a region may exceed that by its partial last tile,
+    # set that ends the layer may exceed that by its partial last tile,
     # fewer than n_win windows, since the window tail runs there. A chunk
     # of one holds at most half of L2, the partial tile included. The
     # third arch's L2 holds exactly one full-depth tile.
@@ -786,8 +785,8 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     # window range is still one region against every filter, so each
     # window tile is packed once per batch image under either schedule
     # (the IS run replaces the analysed schedule). The plan keeps the
-    # 1-window tail region, but the tail runs in the main region's window
-    # set, so the filters are taken once, for the main region.
+    # 1-window tail region, but the layer runs as one region, so the
+    # filters are taken once.
     p = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
                    pad_h=1, pad_w=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
@@ -862,7 +861,7 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     region = KernelRegion(spatial_start=0, spatial_len=192, oc_start=0,
                           oc_len=p.oc, ic_start=0, ic_len=p.ic,
                           kind=RegionKind.Main, e_off=0)
-    set_tiles = _engine_set_tiles(sched, 5, 2, region, conv, mk)
+    set_tiles = _engine_set_tiles(sched, 5, 2, conv, mk)
     x, flt = rand_tensors(rng, p)
     depths = set()
 
@@ -896,31 +895,26 @@ def _intel_16x8():
     return load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
 
 
-def _region_shapes(p, arch, mk):
-    """[(region, (set_tiles, chunk))] as the engine runs and sizes them,
-    the window tail in the region before it."""
+def _layer_shape(p, arch, mk):
+    """(set_tiles, chunk) as the engine sizes the layer's one span."""
     conv = conv_info(p.padded())
-    strat = analyze(conv, arch, mk)
-    runs = engine._fold_window_tail(plan_regions(conv, strat, mk))
-    return [(r, engine._region_shape(r, strat, conv, arch, mk)) for r in runs]
+    return engine._layer_shape(analyze(conv, arch, mk), conv, arch, mk)
 
 
 @pytest.mark.parametrize("p, main_shape",
                          [(CONV4, (12, 37)), (CONV5, (3, 128))],
                          ids=["conv4", "conv5"])
 def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
-    # conv4's main region is one set of 12 window tiles in 7 chunks of at
-    # most 37 channels, conv5's one set of 3 tiles in 4 chunks of 128. The
-    # window tail (4 and 1 windows) is the partial last tile of that set,
-    # sized with it, so the layer runs as one region and the tail in no
-    # GEMM of its own. Every hook call's reduction is whole channels, a
-    # set's calls add up to all of them, and each accumulator arrives
-    # zeroed, the partial block of a later chunk included.
+    # conv4 runs as one set of 12 window tiles in 7 chunks of at most 37
+    # channels, conv5 as one set of 3 tiles in 4 chunks of 128. The window
+    # tail (4 and 1 windows) is the partial last tile of that set, sized
+    # with it, and runs in no GEMM of its own. Every hook call's reduction
+    # is whole channels, a set's calls add up to all of them, and each
+    # accumulator arrives zeroed, the partial block of a later chunk
+    # included.
     arch, mk = _intel_16x8()
     conv = conv_info(p.padded())
-    [(run, shape)] = _region_shapes(p, arch, mk)
-    assert (run.spatial_start, run.spatial_len) == (0, conv.ohw)
-    assert shape == main_shape
+    assert _layer_shape(p, arch, mk) == main_shape
     k = p.ic * p.fh * p.fw
     chunks = -(-p.ic // main_shape[1])
     sets = []
@@ -998,9 +992,9 @@ def test_later_chunk_add_allocates_nothing(rng):
 
 
 # (layer, arch and microkernel, GEMM widths of one run in call order): the
-# window tail runs as the partial last tile of the last window set of the
-# region that ends where it starts, so no GEMM is the tail alone unless the
-# layer is all tail.
+# layer runs as one span of all its windows, so the window tail runs as the
+# partial last tile of its last window set, and no GEMM is the tail alone
+# unless the layer is all tail.
 TAIL_CASES = {
     # one set of 3 tiles and the 1-window tail, in 4 channel chunks
     "conv5": (CONV5, "intel", [49] * 4),
@@ -1012,11 +1006,11 @@ TAIL_CASES = {
     # ohw = 9 < n_win: the tail is the only region and runs alone
     "all_tail": (ConvParams(n=1, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3),
                  "intel", [9]),
-    # the reference layer's plan with 8 filters: a main region of 348
-    # tiles in capped sets of 28, then a k3 peel of 3 tiles that takes the
-    # 9-window tail
+    # the README example's plan with 8 filters: a main region of 348 tiles,
+    # a k3 peel of 3 tiles and the 9-window tail, which run as one span of
+    # 351 tiles and the tail in capped sets of 28
     "peel": (ConvParams(n=1, ic=32, ih=77, iw=77, oc=8, fh=3, fw=3),
-             "calibrated", [448] * 12 + [192, 57]),
+             "calibrated", [448] * 12 + [249]),
     # 24 tiles in capped sets of 13, the 15-window tail in the second,
     # per batch image
     "batch2": (ConvParams(n=2, ic=24, ih=19, iw=21, oc=30, fh=5, fw=5,
@@ -1036,7 +1030,7 @@ def test_window_tail_runs_in_the_last_set(rng, case):
     tail = [r for r in regions if r.kind is RegionKind.Remainder]
     assert [r.spatial_len for r in tail] == [conv.ohw % mk.n_win]
     if case == "peel":
-        assert len(regions) == 3
+        assert sorted(r.spatial_len for r in regions) == [9, 48, 5568]
     x, flt = rand_tensors(rng, p)
     seen = []
 
@@ -1049,6 +1043,12 @@ def test_window_tail_runs_in_the_last_set(rng, case):
                                 counters=counters)
     assert info.regions == tuple(regions)
     assert seen == widths
+    # the layer's window sets, whatever its plan, per batch image and chunk
+    set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
+    assert seen == [cols for _ in range(p.n)
+                    for _, cols in kernel.window_sets(conv.ohw, set_tiles,
+                                                      mk.n_win)
+                    for _ in range(-(-p.ic // chunk))]
     # every window tile packed exactly once per batch image, the tail's
     # partial tile included
     wtiles = -(-conv.ohw // mk.n_win)
@@ -1059,27 +1059,39 @@ def test_window_tail_runs_in_the_last_set(rng, case):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def test_deep_suite_holds_a_peel_followed_by_a_tail():
+def test_deep_suite_holds_a_peel_followed_by_a_tail(rng):
     # fixtures/deep.jsonl, which CI runs through the installed CLI, holds
     # the pointwise layer and a layer whose plan under intel.toml with
     # 16x8 has a k3 peel followed by the window tail: 198x198 outputs are
-    # 2450 tiles and 4 windows, and k3 = 2427. The engine runs the tail in
-    # the peel's window set.
+    # 2450 tiles and 4 windows, and k3 = 2427. RunInfo.regions keeps that
+    # plan, while the layer runs as one span of all its windows.
     cases, errors = load_suite(FIXTURES / "deep.jsonl")
     assert not errors
     params = {c.id: c.params for c in cases}
     assert "pointwise_256_1024_14" in params
     arch, mk = _intel_16x8()
-    conv = conv_info(params["peel_tail_3x3_32_198"].padded())
+    p = params["peel_tail_3x3_32_198"]
+    conv = conv_info(p.padded())
     strat = analyze(conv, arch, mk)
-    regions = plan_regions(conv, strat, mk)
     assert strat.k3 == 2427
-    assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == [
+    widths = []
+
+    def wrapped(pin, pf, acc):
+        widths.append(pin.shape[1])
+        microkernel(pin, pf, acc)
+
+    x, flt = rand_tensors(rng, p)
+    _, info = run_convolution(x, flt, p, arch, mk, hook=wrapped)
+    assert info.strategy == strat
+    assert [(r.kind, r.spatial_start, r.spatial_len)
+            for r in info.regions] == [
         (RegionKind.Remainder, 39200, 4), (RegionKind.Main, 0, 38832),
         (RegionKind.Main, 38832, 368)]
-    runs = engine._fold_window_tail(regions)
-    assert [(r.kind, r.spatial_start, r.spatial_len) for r in runs] == [
-        (RegionKind.Main, 0, 38832), (RegionKind.Main, 38832, 372)]
+    set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
+    assert (set_tiles, chunk) == (28, p.ic)
+    assert widths == [cols for _, cols in
+                      kernel.window_sets(conv.ohw, set_tiles, mk.n_win)]
+    assert Counter(widths) == {448: 87, 228: 1}
 
 
 @pytest.mark.parametrize("p", [
@@ -1096,7 +1108,7 @@ def test_deep_suite_holds_a_peel_followed_by_a_tail():
         "tail_48_60", "tail_batch2", "conv4_1024_filters"])
 def test_regions_that_keep_one_chunk(p):
     # The resnet_early and tail_heavy layers of bench/layers.jsonl, and the
-    # pointwise layer of resnet_late: every region runs in one chunk of all
+    # pointwise layer of resnet_late: each layer runs in one chunk of all
     # channels, in window sets of k3 capped to L2 at full depth. tail_48_60
     # is capped at 18 of its 27 window tiles, but one set of all 27 would
     # take 3 chunks whose partial sums cost more than a second pass over
@@ -1105,7 +1117,7 @@ def test_regions_that_keep_one_chunk(p):
     # block is 768 KiB, more than half of L2.
     arch, mk = _intel_16x8()
     strat = analyze(conv_info(p.padded()), arch, mk)
-    for region, (set_tiles, chunk) in _region_shapes(p, arch, mk):
-        tile = region.ic_len * p.fh * p.fw * mk.n_win * 4
-        assert chunk == region.ic_len
-        assert set_tiles == min(strat.k3, max(1, arch.l2_bytes // tile))
+    set_tiles, chunk = _layer_shape(p, arch, mk)
+    tile = p.ic * p.fh * p.fw * mk.n_win * 4
+    assert chunk == p.ic
+    assert set_tiles == min(strat.k3, max(1, arch.l2_bytes // tile))
