@@ -1,9 +1,9 @@
 """Sliced direct-convolution engine.
 
-Cache-aware tiling analysis, recursive edge-case splitting, affine-equation
-input packing with multipacking, and one region executor that runs each
-window set against every filter in one GEMM per channel chunk, plus an
-oracle-checked harness.
+Cache-aware tiling analysis, recursive edge-case splitting (planned and
+reported), affine-equation input packing with multipacking, and one layer
+executor that runs each window set against every filter in one GEMM per
+channel chunk, plus an oracle-checked harness.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
@@ -15,7 +15,7 @@ from .packing import pack_filter, pack_input
 from .reference import im2col, naive_conv
 from .regions import (KernelRegion, RegionKind, coverage_check, plan_regions,
                       split_by_strategy, split_input_domain)
-from .strategy import Schedule, TilingStrategy, analyze, cost_model, remainders
+from .strategy import Schedule, TilingStrategy, analyze, remainders
 
 __version__ = "0.1.0"
 
@@ -29,5 +29,5 @@ __all__ = [
     "im2col", "naive_conv",
     "KernelRegion", "RegionKind", "coverage_check", "plan_regions",
     "split_by_strategy", "split_input_domain",
-    "Schedule", "TilingStrategy", "analyze", "cost_model", "remainders",
+    "Schedule", "TilingStrategy", "analyze", "remainders",
 ]

@@ -46,6 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file; where either does not exist
+    yet, whether they resolve to the same name."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}",
@@ -72,15 +80,6 @@ def cmd_run(args) -> int:
     if not cases:
         print("error: suite contains no valid cases", file=sys.stderr)
         return 2
-    # An unwritable output path is an input error, found before the run.
-    for path in (args.out, args.dump_regions):
-        if path:
-            try:
-                with open(path, "a", encoding="utf-8"):
-                    pass
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
     # An output that names an input would overwrite it, and one file for
     # both outputs would keep only the regions JSON, losing the report.
     earlier = [("--suite", args.suite), ("--arch", args.arch)]
@@ -89,11 +88,27 @@ def cmd_run(args) -> int:
         if not path:
             continue
         for other_flag, other in earlier:
-            if os.path.samefile(other, path):
+            if _same_file(other, path):
                 print(f"error: {other_flag} and {flag} name the same file "
                       f"({other!r}, {path!r})", file=sys.stderr)
                 return 2
         earlier.append((flag, path))
+    # An unwritable output path is an input error, found before the run;
+    # a rejected run leaves behind no file it created.
+    created = []
+    for path in (args.out, args.dump_regions):
+        if path:
+            existed = os.path.lexists(path)
+            try:
+                with open(path, "a", encoding="utf-8"):
+                    pass
+            except OSError as exc:
+                for made in created:
+                    os.remove(made)
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            if not existed:
+                created.append(path)
 
     reports, regions_map = run_suite(
         cases, arch, mk, seed=args.seed, verify_only=args.verify_only,

@@ -6,18 +6,20 @@ equation can assume pad = 0.
 The layer runs as one span, and the plan is reported: plan_regions splits
 off the window tail and the k3 peel as the paper does, and RunInfo.regions
 keeps that plan, but execution reads nothing from it. One execute_region
-call runs every window, filter and channel of the layer; the GEMM blocks
-its own operands, and the packers cut a partial last tile, so region edges
-need no code of their own.
+call runs every window, filter and channel of the layer, addressed from
+the padded problem alone; the GEMM blocks its own operands, and the
+packers cut a partial last tile, so region edges need no code of their
+own.
 
 The analysis sizes tiles as the paper does; _layer_shape maps them onto
-the GEMM microkernel, and is the one place that sizes execution. Each
-window set runs against every filter, (oc, K) @ (K, W), and two numbers
-are left to choose: the window-set size, from the analysed k3, and the
-channel-chunk size, which splits the reduction where capping a set at
-full depth to L2 would cut a deep layer into several sets, each streaming
-all of its filters (the paper's nc channel tiling, sized by L2 rather than
-by the analysed nc). The schedule, nc and k2 are reported, not executed.
+the GEMM microkernel, and is the one place that sizes execution, with the
+library's one traffic model. Each window set runs against every filter,
+(oc, K) @ (K, W), and two numbers are left to choose: the window-set
+size, from the analysed k3, and the channel-chunk size, which splits the
+reduction where capping a set at full depth to L2 would cut a deep layer
+into several sets, each streaming all of its filters (the paper's nc
+channel tiling, sized by L2 rather than by the analysed nc). The
+schedule, nc and k2 are reported, not executed.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, execute_region, window_sets
 from .model import DTYPE, ConvParams, make_tensor4d, out_shape, pad_input
-from .regions import KernelRegion, RegionKind, coverage_check, plan_regions
+from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
 
@@ -69,12 +71,9 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     # Every element is written by the first GEMM of one window set; zeros
     # give a hook that adds into acc the right answer too.
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
-    layer = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                         oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                         kind=RegionKind.Main, e_off=0)
     set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    execute_region(xp, filters, out, conv, layer, set_tiles, mk, hook=hook,
-                   counters=counters, chunk=chunk)
+    execute_region(xp, filters, out, conv, set_tiles, chunk, mk, hook=hook,
+                   counters=counters)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 

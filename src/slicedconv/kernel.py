@@ -1,10 +1,10 @@
-"""The region executor: per batch image and window set, one GEMM per
+"""The layer executor: per batch image and window set, one GEMM per
 channel chunk.
 
-execute_region runs one loop nest for every region:
+execute_region runs one loop nest over the whole layer:
 
-    take the region's filters as one (oc_len, chunk*fh*fw) view per
-    channel chunk                                          (once per region)
+    take the filters as one (oc, chunk*fh*fw) view per channel chunk
+                                                           (once per layer)
     batch image
       window set of set_tiles whole window tiles (the last set also takes
       a trailing partial tile)
@@ -13,34 +13,31 @@ execute_region runs one loop nest for every region:
           microkernel: acc[f, w] = sum_k pf[k, f] * pi[k, w]
 
 The microkernel is a BLAS GEMM, which packs and blocks its own operands,
-so the executor splits neither the filters into sets nor, by default, the
-reduction: one chunk of all ic_len channels, K = ic_len*fh*fw, and each
-window set is multiplied against every filter of the region in one call
-that writes the set's block of the output in place. The filter operand is
-a read-only view of the filter tensor, which nothing copies. A microkernel
-hook, passed as execute_region's hook argument, replaces exactly that
-call.
+so the executor splits the filters into no sets: each window set is
+multiplied against every filter in one call per chunk, and one chunk of
+all ic channels, K = ic*fh*fw, makes one call that writes the set's block
+of the output in place. The filter operand is a read-only view of the
+filter tensor, which nothing copies. A microkernel hook, passed as
+execute_region's hook argument, replaces exactly that call.
 
 Where the engine splits the reduction into channel chunks (so that a
-window set can span its whole region while its packed chunk stays
-L2-sized), the first chunk's GEMM writes the output block and each later
-chunk's GEMM writes a reused partial block, which is then added in
-without a temporary.
+window set can span the layer while its packed chunk stays L2-sized), the
+first chunk's GEMM writes the output block and each later chunk's GEMM
+writes a reused partial block, which is then added in without a
+temporary.
 
 The analysis's schedule (input- or weight-stationary), nc and k2 order
 and size nothing here: the engine passes the window-set size and the
 chunk size from its own L2 rule (see engine.py).
 
-A region's last window tile and last filter tile may be short, and the
-packers cut them at the region's end, since the GEMM takes any width.
-Window sets are counted in whole tiles, so a partial last window tile
-runs in the last set rather than in a GEMM of its own. The engine runs
-each layer as one region of all its windows, filters and channels (see
-engine.py), so the window tail (windows mod n_win) and the filter tail
-(oc mod n_f) are its partial last tiles.
+The layer's last window tile and last filter tile may be short, and the
+packers cut them at its end, since the GEMM takes any width. Window sets
+are counted in whole tiles, so the window tail (windows mod n_win) runs
+in the last set rather than in a GEMM of its own, and the filter tail
+(oc mod n_f) is the last rows of every GEMM.
 
-Every output element of the region is written by the first chunk's GEMM
-of exactly one window set.
+Every output element is written by the first chunk's GEMM of exactly one
+window set.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ import numpy as np
 from .arch import ConvInfo, MkInfo
 from .model import DTYPE, require_int
 from .packing import pack_filter, pack_input
-from .regions import KernelRegion
+from .regions import KernelRegion, RegionKind
 
 
 def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
@@ -71,19 +68,18 @@ def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
 
 @dataclass
 class RunCounters:
-    """Pack/accumulate instrumentation, keyed by absolute tile coordinates.
+    """Pack/accumulate instrumentation, keyed by tile coordinates.
 
     Each key names a tile once per scope it is packed for, so a run that
     packs nothing twice counts 1 everywhere. Window tiles are packed once
-    per batch image, keyed (batch, window tile): a region split into
+    per batch image, keyed (batch, window tile): a layer split into
     channel chunks packs each chunk of a window set in its own call, but
     the chunks are disjoint channel slices of one set, so the set still
     counts once. A partial last tile is counted with the last set, once
-    too. A region's filter tiles are taken once, as views of the filter
+    too. The filter tiles are taken once per run, as views of the filter
     tensor that copy nothing (one per chunk, over disjoint channels),
-    keyed (first window tile of the region, filter tile).
-    acc_touches counts one touch of each output tile per GEMM that
-    reaches it, so once per channel chunk.
+    keyed (0, filter tile). acc_touches counts one touch of each output
+    tile per GEMM that reaches it, so once per channel chunk.
     """
 
     input_packs: Counter = field(default_factory=Counter)
@@ -106,106 +102,103 @@ def window_sets(span: int, set_tiles: int,
 
 
 def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
-                   conv: ConvInfo, region: KernelRegion, set_tiles: int,
-                   mk: MkInfo, hook=None, counters: RunCounters | None = None,
-                   chunk: int | None = None) -> None:
-    """Run one region in window sets of set_tiles tiles, reducing over
-    chunks of chunk input channels; writes its block of out.
+                   conv: ConvInfo, set_tiles: int, chunk: int, mk: MkInfo,
+                   hook=None, counters: RunCounters | None = None) -> None:
+    """Run the layer in window sets of set_tiles tiles, reducing over
+    chunks of chunk input channels; writes all of out.
 
     Sets are counted in whole window tiles (see window_sets): a partial
     last tile joins the last set, so that set may be up to n_win - 1
     windows wider than set_tiles tiles, and one buffer as wide as the
     widest set serves every set.
 
-    x must be pre-padded (conv carries pad=0); out is (n, oc, oh, ow). The
-    region must span every input channel, since the first chunk's GEMM
-    writes its output block rather than adding to it. chunk defaults to
-    all of the region's channels, one GEMM per window set; a smaller one
-    splits the reduction into chunks of chunk channels, the last one
-    shorter. set_tiles and chunk must be integers (TypeError), set_tiles
-    at least 1 and chunk from 1 to ic_len (ValueError), all checked before
-    anything is written.
+    conv is the padded problem (pad=0): x must be the padded input,
+    (n, ic, ih, iw) of conv.params, filters (oc, ic, fh, fw) and out the
+    C-contiguous (n, oc, oh, ow) output (ValueError otherwise). chunk is
+    the number of channels per GEMM: all ic of them make one GEMM per
+    window set, and a smaller one splits the reduction into chunks of
+    chunk channels, the last one shorter. set_tiles and chunk must be
+    integers (TypeError), set_tiles at least 1 and chunk from 1 to ic
+    (ValueError). Everything is checked before anything is written.
 
     hook, when given, replaces the built-in microkernel call of each chunk
     of each window set and is called as microkernel is, hook(packed_in,
-    packed_f, acc): the (k, width) window set's chunk, the (k, oc_len)
+    packed_f, acc): the (k, width) window set's chunk, the (k, oc)
     filters of the chunk (a transposed read-only view of the filter
-    tensor) and an (oc_len, width) accumulator, which arrives zeroed, to
+    tensor) and an (oc, width) accumulator, which arrives zeroed, to
     write in place. The first chunk's accumulator is the set's block of
-    out, zeroed by the engine; each later chunk's is a reused partial
+    out, zeroed by the caller; each later chunk's is a reused partial
     block, zeroed before the call and added into out after it.
     microkernel, pack_input and pack_filter are looked up as module
     globals, so a wrapper installed there sees each call. Results must
     match the built-in kernel within the engine tolerance.
     """
+    p = conv.params
     require_int("set_tiles", set_tiles)
     if set_tiles < 1:
         raise ValueError(f"set_tiles must be at least 1, got {set_tiles}")
-    if chunk is None:
-        chunk = region.ic_len
-    else:
-        require_int("chunk", chunk)
-        if not 1 <= chunk <= region.ic_len:
-            raise ValueError(f"chunk must be from 1 to {region.ic_len} "
-                             f"channels, got {chunk}")
+    require_int("chunk", chunk)
+    if not 1 <= chunk <= p.ic:
+        raise ValueError(f"chunk must be from 1 to {p.ic} channels, "
+                         f"got {chunk}")
+    for name, arr, shape in (("x", x, (p.n, p.ic, p.ih, p.iw)),
+                             ("filters", filters, (p.oc, p.ic, p.fh, p.fw)),
+                             ("out", out, (p.n, p.oc, conv.oh, conv.ow))):
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
     if not out.flags.c_contiguous:
         raise ValueError("output tensor must be C-contiguous")
-    p = conv.params
-    if (region.ic_start, region.ic_len) != (0, p.ic):
-        raise ValueError(f"region channels [{region.ic_start}, "
-                         f"{region.ic_start + region.ic_len}) are not all "
-                         f"{p.ic}: the GEMM writes, it does not accumulate")
     n_win, n_f = mk.n_win, mk.n_f
     ff = p.fh * p.fw
-    sets = window_sets(region.spatial_len, set_tiles, n_win)
-    ftiles = -(-region.oc_len // n_f)
-    w_tile0, f_tile0 = region.spatial_start // n_win, region.oc_start // n_f
-    f0, f1 = region.oc_start, region.oc_start + region.oc_len
+    # The packers address the layer as one region of everything.
+    layer = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
+                         oc_len=p.oc, ic_start=0, ic_len=p.ic,
+                         kind=RegionKind.Main, e_off=0)
+    sets = window_sets(conv.ohw, set_tiles, n_win)
+    ftiles = -(-p.oc // n_f)
 
     # (first channel, channels, filter view) of each chunk.
     chunks = [(c0, min(chunk, p.ic - c0),
-               pack_filter(filters, region, mk, nt=ftiles,
+               pack_filter(filters, layer, mk, nt=ftiles,
                            nc=min(chunk, p.ic - c0), ic_off=c0))
               for c0 in range(0, p.ic, chunk)]
     # One buffer as wide as the widest set holds the packed chunk and, in
-    # a chunked region, a copy of an output block (see _add_into); a
-    # chunked region also has a partial block.
+    # a chunked layer, a copy of an output block (see _add_into); a
+    # chunked layer also has a partial block.
     split = len(chunks) > 1
-    width = max((cols for _, cols in sets), default=0)
-    rows = max(chunk * ff, region.oc_len if split else 0)
+    width = max(cols for _, cols in sets)
+    rows = max(chunk * ff, p.oc if split else 0)
     buf = np.empty((rows, width), DTYPE)
-    part = np.empty(region.oc_len * width, DTYPE) if split else None
+    part = np.empty(p.oc * width, DTYPE) if split else None
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
     gemm = microkernel if hook is None else hook
     if counters is not None:
-        counters.filter_packs.update((w_tile0, f_tile0 + t)
-                                     for t in range(ftiles))
+        counters.filter_packs.update((0, t) for t in range(ftiles))
 
     for b in range(p.n):
-        for s0, cols in sets:
+        for w0, cols in sets:
             nt = -(-cols // n_win)
-            w0 = region.spatial_start + s0
-            blk = out_flat[b, f0:f1, w0:w0 + cols]
+            blk = out_flat[b, :, w0:w0 + cols]
             for c0, cc, f_chunk in chunks:
-                in_mat = pack_input(x, conv, region, (s0, 0), mk, nt=nt,
+                in_mat = pack_input(x, conv, layer, (w0, 0), mk, nt=nt,
                                     nc=cc, batch=b, ic_off=c0,
                                     out=buf[:cc * ff, :cols])
                 # The first chunk writes the output block, a later one a
                 # partial block that is then added in.
-                acc = _matrix(part, region.oc_len, cols) if c0 else blk
+                acc = _matrix(part, p.oc, cols) if c0 else blk
                 if c0 and hook is not None:
                     acc.fill(0)  # a hook may add into acc
                 gemm(in_mat, f_chunk.T, acc)
                 if c0:
                     _add_into(blk, acc, buf)
             if counters is not None:
-                counters.input_packs.update((b, w_tile0 + s0 // n_win + t)
+                counters.input_packs.update((b, w0 // n_win + t)
                                             for t in range(nt))
                 counters.acc_touches.update(
                     (b, w // n_win, f // n_f)
                     for _ in chunks
                     for w in range(w0, w0 + cols, n_win)
-                    for f in range(f0, f1, n_f))
+                    for f in range(0, p.oc, n_f))
 
 
 def _matrix(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -220,9 +213,9 @@ def _add_into(blk: np.ndarray, part: np.ndarray, buf: np.ndarray) -> None:
     A ufunc over a strided 2-D operand runs NumPy's buffered iterator,
     which allocates its buffers (64 KiB under NumPy 2.4); over C-contiguous
     operands it allocates nothing, and neither does a copy. So a strided
-    block, a window set of a region that does not span the whole output,
-    is copied into buf, added to part and copied back. A contiguous block
-    is added in place, in one pass rather than the copy form's three: the
+    block, a window set that does not span the whole output, is copied
+    into buf, added to part and copied back. A contiguous block is added
+    in place, in one pass rather than the copy form's three: the
     chunked deep layers run one window set that spans the output, so their
     adds are all contiguous, and the copy form slows them measurably (see
     CHANGES.md).

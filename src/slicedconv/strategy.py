@@ -34,7 +34,6 @@ cache levels by a power of two never shrinks nc, k2 or k3).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
@@ -111,24 +110,6 @@ def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[i
     return r_nc, r_k2, r_k3
 
 
-def cost_model(conv: ConvInfo, mk: MkInfo, candidate: TilingStrategy) -> int:
-    """Estimated memory traffic in bytes for a candidate strategy.
-
-    The stationary tensor is loaded once; the non-stationary tensor is
-    reloaded once per stationary tile-set (window-tile sets of k3 under IS,
-    filter-tile sets of k2 under WS); the output is written once.
-    """
-    p = conv.params
-    in_b = p.n * p.ic * p.ih * p.iw * ELEM_BYTES
-    f_b = p.oc * p.ic * p.fh * p.fw * ELEM_BYTES
-    out_b = p.n * p.oc * conv.ohw * ELEM_BYTES
-    if candidate.schedule is Schedule.InputStationary:
-        sets = math.ceil(max(window_tiles(conv, mk), 1) / candidate.k3)
-        return in_b + f_b * sets + out_b
-    sets = math.ceil(max(filter_tiles(conv, mk), 1) / candidate.k2)
-    return f_b + in_b * sets + out_b
-
-
 def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
     """Pick schedule and tile sizes for a convolution on a given machine.
 
@@ -158,8 +139,8 @@ def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
     else:
         k3 = _clamp(arch.l3_bytes // in_tile, 1, max(n_wtiles, 1))
 
-    # Keep the larger tensor stationary; ties go to input stationary. This is
-    # the cost-model ordering with reload counts equalized between schedules.
+    # Keep the larger tensor stationary, so that the smaller one is the one
+    # reloaded; ties go to input stationary. The schedule is reported only.
     in_total = p.n * p.ic * p.ih * p.iw * ELEM_BYTES
     f_total = p.oc * p.ic * p.fh * p.fw * ELEM_BYTES
     schedule = Schedule.InputStationary if in_total >= f_total else Schedule.WeightStationary

@@ -306,7 +306,33 @@ def test_cli_rejects_one_file_for_report_and_regions(tmp_path, dump):
     assert proc.stderr.startswith("error: --out and --dump-regions"), proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""  # the suite did not run
-    assert (tmp_path / "report.csv").read_text() == ""
+    assert list(tmp_path.iterdir()) == []  # no empty report left behind
+
+
+@pytest.mark.parametrize("outputs", [
+    ["--out", "new.csv", "--dump-regions", "./cases.jsonl"],
+    ["--out", "new.csv", "--dump-regions", "./machine.toml"],
+    ["--out", "new3.csv", "--dump-regions", "nodir/x.json"],
+    ["--out", "old.csv", "--dump-regions", "nodir/x.json"],
+], ids=["dump-names-suite", "dump-names-arch", "dump-unwritable",
+        "existing-report-kept"])
+def test_cli_rejected_run_leaves_no_new_file(tmp_path, outputs):
+    # A run rejected over its second output creates no report file, and
+    # an existing report keeps every byte.
+    (tmp_path / "cases.jsonl").write_bytes(
+        (FIXTURES / "smoke.jsonl").read_bytes())
+    (tmp_path / "machine.toml").write_bytes(
+        (FIXTURES / "intel.toml").read_bytes())
+    (tmp_path / "old.csv").write_text("id\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    proc = _run_cli(["run", "--suite", "cases.jsonl", "--arch",
+                     "machine.toml", "--nwin", "16", "--nf", "8",
+                     "--verify-only", *outputs], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # the suite did not run
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("output", ["--out", "--dump-regions"])

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
                       rand_tensors, random_params)
-from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
+from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
                         execute_region, load_arch, load_suite, microkernel,
                         naive_conv, run_convolution)
@@ -141,141 +141,91 @@ def test_both_schedules_match_oracle(rng, monkeypatch):
     assert np.array_equal(*outs)
 
 
-def test_single_region_touches_only_its_window(rng):
-    p = ConvParams(n=1, ic=4, ih=10, iw=10, oc=8, fh=3, fw=3)
-    conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
-    strat = analyze(conv, CALIBRATED_ARCH, mk)
-    regions = [r for r in plan_regions(conv, strat, mk) if r.kind is RegionKind.Main]
-    region = regions[0]
-    x, flt = rand_tensors(rng, p)
-    out = np.zeros((1, 8, conv.oh, conv.ow), dtype=np.float32)
-    execute_region(x, flt, out, conv, region, strat.k3, mk)
-    ref = naive_conv(x, flt, p).reshape(1, 8, -1)
-    got = out.reshape(1, 8, -1)
-    s0, s1 = region.spatial_start, region.spatial_start + region.spatial_len
-    o0, o1 = region.oc_start, region.oc_start + region.oc_len
-    inside_got = got[:, o0:o1, s0:s1]
-    inside_ref = ref[:, o0:o1, s0:s1]
-    assert max_relative_error(inside_got, inside_ref) <= 1e-4
-    mask = np.ones_like(got, dtype=bool)
-    mask[:, o0:o1, s0:s1] = False
-    assert np.all(got[mask] == 0)
-
-
-def test_region_order_is_irrelevant(rng):
-    p = ConvParams(n=1, ic=9, ih=11, iw=11, oc=12, fh=3, fw=3)  # oc/spatial tails
-    conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
-    strat = analyze(conv, CALIBRATED_ARCH, mk)
-    regions = plan_regions(conv, strat, mk)
-    assert len(regions) >= 2
-    x, flt = rand_tensors(rng, p)
-
-    def run(order):
-        out = np.zeros((1, 12, conv.oh, conv.ow), dtype=np.float32)
-        for region in order:
-            execute_region(x, flt, out, conv, region, strat.k3, mk)
-        return out
-
-    a = run(regions)
-    b = run(list(reversed(regions)))
-    assert np.array_equal(a, b)
-
-
 def test_execute_region_nine_window_tail(rng):
-    # the 75x75 example's 9-window tail, checked against the oracle
+    # the 75x75 example's 9-window tail, checked against the oracle: in
+    # window sets of one tile it runs as the partial last tile of the
+    # last set, one GEMM of 25 windows
     from conftest import REF_PARAMS
     conv = conv_info(REF_PARAMS)
     strat = analyze(conv, CALIBRATED_ARCH, REF_MK)
     tail = [r for r in plan_regions(conv, strat, REF_MK)
             if r.kind is RegionKind.Remainder][0]
-    assert tail.spatial_len == 9
+    assert (tail.spatial_start, tail.spatial_len) == (5616, 9)
     p_small = ConvParams(n=1, ic=2, ih=77, iw=77, oc=4, fh=3, fw=3)
     conv_small = conv_info(p_small)
     x, flt = rand_tensors(rng, p_small)
-    tail_small = type(tail)(spatial_start=5616, spatial_len=9, oc_start=0,
-                            oc_len=4, ic_start=0, ic_len=2,
-                            kind=RegionKind.Remainder, e_off=5616)
-    ref = naive_conv(x, flt, p_small).reshape(1, 4, -1)
+    ref = naive_conv(x, flt, p_small)
     out = np.zeros((1, 4, 75, 75), dtype=np.float32)
-    execute_region(x, flt, out, conv_small, tail_small, 1, REF_MK)
-    got = out.reshape(1, 4, -1)
-    assert np.allclose(got[:, :, 5616:], ref[:, :, 5616:],
-                       rtol=1e-5, atol=1e-6)
-    assert np.all(got[:, :, :5616] == 0)
+    widths = []
 
+    def wrapped(pin, pf, acc):
+        widths.append(pin.shape[1])
+        microkernel(pin, pf, acc)
 
-def test_execute_region_empty_region_is_noop():
-    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
-    out = np.zeros((1, 4, 4, 4), dtype=np.float32)
-    region = KernelRegion(spatial_start=0, spatial_len=0, oc_start=0, oc_len=4,
-                          ic_start=0, ic_len=2, kind=RegionKind.Remainder,
-                          e_off=0)
-    x = np.ones((1, 2, 6, 6), dtype=np.float32)
-    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    execute_region(x, flt, out, conv, region, 1, mk)
-    assert np.all(out == 0)
+    execute_region(x, flt, out, conv_small, 1, 2, REF_MK, hook=wrapped)
+    assert widths == [16] * 350 + [25]
+    assert np.allclose(out, ref, rtol=1e-5, atol=1e-6)
 
 
 @pytest.mark.parametrize("set_tiles", [0, -1, 2.0, True])
 def test_execute_region_rejects_a_bad_set_size(set_tiles):
     # A set size below 1 would make an empty window-set loop and leave the
-    # region unwritten; a float or a bool is not a tile count. Each is
+    # output unwritten; a float or a bool is not a tile count. Each is
     # refused before anything is written.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
-    region = KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,
-                          oc_len=4, ic_start=0, ic_len=2,
-                          kind=RegionKind.Main, e_off=0)
     x = np.ones((1, 2, 6, 6), dtype=np.float32)
     flt = np.ones((4, 2, 3, 3), dtype=np.float32)
     out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32)
     error = TypeError if isinstance(set_tiles, (bool, float)) else ValueError
     with pytest.raises(error, match="set_tiles"):
-        execute_region(x, flt, out, conv, region, set_tiles, mk)
+        execute_region(x, flt, out, conv, set_tiles, 2, mk)
     assert np.all(out == 7.0)
 
 
 @pytest.mark.parametrize("chunk", [0, -1, 3, 2.0, True])
 def test_execute_region_rejects_a_bad_chunk_size(chunk):
-    # A chunk of no channels, or of more than the region's two, is no
+    # A chunk of no channels, or of more than the layer's two, is no
     # split of its reduction; a float or a bool is not a channel count.
     # Each is refused before anything is written.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
-    region = KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,
-                          oc_len=4, ic_start=0, ic_len=2,
-                          kind=RegionKind.Main, e_off=0)
     x = np.ones((1, 2, 6, 6), dtype=np.float32)
     flt = np.ones((4, 2, 3, 3), dtype=np.float32)
     out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32)
     error = TypeError if isinstance(chunk, (bool, float)) else ValueError
     with pytest.raises(error, match="chunk"):
-        execute_region(x, flt, out, conv, region, 1, mk, chunk=chunk)
+        execute_region(x, flt, out, conv, 1, chunk, mk)
     assert np.all(out == 7.0)
 
 
-def test_execute_region_rejects_a_channel_split():
-    # each window set's GEMM writes its output block, so a region over part
-    # of the channels would leave a partial sum: rejected before writing
-    p = ConvParams(n=1, ic=4, ih=6, iw=6, oc=4, fh=3, fw=3)
+@pytest.mark.parametrize("tensor, shape", [
+    ("x", (1, 2, 5, 6)),        # the unpadded input of a pad-1 layer
+    ("x", (1, 3, 6, 6)),
+    ("filters", (4, 3, 3, 3)),  # more channels than the layer's two
+    ("filters", (5, 2, 3, 3)),
+    ("out", (1, 4, 3, 5)),      # a 3x5 output for the layer's 4x4
+    ("out", (2, 4, 4, 4)),
+], ids=["x_rows", "x_channels", "filter_channels", "filter_count",
+        "out_rows", "out_batch"])
+def test_execute_region_rejects_tensors_that_do_not_match_conv(tensor,
+                                                               shape):
+    # Each of x, filters and out must have its shape under conv, the
+    # padded problem; otherwise nothing is written. Filters with a third
+    # channel would otherwise give the convolution of their first two.
+    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
-    out = np.zeros((1, 4, 4, 4), dtype=np.float32)
-    x = np.ones((1, 4, 6, 6), dtype=np.float32)
-    flt = np.ones((4, 4, 3, 3), dtype=np.float32)
-    for c0, clen in ((0, 2), (2, 2)):
-        region = KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,
-                              oc_len=4, ic_start=c0, ic_len=clen,
-                              kind=RegionKind.Main, e_off=0)
-        with pytest.raises(ValueError, match="does not accumulate"):
-            execute_region(x, flt, out, conv, region, 1, mk)
-    assert np.all(out == 0)
+    tensors = {"x": (1, 2, 6, 6), "filters": (4, 2, 3, 3),
+               "out": (1, 4, 4, 4)}
+    tensors[tensor] = shape
+    x, flt, out = (np.full(tensors[k], 7.0, dtype=np.float32)
+                   for k in ("x", "filters", "out"))
+    with pytest.raises(ValueError, match=f"{tensor} has shape"):
+        execute_region(x, flt, out, conv, 1, 2, mk)
+    assert np.all(out == 7.0)
 
 
 def test_execute_region_tail_spanning_row_break(rng):
@@ -283,29 +233,24 @@ def test_execute_region_tail_spanning_row_break(rng):
     strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,
                          stride_h=2, dil_w=2)  # 6x10 out
     cases = [
-        # (params, n_win, windows [s0, s0+len), filters [o0, o0+len))
-        (square, 16, (4, 13), (0, 5)),   # one partial tile, two row breaks
-        (square, 4, (4, 13), (0, 5)),    # three tiles, [4, 8) crosses a row
-        (strided, 3, (7, 41), (4, 3)),   # batch 2, stride and dilation
+        # (params, n_win): 5 and 7 filters end in a partial tile of 4
+        (square, 16),    # tiles cross row breaks, a one-window tail
+        (square, 4),     # twelve tiles, [4, 8) crosses a row
+        (square, 10),    # the 9-window tail [40, 49) crosses a row
+        (strided, 3),    # batch 2, stride and dilation, no tail
+        (strided, 16),   # the 12-window tail [48, 60) crosses a row
     ]
-    for p, n_win, (s0, slen), (o0, olen) in cases:
+    for p, n_win in cases:
         conv = conv_info(p)
         mk = MkInfo(n_win=n_win, n_f=4)
         x, flt = rand_tensors(rng, p)
-        region = KernelRegion(spatial_start=s0, spatial_len=slen, oc_start=o0,
-                              oc_len=olen, ic_start=0, ic_len=p.ic,
-                              kind=RegionKind.Remainder, e_off=s0)
-        ref = naive_conv(x, flt, p).reshape(p.n, p.oc, -1)
-        inside = np.s_[:, o0:o0 + olen, s0:s0 + slen]
+        ref = naive_conv(x, flt, p)
         # window sets of one tile, of two, and of up to eight, which
-        # hold all of each region but the strided one's 12 tiles
+        # hold all of each layer but the 20-tile one
         for set_tiles in (1, 2, 8):
             out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-            execute_region(x, flt, out, conv, region, set_tiles, mk)
-            got = out.reshape(p.n, p.oc, -1)
-            assert np.allclose(got[inside], ref[inside], rtol=1e-5, atol=1e-6)
-            got[inside] = 0
-            assert np.all(got == 0)
+            execute_region(x, flt, out, conv, set_tiles, p.ic, mk)
+            assert np.allclose(out, ref, rtol=1e-5, atol=1e-6)
 
 
 def test_hook_wrapping_builtin_is_bit_identical(rng):
@@ -514,8 +459,8 @@ def _check_pack_once(rng, monkeypatch, sched):
     # of ic = 8 is not read
     assert counters.input_packs == Counter(
         {(b, t): 1 for b in range(p.n) for t in range(64)})
-    # the layer runs as one region, so its filters are taken once, as one
-    # view, keyed by its first window tile
+    # the layer runs as one span, so its filters are taken once, as one
+    # view, keyed (0, filter tile)
     assert counters.filter_packs == Counter({(0, f): 1 for f in range(4)})
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
@@ -549,16 +494,13 @@ def _check_set_product(rng, sched, k3, k2, n_win):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=n_win, n_f=4)
-    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                          kind=RegionKind.Main, e_off=0)
     set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
 
     def run(hook):
         counters = RunCounters()
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, set_tiles, mk, hook=hook,
+        execute_region(x, flt, out, conv, set_tiles, p.ic, mk, hook=hook,
                        counters=counters)
         return out, counters
 
@@ -660,9 +602,6 @@ def _check_hook_calls(rng, sched, k3, k2, adding, oc):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=7, n_f=4)
-    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                          kind=RegionKind.Main, e_off=0)
     set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
     out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
@@ -680,7 +619,7 @@ def _check_hook_calls(rng, sched, k3, k2, adding, oc):
         else:
             microkernel(pin, pf, acc)
 
-    execute_region(x, flt, out, conv, region, set_tiles, mk, hook=recording)
+    execute_region(x, flt, out, conv, set_tiles, p.ic, mk, hook=recording)
     cover = np.zeros((p.n, p.oc, conv.ohw), int)
     for b, k, f0, w0, height, width in calls:
         # the whole reduction against every filter, and one window set of
@@ -785,7 +724,7 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     # window range is still one region against every filter, so each
     # window tile is packed once per batch image under either schedule
     # (the IS run replaces the analysed schedule). The plan keeps the
-    # 1-window tail region, but the layer runs as one region, so the
+    # 1-window tail region, but the layer runs as one span, so the
     # filters are taken once.
     p = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
                    pad_h=1, pad_w=1)
@@ -811,7 +750,7 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     assert len(ranges) == len(set(ranges)) == 2
     assert all((r.oc_start, r.oc_len) == (0, p.oc) for r in info.regions)
     assert counters.input_packs == Counter({(0, t): 1 for t in range(4)})
-    # one view of all 64 filter tiles, for the one region that runs
+    # one view of all 64 filter tiles, for the one span that runs
     assert counters.filter_packs == Counter({(0, f): 1 for f in range(64)})
     assert heights and set(heights) == {p.oc}
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
@@ -854,13 +793,11 @@ def test_window_set_memory_is_bounded_by_l2(rng):
 def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     # K = 64*3*3 = 576 with 16-window tiles: a hook that wraps microkernel
     # gets the built-in path's calls, so the outputs agree bit for bit.
-    # The engine sizes window sets of k3 = 5 tiles under either schedule.
+    # The engine sizes window sets of k3 = 5 tiles under either schedule;
+    # the 4-window tail joins the last set.
     p = ConvParams(n=1, ic=64, ih=16, iw=16, oc=32, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=16, n_f=8)
-    region = KernelRegion(spatial_start=0, spatial_len=192, oc_start=0,
-                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                          kind=RegionKind.Main, e_off=0)
     set_tiles = _engine_set_tiles(sched, 5, 2, conv, mk)
     x, flt = rand_tensors(rng, p)
     depths = set()
@@ -872,19 +809,17 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     outs = []
     for hook in (None, wrapped):
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, set_tiles, mk, hook=hook)
+        execute_region(x, flt, out, conv, set_tiles, p.ic, mk, hook=hook)
         outs.append(out)
     assert depths == {576}
     assert np.array_equal(outs[0], outs[1])
-    got = outs[0].reshape(p.oc, -1)[:, :192]
-    ref = naive_conv(x, flt, p).reshape(p.oc, -1)[:, :192]
-    assert max_relative_error(got, ref) <= 1e-4
+    assert max_relative_error(outs[0], naive_conv(x, flt, p)) <= 1e-4
 
 
 # conv4 and conv5 of ResNet-50 (bench/layers.jsonl), under intel.toml with
 # 16x8: a window set at full depth (K = 2304 and 4608) holds 3 and 1 of
 # their 12 and 3 main window tiles in L2, so the engine splits the
-# reduction instead, into one window set per region.
+# reduction instead, into one window set per layer.
 CONV4 = ConvParams(n=1, ic=256, ih=14, iw=14, oc=256, fh=3, fw=3,
                    pad_h=1, pad_w=1)
 CONV5 = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
@@ -967,16 +902,13 @@ def test_later_chunk_add_allocates_nothing(rng):
     p = ConvParams(n=1, ic=8, ih=19, iw=19, oc=64, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=16, n_f=8)
-    region = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                          oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                          kind=RegionKind.Main, e_off=0)
     assert kernel.window_sets(conv.ohw, 8, mk.n_win) == [
         (0, 128), (128, 128), (256, 33)]
     x, flt = rand_tensors(rng, p)
 
     def run():
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, region, 8, mk, chunk=3)
+        execute_region(x, flt, out, conv, 8, 3, mk)
         return out
 
     run()  # warm-up
