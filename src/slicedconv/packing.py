@@ -69,6 +69,8 @@ def pack_filter(filters: np.ndarray, region: KernelRegion, mk: MkInfo,
     that writes into it raises ValueError rather than change the caller's
     filters.
     """
+    if f_tile_start < 0 or ic_off < 0 or nt < 1 or nc < 1:
+        raise IndexError("negative start or empty range")
     fh, fw = filters.shape[2], filters.shape[3]
     f0 = region.oc_start + f_tile_start * mk.n_f
     c0 = region.ic_start + ic_off
@@ -108,6 +110,8 @@ def pack_input(x: np.ndarray, conv: ConvInfo, region: KernelRegion,
     p = conv.params
     if p.pad_h or p.pad_w:
         raise ValueError("engine core expects a pre-padded input")
+    if batch < 0 or ic_off < 0 or min(loop_state) < 0 or nt < 1 or nc < 1:
+        raise IndexError("negative start or empty range")
     c0 = region.ic_start + ic_off
     if c0 + nc > region.ic_start + region.ic_len:
         raise IndexError("channel range overflows the region")

@@ -79,6 +79,39 @@ def test_pack_filter_range_overflow():
                         f_tile_start=f_tile)
 
 
+@pytest.mark.parametrize("packer, kw", [
+    ("input", {"batch": -1}),
+    ("input", {"loop_state": (-1, 0)}),
+    ("input", {"ic_off": -1, "nc": 1}),
+    ("input", {"nt": 0}),
+    ("input", {"nc": 0}),
+    ("filter", {"f_tile_start": -1}),
+    ("filter", {"ic_off": -1, "nc": 1}),
+    ("filter", {"nt": 0}),
+    ("filter", {"nc": 0}),
+], ids=["input-batch", "input-window-start", "input-channel-start",
+        "input-no-windows", "input-no-channels", "filter-filter-start",
+        "filter-channel-start", "filter-no-filters", "filter-no-channels"])
+def test_packers_reject_negative_starts_and_empty_ranges(rng, packer, kw):
+    # A negative start would index from the end of the tensor and an
+    # empty range would return an empty matrix; both are refused with
+    # IndexError, and the given out keeps its NaNs.
+    p = ConvParams(n=2, ic=3, ih=6, iw=6, oc=8, fh=3, fw=3)
+    conv = conv_info(p)
+    x, flt = _tensors(rng, p)
+    mk = MkInfo(n_win=4, n_f=4)
+    out = np.full((27, 4), np.nan, np.float32)
+    with pytest.raises(IndexError):
+        if packer == "input":
+            pack_input(x, conv, full_region(conv), **{
+                "loop_state": (0, 0), "mk": mk, "nt": 1, "nc": 3,
+                "batch": 1, "out": out, **kw})
+        else:
+            pack_filter(flt, full_region(conv), mk, **{"nt": 1, "nc": 3,
+                                                       **kw})
+    assert np.isnan(out).all()
+
+
 def test_input_pack_index_simple_examples():
     p = ConvParams(n=1, ic=1, ih=20, iw=20, oc=1, fh=3, fw=3)
     assert input_pack_index_simple(0, 0, 0, p, tile_w=18) == 0
