@@ -1,7 +1,7 @@
 """Sliced direct-convolution engine.
 
 Cache-aware tiling analysis, recursive edge-case splitting (planned and
-reported), affine-equation input packing with multipacking, and one layer
+reported), affine-equation input packing over window ranges, and one layer
 executor that runs each window set against every filter in one GEMM per
 channel chunk, plus an oracle-checked harness.
 """

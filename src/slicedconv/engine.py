@@ -8,8 +8,8 @@ off the window tail and the k3 peel as the paper does, and RunInfo.regions
 keeps that plan, but execution reads nothing from it. One execute_region
 call runs every window, filter and channel of the layer, addressed from
 the padded problem alone; the GEMM blocks its own operands, and the
-packers cut a partial last tile, so region edges need no code of their
-own.
+packers take plain window and channel ranges, whatever tiles they hold,
+so region edges need no code of their own.
 
 The analysis sizes tiles as the paper does; _layer_shape maps them onto
 the GEMM microkernel, and is the one place that sizes execution, with the

@@ -30,11 +30,12 @@ The analysis's schedule (input- or weight-stationary), nc and k2 order
 and size nothing here: the engine passes the window-set size and the
 chunk size from its own L2 rule (see engine.py).
 
-The layer's last window tile and last filter tile may be short, and the
-packers cut them at its end, since the GEMM takes any width. Window sets
-are counted in whole tiles, so the window tail (windows mod n_win) runs
-in the last set rather than in a GEMM of its own, and the filter tail
-(oc mod n_f) is the last rows of every GEMM.
+The packers take plain ranges of the layer: each set's windows, each
+chunk's channels and all oc filters. The layer's last window tile and
+last filter tile may be short, since the GEMM takes any width. Window
+sets are counted in whole tiles, so the window tail (windows mod n_win)
+runs in the last set rather than in a GEMM of its own, and the filter
+tail (oc mod n_f) is the last rows of every GEMM.
 
 Every output element is written by the first chunk's GEMM of exactly one
 window set.
@@ -50,7 +51,6 @@ import numpy as np
 from .arch import ConvInfo, MkInfo
 from .model import DTYPE, require_int
 from .packing import pack_filter, pack_input
-from .regions import KernelRegion, RegionKind
 
 
 def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
@@ -150,17 +150,11 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         raise ValueError("output tensor must be C-contiguous")
     n_win, n_f = mk.n_win, mk.n_f
     ff = p.fh * p.fw
-    # The packers address the layer as one region of everything.
-    layer = KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                         oc_len=p.oc, ic_start=0, ic_len=p.ic,
-                         kind=RegionKind.Main, e_off=0)
     sets = window_sets(conv.ohw, set_tiles, n_win)
-    ftiles = -(-p.oc // n_f)
 
     # (first channel, channels, filter view) of each chunk.
     chunks = [(c0, min(chunk, p.ic - c0),
-               pack_filter(filters, layer, mk, nt=ftiles,
-                           nc=min(chunk, p.ic - c0), ic_off=c0))
+               pack_filter(filters, 0, p.oc, c0, min(chunk, p.ic - c0)))
               for c0 in range(0, p.ic, chunk)]
     # One buffer as wide as the widest set holds the packed chunk and, in
     # a chunked layer, a copy of an output block (see _add_into); a
@@ -173,15 +167,14 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
     gemm = microkernel if hook is None else hook
     if counters is not None:
-        counters.filter_packs.update((0, t) for t in range(ftiles))
+        counters.filter_packs.update(
+            (0, f // n_f) for f in range(0, p.oc, n_f))
 
     for b in range(p.n):
         for w0, cols in sets:
-            nt = -(-cols // n_win)
             blk = out_flat[b, :, w0:w0 + cols]
             for c0, cc, f_chunk in chunks:
-                in_mat = pack_input(x, conv, layer, (w0, 0), mk, nt=nt,
-                                    nc=cc, batch=b, ic_off=c0,
+                in_mat = pack_input(x, conv, w0, cols, c0, cc, batch=b,
                                     out=buf[:cc * ff, :cols])
                 # The first chunk writes the output block, a later one a
                 # partial block that is then added in.
@@ -192,8 +185,8 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                 if c0:
                     _add_into(blk, acc, buf)
             if counters is not None:
-                counters.input_packs.update((b, w0 // n_win + t)
-                                            for t in range(nt))
+                counters.input_packs.update(
+                    (b, w // n_win) for w in range(w0, w0 + cols, n_win))
                 counters.acc_touches.update(
                     (b, w // n_win, f // n_f)
                     for _ in chunks

@@ -16,8 +16,10 @@ so the analysis's nc and k2 and their remainders r_nc and r_k2 size no
 region. The engine reports this plan and runs the layer as one span (see
 engine.py).
 
-Regions record their absolute window offset (e_off) so packing can translate
-region-local loop indices into positions of the original tensor.
+Regions are only the reported plan (RunInfo.regions, the CSV,
+--dump-regions): the executor and the packers take plain window and
+channel ranges of the layer, and no region. A region's e_off, the paper's
+region offset, is its first window, spatial_start.
 """
 
 from __future__ import annotations
@@ -45,12 +47,11 @@ class KernelRegion:
     ic_start: int
     ic_len: int
     kind: RegionKind
-    e_off: int
 
-    def __post_init__(self):
-        if self.e_off != self.spatial_start:
-            raise ValueError(f"e_off {self.e_off} != spatial_start "
-                             f"{self.spatial_start}")
+    @property
+    def e_off(self) -> int:
+        """The paper's region offset: the region's first window."""
+        return self.spatial_start
 
     def to_dict(self) -> dict:
         return {
@@ -59,12 +60,6 @@ class KernelRegion:
             "ic_start": self.ic_start, "ic_len": self.ic_len,
             "kind": self.kind.value, "e_off": self.e_off,
         }
-
-
-def _region(s0, slen, o0, olen, c0, clen, kind) -> KernelRegion:
-    return KernelRegion(spatial_start=s0, spatial_len=slen, oc_start=o0,
-                        oc_len=olen, ic_start=c0, ic_len=clen, kind=kind,
-                        e_off=s0)
 
 
 def split_input_domain(total_windows: int, n_win: int,
@@ -80,11 +75,11 @@ def split_input_domain(total_windows: int, n_win: int,
     main_len = (total_windows // n_win) * n_win
     main = None
     if main_len:
-        main = _region(0, main_len, 0, oc_len, 0, ic_len, RegionKind.Main)
+        main = KernelRegion(0, main_len, 0, oc_len, 0, ic_len, RegionKind.Main)
     tail = None
     if main_len < total_windows:
-        tail = _region(main_len, total_windows - main_len, 0, oc_len, 0, ic_len,
-                       RegionKind.Remainder)
+        tail = KernelRegion(main_len, total_windows - main_len, 0, oc_len,
+                            0, ic_len, RegionKind.Remainder)
     return main, tail
 
 
@@ -105,10 +100,9 @@ def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
     keep = (wtiles - r_k3) * mk.n_win
     if not (r_k3 and keep):
         return [region]
-    tail_start = region.spatial_start + keep
     return [replace(region, spatial_len=keep),
-            replace(region, spatial_start=tail_start,
-                    spatial_len=region.spatial_len - keep, e_off=tail_start)]
+            replace(region, spatial_start=region.spatial_start + keep,
+                    spatial_len=region.spatial_len - keep)]
 
 
 def plan_regions(conv: ConvInfo, strategy: TilingStrategy,

@@ -13,10 +13,10 @@ import numpy as np
 from conftest import (CALIBRATED_ARCH, FILTER_SHAPES, FIXTURES, REF_MK,
                       REF_PARAMS, REPO_ROOT, cli_env, conv_info,
                       random_params)
-from slicedconv import (ArchInfo, ConvParams, KernelRegion, MkInfo, RegionKind,
-                        RunCounters, Schedule, analyze, im2col, load_arch,
-                        naive_conv, pack_filter, pack_input, pad_input,
-                        run_convolution, split_by_strategy, split_input_domain)
+from slicedconv import (ArchInfo, ConvParams, MkInfo, RunCounters, Schedule,
+                        analyze, im2col, load_arch, naive_conv, pack_filter,
+                        pack_input, pad_input, run_convolution,
+                        split_by_strategy, split_input_domain)
 from slicedconv.harness import max_relative_error
 from slicedconv.regions import plan_regions
 from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
@@ -32,12 +32,6 @@ def criterion(num, desc):
         print(f"\n[acceptance] criterion {num} ({desc}): FAIL")
         raise
     print(f"\n[acceptance] criterion {num} ({desc}): PASS")
-
-
-def _full_region(conv):
-    return KernelRegion(spatial_start=0, spatial_len=conv.ohw, oc_start=0,
-                        oc_len=conv.params.oc, ic_start=0,
-                        ic_len=conv.params.ic, kind=RegionKind.Main, e_off=0)
 
 
 def test_criterion_1_split_arithmetic():
@@ -107,8 +101,7 @@ def test_criterion_3_packing_matches_im2col():
             max_tiles = conv.ohw // n_win
             nt = int(rng.integers(1, min(max_tiles, 4) + 1))
             ts = int(rng.integers(0, conv.ohw - nt * n_win + 1))
-            packed = pack_input(xp, conv, _full_region(conv), (ts, 0), mk,
-                                nt=nt, nc=nc, ic_off=ic_off)
+            packed = pack_input(xp, conv, ts, nt * n_win, ic_off, nc)
             ref = im2col(x, p)
             kk = p.fh * p.fw
             rows = slice(ic_off * kk, (ic_off + nc) * kk)
@@ -122,8 +115,7 @@ def test_criterion_3_packing_matches_im2col():
                 p.oc, p.ic, p.fh, p.fw)
             ftiles = p.oc // mk.n_f
             if ftiles:
-                pf = pack_filter(flt, _full_region(conv), mk, nt=ftiles,
-                                 nc=p.ic)
+                pf = pack_filter(flt, 0, ftiles * mk.n_f, 0, p.ic)
                 src = flt[:ftiles * mk.n_f].ravel()
                 assert pf.size == src.size
                 assert set(pf.ravel().tolist()) == set(src.tolist())
@@ -180,7 +172,6 @@ def test_criterion_6_multipack_consistency():
             p = random_params(rng, max_ic=8, max_oc=64, max_out=12, pads=(0,))
             conv = conv_info(p)
             mk = MkInfo(n_win=4, n_f=4)
-            region = _full_region(conv)
             strat_nc = int(rng.integers(1, p.ic + 1))
             x = rng.uniform(-1, 1, (p.n, p.ic, p.ih, p.iw)).astype(np.float32)
             flt = rng.uniform(-1, 1, (p.oc, p.ic, p.fh, p.fw)).astype(np.float32)
@@ -188,21 +179,19 @@ def test_criterion_6_multipack_consistency():
             wtiles = conv.ohw // mk.n_win
             if filter_checked < 50 and ftiles >= 2:
                 k = int(rng.integers(2, ftiles + 1))
-                group = pack_filter(flt, region, mk, nt=k, nc=strat_nc)
+                group = pack_filter(flt, 0, k * mk.n_f, 0, strat_nc)
                 singles = np.concatenate([
-                    pack_filter(flt, region, mk, nt=1, nc=strat_nc,
-                                f_tile_start=t)
+                    pack_filter(flt, t * mk.n_f, mk.n_f, 0, strat_nc)
                     for t in range(k)])
                 assert np.array_equal(group, singles)
                 filter_checked += 1
             if input_checked < 50 and wtiles >= 2:
                 k = int(rng.integers(2, wtiles + 1))
                 o_out = int(rng.integers(0, wtiles - k + 1)) * mk.n_win
-                group = pack_input(x, conv, region, (o_out, 0), mk, nt=k,
-                                   nc=strat_nc)
+                group = pack_input(x, conv, o_out, k * mk.n_win, 0, strat_nc)
                 singles = np.concatenate([
-                    pack_input(x, conv, region, (o_out, t * mk.n_win), mk,
-                               nt=1, nc=strat_nc)
+                    pack_input(x, conv, o_out + t * mk.n_win, mk.n_win, 0,
+                               strat_nc)
                     for t in range(k)], axis=1)
                 assert np.array_equal(group, singles)
                 input_checked += 1

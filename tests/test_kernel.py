@@ -542,11 +542,11 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     tile = p.ic * p.fh * p.fw * mk.n_win * 4
     arch = ArchInfo(l1_bytes=512, l2_bytes=chunk * tile, l3_bytes=1 << 20)
     x, flt = rand_tensors(rng, p)
-    pack_nts = []
+    pack_widths = []
 
-    def counting_pack_input(*args, **kw):
-        pack_nts.append(kw["nt"])
-        return pack_input(*args, **kw)
+    def counting_pack_input(x, conv, w0, windows, *args, **kw):
+        pack_widths.append(windows)
+        return pack_input(x, conv, w0, windows, *args, **kw)
 
     monkeypatch.setattr(kernel, "pack_input", counting_pack_input)
 
@@ -564,7 +564,7 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
         microkernel(pin, pf, acc)
 
     chunked, info, c_chunked = run(None)
-    chunked_nts = list(pack_nts)
+    chunked_widths = list(pack_widths)
     tiled, _, c_tiled = run(per_tile)
     assert info.strategy.schedule is sched and info.strategy.k3 == 9
     assert info.strategy.nc < p.ic and len(info.regions) == 1
@@ -579,7 +579,7 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
     assert set(heights) == {p.oc}
     # each window set in exactly one multipack per batch image, under
     # both schedules
-    assert chunked_nts == wsets * p.n
+    assert chunked_widths == [t * mk.n_win for t in wsets] * p.n
 
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,20 +7,13 @@ from conftest import (FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, conv_info,
                       random_params)
 from packing_oracle import (dump_packed, filter_pack_index,
                             input_pack_index_general, input_pack_index_simple)
-from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, im2col,
-                        pack_filter, pack_input, pad_input)
+from slicedconv import (ConvParams, MkInfo, im2col, pack_filter, pack_input,
+                        pad_input)
 
 
 def row_break_free(ts, windows, ow):
     """True when windows [ts, ts+windows) all lie in one output row."""
     return ts % ow + windows <= ow
-
-
-def full_region(conv):
-    return KernelRegion(spatial_start=0, spatial_len=conv.ohw,
-                        oc_start=0, oc_len=conv.params.oc,
-                        ic_start=0, ic_len=conv.params.ic,
-                        kind=RegionKind.Main, e_off=0)
 
 
 def test_filter_pack_index_examples():
@@ -34,9 +26,8 @@ def test_filter_pack_index_examples():
 
 
 def test_pack_filter_reference_shape(rng):
-    conv = conv_info(REF_PARAMS)
     flt = rng.uniform(-1, 1, (256, 32, 3, 3)).astype(np.float32)
-    m = pack_filter(flt, full_region(conv), REF_MK, nt=1, nc=32)
+    m = pack_filter(flt, 0, REF_MK.n_f, 0, 32)
     assert m.shape == (8, 288)
     assert np.isclose(m.sum(), flt[:8].sum(), rtol=1e-5)
 
@@ -44,8 +35,7 @@ def test_pack_filter_reference_shape(rng):
 def test_pack_filter_is_permutation():
     # unique source values: packed buffer must be an exact rearrangement
     flt = np.arange(16 * 4 * 3 * 3, dtype=np.float32).reshape(16, 4, 3, 3)
-    conv = conv_info(ConvParams(n=1, ic=4, ih=9, iw=9, oc=16, fh=3, fw=3))
-    m = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=8), nt=2, nc=4)
+    m = pack_filter(flt, 0, 16, 0, 4)
     assert m.size == flt.size
     assert set(m.ravel().tolist()) == set(flt.ravel().tolist())
     # spot-check the gather equation
@@ -58,36 +48,29 @@ def test_pack_filter_is_permutation():
 
 def test_pack_filter_single_element():
     flt = np.full((1, 1, 1, 1), 3.5, dtype=np.float32)
-    conv = conv_info(ConvParams(n=1, ic=1, ih=4, iw=4, oc=1, fh=1, fw=1))
-    m = pack_filter(flt, full_region(conv), MkInfo(n_win=4, n_f=1), nt=1, nc=1)
+    m = pack_filter(flt, 0, 1, 0, 1)
     assert m.ravel().tolist() == [3.5]
 
 
 def test_pack_filter_range_overflow():
-    # Only the region's last tile may be short: a tile that starts at or
-    # past the region's end is refused. oc = 8 is one tile of 8; oc = 13
-    # is three tiles of 4 and a 1-filter last tile, and its first 10
-    # filters are two tiles of 4 and a 2-filter one.
-    for oc, oc_len, n_f, f_tile, nt in ((8, 8, 8, 0, 2), (8, 8, 8, 1, 1),
-                                        (13, 13, 4, 0, 5), (13, 13, 4, 3, 2),
-                                        (13, 13, 4, 4, 1), (13, 10, 4, 3, 1)):
-        conv = conv_info(ConvParams(n=1, ic=2, ih=8, iw=8, oc=oc, fh=3, fw=3))
-        flt = np.zeros((oc, 2, 3, 3), dtype=np.float32)
-        region = replace(full_region(conv), oc_len=oc_len)
+    # A filter or channel range that runs past the tensor's end is
+    # refused, whether it starts inside or at the end.
+    flt = np.zeros((13, 2, 3, 3), dtype=np.float32)
+    for f0, nf, c0, nc in ((0, 14, 0, 2), (12, 2, 0, 2), (13, 1, 0, 2),
+                           (0, 13, 0, 3), (0, 13, 1, 2), (0, 13, 2, 1)):
         with pytest.raises(IndexError):
-            pack_filter(flt, region, MkInfo(n_win=4, n_f=n_f), nt=nt, nc=2,
-                        f_tile_start=f_tile)
+            pack_filter(flt, f0, nf, c0, nc)
 
 
 @pytest.mark.parametrize("packer, kw", [
     ("input", {"batch": -1}),
-    ("input", {"loop_state": (-1, 0)}),
-    ("input", {"ic_off": -1, "nc": 1}),
-    ("input", {"nt": 0}),
+    ("input", {"w0": -1}),
+    ("input", {"c0": -1, "nc": 1}),
+    ("input", {"windows": 0}),
     ("input", {"nc": 0}),
-    ("filter", {"f_tile_start": -1}),
-    ("filter", {"ic_off": -1, "nc": 1}),
-    ("filter", {"nt": 0}),
+    ("filter", {"f0": -1}),
+    ("filter", {"c0": -1, "nc": 1}),
+    ("filter", {"nf": 0}),
     ("filter", {"nc": 0}),
 ], ids=["input-batch", "input-window-start", "input-channel-start",
         "input-no-windows", "input-no-channels", "filter-filter-start",
@@ -99,16 +82,13 @@ def test_packers_reject_negative_starts_and_empty_ranges(rng, packer, kw):
     p = ConvParams(n=2, ic=3, ih=6, iw=6, oc=8, fh=3, fw=3)
     conv = conv_info(p)
     x, flt = _tensors(rng, p)
-    mk = MkInfo(n_win=4, n_f=4)
     out = np.full((27, 4), np.nan, np.float32)
     with pytest.raises(IndexError):
         if packer == "input":
-            pack_input(x, conv, full_region(conv), **{
-                "loop_state": (0, 0), "mk": mk, "nt": 1, "nc": 3,
-                "batch": 1, "out": out, **kw})
+            pack_input(x, conv, **{"w0": 0, "windows": 4, "c0": 0, "nc": 3,
+                                   "batch": 1, "out": out, **kw})
         else:
-            pack_filter(flt, full_region(conv), mk, **{"nt": 1, "nc": 3,
-                                                       **kw})
+            pack_filter(flt, **{"f0": 0, "nf": 8, "c0": 0, "nc": 3, **kw})
     assert np.isnan(out).all()
 
 
@@ -165,7 +145,7 @@ def test_input_pack_index_multipack_advances_by_tile():
 def test_pack_input_reference_shape(rng):
     conv = conv_info(REF_PARAMS)
     x = rng.uniform(-1, 1, (1, 32, 77, 77)).astype(np.float32)
-    m = pack_input(x, conv, full_region(conv), (0, 0), REF_MK, nt=1, nc=32)
+    m = pack_input(x, conv, 0, REF_MK.n_win, 0, 32)
     assert m.shape == (288, 16)
 
 
@@ -173,9 +153,8 @@ def test_pack_input_pointwise_is_contiguous_copy(rng):
     p = ConvParams(n=1, ic=3, ih=6, iw=8, oc=4, fh=1, fw=1)
     conv = conv_info(p)
     x = rng.uniform(-1, 1, (1, 3, 6, 8)).astype(np.float32)
-    mk = MkInfo(n_win=8, n_f=4)
     ts = 12
-    m = pack_input(x, conv, full_region(conv), (ts, 0), mk, nt=1, nc=3)
+    m = pack_input(x, conv, ts, 8, 0, 3)
     flat = x[0].reshape(3, -1)
     assert np.array_equal(m, flat[:, ts:ts + 8])
 
@@ -184,9 +163,7 @@ def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
     """Packed column w must equal the im2col column of window ts + w, bitwise."""
     conv = conv_info(p.padded())
     xp = pad_input(x, p)
-    region = full_region(conv)
-    m = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc,
-                   ic_off=ic_off)
+    m = pack_input(xp, conv, ts, nt * mk.n_win, ic_off, nc)
     ref = im2col(x, p)
     kk = p.fh * p.fw
     rows = slice(ic_off * kk, (ic_off + nc) * kk)
@@ -250,8 +227,8 @@ def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
         kk = fh * fw
         big = np.full((nc * kk + 2, nt * mk.n_win + 3), np.nan, np.float32)
         out = big[1:nc * kk + 1, 2:2 + nt * mk.n_win]
-        m = pack_input(pad_input(x, p), conv, full_region(conv), (ts, 0),
-                       mk, nt=nt, nc=nc, batch=1, ic_off=ic_off, out=out)
+        m = pack_input(pad_input(x, p), conv, ts, nt * mk.n_win, ic_off, nc,
+                       batch=1, out=out)
         assert m is out
         ref = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
                                 ts:ts + nt * mk.n_win]
@@ -270,11 +247,11 @@ def test_pack_input_allocates_no_gather_temporary(rng):
     x, _ = _tensors(rng, p)
     xp = pad_input(x, p)
     out = np.empty((3 * 7 * 7, 20 * REF_MK.n_win), np.float32)
-    args = (xp, conv, full_region(conv), (37, 0), REF_MK)
-    pack_input(*args, nt=20, nc=3, out=out)  # warm-up
+    args = (xp, conv, 37, 20 * REF_MK.n_win, 0, 3)
+    pack_input(*args, out=out)  # warm-up
     tracemalloc.start()
     try:
-        pack_input(*args, nt=20, nc=3, out=out)
+        pack_input(*args, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,17 +280,16 @@ def test_pack_input_row_pieces_match_im2col(rng, oh, ow, n_win, ts, nt):
                    stride_w=2, dil_h=2, pad_h=1, pad_w=1)
     conv = conv_info(p.padded())
     assert (conv.oh, conv.ow) == (oh, ow)
-    mk = MkInfo(n_win=n_win, n_f=4)
     x, _ = _tensors(rng, p)
-    xp, region = pad_input(x, p), full_region(conv)
+    xp = pad_input(x, p)
     nc, ic_off, kk = 2, 1, p.fh * p.fw
     want = im2col(x[1:2], p)[ic_off * kk:(ic_off + nc) * kk,
                              ts:ts + nt * n_win]
     big = np.full((nc * kk, nt * n_win + 5), np.nan, np.float32)
     out = big[:, 3:3 + nt * n_win]
     for given in (None, out, np.empty(want.shape, np.float32, order="F")):
-        got = pack_input(xp, conv, region, (ts, 0), mk, nt=nt, nc=nc,
-                         batch=1, ic_off=ic_off, out=given)
+        got = pack_input(xp, conv, ts, nt * n_win, ic_off, nc, batch=1,
+                         out=given)
         assert given is None or got is given
         assert np.array_equal(got, want)
     assert np.isnan(big[:, :3]).all() and np.isnan(big[:, -2:]).all()
@@ -326,12 +302,10 @@ def _assert_outs_refused(rng, shapes):
     p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=8, fh=3, fw=3)
     conv = conv_info(p)
     x, _ = _tensors(rng, p)
-    mk = MkInfo(n_win=4, n_f=4)
-    region = full_region(conv)
     for shape in shapes:
         out = np.full(shape, np.nan, np.float32)
         with pytest.raises(ValueError, match="not \\(18, 12\\)"):
-            pack_input(x, conv, region, (5, 0), mk, nt=3, nc=2, out=out)
+            pack_input(x, conv, 5, 12, 0, 2, out=out)
         assert np.isnan(out).all()
 
 
@@ -353,31 +327,22 @@ def test_packed_tile_rejects_size_mismatch(rng):
 
 
 def test_pack_filter_matrix_is_the_filter_block(rng):
-    # The packed filter matrix is the (filters, K) block of the FCHW tensor
-    # viewed as (oc, ic*fh*fw), bitwise, whichever tiles and channels the
-    # region and offsets select, and a read-only view of the filters. In
-    # odd rounds oc is short of whole tiles, and the block runs to the
-    # partial last tile, (oc - f0, K).
+    # The packed filter matrix is the (nf, K) block of the FCHW tensor
+    # viewed as (oc, ic*fh*fw), bitwise, whichever filters and channels
+    # the ranges select, and a read-only view of the filters. In odd
+    # rounds the filter range runs to the tensor's last filter.
     for i in range(20):
         fh, fw = FILTER_SHAPES[int(rng.integers(len(FILTER_SHAPES)))]
-        oc, ic, n_f = (int(v) for v in rng.integers(1, 9, 3))
-        n_f += i % 2  # at least 2, so that a tile can be short
-        short = int(rng.integers(1, n_f)) if i % 2 else 0
-        p = ConvParams(n=1, ic=ic, ih=fh + 2, iw=fw + 2, oc=oc * n_f - short,
-                       fh=fh, fw=fw)
-        conv = conv_info(p)
+        oc, ic = (int(v) for v in rng.integers(1, 17, 2))
+        p = ConvParams(n=1, ic=ic, ih=fh + 2, iw=fw + 2, oc=oc, fh=fh, fw=fw)
         _, flt = _tensors(rng, p)
-        mk = MkInfo(n_win=4, n_f=n_f)
-        f_tile = int(rng.integers(0, oc))
-        nt = oc - f_tile if short else int(rng.integers(1, oc - f_tile + 1))
-        ic_off = int(rng.integers(0, ic))
-        nc = int(rng.integers(1, ic - ic_off + 1))
+        f0 = int(rng.integers(0, oc))
+        nf = oc - f0 if i % 2 else int(rng.integers(1, oc - f0 + 1))
+        c0 = int(rng.integers(0, ic))
+        nc = int(rng.integers(1, ic - c0 + 1))
         kk = fh * fw
-        want = flt.reshape(p.oc, -1)[f_tile * n_f:(f_tile + nt) * n_f,
-                                     ic_off * kk:(ic_off + nc) * kk]
-        assert len(want) == (p.oc - f_tile * n_f if short else nt * n_f)
-        view = pack_filter(flt, full_region(conv), mk, nt=nt, nc=nc,
-                           f_tile_start=f_tile, ic_off=ic_off)
+        want = flt.reshape(oc, -1)[f0:f0 + nf, c0 * kk:(c0 + nc) * kk]
+        view = pack_filter(flt, f0, nf, c0, nc)
         assert np.array_equal(view, want)
         assert view.tobytes() == want.tobytes()
         assert np.shares_memory(view, flt) and not view.flags.writeable
@@ -396,11 +361,10 @@ def test_pack_input_rejects_input_smaller_than_its_view(short):
     big = np.full((1, 2, 10, 10), np.nan, np.float32)
     big[:, :, :9, :9] = 1.0
     x = big[:, :, :8, :9] if short == "row" else big[:, :, :9, :8]
-    region, mk = full_region(conv), MkInfo(n_win=4, n_f=4)
-    for ts in (0, conv.ohw - mk.n_win):
+    for ts in (0, conv.ohw - 4):
         with pytest.raises(IndexError, match="does not hold"):
-            pack_input(x, conv, region, (ts, 0), mk, nt=1, nc=2)
-    ok = pack_input(big[:, :, :9, :9], conv, region, (0, 0), mk, nt=4, nc=2)
+            pack_input(x, conv, ts, 4, 0, 2)
+    ok = pack_input(big[:, :, :9, :9], conv, 0, 16, 0, 2)
     assert (ok == 1.0).all()
 
 
@@ -412,73 +376,40 @@ def test_multipack_equals_concatenated_singles(rng):
         wtiles = conv.ohw // mk.n_win
         ftiles = conv.params.oc // mk.n_f
         x, flt = _tensors(rng, p)
-        region = full_region(conv)
         if wtiles >= 2:
             k = int(rng.integers(2, wtiles + 1))
-            group = pack_input(x, conv, region, (0, 0), mk, nt=k, nc=p.ic)
-            singles = [pack_input(x, conv, region, (0, t * mk.n_win), mk, nt=1,
-                                  nc=p.ic)
+            group = pack_input(x, conv, 0, k * mk.n_win, 0, p.ic)
+            singles = [pack_input(x, conv, t * mk.n_win, mk.n_win, 0, p.ic)
                        for t in range(k)]
             assert np.array_equal(group, np.concatenate(singles, axis=1))
         if ftiles >= 2:
             k = int(rng.integers(2, ftiles + 1))
-            group = pack_filter(flt, region, mk, nt=k, nc=p.ic)
-            singles = [pack_filter(flt, region, mk, nt=1, nc=p.ic,
-                                   f_tile_start=t)
+            group = pack_filter(flt, 0, k * mk.n_f, 0, p.ic)
+            singles = [pack_filter(flt, t * mk.n_f, mk.n_f, 0, p.ic)
                        for t in range(k)]
             assert np.array_equal(group, np.concatenate(singles))
 
 
-def test_edge_pack_equals_shifted_steady_state(rng):
-    # packing at region offset e_off equals packing window e_off of the
-    # full tensor: both must reproduce the same im2col columns
-    p = ConvParams(n=1, ic=3, ih=11, iw=11, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
-    x, _ = _tensors(rng, p)
-    mk = MkInfo(n_win=8, n_f=4)
-    e_off = 48
-    region = KernelRegion(spatial_start=e_off, spatial_len=conv.ohw - e_off,
-                          oc_start=0, oc_len=4, ic_start=0, ic_len=3,
-                          kind=RegionKind.Main, e_off=e_off)
-    via_region = pack_input(x, conv, region, (0, 0), mk, nt=1, nc=3)
-    via_offset = pack_input(x, conv, full_region(conv), (e_off, 0), mk, nt=1,
-                            nc=3)
-    assert np.array_equal(via_region, via_offset)
-    ref = im2col(x, p)
-    assert np.array_equal(via_region, ref[:, e_off:e_off + 8])
-
-
 def test_pack_input_rejects_out_of_domain(rng):
-    # Only the region's last tile may be short: a tile that starts at or
-    # past the region's end is refused. A 4x4 output is 16 windows; the
-    # region [3, 13) is two tiles of 4 and a 2-window last tile.
+    # A window range must lie in the layer's windows: a 4x4 output is 16
+    # windows, and a range that runs past window 16 is refused.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
     x, _ = _tensors(rng, p)
-    inner = KernelRegion(spatial_start=3, spatial_len=10, oc_start=0, oc_len=4,
-                         ic_start=0, ic_len=2, kind=RegionKind.Remainder,
-                         e_off=3)
-    for region, w_off, nt in ((full_region(conv), 16, 1),
-                              (full_region(conv), 12, 2),
-                              (full_region(conv), 0, 5),
-                              (inner, 0, 4), (inner, 8, 2), (inner, 10, 1)):
+    for w0, windows in ((16, 1), (12, 8), (0, 20), (15, 2), (0, 17)):
         with pytest.raises(IndexError):
-            pack_input(x, conv, region, (w_off, 0), mk, nt=nt, nc=2)
-    # A group that ends inside its last tile returns the short matrix, and
-    # its columns are im2col's, bit for bit.
+            pack_input(x, conv, w0, windows, 0, 2)
+    # A range that is no whole number of 4-window tiles returns all its
+    # windows, and its columns are im2col's, bit for bit.
     ref = im2col(x, p)
-    for region, w_off, nt, (w0, w1) in ((full_region(conv), 14, 1, (14, 16)),
-                                        (inner, 0, 3, (3, 13)),
-                                        (inner, 4, 2, (7, 13)),
-                                        (inner, 8, 1, (11, 13))):
-        got = pack_input(x, conv, region, (w_off, 0), mk, nt=nt, nc=2)
-        assert np.array_equal(got, ref[:, w0:w1])
-    # An out of the full tiles' shape does not hold a short last tile; it
-    # is refused before anything is written.
+    for w0, windows in ((14, 2), (3, 10), (7, 6), (11, 2), (0, 16)):
+        got = pack_input(x, conv, w0, windows, 0, 2)
+        assert np.array_equal(got, ref[:, w0:w0 + windows])
+    # An out of two whole tiles' shape does not hold 6 windows; it is
+    # refused before anything is written.
     out = np.full((18, 8), np.nan, np.float32)
     with pytest.raises(ValueError, match="not \\(18, 6\\)"):
-        pack_input(x, conv, inner, (4, 0), mk, nt=2, nc=2, out=out)
+        pack_input(x, conv, 7, 6, 0, 2, out=out)
     assert np.isnan(out).all()
 
 
@@ -487,8 +418,7 @@ def test_pack_input_rejects_unpadded_problem(rng):
     conv = conv_info(p)
     x, _ = _tensors(rng, p)
     with pytest.raises(ValueError, match="pre-padded"):
-        pack_input(x, conv, full_region(conv), (0, 0), MkInfo(n_win=4, n_f=4),
-                   nt=1, nc=2)
+        pack_input(x, conv, 0, 4, 0, 2)
 
 
 def test_dump_packed_golden():
@@ -496,8 +426,7 @@ def test_dump_packed_golden():
     conv = conv_info(p)
     gen = np.random.default_rng(42)
     x = np.round(gen.uniform(-4, 4, (1, 2, 6, 6))).astype(np.float32)
-    t = pack_input(x, conv, full_region(conv), (0, 0), MkInfo(n_win=4, n_f=4),
-                   nt=2, nc=2)
+    t = pack_input(x, conv, 0, 8, 0, 2)
     text = dump_packed(t, "input", 4, (2, 3, 3))
     golden = (GOLDEN / "packed_input_3x3.txt").read_text()
     assert text == golden

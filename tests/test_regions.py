@@ -1,14 +1,13 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 
-from conftest import (CALIBRATED_ARCH, REF_MK, REF_PARAMS, cli_env, conv_info,
+from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REF_PARAMS, conv_info,
                       rand_tensors, random_params)
 from slicedconv import (MkInfo, RegionKind, Schedule, TilingStrategy, analyze,
-                        coverage_check, naive_conv, pack_filter, plan_regions,
-                        run_convolution, split_by_strategy, split_input_domain)
+                        coverage_check, load_arch, naive_conv, pack_filter,
+                        plan_regions, run_convolution, split_by_strategy,
+                        split_input_domain)
 from slicedconv import kernel
 from slicedconv.harness import max_relative_error
 
@@ -140,9 +139,9 @@ def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
 
     rows = {}
 
-    def recording(filters, region, mk, nt, nc, f_tile_start=0, **kw):
-        m = pack_filter(filters, region, mk, nt, nc, f_tile_start, **kw)
-        rows[f_tile_start] = m.shape[0]
+    def recording(filters, f0, nf, c0, nc):
+        m = pack_filter(filters, f0, nf, c0, nc)
+        rows[f0] = m.shape[0]
         return m
 
     monkeypatch.setattr(kernel, "pack_filter", recording)
@@ -162,16 +161,23 @@ def test_regions_json_roundtrip():
     assert {d["kind"] for d in decoded} == {"main", "remainder"}
 
 
-def test_region_offset_mismatch_raises_under_optimize():
-    # the check must survive `python -O`, which strips assert statements
-    code = ("from slicedconv import KernelRegion, RegionKind\n"
-            "try:\n"
-            "    KernelRegion(spatial_start=0, spatial_len=16, oc_start=0,\n"
-            "                 oc_len=8, ic_start=0, ic_len=1,\n"
-            "                 kind=RegionKind.Main, e_off=7)\n"
-            "except ValueError as exc:\n"
-            "    print('rejected:', exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=cli_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected:"), proc.stdout
+def test_reference_region_dump():
+    # The whole --dump-regions record of the reference case under the
+    # committed calibrated fixture, keys in their dump order: the 9-window
+    # tail, the 5568-window core and the 48-window k3 peel. e_off is each
+    # region's first window.
+    conv = conv_info(REF_PARAMS)
+    strat = analyze(conv, load_arch(FIXTURES / "calibrated.toml"), REF_MK)
+    dump = [r.to_dict() for r in plan_regions(conv, strat, REF_MK)]
+    want = [
+        {"spatial_start": 5616, "spatial_len": 9, "oc_start": 0,
+         "oc_len": 256, "ic_start": 0, "ic_len": 32, "kind": "remainder",
+         "e_off": 5616},
+        {"spatial_start": 0, "spatial_len": 5568, "oc_start": 0,
+         "oc_len": 256, "ic_start": 0, "ic_len": 32, "kind": "main",
+         "e_off": 0},
+        {"spatial_start": 5568, "spatial_len": 48, "oc_start": 0,
+         "oc_len": 256, "ic_start": 0, "ic_len": 32, "kind": "main",
+         "e_off": 5568},
+    ]
+    assert [list(d.items()) for d in dump] == [list(d.items()) for d in want]
