@@ -57,7 +57,7 @@ from .model import DTYPE
 
 
 def _check_range(name: str, start: int, count: int, size: int) -> None:
-    """IndexError unless [start, start + count) is non-empty and in [0, size)."""
+    """IndexError unless [start, start + count) is non-empty, in [0, size)."""
     if start < 0 or count < 1 or start + count > size:
         raise IndexError(f"{name} range [{start}, {start + count}) is empty "
                          f"or outside [0, {size})")
@@ -105,7 +105,7 @@ def pack_input(x: np.ndarray, conv: ConvInfo, w0: int, windows: int,
         raise ValueError("engine core expects a pre-padded input")
     _check_range("window", w0, windows, conv.ohw)
     _check_range("channel", c0, nc, p.ic)
-    _check_range("image", batch, 1, x.shape[0])
+    _check_range("batch", batch, 1, x.shape[0])
 
     # view[i_nc, i_fh, i_fw, r, q] is the element that output (r, q) reads
     # under filter offset (i_fh, i_fw): the packing equations as strides.

@@ -34,7 +34,8 @@ def input_pack_index_general(i_oout: int, i_oin: int, i_nwin: int,
     tile_w must be the row width of the extracted slice (the full padded
     input width when row breaks can occur); the returned column offset may
     be negative relative to the group origin. Multipack callers pass the
-    group start through i_oout with i_oin = 0.
+    group start through i_oout with i_oin = 0. The group start
+    ts = i_oout + i_oin + e_off is what pack_input takes as w0.
     """
     p = conv.params
     ts = i_oout + i_oin + e_off
