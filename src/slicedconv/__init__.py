@@ -1,6 +1,6 @@
 """Sliced direct-convolution engine.
 
-Cache-aware tiling analysis, recursive edge-case splitting (planned and
+Cache-aware tiling analysis, edge-case region splitting (planned and
 reported), affine-equation input packing over window ranges, and one layer
 executor that runs each window set against every filter in one GEMM per
 channel chunk, plus an oracle-checked harness.
@@ -13,8 +13,7 @@ from .kernel import RunCounters, execute_region, microkernel
 from .model import ConvParams, out_shape, pad_input
 from .packing import pack_filter, pack_input
 from .reference import im2col, naive_conv
-from .regions import (KernelRegion, RegionKind, coverage_check, plan_regions,
-                      split_by_strategy, split_input_domain)
+from .regions import KernelRegion, RegionKind, coverage_check, plan_regions
 from .strategy import Schedule, TilingStrategy, analyze, remainders
 
 __version__ = "0.1.0"
@@ -28,6 +27,5 @@ __all__ = [
     "pack_filter", "pack_input",
     "im2col", "naive_conv",
     "KernelRegion", "RegionKind", "coverage_check", "plan_regions",
-    "split_by_strategy", "split_input_domain",
     "Schedule", "TilingStrategy", "analyze", "remainders",
 ]

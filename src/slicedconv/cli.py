@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
 
     reports, regions_map = run_suite(
         cases, arch, mk, seed=args.seed, verify_only=args.verify_only,
-        jobs=args.jobs, collect_regions=args.dump_regions is not None)
+        jobs=args.jobs)
 
     csv_text = format_csv(reports)
     if args.out:

@@ -161,10 +161,9 @@ def _failure_report(case: ConvCase, exc: Exception) -> CaseReport:
 
 
 def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
-              verify_only: bool = False, jobs: int = 1,
-              collect_regions: bool = False
-              ) -> tuple[list[CaseReport], dict[str, list[KernelRegion]]]:
-    """Run every case; returns (reports, per-case regions when collected).
+              verify_only: bool = False, jobs: int = 1
+              ) -> tuple[list[CaseReport], dict[str, tuple[KernelRegion, ...]]]:
+    """Run every case; returns (reports, each passing run's region plan).
 
     Verification passes may run in parallel (jobs > 1); timing passes are
     always serialized to avoid interference.
@@ -186,15 +185,14 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
         outcomes = [_guard(verify)(i) for i in range(len(cases))]
 
     reports = []
-    regions_map: dict[str, list[KernelRegion]] = {}
+    regions_map: dict[str, tuple[KernelRegion, ...]] = {}
     for idx, case in enumerate(cases):
         outcome = outcomes[idx]
         if isinstance(outcome, Exception):
             reports.append(_failure_report(case, outcome))
             continue
         err, info, verify_seconds = outcome
-        if collect_regions:
-            regions_map[case.id] = list(info.regions)
+        regions_map[case.id] = info.regions
         if verify_only:
             mean = verify_seconds
         else:

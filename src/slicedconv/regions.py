@@ -1,13 +1,12 @@
-"""Recursive edge-case splitting of the convolution iteration space.
+"""Edge-case splitting of the convolution iteration space.
 
-The full iteration space (flattened output windows x output channels x input
-channels) is carved into disjoint rectangular regions before tiling:
+The full iteration space (flattened output windows x output channels x
+input channels) is carved into disjoint rectangular regions by two cuts of
+the window span, made once each by plan_regions:
 
-  1. a structural split peels the window tail (windows mod n_win) into a
-     Remainder region, which skips the tiling analysis;
-  2. the main region, over all output and input channels, then peels the
-     window tiles that do not fill a whole k3 set (r_k3) into a second
-     Main region.
+  1. the window tail (windows mod n_win) becomes a Remainder region;
+  2. the whole window tiles that do not fill a whole k3 set (r_k3) are
+     peeled off the main windows into a second Main region.
 
 No region splits input or output channels: a window set runs against all
 filters and reduces over all channels (in L2-sized chunks where the
@@ -25,7 +24,7 @@ region offset, is its first window, spatial_start.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arch import ConvInfo, MkInfo
 from .strategy import TilingStrategy
@@ -62,63 +61,32 @@ class KernelRegion:
         }
 
 
-def split_input_domain(total_windows: int, n_win: int,
-                       oc_len: int = 1, ic_len: int = 1):
-    """Peel the window tail: (main region or None, tail region or None).
-
-    The main region covers floor(total/n_win)*n_win windows; the tail covers
-    the rest and is marked Remainder. oc_len/ic_len set the non-spatial
-    extents of the produced regions.
-    """
-    if total_windows < 1 or n_win < 1:
-        raise ValueError("total_windows and n_win must be >= 1")
-    main_len = (total_windows // n_win) * n_win
-    main = None
-    if main_len:
-        main = KernelRegion(0, main_len, 0, oc_len, 0, ic_len, RegionKind.Main)
-    tail = None
-    if main_len < total_windows:
-        tail = KernelRegion(main_len, total_windows - main_len, 0, oc_len,
-                            0, ic_len, RegionKind.Remainder)
-    return main, tail
-
-
-def split_by_strategy(region: KernelRegion, strategy: TilingStrategy,
-                      mk: MkInfo) -> list[KernelRegion]:
-    """Peel a main region's window tiles that do not fill a whole k3 set.
-
-    The peeled trailing windows keep Main kind.
-    Returns [core] or [core, peel].
-    """
-    if region.kind is not RegionKind.Main:
-        raise ValueError("split_by_strategy expects a Main region")
-    if region.spatial_len % mk.n_win:
-        raise ValueError("main region must be aligned to n_win windows")
-
-    wtiles = region.spatial_len // mk.n_win
-    r_k3 = wtiles % strategy.k3
-    keep = (wtiles - r_k3) * mk.n_win
-    if not (r_k3 and keep):
-        return [region]
-    return [replace(region, spatial_len=keep),
-            replace(region, spatial_start=region.spatial_start + keep,
-                    spatial_len=region.spatial_len - keep)]
-
-
 def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
                  mk: MkInfo) -> list[KernelRegion]:
-    """Full region decomposition for a convolution.
+    """Region decomposition of a convolution: the paper's two cuts.
 
-    The window tail (windows mod n_win) is a Remainder region; everything
-    else comes from split_by_strategy.
+    The layer's wtiles = ohw // n_win whole window tiles cover the first
+    main = wtiles*n_win windows. The first cut makes the window tail
+    [main, ohw), when there is one, a Remainder region. The second cut
+    peels the trailing wtiles mod k3 tiles, which fill no whole k3 set,
+    off the main windows: Main [0, keep) and Main [keep, main) when
+    0 < keep < main, for keep = (wtiles - wtiles mod k3)*n_win, else a
+    single Main [0, main) when main > 0. Every region spans all output
+    and input channels. Order: the tail, then the main regions.
     """
-    main, tail = split_input_domain(conv.ohw, mk.n_win, oc_len=conv.params.oc,
-                                    ic_len=conv.params.ic)
+    oc, ic = conv.params.oc, conv.params.ic
+    wtiles = conv.ohw // mk.n_win
+    main = wtiles * mk.n_win
+    keep = (wtiles - wtiles % strategy.k3) * mk.n_win
     regions = []
-    if tail is not None:
-        regions.append(tail)
-    if main is not None:
-        regions.extend(split_by_strategy(main, strategy, mk))
+    if main < conv.ohw:
+        regions.append(KernelRegion(main, conv.ohw - main, 0, oc, 0, ic,
+                                    RegionKind.Remainder))
+    cuts = [0, keep, main] if 0 < keep < main else [0, main]
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop > start:
+            regions.append(KernelRegion(start, stop - start, 0, oc, 0, ic,
+                                        RegionKind.Main))
     return regions
 
 

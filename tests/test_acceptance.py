@@ -13,10 +13,9 @@ import numpy as np
 from conftest import (CALIBRATED_ARCH, FILTER_SHAPES, FIXTURES, REF_MK,
                       REF_PARAMS, REPO_ROOT, cli_env, conv_info,
                       random_params)
-from slicedconv import (ArchInfo, ConvParams, MkInfo, RunCounters, Schedule,
-                        analyze, im2col, load_arch, naive_conv, pack_filter,
-                        pack_input, pad_input, run_convolution,
-                        split_by_strategy, split_input_domain)
+from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind, RunCounters,
+                        Schedule, analyze, im2col, load_arch, naive_conv,
+                        pack_filter, pack_input, pad_input, run_convolution)
 from slicedconv.harness import max_relative_error
 from slicedconv.regions import plan_regions
 from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
@@ -36,14 +35,14 @@ def criterion(num, desc):
 
 def test_criterion_1_split_arithmetic():
     with criterion(1, "split arithmetic 5625 -> 5568/48/9"):
-        main, tail = split_input_domain(5625, 16, oc_len=256, ic_len=32)
-        assert (main.spatial_len, tail.spatial_len) == (5616, 9)
+        # the 9-window tail after the 5616 main windows, then the core of
+        # whole k3 = 87 sets (5568 windows) and the 48-window k3 peel
         strat = analyze(conv_info(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
         assert strat.k3 == 87
-        parts = split_by_strategy(main, strat, REF_MK)
-        assert [r.spatial_len for r in parts] == [5568, 48]
         regions = plan_regions(conv_info(REF_PARAMS), strat, REF_MK)
-        assert sorted(r.spatial_len for r in regions) == [9, 48, 5568]
+        assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == [
+            (RegionKind.Remainder, 5616, 9), (RegionKind.Main, 0, 5568),
+            (RegionKind.Main, 5568, 48)]
 
 
 def test_criterion_2_oracle_equivalence():

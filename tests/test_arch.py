@@ -76,6 +76,16 @@ def test_descriptor_invariants():
     assert info.ohw == info.oh * info.ow == 15
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"l1_bytes": 0}, "L1 and L2"), ({"l1_bytes": -1}, "L1 and L2"),
+    ({"l2_bytes": 0}, "L1 and L2"), ({"l3_bytes": -1}, "L3"),
+])
+def test_arch_rejects_non_positive_cache_sizes(kw, match):
+    # L1 and L2 must hold something; L3 may be 0, which means absent
+    with pytest.raises(ValueError, match=match):
+        ArchInfo(**{"l1_bytes": 49152, "l2_bytes": 524288, **kw})
+
+
 @pytest.mark.parametrize("kw", [
     {"l1_bytes": 49152.5}, {"l2_bytes": 524288.0}, {"l3_bytes": 0.0},
     {"cache_line_bytes": True}, {"l1_bytes": "49152"},

@@ -103,15 +103,20 @@ def test_load_suite_reports_bad_records(tmp_path):
         '{"id": "bad", "ic": 2, "ih": 2, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
         '{"id": "ok", "ic": 3, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3}\n'
         '{"id": "rep0", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": 0}\n'
-        '{"id": "neg", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": -5}\n')
+        '{"id": "neg", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3, "fw": 3, "repeat": -5}\n'
+        '   \n'
+        '[1, 2]\n'
+        '{"id": "nofw", "ic": 2, "ih": 6, "iw": 6, "oc": 4, "fh": 3}\n')
     cases, errors = load_suite(suite)
     assert [c.id for c in cases] == ["ok"]
     assert [c.params.ic for c in cases] == [2]  # the first "ok" is kept
-    assert len(errors) == 6
+    assert len(errors) == 8  # the blank line 8 is no record and no error
     assert any("grp" in e for e in errors)
     assert errors[3].startswith("line 5 ('ok'): duplicate id")
     assert errors[4].startswith("line 6 ('rep0'): repeat must be at least 1")
     assert errors[5].startswith("line 7 ('neg'): repeat must be at least 1")
+    assert errors[6] == "line 9 ('case0009'): record is not a JSON object"
+    assert errors[7] == "line 10 ('nofw'): missing required key 'fw'"
 
 
 def test_init_tensors_deterministic():
@@ -161,10 +166,11 @@ def test_run_suite_records_infeasible_case():
     cases = [ConvCase(id="toobig", params=p, repeat=1),
              ConvCase(id="fine", params=good, repeat=1)]
     arch = ArchInfo(l1_bytes=2048, l2_bytes=4096, l3_bytes=0)
-    reports, _ = run_suite(cases, arch, MkInfo(n_win=16, n_f=16),
-                           verify_only=True)
+    reports, regions = run_suite(cases, arch, MkInfo(n_win=16, n_f=16),
+                                 verify_only=True)
     assert not reports[0].correct and reports[0].schedule == "-"
     assert reports[1].correct  # the run continued past the failure
+    assert list(regions) == ["fine"]  # a failed case has no plan
 
 
 def test_run_suite_failure_report_names_the_exception():
@@ -202,7 +208,7 @@ def test_run_suite_timed_mode_excludes_warmup():
 def test_reference_case_region_report():
     case = ConvCase(id="ref75", params=REF_PARAMS, repeat=1)
     reports, regions = run_suite([case], CALIBRATED_ARCH, REF_MK, seed=0,
-                                 verify_only=True, collect_regions=True)
+                                 verify_only=True)
     assert reports[0].correct
     assert reports[0].regions == 3
     lens = sorted(r.spatial_len for r in regions["ref75"])

@@ -228,6 +228,18 @@ def test_execute_region_rejects_tensors_that_do_not_match_conv(tensor,
     assert np.all(out == 7.0)
 
 
+def test_execute_region_rejects_a_strided_output():
+    # an output of the right shape that is not C-contiguous: the GEMMs
+    # write through reshaped views of it, so it is refused unwritten
+    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
+    x = np.ones((1, 2, 6, 6), dtype=np.float32)
+    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
+    out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32).transpose(0, 1, 3, 2)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        execute_region(x, flt, out, conv_info(p), 1, 2, MkInfo(n_win=4, n_f=4))
+    assert np.all(out == 7.0)
+
+
 def test_execute_region_tail_spanning_row_break(rng):
     square = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
     strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, brute_force_conv, rand_tensors, random_params
+from conftest import (CALIBRATED_ARCH, FIXTURES, brute_force_conv, rand_tensors,
+                      random_params)
 from slicedconv import (ConvParams, MkInfo, im2col, load_arch, load_suite,
                         naive_conv, out_shape, run_convolution)
 from slicedconv.harness import (ENGINE_TOLERANCE, init_tensors,
@@ -123,14 +124,25 @@ def test_rowwise_matches_naive_oracle(rng):
 
 @pytest.mark.parametrize("bad", ["input", "filter"])
 def test_rowwise_rejects_mismatched_shapes(rng, bad):
+    # and so do the naive oracle and the engine
     p = ConvParams(n=1, ic=2, ih=5, iw=5, oc=3, fh=3, fw=3)
     x, f = rand_tensors(rng, p)
     if bad == "input":
         x = x[:, :1]
     else:
         f = f[:, :, :2]
-    with pytest.raises(ValueError, match=f"{bad} shape"):
-        rowwise_conv(x, f, p)
+    for conv in (rowwise_conv, naive_conv,
+                 lambda x, f, p: run_convolution(x, f, p, CALIBRATED_ARCH,
+                                                 MkInfo(n_win=4, n_f=4))):
+        with pytest.raises(ValueError, match=f"{bad} shape"):
+            conv(x, f, p)
+
+
+def test_im2col_rejects_a_batch(rng):
+    p = ConvParams(n=2, ic=2, ih=5, iw=5, oc=3, fh=3, fw=3)
+    x, _ = rand_tensors(rng, p)
+    with pytest.raises(ValueError, match="single-batch"):
+        im2col(x, p)
 
 
 def test_run_suite_verdicts_match_naive_oracle():

@@ -1,13 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REF_PARAMS, conv_info,
                       rand_tensors, random_params)
-from slicedconv import (MkInfo, RegionKind, Schedule, TilingStrategy, analyze,
-                        coverage_check, load_arch, naive_conv, pack_filter,
-                        plan_regions, run_convolution, split_by_strategy,
-                        split_input_domain)
+from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, Schedule,
+                        TilingStrategy, analyze, coverage_check, load_arch,
+                        naive_conv, pack_filter, plan_regions, run_convolution)
 from slicedconv import kernel
 from slicedconv.harness import max_relative_error
 
@@ -17,61 +18,37 @@ def _strategy(nc, k2, k3, schedule=Schedule.InputStationary):
                           r_nc=0, r_k2=0, r_k3=0)
 
 
-def test_split_input_domain_peels_tail():
-    main, tail = split_input_domain(5625, 16)
-    assert main.spatial_len == 5616 and main.kind is RegionKind.Main
-    assert tail.spatial_len == 9 and tail.spatial_start == 5616
-    assert tail.kind is RegionKind.Remainder
-    assert tail.e_off == 5616
+M, R = RegionKind.Main, RegionKind.Remainder
 
 
-def test_split_input_domain_divisible():
-    main, tail = split_input_domain(5616, 16)
-    assert main.spatial_len == 5616 and tail is None
-
-
-def test_split_input_domain_subtile():
-    main, tail = split_input_domain(9, 16)
-    assert main is None
-    assert tail.spatial_len == 9
-
-
-def test_split_by_strategy_k3_golden():
-    main, _ = split_input_domain(5625, 16, oc_len=256, ic_len=32)
-    s = analyze(conv_info(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
-    parts = split_by_strategy(main, s, REF_MK)
-    lens = [r.spatial_len for r in parts]
-    assert lens == [5568, 48]
-    assert parts[1].spatial_start == parts[1].e_off == 5568
-    assert all(r.kind is RegionKind.Main for r in parts)
-
-
-def test_split_by_strategy_noop():
-    main, _ = split_input_domain(256, 16, oc_len=32, ic_len=8)
-    parts = split_by_strategy(main, _strategy(nc=8, k2=2, k3=4), MkInfo(n_win=16, n_f=8))
-    assert parts == [main]
-
-
-def test_split_by_strategy_nested_peels():
-    # k2 and k3 remainders both nonzero -> only the k3 peel: every region
-    # keeps all 6 filter tiles, since a filter set is every filter
-    main, _ = split_input_domain(160, 16, oc_len=48, ic_len=8)  # 10 tiles, 6 f-tiles
-    parts = split_by_strategy(main, _strategy(nc=8, k2=4, k3=3), MkInfo(n_win=16, n_f=8))
-    assert len(parts) == 2
-    assert all(r.kind is RegionKind.Main for r in parts)
-    assert all(r.spatial_len % 16 == 0 for r in parts)
-    assert all((r.oc_start, r.oc_len) == (0, 48) for r in parts)
-    core, k3_rem = parts
-    assert k3_rem.spatial_len == 1 * 16    # 10 w-tiles mod 3 -> 1 tile peeled
-    assert k3_rem.spatial_start == core.spatial_len == 144
-
-
-def test_split_order_stable():
-    main, _ = split_input_domain(160, 16, oc_len=48, ic_len=9)
-    strat = _strategy(nc=4, k2=4, k3=3)
-    a = split_by_strategy(main, strat, MkInfo(n_win=16, n_f=8))
-    b = split_by_strategy(main, strat, MkInfo(n_win=16, n_f=8))
-    assert a == b
+@pytest.mark.parametrize("ohw, n_win, oc, ic, k3, want", [
+    # 351 whole tiles and a 9-window tail; one k3 set of all 351 tiles
+    (5625, 16, 256, 32, 351, [(R, 5616, 9), (M, 0, 5616)]),
+    # no tail
+    (5616, 16, 256, 32, 351, [(M, 0, 5616)]),
+    # fewer windows than one tile: the whole layer is the tail
+    (9, 16, 256, 32, 1, [(R, 0, 9)]),
+    # the reference split 5625 -> 9 / 5568 / 48
+    (5625, 16, 256, 32, 87, [(R, 5616, 9), (M, 0, 5568), (M, 5568, 48)]),
+    # 16 tiles in whole sets of 4: no peel
+    (256, 16, 32, 8, 4, [(M, 0, 256)]),
+    # 10 tiles mod 3 -> 1 tile peeled; every region keeps all 48 filters
+    (160, 16, 48, 8, 3, [(M, 0, 144), (M, 144, 16)]),
+], ids=["tail", "divisible", "subtile", "reference", "no_peel",
+        "one_tile_peel"])
+def test_plan_regions_cuts(ohw, n_win, oc, ic, k3, want):
+    # (kind, first window, windows) of each region, in plan order: the
+    # window tail, then the core and the k3 peel. Each region spans all
+    # output and input channels, e_off is its first window, and a second
+    # call plans the same regions.
+    conv = conv_info(ConvParams(n=1, ic=ic, ih=1, iw=ohw, oc=oc, fh=1, fw=1))
+    mk = MkInfo(n_win=n_win, n_f=8)
+    regions = plan_regions(conv, _strategy(nc=ic, k2=1, k3=k3), mk)
+    assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == want
+    assert all((r.oc_start, r.oc_len, r.ic_start, r.ic_len) == (0, oc, 0, ic)
+               and r.e_off == r.spatial_start for r in regions)
+    assert coverage_check(regions, conv)
+    assert plan_regions(conv, _strategy(nc=ic, k2=1, k3=k3), mk) == regions
 
 
 def _exhaustive_cover(regions, conv):
@@ -93,7 +70,6 @@ def test_coverage_random_plans(rng):
         regions = plan_regions(conv, strat, mk)
         assert coverage_check(regions, conv)
         assert _exhaustive_cover(regions, conv)
-        assert all(r.e_off == r.spatial_start for r in regions)
         # no region splits input channels, whatever nc is
         assert all((r.ic_start, r.ic_len) == (0, p.ic) for r in regions)
         # the only Remainder region is the window tail
@@ -111,6 +87,20 @@ def test_coverage_detects_duplicate_and_gap():
     assert not coverage_check(regions + [regions[0]], conv)   # overlap
     if len(regions) > 1:
         assert not coverage_check(regions[:-1], conv)         # gap
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spatial_len", -1), ("oc_len", -1), ("ic_len", -1),
+    ("spatial_start", -1), ("spatial_start", 1),
+    ("oc_start", -1), ("oc_start", 1), ("ic_start", -1), ("ic_start", 1),
+])
+def test_coverage_rejects_a_region_out_of_range(field, value):
+    # One region of a whole-layer plan moved or sized past the layer, or
+    # given a negative extent: the plan no longer covers it exactly.
+    conv = conv_info(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
+    whole = KernelRegion(0, 16, 0, 5, 0, 3, RegionKind.Main)
+    assert coverage_check([whole], conv)
+    assert not coverage_check([replace(whole, **{field: value})], conv)
 
 
 def test_reference_plan_lens():

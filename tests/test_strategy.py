@@ -1,7 +1,8 @@
 import pytest
 
 from conftest import CALIBRATED_ARCH, REF_MK, REF_PARAMS, conv_info, random_params
-from slicedconv import ArchInfo, ConvParams, MkInfo, Schedule, analyze, remainders
+from slicedconv import (ArchInfo, ConvParams, MkInfo, Schedule, TilingStrategy,
+                        analyze, remainders)
 from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
 
 
@@ -137,3 +138,16 @@ def test_k3_collapses_without_l3():
     s = analyze(conv_info(REF_PARAMS), arch, REF_MK)
     assert s.k3 == 1
 
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("nc", 0, "tile sizes"), ("k2", 0, "tile sizes"), ("k3", -1, "tile sizes"),
+    ("r_nc", -1, "remainders"), ("r_k2", -1, "remainders"),
+    ("r_k3", -1, "remainders"),
+])
+def test_strategy_rejects_empty_tiles_and_negative_remainders(field, value,
+                                                              match):
+    kw = dict(schedule=Schedule.InputStationary, nc=1, k2=1, k3=1,
+              r_nc=0, r_k2=0, r_k3=0)
+    with pytest.raises(ValueError, match=match):
+        TilingStrategy(**{**kw, field: value})
