@@ -64,7 +64,6 @@ class ConvParams:
             raise ValueError("dilated filter height exceeds padded input height")
         if self.dil_w * (self.fw - 1) >= self.iw + 2 * self.pad_w:
             raise ValueError("dilated filter width exceeds padded input width")
-        out_shape(self)
 
     def padded(self) -> "ConvParams":
         """Equivalent problem over the materialized zero-padded input (pad=0)."""
