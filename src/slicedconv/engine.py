@@ -1,7 +1,9 @@
-"""End-to-end driver: pad once, analyze, plan regions, execute.
+"""End-to-end driver: analyze, plan regions, execute.
 
-Padding is materialized up front so the tiled pipeline and every packing
-equation can assume pad = 0.
+The analysis, the plan and RunInfo describe the padded problem (pad = 0),
+as do the packing equations. No padded copy of the input is made here:
+execute_region takes the input as the caller holds it and pads one
+channel chunk of one image at a time into a reused buffer.
 
 The layer runs as one span, and the plan is reported: plan_regions splits
 off the window tail and the k3 peel as the paper does, and RunInfo.regions
@@ -30,7 +32,7 @@ import numpy as np
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, execute_region, window_sets
-from .model import DTYPE, ConvParams, make_tensor4d, out_shape, pad_input
+from .model import DTYPE, ConvParams, make_tensor4d, out_shape
 from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
@@ -57,7 +59,6 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
         raise ValueError(f"filter shape {filters.shape} does not match params")
 
     oh, ow = out_shape(p)
-    xp = pad_input(x, p)
     conv = ConvInfo.from_params(p.padded())
     if (conv.oh, conv.ow) != (oh, ow):
         raise RuntimeError(f"padded problem yields {conv.oh}x{conv.ow} "
@@ -72,8 +73,8 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     # give a hook that adds into acc the right answer too.
     out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
     set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    execute_region(xp, filters, out, conv, set_tiles, chunk, mk, hook=hook,
-                   counters=counters)
+    execute_region(x, filters, out, ConvInfo(p, oh, ow, oh * ow), set_tiles,
+                   chunk, mk, hook=hook, counters=counters)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 

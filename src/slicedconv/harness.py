@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +178,9 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
         return err, info, elapsed
 
     if jobs > 1:
+        # Imported here: concurrent.futures pulls in logging and queue,
+        # which a serial run, and every import of the package, would pay for.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_guard(verify), range(len(cases))))
     else:

@@ -1,15 +1,17 @@
-"""The layer executor: per batch image and window set, one GEMM per
-channel chunk.
+"""The layer executor: per batch image and channel chunk, one GEMM per
+window set.
 
 execute_region runs one loop nest over the whole layer:
 
     take the filters as one (oc, chunk*fh*fw) view per channel chunk
                                                            (once per layer)
     batch image
-      window set of set_tiles whole window tiles (the last set also takes
-      a trailing partial tile)
-        channel chunk
-          pack the set's chunk into a reused (chunk*fh*fw, windows) buffer
+      channel chunk
+        pad the image's chunk into a reused buffer        (padded layers)
+        window set of set_tiles whole window tiles (the last set also
+        takes a trailing partial tile)
+          pack the set's chunk into a reused (chunk*fh*fw, windows)
+          buffer, or take it as a view (1x1 filters at stride 1)
           microkernel: acc[f, w] = sum_k pf[k, f] * pi[k, w]
 
 The microkernel is a BLAS GEMM, which packs and blocks its own operands,
@@ -20,11 +22,19 @@ of the output in place. The filter operand is a read-only view of the
 filter tensor, which nothing copies. A microkernel hook, passed as
 execute_region's hook argument, replaces exactly that call.
 
+Padding is never materialized for the whole input: a padded layer pads
+one channel chunk of one image at a time into one buffer, zeroed once,
+whose border stays zero, and packs from it as from a pre-padded input.
+Where a window set's chunk already is a GEMM operand (a 1x1 filter at
+stride 1 reads each window's own pixel), pack_input returns it as a
+read-only view of the input and nothing is copied.
+
 Where the engine splits the reduction into channel chunks (so that a
 window set can span the layer while its packed chunk stays L2-sized), the
 first chunk's GEMM writes the output block and each later chunk's GEMM
 writes a reused partial block, which is then added in without a
-temporary.
+temporary. Chunks run in channel order, so each output element sums its
+chunks in the same order whichever loop is outermost.
 
 The analysis's schedule (input- or weight-stationary), nc and k2 order
 and size nothing here: the engine passes the window-set size and the
@@ -50,7 +60,7 @@ import numpy as np
 
 from .arch import ConvInfo, MkInfo
 from .model import DTYPE, require_int
-from .packing import pack_filter, pack_input
+from .packing import pack_filter, pack_input, reads_in_place
 
 
 def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
@@ -72,7 +82,8 @@ class RunCounters:
 
     Each key names a tile once per scope it is packed for, so a run that
     packs nothing twice counts 1 everywhere. Window tiles are packed once
-    per batch image, keyed (batch, window tile): a layer split into
+    per batch image, keyed (batch, window tile), a tile taken as a view
+    of the input (1x1 filters at stride 1) included: a layer split into
     channel chunks packs each chunk of a window set in its own call, but
     the chunks are disjoint channel slices of one set, so the set still
     counts once. A partial last tile is counted with the last set, once
@@ -112,9 +123,13 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     windows wider than set_tiles tiles, and one buffer as wide as the
     widest set serves every set.
 
-    conv is the padded problem (pad=0): x must be the padded input,
-    (n, ic, ih, iw) of conv.params, filters (oc, ic, fh, fw) and out the
-    C-contiguous (n, oc, oh, ow) output (ValueError otherwise). chunk is
+    x is the input of conv.params, (n, ic, ih, iw), as the caller holds
+    it: unpadded when conv.params is padded, and for a pad=0 problem such
+    as ConvParams.padded() an input padded beforehand. filters must be
+    (oc, ic, fh, fw) and out the C-contiguous (n, oc, oh, ow) output
+    (ValueError otherwise). The loop runs batch image, then channel
+    chunk, then window set: a padded layer pads each chunk of each image
+    once, into one reused buffer of chunk padded channels. chunk is
     the number of channels per GEMM: all ic of them make one GEMM per
     window set, and a smaller one splits the reduction into chunks of
     chunk channels, the last one shorter. set_tiles and chunk must be
@@ -123,12 +138,13 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
 
     hook, when given, replaces the built-in microkernel call of each chunk
     of each window set and is called as microkernel is, hook(packed_in,
-    packed_f, acc): the (k, width) window set's chunk, the (k, oc)
-    filters of the chunk (a transposed read-only view of the filter
-    tensor) and an (oc, width) accumulator, which arrives zeroed, to
-    write in place. The first chunk's accumulator is the set's block of
-    out, zeroed by the caller; each later chunk's is a reused partial
-    block, zeroed before the call and added into out after it.
+    packed_f, acc): the (k, width) window set's chunk (for a 1x1 filter
+    at stride 1, a read-only view of the input), the (k, oc) filters of
+    the chunk (a transposed read-only view of the filter tensor) and an
+    (oc, width) accumulator, which arrives zeroed, to write in place.
+    The first chunk's accumulator is the set's block of out, zeroed by
+    the caller; each later chunk's is a reused partial block, zeroed
+    before the call and added into out after it.
     microkernel, pack_input and pack_filter are looked up as module
     globals, so a wrapper installed there sees each call. Results must
     match the built-in kernel within the engine tolerance.
@@ -158,12 +174,23 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
               for c0 in range(0, p.ic, chunk)]
     # One buffer as wide as the widest set holds the packed chunk and, in
     # a chunked layer, a copy of an output block (see _add_into); a
-    # chunked layer also has a partial block.
+    # chunked layer also has a partial block. A 1x1 filter at stride 1
+    # packs nothing: pack_input returns the chunk as a view of the input.
     split = len(chunks) > 1
+    in_place = reads_in_place(p)
     width = max(cols for _, cols in sets)
-    rows = max(chunk * ff, p.oc if split else 0)
-    buf = np.empty((rows, width), DTYPE)
+    rows = max(0 if in_place else chunk * ff, p.oc if split else 0)
+    buf = np.empty((rows, width), DTYPE) if rows else None
     part = np.empty(p.oc * width, DTYPE) if split else None
+    # A padded layer's chunk is padded into pad, a one-image input of the
+    # padded problem whose border, zeroed here, is never written.
+    if p.pad_h or p.pad_w:
+        pconv = ConvInfo(p.padded(), conv.oh, conv.ow, conv.ohw)
+        pad = np.zeros((1, chunk, p.ih + 2 * p.pad_h, p.iw + 2 * p.pad_w),
+                       DTYPE)
+        inner = pad[0, :, p.pad_h:p.pad_h + p.ih, p.pad_w:p.pad_w + p.iw]
+    else:
+        pconv, pad = conv, None
     out_flat = out.reshape(p.n, p.oc, conv.ohw)
     gemm = microkernel if hook is None else hook
     if counters is not None:
@@ -171,11 +198,17 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
             (0, f // n_f) for f in range(0, p.oc, n_f))
 
     for b in range(p.n):
-        for w0, cols in sets:
-            blk = out_flat[b, :, w0:w0 + cols]
-            for c0, cc, f_chunk in chunks:
-                in_mat = pack_input(x, conv, w0, cols, c0, cc, batch=b,
-                                    out=buf[:cc * ff, :cols])
+        for c0, cc, f_chunk in chunks:
+            if pad is None:
+                src, sb, sc = x, b, c0
+            else:
+                inner[:cc] = x[b, c0:c0 + cc]
+                src, sb, sc = pad, 0, 0
+            for w0, cols in sets:
+                blk = out_flat[b, :, w0:w0 + cols]
+                in_mat = pack_input(
+                    src, pconv, w0, cols, sc, cc, batch=sb,
+                    out=None if in_place else buf[:cc * ff, :cols])
                 # The first chunk writes the output block, a later one a
                 # partial block that is then added in.
                 acc = _matrix(part, p.oc, cols) if c0 else blk
@@ -184,7 +217,8 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                 gemm(in_mat, f_chunk.T, acc)
                 if c0:
                     _add_into(blk, acc, buf)
-            if counters is not None:
+        if counters is not None:
+            for w0, cols in sets:
                 counters.input_packs.update(
                     (b, w // n_win) for w in range(w0, w0 + cols, n_win))
                 counters.acc_touches.update(

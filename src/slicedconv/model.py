@@ -1,8 +1,9 @@
 """Dense tensor storage and convolution problem description.
 
 Tensors are plain numpy float32 arrays in NCHW (input/output) and FCHW
-(filter) layout. The engine core assumes the input has been padded up
-front, so every index computation downstream can treat padding as zero.
+(filter) layout. Index computations downstream address the padded
+problem (ConvParams.padded()), where padding is zero; the executor pads
+one channel chunk at a time rather than the whole input.
 """
 
 from __future__ import annotations
@@ -66,15 +67,20 @@ class ConvParams:
             raise ValueError("dilated filter width exceeds padded input width")
 
     def padded(self) -> "ConvParams":
-        """Equivalent problem over the materialized zero-padded input (pad=0)."""
-        return ConvParams(
-            n=self.n, ic=self.ic,
-            ih=self.ih + 2 * self.pad_h, iw=self.iw + 2 * self.pad_w,
-            oc=self.oc, fh=self.fh, fw=self.fw,
-            stride_h=self.stride_h, stride_w=self.stride_w,
-            dil_h=self.dil_h, dil_w=self.dil_w,
-            pad_h=0, pad_w=0,
-        )
+        """Equivalent problem over the zero-padded input (pad=0).
+
+        This problem itself when it has no padding. Otherwise every field
+        follows from checked ones, so it is built without re-running
+        __post_init__'s checks, which cost several times the copy and
+        which a padded run would pay twice: the engine's analysis and the
+        executor's packing both address the padded problem.
+        """
+        if not (self.pad_h or self.pad_w):
+            return self
+        q = object.__new__(ConvParams)
+        q.__dict__.update(self.__dict__, ih=self.ih + 2 * self.pad_h,
+                          iw=self.iw + 2 * self.pad_w, pad_h=0, pad_w=0)
+        return q
 
 
 def require_int(name: str, value) -> None:

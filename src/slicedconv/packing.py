@@ -13,7 +13,8 @@ as one GEMM operand, with the reduction axis K = nc*fh*fw ordered
 
 The filter slice needs no packing to be a GEMM operand, since the GEMM
 behind the microkernel packs its own operands; only the input's windows
-are gathered.
+are gathered, and not even those where a block of the input already is
+the operand (a 1x1 filter at stride 1, see reads_in_place).
 
 The packers know no tile width. A range of nt*n_win windows (or nt*n_f
 filters) is the paper's multipack of nt tiles, tile t starting n_win
@@ -53,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arch import ConvInfo
-from .model import DTYPE
+from .model import DTYPE, ConvParams
 
 
 def _check_range(name: str, start: int, count: int, size: int) -> None:
@@ -85,6 +86,12 @@ def pack_filter(filters: np.ndarray, f0: int, nf: int, c0: int,
     return mat
 
 
+def reads_in_place(p: ConvParams) -> bool:
+    """True when window w reads pixel w of each channel alone (a 1x1
+    filter at stride 1), so that a block of the input is its matrix."""
+    return p.fh == p.fw == p.stride_h == p.stride_w == 1
+
+
 def pack_input(x: np.ndarray, conv: ConvInfo, w0: int, windows: int,
                c0: int, nc: int, batch: int = 0,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -98,7 +105,10 @@ def pack_input(x: np.ndarray, conv: ConvInfo, w0: int, windows: int,
     place when x is C-contiguous (as the engine's always is) and copied
     one channel block per call otherwise. out, when given, must have that
     shape (ValueError before anything is written) and is filled and
-    returned; any strides will do.
+    returned; any strides will do. Without out, a 1x1 filter at stride 1
+    over an input of the output's extent, whose block already is the
+    matrix, returns it as a read-only view of x (a kernel that writes
+    into it raises ValueError), and any other block as a new array.
     """
     p = conv.params
     if p.pad_h or p.pad_w:
@@ -116,9 +126,14 @@ def pack_input(x: np.ndarray, conv: ConvInfo, w0: int, windows: int,
             or (ow - 1) * p.stride_w + (p.fw - 1) * p.dil_w >= x.shape[3]):
         raise IndexError(f"input of shape {x.shape} does not hold the "
                          f"windows of a {oh}x{ow} output")
+    block = x[batch, c0:c0 + nc]
+    if out is None and reads_in_place(p) and block.shape[1:] == (oh, ow):
+        mat = block.reshape(nc, conv.ohw)[:, w0:w0 + windows]
+        mat.setflags(write=False)
+        return mat
     # Built on the block's buffer, not with as_strided: its interface dict
     # left a few hundred bytes on the traced peak. The view is only read.
-    chans = np.ascontiguousarray(x[batch, c0:c0 + nc])
+    chans = np.ascontiguousarray(block)
     cs, rs, es = chans.strides
     view = np.ndarray(
         (nc, p.fh, p.fw, oh, ow), chans.dtype, chans, 0,

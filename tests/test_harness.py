@@ -159,6 +159,21 @@ def test_run_suite_parallel_matches_serial():
     assert _non_timing(format_csv(serial)) == _non_timing(format_csv(parallel))
 
 
+def test_import_leaves_the_thread_pool_unloaded():
+    # Only run_suite(jobs > 1) uses concurrent.futures, which pulls in
+    # logging and queue; importing the package after NumPy must not load
+    # it. A fresh interpreter, since this one has run parallel suites.
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import slicedconv\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.split('.')[0] == 'concurrent'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_run_suite_records_infeasible_case():
     from slicedconv import ArchInfo
     p = ConvParams(n=1, ic=8, ih=30, iw=30, oc=32, fh=7, fw=7)

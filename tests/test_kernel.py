@@ -13,7 +13,7 @@ from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
 from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
                         execute_region, load_arch, load_suite, microkernel,
-                        naive_conv, run_convolution)
+                        naive_conv, pad_input, run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
@@ -340,6 +340,73 @@ def test_hook_cannot_write_into_the_filters(rng):
     with pytest.raises(ValueError, match="read-only"):
         run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=scribbling)
     assert flt.tobytes() == before and flt.flags.writeable
+
+
+def test_hook_cannot_write_into_a_pointwise_input_view(rng):
+    # A 1x1 filter at stride 1 packs nothing: packed_in is a read-only view
+    # of the input, which run_convolution passes through uncopied when it
+    # is C-contiguous f32. A hook that writes into it fails instead of
+    # changing the caller's tensor.
+    p = ConvParams(n=2, ic=6, ih=5, iw=7, oc=10, fh=1, fw=1)
+    mk = MkInfo(n_win=4, n_f=4)
+    x, flt = rand_tensors(rng, p)
+    before = x.tobytes()
+    views = []
+
+    def scribbling(pin, pf, acc):
+        views.append(np.shares_memory(pin, x))
+        pin[...] = 0.0
+
+    with pytest.raises(ValueError, match="read-only"):
+        run_convolution(x, flt, p, CALIBRATED_ARCH, mk, hook=scribbling)
+    assert views == [True]
+    assert x.tobytes() == before and x.flags.writeable
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_pointwise_runs_count_every_window_tile(rng, stride):
+    # Window sets of 3 tiles of 4 (the last one short) in chunks of 16
+    # channels: at stride 1 each set's chunk is a view of the input, at
+    # stride 2 a copy. Either way RunCounters counts each window tile once
+    # per batch image, each output tile once per chunk, and the output
+    # matches the built-in kernel bit for bit and the oracle.
+    p = ConvParams(n=2, ic=48, ih=7, iw=8, oc=12, fh=1, fw=1,
+                   stride_h=stride, stride_w=stride)
+    conv = conv_info(p)
+    mk = MkInfo(n_win=4, n_f=4)
+    x, flt = rand_tensors(rng, p)
+    views = []
+
+    def wrapped(pin, pf, acc):
+        views.append(np.shares_memory(pin, x))
+        microkernel(pin, pf, acc)
+
+    outs, counters = [], RunCounters()
+    for hook in (None, wrapped):
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        execute_region(x, flt, out, conv, 3, 16, mk, hook=hook,
+                       counters=counters if hook else None)
+        outs.append(out)
+    sets = len(kernel.window_sets(conv.ohw, 3, mk.n_win))
+    assert views == [stride == 1] * (p.n * 3 * sets)
+    wtiles = -(-conv.ohw // mk.n_win)
+    assert counters.input_packs == Counter(
+        {(b, t): 1 for b in range(p.n) for t in range(wtiles)})
+    assert counters.acc_touches == Counter(
+        {(b, t, f): 3 for b in range(p.n) for t in range(wtiles)
+         for f in range(3)})
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert max_relative_error(outs[0], naive_conv(x, flt, p)) <= 1e-4
+
+
+def test_pointwise_run_holds_no_pack_buffer(rng):
+    # Pointwise 256 -> 1024 at 14x14 (bench/layers.jsonl) runs as one
+    # window set of all 196 windows in one chunk. Its chunk is a view of
+    # the input, so the run's traced peak is its 784 KiB output and no
+    # (256, 196) packed copy (196 KiB).
+    p = ConvParams(n=1, ic=256, ih=14, iw=14, oc=1024, fh=1, fw=1)
+    out, peak = _traced_run(rng, p, *_intel_16x8())
+    assert peak <= out.nbytes + 16 * 1024, (peak, out.nbytes)
 
 
 def test_weight_stationary_run_holds_no_filter_set_copy(rng):
@@ -891,14 +958,68 @@ def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
 @pytest.mark.parametrize("p", [CONV4, CONV5], ids=["conv4", "conv5"])
 def test_chunked_run_memory_is_bounded_by_l2(rng, p):
     # The packed chunk and the partial-sum block each hold at most half of
-    # L2, so the run's traced peak stays within the output, the padded
-    # input, l2_bytes and 64 KiB. Adding a partial block into the output
-    # allocates nothing (see test_later_chunk_add_allocates_nothing).
+    # L2, and the input is padded one chunk at a time, so the run's traced
+    # peak stays within the output, one chunk's padded block, l2_bytes and
+    # 64 KiB (conv4: 828,416 B, which a whole padded input would exceed).
+    # Adding a partial block into the output allocates nothing (see
+    # test_later_chunk_add_allocates_nothing).
     arch, mk = _intel_16x8()
+    _, chunk = _layer_shape(p, arch, mk)
     out, peak = _traced_run(rng, p, arch, mk)
-    padded = p.n * p.ic * (p.ih + 2) * (p.iw + 2) * 4
+    padded = chunk * (p.ih + 2) * (p.iw + 2) * 4
     bound = out.nbytes + padded + arch.l2_bytes + 64 * 1024
     assert peak <= bound, (peak, bound)
+
+
+def test_padded_batch_run_pads_one_image_at_a_time(rng):
+    # TAIL_CASES' batch2 layer, 24 channels padded by 2 on each side, runs
+    # in one chunk: each image is padded into the same buffer in turn, so
+    # the traced peak is the output, one padded image (55,200 B) and the
+    # packed-set buffer, not both padded images.
+    p = TAIL_CASES["batch2"][0]
+    arch, mk = _intel_16x8()
+    conv = conv_info(p.padded())
+    set_tiles, chunk = _layer_shape(p, arch, mk)
+    assert chunk == p.ic
+    width = max(cols for _, cols in kernel.window_sets(conv.ohw, set_tiles,
+                                                       mk.n_win))
+    image = p.ic * conv.params.ih * conv.params.iw * 4
+    packed = p.ic * p.fh * p.fw * width * 4
+    out, peak = _traced_run(rng, p, arch, mk)
+    bound = out.nbytes + image + packed + 8 * 1024
+    assert bound < out.nbytes + p.n * image + packed
+    assert peak <= bound, (peak, bound)
+
+
+def test_chunked_padded_batch_matches_the_prepadded_input_bitwise(rng):
+    # conv5 at batch 2 (fixtures/deep.jsonl) runs in 4 chunks of 128
+    # channels, each padded into a reused buffer per image. A direct call
+    # on the input padded beforehand with the pad-0 problem reads the
+    # padded tensor in place instead; the two, and the engine, agree bit
+    # for bit, with the same GEMM calls in the same order.
+    p = replace(CONV5, n=2)
+    arch, mk = _intel_16x8()
+    set_tiles, chunk = _layer_shape(p, arch, mk)
+    assert chunk < p.ic
+    x, flt = rand_tensors(rng, p)
+    outs, calls = [], []
+    for xin, conv in ((x, conv_info(p)),
+                      (pad_input(x, p), conv_info(p.padded()))):
+        seen = []
+
+        def wrapped(pin, pf, acc):
+            seen.append((pin.shape, acc.shape))
+            microkernel(pin, pf, acc)
+
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+        execute_region(xin, flt, out, conv, set_tiles, chunk, mk,
+                       hook=wrapped)
+        outs.append(out)
+        calls.append(seen)
+    engine_out, _ = run_convolution(x, flt, p, arch, mk)
+    assert outs[0].tobytes() == outs[1].tobytes() == engine_out.tobytes()
+    assert calls[0] == calls[1] and len(calls[0]) == p.n * 4
+    assert max_relative_error(engine_out, naive_conv(x, flt, p)) <= 1e-4
 
 
 def test_later_chunk_add_allocates_nothing(rng):
@@ -1005,7 +1126,8 @@ def test_window_tail_runs_in_the_last_set(rng, case):
 
 def test_deep_suite_holds_a_peel_followed_by_a_tail(rng):
     # fixtures/deep.jsonl, which CI runs through the installed CLI, holds
-    # the pointwise layer and a layer whose plan under intel.toml with
+    # the pointwise layer (its chunks views of the input), a strided 1x1
+    # downsample (copied) and a layer whose plan under intel.toml with
     # 16x8 has a k3 peel followed by the window tail: 198x198 outputs are
     # 2450 tiles and 4 windows, and k3 = 2427. RunInfo.regions keeps that
     # plan, while the layer runs as one span of all its windows.
@@ -1013,6 +1135,7 @@ def test_deep_suite_holds_a_peel_followed_by_a_tail(rng):
     assert not errors
     params = {c.id: c.params for c in cases}
     assert "pointwise_256_1024_14" in params
+    assert params["downsample_1x1_s2_256_512_28"].stride_h == 2
     arch, mk = _intel_16x8()
     p = params["peel_tail_3x3_32_198"]
     conv = conv_info(p.padded())

@@ -149,14 +149,37 @@ def test_pack_input_reference_shape(rng):
     assert m.shape == (288, 16)
 
 
-def test_pack_input_pointwise_is_contiguous_copy(rng):
-    p = ConvParams(n=1, ic=3, ih=6, iw=8, oc=4, fh=1, fw=1)
+def test_pack_input_pointwise_block_is_a_read_only_view(rng):
+    # A 1x1 filter at stride 1 reads window w from pixel w of each channel:
+    # without out=, the block of channels 1-2 of image 1 is returned as a
+    # view of x, not copied. It equals the copy that out= receives, bit for
+    # bit, and writing into it raises instead of changing x.
+    p = ConvParams(n=2, ic=3, ih=6, iw=8, oc=4, fh=1, fw=1)
     conv = conv_info(p)
-    x = rng.uniform(-1, 1, (1, 3, 6, 8)).astype(np.float32)
+    x, _ = _tensors(rng, p)
+    before = x.tobytes()
     ts = 12
-    m = pack_input(x, conv, ts, 8, 0, 3)
-    flat = x[0].reshape(3, -1)
-    assert np.array_equal(m, flat[:, ts:ts + 8])
+    m = pack_input(x, conv, ts, 8, 1, 2, batch=1)
+    assert np.shares_memory(m, x) and not m.flags.writeable
+    assert np.array_equal(m, x[1, 1:3].reshape(2, -1)[:, ts:ts + 8])
+    buf = np.full((2, 8), np.nan, np.float32)
+    copy = pack_input(x, conv, ts, 8, 1, 2, batch=1, out=buf)
+    assert copy is buf and copy.tobytes() == np.ascontiguousarray(m).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        m[...] = 0.0
+    assert x.tobytes() == before and x.flags.writeable
+
+
+def test_pack_input_strided_pointwise_block_is_copied(rng):
+    # At stride 2 a 1x1 filter skips pixels, so the block is no view of x:
+    # pack_input copies it, and its columns are im2col's, bit for bit.
+    p = ConvParams(n=1, ic=3, ih=7, iw=9, oc=4, fh=1, fw=1,
+                   stride_h=2, stride_w=2)
+    conv = conv_info(p)
+    x, _ = _tensors(rng, p)
+    m = pack_input(x, conv, 3, 10, 0, 3)
+    assert not np.shares_memory(m, x) and m.flags.writeable
+    assert np.array_equal(m, im2col(x, p)[:, 3:13])
 
 
 def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
