@@ -20,8 +20,10 @@ library's one traffic model. Each window set runs against every filter,
 size, from the analysed k3, and the channel-chunk size, which splits the
 reduction where capping a set at full depth to L2 would cut a deep layer
 into several sets, each streaming all of its filters (the paper's nc
-channel tiling, sized by L2 rather than by the analysed nc). The
-schedule, nc and k2 are reported, not executed.
+channel tiling, sized by L2 rather than by the analysed nc). A layer
+split into chunks runs as one window set of all its windows, so it
+streams its filters once. The schedule, nc and k2 are reported, not
+executed.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
-from .kernel import RunCounters, execute_region, window_sets
-from .model import DTYPE, ConvParams, make_tensor4d, out_shape
+from .kernel import RunCounters, execute_region
+from .model import DTYPE, ConvParams, make_tensor4d
 from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
@@ -53,16 +55,7 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     """Run the sliced engine; returns (output NCHW f32, RunInfo)."""
     x = make_tensor4d(x)
     filters = make_tensor4d(filters)
-    if x.shape != (p.n, p.ic, p.ih, p.iw):
-        raise ValueError(f"input shape {x.shape} does not match params")
-    if filters.shape != (p.oc, p.ic, p.fh, p.fw):
-        raise ValueError(f"filter shape {filters.shape} does not match params")
-
-    oh, ow = out_shape(p)
     conv = ConvInfo.from_params(p.padded())
-    if (conv.oh, conv.ow) != (oh, ow):
-        raise RuntimeError(f"padded problem yields {conv.oh}x{conv.ow} "
-                           f"output, expected {oh}x{ow}")
 
     strategy = analyze(conv, arch, mk)
     regions = plan_regions(conv, strategy, mk)
@@ -71,10 +64,10 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
 
     # Every element is written by the first GEMM of one window set; zeros
     # give a hook that adds into acc the right answer too.
-    out = np.zeros((p.n, p.oc, oh, ow), dtype=DTYPE)
+    out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
     set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    execute_region(x, filters, out, ConvInfo(p, oh, ow, oh * ow), set_tiles,
-                   chunk, mk, hook=hook, counters=counters)
+    execute_region(x, filters, out, ConvInfo(p, conv.oh, conv.ow, conv.ohw),
+                   set_tiles, chunk, mk, hook=hook, counters=counters)
     return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
 
 
@@ -89,15 +82,14 @@ def _layer_shape(strategy: TilingStrategy, conv: ConvInfo, arch: ArchInfo,
     whole tiles at full depth (K = ic*fh*fw rows) holds at most l2_bytes,
     and at least one; the last set may exceed that by its partial tile,
     fewer than n_win windows. It stands whenever such a set covers the
-    layer's whole tiles. Otherwise the reduction may be split instead:
-    sets of k3 tiles (analyze clamps k3 to wtiles), at most W windows with
-    the partial tile, in `chunks` near-equal chunks of at most cc channels
-    (the last one may be shorter), where both the packed chunk
-    (cc*fh*fw, W) and the (oc, W) partial-sum block fit in half of
-    l2_bytes. The chunked shape is taken only when its modelled traffic,
-    in elements,
+    layer's whole tiles, or the analysed k3 does not. Otherwise the
+    reduction may be split instead: one window set of all ohw windows, in
+    `chunks` near-equal chunks of at most cc channels (the last one may
+    be shorter), where both the packed chunk (cc*fh*fw, ohw) and the
+    (oc, ohw) partial-sum block fit in half of l2_bytes. The chunked shape
+    is taken only when its modelled traffic, in elements,
 
-        sets*oc*K + 2*(chunks - 1)*oc*ohw
+        oc*K + 2*(chunks - 1)*oc*ohw
 
     is lower than the default's ceil(wtiles/capped)*oc*K: every set
     streams all filters once, and every chunk after the first writes a
@@ -109,15 +101,14 @@ def _layer_shape(strategy: TilingStrategy, conv: ConvInfo, arch: ArchInfo,
     k3 = strategy.k3
     capped = min(k3, max(1, arch.l2_bytes // (k * mk.n_win * ELEM_BYTES)))
     wtiles = max(1, conv.ohw // mk.n_win)
-    if capped >= wtiles:
+    if capped >= wtiles or k3 < wtiles:
         return capped, p.ic
-    width = max(cols for _, cols in window_sets(conv.ohw, k3, mk.n_win))
     half = arch.l2_bytes // (2 * ELEM_BYTES)
-    cc = half // (ff * width)
-    if cc < 1 or p.oc * width > half:
+    cc = half // (ff * conv.ohw)
+    if cc < 1 or p.oc * conv.ohw > half:
         return capped, p.ic
     chunks = -(-p.ic // cc)
-    chunked = (-(-wtiles // k3) * k + 2 * (chunks - 1) * conv.ohw) * p.oc
+    chunked = (k + 2 * (chunks - 1) * conv.ohw) * p.oc
     if chunked >= -(-wtiles // capped) * p.oc * k:
         return capped, p.ic
-    return k3, -(-p.ic // chunks)
+    return wtiles, -(-p.ic // chunks)

@@ -29,12 +29,14 @@ Where a window set's chunk already is a GEMM operand (a 1x1 filter at
 stride 1 reads each window's own pixel), pack_input returns it as a
 read-only view of the input and nothing is copied.
 
-Where the engine splits the reduction into channel chunks (so that a
+Where the engine splits the reduction into channel chunks (so that one
 window set can span the layer while its packed chunk stays L2-sized), the
-first chunk's GEMM writes the output block and each later chunk's GEMM
-writes a reused partial block, which is then added in without a
-temporary. Chunks run in channel order, so each output element sums its
-chunks in the same order whichever loop is outermost.
+layer runs as one window set: the first chunk's GEMM writes the output
+block, each later chunk's GEMM writes a reused (oc, windows) partial
+block, and the partial block is added into the output. Both are
+C-contiguous, so the add needs no temporary. Chunks run in channel order,
+so each output element sums its chunks in the same order whichever loop
+is outermost.
 
 The analysis's schedule (input- or weight-stationary), nc and k2 order
 and size nothing here: the engine passes the window-set size and the
@@ -134,7 +136,13 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     window set, and a smaller one splits the reduction into chunks of
     chunk channels, the last one shorter. set_tiles and chunk must be
     integers (TypeError), set_tiles at least 1 and chunk from 1 to ic
-    (ValueError). Everything is checked before anything is written.
+    (ValueError), and a layer split into chunks must run as one window
+    set (ValueError otherwise). Everything is checked before anything is
+    written.
+
+    The run holds a (chunk*fh*fw, width) pack buffer, width the widest
+    set's windows, unless it reads the input in place (a 1x1 filter at
+    stride 1), and, when the layer is chunked, an (oc, ohw) partial block.
 
     hook, when given, replaces the built-in microkernel call of each chunk
     of each window set and is called as microkernel is, hook(packed_in,
@@ -143,8 +151,8 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     the chunk (a transposed read-only view of the filter tensor) and an
     (oc, width) accumulator, which arrives zeroed, to write in place.
     The first chunk's accumulator is the set's block of out, zeroed by
-    the caller; each later chunk's is a reused partial block, zeroed
-    before the call and added into out after it.
+    the caller; each later chunk's is the partial block, zeroed before
+    the call and added into out after it.
     microkernel, pack_input and pack_filter are looked up as module
     globals, so a wrapper installed there sees each call. Results must
     match the built-in kernel within the engine tolerance.
@@ -167,21 +175,23 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     n_win, n_f = mk.n_win, mk.n_f
     ff = p.fh * p.fw
     sets = window_sets(conv.ohw, set_tiles, n_win)
+    split = chunk < p.ic
+    if split and len(sets) > 1:
+        raise ValueError(f"a layer in chunks of {chunk} of {p.ic} channels "
+                         f"runs as one window set, not {len(sets)} sets of "
+                         f"{set_tiles} tiles")
 
     # (first channel, channels, filter view) of each chunk.
     chunks = [(c0, min(chunk, p.ic - c0),
                pack_filter(filters, 0, p.oc, c0, min(chunk, p.ic - c0)))
               for c0 in range(0, p.ic, chunk)]
-    # One buffer as wide as the widest set holds the packed chunk and, in
-    # a chunked layer, a copy of an output block (see _add_into); a
-    # chunked layer also has a partial block. A 1x1 filter at stride 1
-    # packs nothing: pack_input returns the chunk as a view of the input.
-    split = len(chunks) > 1
+    # A 1x1 filter at stride 1 packs nothing: pack_input returns the chunk
+    # as a view of the input. A chunked layer, one set of all ohw
+    # windows, sums its later chunks in a partial block.
     in_place = reads_in_place(p)
     width = max(cols for _, cols in sets)
-    rows = max(0 if in_place else chunk * ff, p.oc if split else 0)
-    buf = np.empty((rows, width), DTYPE) if rows else None
-    part = np.empty(p.oc * width, DTYPE) if split else None
+    buf = None if in_place else np.empty((chunk * ff, width), DTYPE)
+    part = np.empty((p.oc, width), DTYPE) if split else None
     # A padded layer's chunk is padded into pad, a one-image input of the
     # padded problem whose border, zeroed here, is never written.
     if p.pad_h or p.pad_w:
@@ -209,14 +219,14 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                 in_mat = pack_input(
                     src, pconv, w0, cols, sc, cc, batch=sb,
                     out=None if in_place else buf[:cc * ff, :cols])
-                # The first chunk writes the output block, a later one a
+                # The first chunk writes the output block, a later one the
                 # partial block that is then added in.
-                acc = _matrix(part, p.oc, cols) if c0 else blk
+                acc = part if c0 else blk
                 if c0 and hook is not None:
                     acc.fill(0)  # a hook may add into acc
                 gemm(in_mat, f_chunk.T, acc)
                 if c0:
-                    _add_into(blk, acc, buf)
+                    blk += acc
         if counters is not None:
             for w0, cols in sets:
                 counters.input_packs.update(
@@ -226,31 +236,3 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                     for _ in chunks
                     for w in range(w0, w0 + cols, n_win)
                     for f in range(0, p.oc, n_f))
-
-
-def _matrix(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A C-contiguous (rows, cols) matrix over the start of buf."""
-    return buf.reshape(-1)[:rows * cols].reshape(rows, cols)
-
-
-def _add_into(blk: np.ndarray, part: np.ndarray, buf: np.ndarray) -> None:
-    """blk += part, allocating nothing; part is C-contiguous, and buf is a
-    contiguous buffer of at least blk's size, free to overwrite.
-
-    A ufunc over a strided 2-D operand runs NumPy's buffered iterator,
-    which allocates its buffers (64 KiB under NumPy 2.4); over C-contiguous
-    operands it allocates nothing, and neither does a copy. So a strided
-    block, a window set that does not span the whole output, is copied
-    into buf, added to part and copied back. A contiguous block is added
-    in place, in one pass rather than the copy form's three: the
-    chunked deep layers run one window set that spans the output, so their
-    adds are all contiguous, and the copy form slows them measurably (see
-    CHANGES.md).
-    """
-    if blk.flags.c_contiguous:
-        blk += part
-    else:
-        scratch = _matrix(buf, *blk.shape)
-        scratch[...] = blk
-        part += scratch
-        blk[...] = part

@@ -184,21 +184,24 @@ def test_execute_region_rejects_a_bad_set_size(set_tiles):
     assert np.all(out == 7.0)
 
 
-@pytest.mark.parametrize("chunk", [0, -1, 3, 2.0, True])
+@pytest.mark.parametrize("chunk", [0, -1, 3, 2.0, True, 1])
 def test_execute_region_rejects_a_bad_chunk_size(chunk):
     # A chunk of no channels, or of more than the layer's two, is no
     # split of its reduction; a float or a bool is not a channel count.
-    # Each is refused before anything is written.
+    # A chunk of one channel is a split, and a layer split into chunks
+    # runs as one window set, not the four sets of one tile asked for
+    # here. Each is refused before anything is written.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
+    assert len(kernel.window_sets(conv.ohw, 1, mk.n_win)) == 4
     x = np.ones((1, 2, 6, 6), dtype=np.float32)
     flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32)
+    out = np.full((1, 4, 4, 4), np.nan, dtype=np.float32)
     error = TypeError if isinstance(chunk, (bool, float)) else ValueError
     with pytest.raises(error, match="chunk"):
         execute_region(x, flt, out, conv, 1, chunk, mk)
-    assert np.all(out == 7.0)
+    assert np.isnan(out).all()
 
 
 @pytest.mark.parametrize("tensor, shape", [
@@ -238,6 +241,25 @@ def test_execute_region_rejects_a_strided_output():
     with pytest.raises(ValueError, match="C-contiguous"):
         execute_region(x, flt, out, conv_info(p), 1, 2, MkInfo(n_win=4, n_f=4))
     assert np.all(out == 7.0)
+
+
+@pytest.mark.parametrize("tensor", ["x", "filters"])
+def test_run_convolution_rejects_a_tensor_that_does_not_match_params(
+        rng, tensor):
+    # run_convolution leaves the shape checks to execute_region, which
+    # names the tensor and refuses it before any GEMM runs: an input with
+    # one of the layer's two channels, or filters with two rows of taps.
+    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3, pad_h=1, pad_w=1)
+    x, flt = rand_tensors(rng, p)
+    if tensor == "x":
+        x = x[:, :1]
+    else:
+        flt = flt[:, :, :2]
+    calls = []
+    with pytest.raises(ValueError, match=f"{tensor} has shape"):
+        run_convolution(x, flt, p, CALIBRATED_ARCH, MkInfo(n_win=4, n_f=4),
+                        hook=lambda *args: calls.append(args))
+    assert calls == []
 
 
 def test_execute_region_tail_spanning_row_break(rng):
@@ -365,38 +387,43 @@ def test_hook_cannot_write_into_a_pointwise_input_view(rng):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_pointwise_runs_count_every_window_tile(rng, stride):
-    # Window sets of 3 tiles of 4 (the last one short) in chunks of 16
-    # channels: at stride 1 each set's chunk is a view of the input, at
-    # stride 2 a copy. Either way RunCounters counts each window tile once
-    # per batch image, each output tile once per chunk, and the output
-    # matches the built-in kernel bit for bit and the oracle.
+    # One window set of all windows in chunks of 16 channels, then window
+    # sets of 3 tiles of 4 (the last one short) at full depth: at stride 1
+    # each GEMM's input is a view of the input, at stride 2 a copy. Either
+    # way RunCounters counts each window tile once per batch image, each
+    # output tile once per chunk, and the output matches the built-in
+    # kernel bit for bit and the oracle.
     p = ConvParams(n=2, ic=48, ih=7, iw=8, oc=12, fh=1, fw=1,
                    stride_h=stride, stride_w=stride)
     conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
     x, flt = rand_tensors(rng, p)
-    views = []
-
-    def wrapped(pin, pf, acc):
-        views.append(np.shares_memory(pin, x))
-        microkernel(pin, pf, acc)
-
-    outs, counters = [], RunCounters()
-    for hook in (None, wrapped):
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, 3, 16, mk, hook=hook,
-                       counters=counters if hook else None)
-        outs.append(out)
-    sets = len(kernel.window_sets(conv.ohw, 3, mk.n_win))
-    assert views == [stride == 1] * (p.n * 3 * sets)
+    ref = naive_conv(x, flt, p)
     wtiles = -(-conv.ohw // mk.n_win)
-    assert counters.input_packs == Counter(
-        {(b, t): 1 for b in range(p.n) for t in range(wtiles)})
-    assert counters.acc_touches == Counter(
-        {(b, t, f): 3 for b in range(p.n) for t in range(wtiles)
-         for f in range(3)})
-    assert outs[0].tobytes() == outs[1].tobytes()
-    assert max_relative_error(outs[0], naive_conv(x, flt, p)) <= 1e-4
+    for set_tiles, chunk in ((wtiles, 16), (3, p.ic)):
+        views = []
+
+        def wrapped(pin, pf, acc):
+            views.append(np.shares_memory(pin, x))
+            microkernel(pin, pf, acc)
+
+        outs, counters = [], RunCounters()
+        for hook in (None, wrapped):
+            out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
+            execute_region(x, flt, out, conv, set_tiles, chunk, mk,
+                           hook=hook, counters=counters if hook else None)
+            outs.append(out)
+        sets = len(kernel.window_sets(conv.ohw, set_tiles, mk.n_win))
+        chunks = p.ic // chunk
+        assert (sets, chunks) in ((1, 3), (-(-wtiles // 3), 1))
+        assert views == [stride == 1] * (p.n * chunks * sets)
+        assert counters.input_packs == Counter(
+            {(b, t): 1 for b in range(p.n) for t in range(wtiles)})
+        assert counters.acc_touches == Counter(
+            {(b, t, f): chunks for b in range(p.n) for t in range(wtiles)
+             for f in range(3)})
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert max_relative_error(outs[0], ref) <= 1e-4
 
 
 def test_pointwise_run_holds_no_pack_buffer(rng):
@@ -1024,24 +1051,21 @@ def test_chunked_padded_batch_matches_the_prepadded_input_bitwise(rng):
 
 def test_later_chunk_add_allocates_nothing(rng):
     # 17x17 outputs in 18 window tiles of 16 and a 1-window partial tile,
-    # in window sets of 8 whole tiles: (0, 128), (128, 128) and (256, 33),
-    # the last with the partial tile. 8 channels in chunks of 3, 3 and 2,
-    # so each set adds two partial blocks into its output block, a strided
-    # (64, width) slice of the (64, 289) output. The run holds its output
-    # and two (64, 128) buffers, the packed chunk (widened to 64 rows so
-    # that it can take a copy of the block) and the partial block; NumPy's
-    # buffered iterator for a ufunc into the strided block would allocate
-    # another 64 KiB per add.
+    # run as one window set of all 289 windows, in chunks of 3, 3 and 2 of
+    # the 8 channels: two partial blocks are added into the (64, 289)
+    # output. The run holds its output, the (27, 289) packed chunk and the
+    # (64, 289) partial block, and nothing more: both operands of the add
+    # are C-contiguous, so it allocates no temporary, and the pack buffer
+    # holds the chunk's 27 rows, not the output's 64.
     p = ConvParams(n=1, ic=8, ih=19, iw=19, oc=64, fh=3, fw=3)
     conv = conv_info(p)
     mk = MkInfo(n_win=16, n_f=8)
-    assert kernel.window_sets(conv.ohw, 8, mk.n_win) == [
-        (0, 128), (128, 128), (256, 33)]
+    assert kernel.window_sets(conv.ohw, 18, mk.n_win) == [(0, 289)]
     x, flt = rand_tensors(rng, p)
 
     def run():
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, 8, 3, mk)
+        execute_region(x, flt, out, conv, 18, 3, mk)
         return out
 
     run()  # warm-up
@@ -1051,8 +1075,10 @@ def test_later_chunk_add_allocates_nothing(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    buffers = 2 * p.oc * 128 * 4
-    assert peak <= out.nbytes + buffers + 8 * 1024, (peak, out.nbytes, buffers)
+    packed = 3 * p.fh * p.fw * conv.ohw * 4
+    partial = p.oc * conv.ohw * 4
+    bound = out.nbytes + packed + partial + 8 * 1024
+    assert peak <= bound, (peak, bound)
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
@@ -1188,3 +1214,32 @@ def test_regions_that_keep_one_chunk(p):
     tile = p.ic * p.fh * p.fw * mk.n_win * 4
     assert chunk == p.ic
     assert set_tiles == min(strat.k3, max(1, arch.l2_bytes // tile))
+
+
+def test_a_chunked_layer_is_one_window_set():
+    # Random layers, machines and microkernels, drawn as criterion 4 draws
+    # them but with up to 256 channels and 40x40 outputs, so that a fifth
+    # of them split the reduction: wherever _layer_shape picks chunks of
+    # fewer than ic channels, its set size gives one window set of all
+    # the layer's windows, the only chunked shape execute_region runs.
+    rng = np.random.default_rng(7)
+    chunked = 0
+    for _ in range(1000):
+        p = random_params(rng, max_ic=256, max_oc=128, max_out=40)
+        mk = MkInfo(n_win=int(rng.choice((4, 8, 16, 32))),
+                    n_f=int(rng.choice((4, 8, 16))))
+        l1 = int(rng.integers(8, 257)) * 1024
+        l2 = l1 * int(rng.integers(2, 17))
+        l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
+        arch = ArchInfo(l1_bytes=l1, l2_bytes=l2, l3_bytes=l3)
+        conv = conv_info(p.padded())
+        try:
+            strat = analyze(conv, arch, mk)
+        except ValueError:
+            continue
+        set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
+        if chunk < p.ic:
+            chunked += 1
+            assert kernel.window_sets(conv.ohw, set_tiles, mk.n_win) == [
+                (0, conv.ohw)], (p, arch, mk, set_tiles, chunk)
+    assert chunked >= 100

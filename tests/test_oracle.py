@@ -124,17 +124,20 @@ def test_rowwise_matches_naive_oracle(rng):
 
 @pytest.mark.parametrize("bad", ["input", "filter"])
 def test_rowwise_rejects_mismatched_shapes(rng, bad):
-    # and so do the naive oracle and the engine
+    # and so do the naive oracle and the engine, whose executor names the
+    # tensor as its argument does
     p = ConvParams(n=1, ic=2, ih=5, iw=5, oc=3, fh=3, fw=3)
     x, f = rand_tensors(rng, p)
     if bad == "input":
         x = x[:, :1]
     else:
         f = f[:, :, :2]
-    for conv in (rowwise_conv, naive_conv,
-                 lambda x, f, p: run_convolution(x, f, p, CALIBRATED_ARCH,
-                                                 MkInfo(n_win=4, n_f=4))):
-        with pytest.raises(ValueError, match=f"{bad} shape"):
+    for conv, match in (
+            (rowwise_conv, f"{bad} shape"), (naive_conv, f"{bad} shape"),
+            (lambda x, f, p: run_convolution(x, f, p, CALIBRATED_ARCH,
+                                             MkInfo(n_win=4, n_f=4)),
+             "x has shape" if bad == "input" else "filters has shape")):
+        with pytest.raises(ValueError, match=match):
             conv(x, f, p)
 
 
