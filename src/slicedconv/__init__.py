@@ -3,11 +3,12 @@
 Cache-aware tiling analysis, edge-case region splitting (planned and
 reported), affine-equation input packing over window ranges, and one layer
 executor that runs each window set against every filter in one GEMM per
-channel chunk, plus an oracle-checked harness.
+channel chunk, plus an oracle-checked harness. A convolution is planned
+once (plan_convolution) and its plan runs any number of tensor pairs.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
-from .engine import RunInfo, run_convolution
+from .engine import ConvPlan, RunInfo, plan_convolution, run_convolution
 from .harness import ConvCase, CaseReport, load_suite, run_suite
 from .kernel import RunCounters, execute_region, microkernel
 from .model import ConvParams, out_shape, pad_input
@@ -20,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk",
-    "RunInfo", "run_convolution",
+    "ConvPlan", "RunInfo", "plan_convolution", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
     "RunCounters", "execute_region", "microkernel",
     "ConvParams", "out_shape", "pad_input",

@@ -4,7 +4,8 @@
         [--seed N] [--jobs N] [--out report.csv] [--verify-only] \
         [--dump-regions regions.json]
 
-Exit codes: 0 ok, 1 correctness failure, 2 input error.
+Exit codes: 0 ok, 1 correctness failure, 2 input error (including a case
+the engine cannot plan for the machine described).
 """
 
 from __future__ import annotations
@@ -129,13 +130,19 @@ def cmd_run(args) -> int:
 
     for r in reports:
         if r.error:
-            print(f"case {r.id} failed: {r.error}", file=sys.stderr)
-    n_bad = sum(not r.correct for r in reports)
-    print(f"{len(reports)} cases, {len(reports) - n_bad} correct, "
-          f"{n_bad} incorrect, {len(errors)} rejected records", file=sys.stderr)
+            what = "failed" if r.planned else "could not be planned"
+            print(f"case {r.id} {what}: {r.error}", file=sys.stderr)
+    # A case the engine refused to plan is an input error, like a rejected
+    # record: its shape does not fit the machine described. A planned case
+    # that raised or came out wrong is the engine's failure, and wins.
+    unplanned = sum(not r.planned for r in reports)
+    n_bad = sum(r.planned and not r.correct for r in reports)
+    print(f"{len(reports)} cases, {len(reports) - n_bad - unplanned} correct, "
+          f"{n_bad} incorrect, {unplanned} not planned, "
+          f"{len(errors)} rejected records", file=sys.stderr)
     if n_bad:
         return 1
-    if errors:
+    if errors or unplanned:
         return 2
     return 0
 

@@ -1,17 +1,27 @@
-"""End-to-end driver: analyze, plan regions, execute.
+"""End-to-end driver: plan a convolution once, then run the plan.
+
+plan_convolution does everything that depends on the problem, the machine
+and the microkernel but not on the tensors: it analyzes the padded
+problem, plans and coverage-checks the regions, sizes the layer's window
+sets and channel chunks, and lists the window sets. The ConvPlan it
+returns is frozen and holds no buffers, so one plan may run any number of
+tensor pairs, from several threads at once. ConvPlan.run checks each
+tensor's shape against the plan and runs the layer's one loop nest
+(kernel._run_layer), which allocates its own buffers per call.
+run_convolution is plan_convolution followed by one run.
 
 The analysis, the plan and RunInfo describe the padded problem (pad = 0),
 as do the packing equations. No padded copy of the input is made here:
-execute_region takes the input as the caller holds it and pads one
+the layer loop takes the input as the caller holds it and pads one
 channel chunk of one image at a time into a reused buffer.
 
-The layer runs as one span, and the plan is reported: plan_regions splits
-off the window tail and the k3 peel as the paper does, and RunInfo.regions
-keeps that plan, but execution reads nothing from it. One execute_region
-call runs every window, filter and channel of the layer, addressed from
-the padded problem alone; the GEMM blocks its own operands, and the
-packers take plain window and channel ranges, whatever tiles they hold,
-so region edges need no code of their own.
+The layer runs as one span, and the region plan is reported:
+plan_regions splits off the window tail and the k3 peel as the paper
+does, and RunInfo.regions keeps that plan, but execution reads nothing
+from it. One loop nest runs every window, filter and channel of the
+layer, addressed from the padded problem alone; the GEMM blocks its own
+operands, and the packers take plain window and channel ranges, whatever
+tiles they hold, so region edges need no code of their own.
 
 The analysis sizes tiles as the paper does; _layer_shape maps them onto
 the GEMM microkernel, and is the one place that sizes execution, with the
@@ -33,42 +43,95 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
-from .kernel import RunCounters, execute_region
-from .model import DTYPE, ConvParams, make_tensor4d
+from .kernel import RunCounters, _run_layer, window_sets
+from .model import DTYPE, ConvParams
 from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
 
 @dataclass(frozen=True)
 class RunInfo:
-    """What one engine run decided: strategy plus the region decomposition."""
+    """What a plan decided, returned with each of its runs: strategy plus
+    the region decomposition."""
 
     strategy: TilingStrategy
     regions: tuple[KernelRegion, ...]
     conv: ConvInfo  # padded-problem view (pad=0)
 
 
+@dataclass(frozen=True)
+class ConvPlan:
+    """One convolution planned for one machine and microkernel.
+
+    params is the problem as the caller holds it (padded or not), info
+    what the plan decided (the strategy, the coverage-checked regions and
+    the padded problem's ConvInfo), set_tiles and chunk the layer's
+    window-set size in whole tiles and its channel-chunk size, and sets
+    the (first window, windows) of each window set (kernel.window_sets).
+    The plan holds no buffers and no tensors.
+    """
+
+    params: ConvParams
+    mk: MkInfo
+    info: RunInfo
+    set_tiles: int
+    chunk: int
+    sets: tuple[tuple[int, int], ...]
+
+    def run(self, x: np.ndarray, filters: np.ndarray, hook=None,
+            counters: RunCounters | None = None
+            ) -> tuple[np.ndarray, RunInfo]:
+        """Run the plan on one tensor pair; returns (output NCHW f32, info).
+
+        x must be (n, ic, ih, iw) and filters (oc, ic, fh, fw) of params
+        (ValueError naming the tensor otherwise, before any GEMM runs);
+        both are taken as contiguous float32. hook and counters are as
+        for kernel.execute_region.
+        """
+        p, conv = self.params, self.info.conv
+        x = np.ascontiguousarray(x, dtype=DTYPE)
+        filters = np.ascontiguousarray(filters, dtype=DTYPE)
+        for name, arr, shape in (("x", x, (p.n, p.ic, p.ih, p.iw)),
+                                 ("filters", filters,
+                                  (p.oc, p.ic, p.fh, p.fw))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
+        # Every element is written by the first GEMM of one window set.
+        # Zeros give a hook that adds into acc the right answer too, and
+        # leave a kernel that skips a block zeros, not the old output a
+        # reused allocation may hold.
+        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
+        _run_layer(x, filters, out, p, conv, self.sets, self.chunk, self.mk,
+                  hook, counters)
+        return out, self.info
+
+
+def plan_convolution(p: ConvParams, arch: ArchInfo, mk: MkInfo) -> ConvPlan:
+    """Analyze, plan and size the convolution p once; see ConvPlan.
+
+    Raises ValueError when the analysis refuses the problem (a
+    single-channel tile set that exceeds L1).
+    """
+    conv = ConvInfo.from_params(p.padded())
+    strategy = analyze(conv, arch, mk)
+    regions = tuple(plan_regions(conv, strategy, mk))
+    if not coverage_check(regions, conv):
+        raise RuntimeError("region decomposition does not cover")
+    set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
+    return ConvPlan(p, mk, RunInfo(strategy, regions, conv), set_tiles, chunk,
+                    tuple(window_sets(conv.ohw, set_tiles, mk.n_win)))
+
+
 def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
                     arch: ArchInfo, mk: MkInfo, hook=None,
                     counters: RunCounters | None = None
                     ) -> tuple[np.ndarray, RunInfo]:
-    """Run the sliced engine; returns (output NCHW f32, RunInfo)."""
-    x = make_tensor4d(x)
-    filters = make_tensor4d(filters)
-    conv = ConvInfo.from_params(p.padded())
+    """Run the sliced engine; returns (output NCHW f32, RunInfo).
 
-    strategy = analyze(conv, arch, mk)
-    regions = plan_regions(conv, strategy, mk)
-    if not coverage_check(regions, conv):
-        raise RuntimeError("region decomposition does not cover")
-
-    # Every element is written by the first GEMM of one window set; zeros
-    # give a hook that adds into acc the right answer too.
-    out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
-    set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    execute_region(x, filters, out, ConvInfo(p, conv.oh, conv.ow, conv.ohw),
-                   set_tiles, chunk, mk, hook=hook, counters=counters)
-    return out, RunInfo(strategy=strategy, regions=tuple(regions), conv=conv)
+    The same as plan_convolution(p, arch, mk).run(x, filters, hook,
+    counters): a caller that runs one problem many times plans it once.
+    """
+    return plan_convolution(p, arch, mk).run(x, filters, hook, counters)
 
 
 def _layer_shape(strategy: TilingStrategy, conv: ConvInfo, arch: ArchInfo,

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchInfo, MkInfo
-from .engine import run_convolution
+from .engine import plan_convolution
 from .model import DTYPE, ConvParams, out_shape, require_int
 from .reference import rowwise_conv
 from .regions import KernelRegion
 
 ENGINE_TOLERANCE = 1e-4
+_F32_TINY = np.finfo(np.float32).tiny
 
 _ALLOWED_KEYS = {"id", "n", "ic", "ih", "iw", "oc", "fh", "fw",
                  "stride", "stride_h", "stride_w", "dil", "dil_h", "dil_w",
@@ -70,6 +71,7 @@ class CaseReport:
     regions: int
     seconds: float
     error: str = ""  # "<Type>: <message>" when the engine raised
+    planned: bool = True  # False: the engine refused to plan the case
 
 
 def _axis_pair(rec: dict, base: str, default: int) -> tuple[int, int]:
@@ -143,8 +145,10 @@ def init_tensors(case: ConvCase, seed: int, index: int) -> tuple[np.ndarray, np.
 
 def max_relative_error(got: np.ndarray, ref: np.ndarray) -> float:
     """Largest per-element deviation, normalized by the reference magnitude."""
-    scale = max(float(np.max(np.abs(ref))), np.finfo(np.float32).tiny)
-    return float(np.max(np.abs(got.astype(np.float64) - ref.astype(np.float64))) / scale)
+    scale = max(float(np.abs(ref).max()), _F32_TINY)
+    # Both operands are cast to float64, exactly, before they are subtracted.
+    diff = np.subtract(got, ref, dtype=np.float64)
+    return float(np.abs(diff, out=diff).max() / scale)
 
 
 def case_flops(p: ConvParams) -> int:
@@ -152,11 +156,13 @@ def case_flops(p: ConvParams) -> int:
     return 2 * p.n * p.oc * oh * ow * p.ic * p.fh * p.fw
 
 
-def _failure_report(case: ConvCase, exc: Exception) -> CaseReport:
+def _failure_report(case: ConvCase, exc: Exception,
+                    planned: bool = True) -> CaseReport:
     # engine refused or crashed on the case; recorded, the run continues
     return CaseReport(id=case.id, correct=False, max_rel_err=float("inf"),
                       gflops=0.0, schedule="-", nc=0, k2=0, k3=0, regions=0,
-                      seconds=0.0, error=f"{type(exc).__name__}: {exc}")
+                      seconds=0.0, error=f"{type(exc).__name__}: {exc}",
+                      planned=planned)
 
 
 def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
@@ -164,18 +170,30 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
               ) -> tuple[list[CaseReport], dict[str, tuple[KernelRegion, ...]]]:
     """Run every case; returns (reports, each passing run's region plan).
 
-    Verification passes may run in parallel (jobs > 1); timing passes are
-    always serialized to avoid interference.
+    Each case is planned once (engine.plan_convolution), and its plan runs
+    the verification pass and then, unless verify_only, the case's repeat
+    timed runs, so the reported seconds exclude planning. A case the
+    engine refuses to plan (analyze's ValueError: its tiles do not fit
+    the machine) is reported with planned=False; any other exception is
+    an engine failure. Verification passes may run in parallel
+    (jobs > 1); timing passes are always serialized to avoid
+    interference.
     """
 
     def verify(idx: int):
         case = cases[idx]
+        try:
+            plan = plan_convolution(case.params, arch, mk)
+        except ValueError as exc:
+            return _failure_report(case, exc, planned=False)
         x, flt = init_tensors(case, seed, idx)
         t0 = time.perf_counter()
-        out, info = run_convolution(x, flt, case.params, arch, mk)
+        out, info = plan.run(x, flt)
         elapsed = time.perf_counter() - t0
+        if verify_only:  # the plan runs no more: free it before the reference
+            plan = None
         err = max_relative_error(out, rowwise_conv(x, flt, case.params))
-        return err, info, elapsed
+        return err, info, elapsed, plan
 
     if jobs > 1:
         # Imported here: concurrent.futures pulls in logging and queue,
@@ -190,10 +208,13 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
     regions_map: dict[str, tuple[KernelRegion, ...]] = {}
     for idx, case in enumerate(cases):
         outcome = outcomes[idx]
+        if isinstance(outcome, CaseReport):
+            reports.append(outcome)
+            continue
         if isinstance(outcome, Exception):
             reports.append(_failure_report(case, outcome))
             continue
-        err, info, verify_seconds = outcome
+        err, info, verify_seconds, plan = outcome
         regions_map[case.id] = info.regions
         if verify_only:
             mean = verify_seconds
@@ -203,7 +224,7 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
             times = []
             for _ in range(case.repeat):
                 t0 = time.perf_counter()
-                run_convolution(x, flt, case.params, arch, mk)
+                plan.run(x, flt)
                 times.append(time.perf_counter() - t0)
             mean = sum(times) / len(times)
         strat = info.strategy

@@ -1,7 +1,7 @@
 """The layer executor: per batch image and channel chunk, one GEMM per
 window set.
 
-execute_region runs one loop nest over the whole layer:
+One loop nest, _run_layer, runs the whole layer:
 
     take the filters as one (oc, chunk*fh*fw) view per channel chunk
                                                            (once per layer)
@@ -14,13 +14,22 @@ execute_region runs one loop nest over the whole layer:
           buffer, or take it as a view (1x1 filters at stride 1)
           microkernel: acc[f, w] = sum_k pf[k, f] * pi[k, w]
 
+It checks nothing and has two callers. execute_region, the public entry
+point, checks its arguments on every call, lists the window sets and
+runs the loop. The engine's ConvPlan (engine.py) has checked the layer
+shape, listed the window sets and built the padded problem once, at
+planning time, and its run checks only the tensors' shapes before it
+runs the loop. Either way the loop allocates its own buffers per call,
+so nothing it writes is shared between calls.
+
 The microkernel is a BLAS GEMM, which packs and blocks its own operands,
 so the executor splits the filters into no sets: each window set is
 multiplied against every filter in one call per chunk, and one chunk of
 all ic channels, K = ic*fh*fw, makes one call that writes the set's block
 of the output in place. The filter operand is a read-only view of the
-filter tensor, which nothing copies. A microkernel hook, passed as
-execute_region's hook argument, replaces exactly that call.
+filter tensor, which nothing copies. A microkernel hook, passed as the
+hook argument of execute_region or ConvPlan.run, replaces exactly that
+call.
 
 Padding is never materialized for the whole input: a padded layer pads
 one channel chunk of one image at a time into one buffer, zeroed once,
@@ -61,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ConvInfo, MkInfo
-from .model import DTYPE, require_int
+from .model import DTYPE, ConvParams, require_int
 from .packing import pack_filter, pack_input, reads_in_place
 
 
@@ -106,12 +115,14 @@ def window_sets(span: int, set_tiles: int,
 
     Sets are counted in whole window tiles, set_tiles of them each (the
     last set may hold fewer); a trailing partial tile joins the last set,
-    and a span shorter than one tile is one set of its own.
+    and a span (of at least one window) shorter than one tile is one set
+    of its own.
     """
-    starts = [t * n_win for t in range(0, span // n_win, set_tiles)]
-    if not starts and span:
-        starts = [0]
-    return [(a, b - a) for a, b in zip(starts, starts[1:] + [span])]
+    step = set_tiles * n_win
+    # The last set starts at the last multiple of step before the span's
+    # last whole tile ends, or at 0 when there is no whole tile.
+    last = max(0, (span - span % n_win - 1) // step * step)
+    return [(w0, step) for w0 in range(0, last, step)] + [(last, span - last)]
 
 
 def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
@@ -172,14 +183,30 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
             raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
     if not out.flags.c_contiguous:
         raise ValueError("output tensor must be C-contiguous")
-    n_win, n_f = mk.n_win, mk.n_f
-    ff = p.fh * p.fw
-    sets = window_sets(conv.ohw, set_tiles, n_win)
-    split = chunk < p.ic
-    if split and len(sets) > 1:
+    sets = window_sets(conv.ohw, set_tiles, mk.n_win)
+    if chunk < p.ic and len(sets) > 1:
         raise ValueError(f"a layer in chunks of {chunk} of {p.ic} channels "
                          f"runs as one window set, not {len(sets)} sets of "
                          f"{set_tiles} tiles")
+    if p.pad_h or p.pad_w:
+        conv = ConvInfo(p.padded(), conv.oh, conv.ow, conv.ohw)
+    _run_layer(x, filters, out, p, conv, sets, chunk, mk, hook, counters)
+
+
+def _run_layer(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
+               p: ConvParams, pconv: ConvInfo, sets, chunk: int, mk: MkInfo,
+               hook, counters: RunCounters | None) -> None:
+    """execute_region's loop nest, unchecked: the layer p, run in the
+    given window sets (window_sets' (first window, windows) pairs) and in
+    chunks of chunk channels.
+
+    pconv is the padded problem's ConvInfo (p's own when p has no
+    padding). The caller has checked every argument: execute_region per
+    call, or the engine's plan once and its run per tensor.
+    """
+    n_win, n_f = mk.n_win, mk.n_f
+    ff = p.fh * p.fw
+    split = chunk < p.ic
 
     # (first channel, channels, filter view) of each chunk.
     chunks = [(c0, min(chunk, p.ic - c0),
@@ -195,13 +222,12 @@ def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
     # A padded layer's chunk is padded into pad, a one-image input of the
     # padded problem whose border, zeroed here, is never written.
     if p.pad_h or p.pad_w:
-        pconv = ConvInfo(p.padded(), conv.oh, conv.ow, conv.ohw)
         pad = np.zeros((1, chunk, p.ih + 2 * p.pad_h, p.iw + 2 * p.pad_w),
                        DTYPE)
         inner = pad[0, :, p.pad_h:p.pad_h + p.ih, p.pad_w:p.pad_w + p.iw]
     else:
-        pconv, pad = conv, None
-    out_flat = out.reshape(p.n, p.oc, conv.ohw)
+        pad = None
+    out_flat = out.reshape(p.n, p.oc, pconv.ohw)
     gemm = microkernel if hook is None else hook
     if counters is not None:
         counters.filter_packs.update(

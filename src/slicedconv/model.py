@@ -15,16 +15,6 @@ import numpy as np
 DTYPE = np.float32
 
 
-def make_tensor4d(data) -> np.ndarray:
-    """Validate `data` as a contiguous f32 4-D array."""
-    arr = np.ascontiguousarray(data, dtype=DTYPE)
-    if arr.ndim != 4:
-        raise ValueError(f"expected a 4-D tensor, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"all extents must be >= 1, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class ConvParams:
     """Full 2-D convolution problem description.

@@ -87,14 +87,6 @@ def filter_tiles(conv: ConvInfo, mk: MkInfo) -> int:
     return conv.params.oc // mk.n_f
 
 
-def _pow2_floor(x: int) -> int:
-    return 1 << (x.bit_length() - 1) if x >= 1 else 0
-
-
-def _clamp(x: int, lo: int, hi: int) -> int:
-    return max(lo, min(x, hi))
-
-
 def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[int, int, int]:
     """Remainder extents: (ic mod nc, filter-tiles mod k2, window-tiles mod k3).
 
@@ -114,9 +106,15 @@ def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
     """Pick schedule and tile sizes for a convolution on a given machine.
 
     Raises ValueError when even a single-channel tile set exceeds L1.
+    The arithmetic is tile_bytes, window_tiles, filter_tiles and
+    remainders written out in line, since the engine plans every call.
     """
     p = conv.params
-    in1, f1, out1 = tile_bytes(conv, mk, nc=1)
+    # tile_bytes: an input and a filter tile grow by in1 and f1 bytes per
+    # channel, the output tile is out1 bytes at any depth.
+    in1 = p.fh * (mk.n_win + p.fw - 1) * ELEM_BYTES
+    f1 = mk.n_f * p.fh * p.fw * ELEM_BYTES
+    out1 = mk.n_f * mk.n_win * ELEM_BYTES
     if in1 + f1 + out1 > arch.l1_bytes:
         raise ValueError(
             f"tile exceeds L1: {in1 + f1 + out1} bytes at nc=1 vs {arch.l1_bytes}")
@@ -124,27 +122,25 @@ def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
     # Largest power-of-two channel depth within the per-channel L1 budget,
     # capped by ic. The budget charges the output tile per channel, which is
     # stricter than the plain three-tile sum, so the L1 fit always holds.
-    budget = arch.l1_bytes // (in1 + f1 + out1)
-    nc = min(_pow2_floor(p.ic), _pow2_floor(budget))
-
-    in_tile, f_tile, _ = tile_bytes(conv, mk, nc)
-    n_ftiles = filter_tiles(conv, mk)
-    n_wtiles = window_tiles(conv, mk)
+    # Both are at least 1, and the power-of-two floor of their minimum is
+    # the minimum of their floors.
+    nc = 1 << (min(p.ic, arch.l1_bytes // (in1 + f1 + out1)).bit_length() - 1)
+    in_tile, f_tile = nc * in1, nc * f1
+    n_ftiles = p.oc // mk.n_f
+    n_wtiles = conv.ohw // mk.n_win
 
     # Filter-tile set sized against L2 alongside one resident input tile;
     # window-tile set sized against L3 (collapses to one set without an L3).
-    k2 = _clamp((arch.l2_bytes - in_tile) // f_tile, 1, max(n_ftiles, 1))
-    if arch.l3_bytes == 0:
-        k3 = 1
-    else:
-        k3 = _clamp(arch.l3_bytes // in_tile, 1, max(n_wtiles, 1))
+    # Each is clamped to [1, tiles] (to 1 when there is no whole tile).
+    k2 = max(1, min((arch.l2_bytes - in_tile) // f_tile, n_ftiles))
+    k3 = max(1, min(arch.l3_bytes // in_tile, n_wtiles)) if arch.l3_bytes else 1
 
     # Keep the larger tensor stationary, so that the smaller one is the one
     # reloaded; ties go to input stationary. The schedule is reported only.
-    in_total = p.n * p.ic * p.ih * p.iw * ELEM_BYTES
-    f_total = p.oc * p.ic * p.fh * p.fw * ELEM_BYTES
-    schedule = Schedule.InputStationary if in_total >= f_total else Schedule.WeightStationary
-
-    r_nc, r_k2, r_k3 = remainders(conv, mk, nc, k2, k3)
+    # Both tensors' byte counts carry the factor ic*ELEM_BYTES, dropped here.
+    schedule = (Schedule.InputStationary
+                if p.n * p.ih * p.iw >= p.oc * p.fh * p.fw
+                else Schedule.WeightStationary)
     return TilingStrategy(schedule=schedule, nc=nc, k2=k2, k3=k3,
-                          r_nc=r_nc, r_k2=r_k2, r_k3=r_k3)
+                          r_nc=p.ic % nc, r_k2=n_ftiles % k2,
+                          r_k3=n_wtiles % k3)

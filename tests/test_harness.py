@@ -135,6 +135,34 @@ def test_max_relative_error_normalization():
     assert max_relative_error(got, ref) == pytest.approx(1e-4, rel=1e-3)
 
 
+def _old_max_relative_error(got, ref):
+    # The formula before the float64 difference was taken in one ufunc.
+    scale = max(float(np.max(np.abs(ref))), np.finfo(np.float32).tiny)
+    return float(np.max(np.abs(got.astype(np.float64)
+                               - ref.astype(np.float64))) / scale)
+
+
+@pytest.mark.parametrize("kind", ["random", "zeros", "inf", "inf-both",
+                                  "nan"])
+@pytest.mark.parametrize("ref_dtype", [np.float32, np.float64])
+def test_max_relative_error_is_bitwise_the_old_formula(kind, ref_dtype):
+    rng = np.random.default_rng(11)
+    got = rng.uniform(-3, 3, (2, 5, 7, 3)).astype(np.float32)
+    ref = (got + rng.normal(0, 1e-5, got.shape)).astype(ref_dtype)
+    if kind == "zeros":
+        got, ref = np.zeros_like(got), np.zeros_like(ref)
+    elif kind == "inf":
+        got[0, 1, 2, 0] = np.inf
+    elif kind == "inf-both":  # inf / inf: NaN
+        got[0, 1, 2, 0], ref[1, 0, 0, 2] = np.inf, -np.inf
+    elif kind == "nan":
+        got[1, 4, 6, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        new = max_relative_error(got, ref)
+        old = _old_max_relative_error(got, ref)
+    assert np.array([new]).tobytes() == np.array([old]).tobytes(), (new, old)
+
+
 def test_run_suite_smoke_and_csv_stability():
     cases, errors = load_suite(FIXTURES / "smoke.jsonl")
     assert not errors
@@ -416,8 +444,8 @@ def test_cli_microkernel_shape_defaults_to_arch_file(tmp_path):
 
 
 def test_cli_correctness_failure_exit_code(monkeypatch):
-    # a garbage microkernel hook must surface as exit code 1
-    from slicedconv import harness
+    # a garbage microkernel must surface as exit code 1
+    from slicedconv import kernel
     from slicedconv.cli import main
 
     cases_ok = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
@@ -426,9 +454,7 @@ def test_cli_correctness_failure_exit_code(monkeypatch):
                      "--out", "/dev/null"])
     assert cases_ok == 0
 
-    engine = harness.run_convolution
-    monkeypatch.setattr(harness, "run_convolution", lambda *args, **kw: engine(
-        *args, hook=lambda pin, pf, acc: None, **kw))
+    monkeypatch.setattr(kernel, "microkernel", lambda pin, pf, acc: None)
     rc = main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
                "--arch", str(FIXTURES / "intel.toml"),
                "--nwin", "4", "--nf", "4", "--verify-only",
@@ -459,6 +485,43 @@ def test_cli_says_why_a_case_failed(tmp_path):
                      '"fh": 7, "fw": 7}\n')
     proc = _run_cli(["run", "--suite", str(suite), "--arch", str(tiny),
                      "--nwin", "16", "--nf", "16", "--verify-only"], cwd=tmp_path)
-    assert proc.returncode == 1, proc.stderr
-    assert "case toobig failed: ValueError: " in proc.stderr
+    # The engine cannot plan the case for this machine: an input error.
+    assert proc.returncode == 2, proc.stderr
+    assert "case toobig could not be planned: ValueError: " in proc.stderr
     assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def _tiny_l1_suite(tmp_path):
+    # With l1_kib = 1, the 1x1 case's single-channel tiles fit a 4x4
+    # microkernel's L1 budget and the 7x7 case's do not.
+    arch = tmp_path / "tiny_l1.toml"
+    arch.write_text("l1_kib = 1\n")
+    suite = tmp_path / "s.jsonl"
+    suite.write_text(
+        '{"id": "fits", "ic": 3, "ih": 6, "iw": 6, "oc": 4, "fh": 1, "fw": 1}\n'
+        '{"id": "wide", "ic": 3, "ih": 12, "iw": 12, "oc": 4, "fh": 7, "fw": 7}\n')
+    return ["run", "--suite", str(suite), "--arch", str(arch),
+            "--nwin", "4", "--nf", "4", "--verify-only"]
+
+
+def test_cli_unplannable_case_is_an_input_error(tmp_path, capsys):
+    from slicedconv.cli import main
+    assert main(_tiny_l1_suite(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert "case wide could not be planned: ValueError: tile exceeds L1" in err
+    assert "case fits" not in err
+    assert "2 cases, 1 correct, 0 incorrect, 1 not planned, 0 rejected" in err
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[1][:2] == ["fits", "true"]
+    assert rows[2][:3] == ["wide", "false", "inf"]
+
+
+def test_cli_incorrect_planned_case_wins_over_unplannable(tmp_path,
+                                                          monkeypatch):
+    # A planned case that comes out wrong is the engine's failure: exit 1,
+    # even when another case could not be planned.
+    from slicedconv import kernel
+    from slicedconv.cli import main
+    monkeypatch.setattr(kernel, "microkernel", lambda pin, pf, acc: None)
+    assert main(_tiny_l1_suite(tmp_path) + ["--out", "/dev/null"]) == 1

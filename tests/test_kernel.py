@@ -246,7 +246,7 @@ def test_execute_region_rejects_a_strided_output():
 @pytest.mark.parametrize("tensor", ["x", "filters"])
 def test_run_convolution_rejects_a_tensor_that_does_not_match_params(
         rng, tensor):
-    # run_convolution leaves the shape checks to execute_region, which
+    # run_convolution leaves the shape checks to its plan's run, which
     # names the tensor and refuses it before any GEMM runs: an input with
     # one of the layer's two channels, or filters with two rows of taps.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3, pad_h=1, pad_w=1)

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_params
 from slicedconv import ConvParams, out_shape, pad_input
-from slicedconv.model import make_tensor4d
 
 
 def test_out_shape_basic():
@@ -82,11 +81,3 @@ def test_params_reject_non_integer_fields(field, value):
     kw[field] = value
     with pytest.raises(TypeError, match=field):
         ConvParams(**kw)
-
-
-@pytest.mark.parametrize("shape, match", [
-    ((2, 3, 4), "4-D"), ((1, 2, 3, 4, 5), "4-D"), ((1, 0, 3, 3), ">= 1"),
-])
-def test_make_tensor4d_rejects_rank_and_empty_extent(shape, match):
-    with pytest.raises(ValueError, match=match):
-        make_tensor4d(np.zeros(shape, dtype=np.float32))
