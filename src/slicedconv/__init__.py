@@ -10,7 +10,7 @@ once (plan_convolution) and its plan runs any number of tensor pairs.
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
 from .engine import ConvPlan, RunInfo, plan_convolution, run_convolution
 from .harness import ConvCase, CaseReport, load_suite, run_suite
-from .kernel import RunCounters, execute_region, microkernel
+from .kernel import RunCounters, microkernel
 from .model import ConvParams, out_shape, pad_input
 from .packing import pack_filter, pack_input
 from .reference import im2col, naive_conv
@@ -23,7 +23,7 @@ __all__ = [
     "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk",
     "ConvPlan", "RunInfo", "plan_convolution", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
-    "RunCounters", "execute_region", "microkernel",
+    "RunCounters", "microkernel",
     "ConvParams", "out_shape", "pad_input",
     "pack_filter", "pack_input",
     "im2col", "naive_conv",

@@ -2,10 +2,11 @@
 
 plan_convolution does everything that depends on the problem, the machine
 and the microkernel but not on the tensors: it analyzes the padded
-problem, plans and coverage-checks the regions, sizes the layer's window
-sets and channel chunks, and lists the window sets. The ConvPlan it
-returns is frozen and holds no buffers, so one plan may run any number of
-tensor pairs, from several threads at once. ConvPlan.run checks each
+problem, plans and coverage-checks the regions and sizes the layer's
+window sets and channel chunks. The ConvPlan it returns checks those
+sizes and lists the window sets when it is made; it is frozen and holds
+no buffers, so one plan may run any number of tensor pairs, from several
+threads at once. ConvPlan.run, the one way to run a layer, checks each
 tensor's shape against the plan and runs the layer's one loop nest
 (kernel._run_layer), which allocates its own buffers per call.
 run_convolution is plan_convolution followed by one run.
@@ -38,13 +39,13 @@ executed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, _run_layer, window_sets
-from .model import DTYPE, ConvParams
+from .model import DTYPE, ConvParams, require_int
 from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
@@ -65,10 +66,13 @@ class ConvPlan:
 
     params is the problem as the caller holds it (padded or not), info
     what the plan decided (the strategy, the coverage-checked regions and
-    the padded problem's ConvInfo), set_tiles and chunk the layer's
-    window-set size in whole tiles and its channel-chunk size, and sets
-    the (first window, windows) of each window set (kernel.window_sets).
-    The plan holds no buffers and no tensors.
+    the padded problem's ConvInfo), and set_tiles and chunk the layer's
+    window-set size in whole tiles and its channel-chunk size, from which
+    sets, each window set's (first window, windows), is derived. The plan
+    holds no buffers and no tensors. It checks its sizes when it is made,
+    so replace(plan, set_tiles=..., chunk=...) is a checked plan at those
+    sizes: both must be integers (TypeError), set_tiles at least 1, chunk
+    from 1 to ic, and a chunked layer one window set (ValueError).
     """
 
     params: ConvParams
@@ -76,7 +80,24 @@ class ConvPlan:
     info: RunInfo
     set_tiles: int
     chunk: int
-    sets: tuple[tuple[int, int], ...]
+    sets: tuple[tuple[int, int], ...] = field(init=False)
+
+    def __post_init__(self):
+        set_tiles, chunk, ic = self.set_tiles, self.chunk, self.params.ic
+        require_int("set_tiles", set_tiles)
+        if set_tiles < 1:
+            raise ValueError(f"set_tiles must be at least 1, got {set_tiles}")
+        require_int("chunk", chunk)
+        if not 1 <= chunk <= ic:
+            raise ValueError(f"chunk must be from 1 to {ic} channels, "
+                             f"got {chunk}")
+        sets = tuple(window_sets(self.info.conv.ohw, set_tiles,
+                                 self.mk.n_win))
+        if chunk < ic and len(sets) > 1:
+            raise ValueError(f"a layer in chunks of {chunk} of {ic} channels "
+                             f"runs as one window set, not {len(sets)} sets "
+                             f"of {set_tiles} tiles")
+        object.__setattr__(self, "sets", sets)
 
     def run(self, x: np.ndarray, filters: np.ndarray, hook=None,
             counters: RunCounters | None = None
@@ -84,9 +105,23 @@ class ConvPlan:
         """Run the plan on one tensor pair; returns (output NCHW f32, info).
 
         x must be (n, ic, ih, iw) and filters (oc, ic, fh, fw) of params
-        (ValueError naming the tensor otherwise, before any GEMM runs);
-        both are taken as contiguous float32. hook and counters are as
-        for kernel.execute_region.
+        (ValueError naming the tensor otherwise, before any GEMM runs):
+        for a padded problem x is the unpadded input, and for a pad-0
+        problem such as ConvParams.padded() an input padded beforehand.
+        Both are taken as contiguous float32.
+
+        hook, when given, replaces each microkernel call, one per window
+        set and channel chunk, and is called as microkernel is,
+        hook(packed_in, packed_f, acc): the (k, width) set's chunk (for a
+        1x1 filter at stride 1, a read-only view of the input), the
+        chunk's (k, oc) filters (a transposed read-only view of the filter
+        tensor) and a zeroed (oc, width) accumulator to write in place:
+        the set's block of the output for the first chunk, for a later
+        one a partial block then added into it. Results must match the
+        built-in kernel within the engine tolerance. kernel.microkernel,
+        pack_input and pack_filter are looked up as module globals, so a
+        wrapper installed there sees each call. counters, a RunCounters,
+        records the run's packs and accumulator touches.
         """
         p, conv = self.params, self.info.conv
         x = np.ascontiguousarray(x, dtype=DTYPE)
@@ -102,7 +137,7 @@ class ConvPlan:
         # reused allocation may hold.
         out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
         _run_layer(x, filters, out, p, conv, self.sets, self.chunk, self.mk,
-                  hook, counters)
+                   hook, counters)
         return out, self.info
 
 
@@ -118,8 +153,7 @@ def plan_convolution(p: ConvParams, arch: ArchInfo, mk: MkInfo) -> ConvPlan:
     if not coverage_check(regions, conv):
         raise RuntimeError("region decomposition does not cover")
     set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    return ConvPlan(p, mk, RunInfo(strategy, regions, conv), set_tiles, chunk,
-                    tuple(window_sets(conv.ohw, set_tiles, mk.n_win)))
+    return ConvPlan(p, mk, RunInfo(strategy, regions, conv), set_tiles, chunk)
 
 
 def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,

@@ -14,13 +14,10 @@ One loop nest, _run_layer, runs the whole layer:
           buffer, or take it as a view (1x1 filters at stride 1)
           microkernel: acc[f, w] = sum_k pf[k, f] * pi[k, w]
 
-It checks nothing and has two callers. execute_region, the public entry
-point, checks its arguments on every call, lists the window sets and
-runs the loop. The engine's ConvPlan (engine.py) has checked the layer
-shape, listed the window sets and built the padded problem once, at
-planning time, and its run checks only the tensors' shapes before it
-runs the loop. Either way the loop allocates its own buffers per call,
-so nothing it writes is shared between calls.
+It checks nothing and has one caller, ConvPlan.run (engine.py), whose
+plan checked its sizes once and whose run checks the tensors' shapes.
+The loop allocates its own buffers per call, so nothing it writes is
+shared between calls.
 
 The microkernel is a BLAS GEMM, which packs and blocks its own operands,
 so the executor splits the filters into no sets: each window set is
@@ -28,8 +25,7 @@ multiplied against every filter in one call per chunk, and one chunk of
 all ic channels, K = ic*fh*fw, makes one call that writes the set's block
 of the output in place. The filter operand is a read-only view of the
 filter tensor, which nothing copies. A microkernel hook, passed as the
-hook argument of execute_region or ConvPlan.run, replaces exactly that
-call.
+hook argument of ConvPlan.run, replaces exactly that call.
 
 Padding is never materialized for the whole input: a padded layer pads
 one channel chunk of one image at a time into one buffer, zeroed once,
@@ -57,9 +53,6 @@ last filter tile may be short, since the GEMM takes any width. Window
 sets are counted in whole tiles, so the window tail (windows mod n_win)
 runs in the last set rather than in a GEMM of its own, and the filter
 tail (oc mod n_f) is the last rows of every GEMM.
-
-Every output element is written by the first chunk's GEMM of exactly one
-window set.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ConvInfo, MkInfo
-from .model import DTYPE, ConvParams, require_int
+from .model import DTYPE, ConvParams
 from .packing import pack_filter, pack_input, reads_in_place
 
 
@@ -125,84 +118,14 @@ def window_sets(span: int, set_tiles: int,
     return [(w0, step) for w0 in range(0, last, step)] + [(last, span - last)]
 
 
-def execute_region(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
-                   conv: ConvInfo, set_tiles: int, chunk: int, mk: MkInfo,
-                   hook=None, counters: RunCounters | None = None) -> None:
-    """Run the layer in window sets of set_tiles tiles, reducing over
-    chunks of chunk input channels; writes all of out.
-
-    Sets are counted in whole window tiles (see window_sets): a partial
-    last tile joins the last set, so that set may be up to n_win - 1
-    windows wider than set_tiles tiles, and one buffer as wide as the
-    widest set serves every set.
-
-    x is the input of conv.params, (n, ic, ih, iw), as the caller holds
-    it: unpadded when conv.params is padded, and for a pad=0 problem such
-    as ConvParams.padded() an input padded beforehand. filters must be
-    (oc, ic, fh, fw) and out the C-contiguous (n, oc, oh, ow) output
-    (ValueError otherwise). The loop runs batch image, then channel
-    chunk, then window set: a padded layer pads each chunk of each image
-    once, into one reused buffer of chunk padded channels. chunk is
-    the number of channels per GEMM: all ic of them make one GEMM per
-    window set, and a smaller one splits the reduction into chunks of
-    chunk channels, the last one shorter. set_tiles and chunk must be
-    integers (TypeError), set_tiles at least 1 and chunk from 1 to ic
-    (ValueError), and a layer split into chunks must run as one window
-    set (ValueError otherwise). Everything is checked before anything is
-    written.
-
-    The run holds a (chunk*fh*fw, width) pack buffer, width the widest
-    set's windows, unless it reads the input in place (a 1x1 filter at
-    stride 1), and, when the layer is chunked, an (oc, ohw) partial block.
-
-    hook, when given, replaces the built-in microkernel call of each chunk
-    of each window set and is called as microkernel is, hook(packed_in,
-    packed_f, acc): the (k, width) window set's chunk (for a 1x1 filter
-    at stride 1, a read-only view of the input), the (k, oc) filters of
-    the chunk (a transposed read-only view of the filter tensor) and an
-    (oc, width) accumulator, which arrives zeroed, to write in place.
-    The first chunk's accumulator is the set's block of out, zeroed by
-    the caller; each later chunk's is the partial block, zeroed before
-    the call and added into out after it.
-    microkernel, pack_input and pack_filter are looked up as module
-    globals, so a wrapper installed there sees each call. Results must
-    match the built-in kernel within the engine tolerance.
-    """
-    p = conv.params
-    require_int("set_tiles", set_tiles)
-    if set_tiles < 1:
-        raise ValueError(f"set_tiles must be at least 1, got {set_tiles}")
-    require_int("chunk", chunk)
-    if not 1 <= chunk <= p.ic:
-        raise ValueError(f"chunk must be from 1 to {p.ic} channels, "
-                         f"got {chunk}")
-    for name, arr, shape in (("x", x, (p.n, p.ic, p.ih, p.iw)),
-                             ("filters", filters, (p.oc, p.ic, p.fh, p.fw)),
-                             ("out", out, (p.n, p.oc, conv.oh, conv.ow))):
-        if arr.shape != shape:
-            raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
-    if not out.flags.c_contiguous:
-        raise ValueError("output tensor must be C-contiguous")
-    sets = window_sets(conv.ohw, set_tiles, mk.n_win)
-    if chunk < p.ic and len(sets) > 1:
-        raise ValueError(f"a layer in chunks of {chunk} of {p.ic} channels "
-                         f"runs as one window set, not {len(sets)} sets of "
-                         f"{set_tiles} tiles")
-    if p.pad_h or p.pad_w:
-        conv = ConvInfo(p.padded(), conv.oh, conv.ow, conv.ohw)
-    _run_layer(x, filters, out, p, conv, sets, chunk, mk, hook, counters)
-
-
 def _run_layer(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                p: ConvParams, pconv: ConvInfo, sets, chunk: int, mk: MkInfo,
                hook, counters: RunCounters | None) -> None:
-    """execute_region's loop nest, unchecked: the layer p, run in the
-    given window sets (window_sets' (first window, windows) pairs) and in
-    chunks of chunk channels.
-
-    pconv is the padded problem's ConvInfo (p's own when p has no
-    padding). The caller has checked every argument: execute_region per
-    call, or the engine's plan once and its run per tensor.
+    """The layer loop nest, unchecked: the layer p, run in the given
+    window sets (window_sets' (first window, windows) pairs) and in
+    chunks of chunk channels, writing all of the zeroed, C-contiguous
+    out. pconv is the padded problem's ConvInfo. ConvPlan.run, its one
+    caller, documents the hook and counters.
     """
     n_win, n_f = mk.n_win, mk.n_f
     ff = p.fh * p.fw

@@ -1,13 +1,15 @@
 """Shared test helpers: paths, random problem generators, reference arch."""
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slicedconv
-from slicedconv import ArchInfo, ConvInfo, ConvParams, MkInfo, out_shape
+from slicedconv import (ArchInfo, ConvInfo, ConvParams, MkInfo, out_shape,
+                        plan_convolution)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
@@ -23,6 +25,9 @@ REF_PARAMS = ConvParams(n=1, ic=32, ih=77, iw=77, oc=256, fh=3, fw=3)
 REF_MK = MkInfo(n_win=16, n_f=8)
 CALIBRATED_ARCH = ArchInfo(l1_bytes=32 * 1024, l2_bytes=512 * 1024,
                            l3_bytes=592 * 1024)
+# Caches no test layer's single-channel tiles overflow, so that its
+# analysis never refuses a layer that a test runs at sizes of its own.
+ROOMY_ARCH = ArchInfo(l1_bytes=64 << 20, l2_bytes=64 << 20, l3_bytes=0)
 
 
 def cli_env():
@@ -81,6 +86,14 @@ def rand_tensors(rng, p: ConvParams):
 
 def conv_info(p: ConvParams) -> ConvInfo:
     return ConvInfo.from_params(p)
+
+
+def plan_at(p: ConvParams, mk: MkInfo, set_tiles, chunk):
+    """p's plan run in window sets of set_tiles tiles and chunks of chunk
+    channels: the engine's plan under ROOMY_ARCH with its sizes replaced,
+    which re-checks them and re-derives the window sets."""
+    return replace(plan_convolution(p, ROOMY_ARCH, mk), set_tiles=set_tiles,
+                   chunk=chunk)
 
 
 def brute_force_conv(x, filters, p: ConvParams):

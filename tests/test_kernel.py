@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info,
+from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info, plan_at,
                       rand_tensors, random_params)
 from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
-                        execute_region, load_arch, load_suite, microkernel,
-                        naive_conv, pad_input, run_convolution)
+                        load_arch, load_suite, microkernel, naive_conv,
+                        pad_input, plan_convolution, run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
@@ -141,7 +141,7 @@ def test_both_schedules_match_oracle(rng, monkeypatch):
     assert np.array_equal(*outs)
 
 
-def test_execute_region_nine_window_tail(rng):
+def test_nine_window_tail_joins_the_last_one_tile_set(rng):
     # the 75x75 example's 9-window tail, checked against the oracle: in
     # window sets of one tile it runs as the partial last tile of the
     # last set, one GEMM of 25 windows
@@ -152,95 +152,44 @@ def test_execute_region_nine_window_tail(rng):
             if r.kind is RegionKind.Remainder][0]
     assert (tail.spatial_start, tail.spatial_len) == (5616, 9)
     p_small = ConvParams(n=1, ic=2, ih=77, iw=77, oc=4, fh=3, fw=3)
-    conv_small = conv_info(p_small)
     x, flt = rand_tensors(rng, p_small)
     ref = naive_conv(x, flt, p_small)
-    out = np.zeros((1, 4, 75, 75), dtype=np.float32)
     widths = []
 
     def wrapped(pin, pf, acc):
         widths.append(pin.shape[1])
         microkernel(pin, pf, acc)
 
-    execute_region(x, flt, out, conv_small, 1, 2, REF_MK, hook=wrapped)
+    out, _ = plan_at(p_small, REF_MK, 1, 2).run(x, flt, hook=wrapped)
     assert widths == [16] * 350 + [25]
     assert np.allclose(out, ref, rtol=1e-5, atol=1e-6)
 
 
 @pytest.mark.parametrize("set_tiles", [0, -1, 2.0, True])
-def test_execute_region_rejects_a_bad_set_size(set_tiles):
+def test_plan_rejects_a_bad_set_size(set_tiles):
     # A set size below 1 would make an empty window-set loop and leave the
     # output unwritten; a float or a bool is not a tile count. Each is
-    # refused before anything is written.
+    # refused when the plan is made, before any tensor exists.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
-    x = np.ones((1, 2, 6, 6), dtype=np.float32)
-    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32)
     error = TypeError if isinstance(set_tiles, (bool, float)) else ValueError
     with pytest.raises(error, match="set_tiles"):
-        execute_region(x, flt, out, conv, set_tiles, 2, mk)
-    assert np.all(out == 7.0)
+        plan_at(p, MkInfo(n_win=4, n_f=4), set_tiles, 2)
 
 
 @pytest.mark.parametrize("chunk", [0, -1, 3, 2.0, True, 1])
-def test_execute_region_rejects_a_bad_chunk_size(chunk):
+def test_plan_rejects_a_bad_chunk_size(chunk):
     # A chunk of no channels, or of more than the layer's two, is no
     # split of its reduction; a float or a bool is not a channel count.
     # A chunk of one channel is a split, and a layer split into chunks
     # runs as one window set, not the four sets of one tile asked for
-    # here. Each is refused before anything is written.
+    # here. Each is refused when the plan is made, before any tensor
+    # exists.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
     mk = MkInfo(n_win=4, n_f=4)
-    assert len(kernel.window_sets(conv.ohw, 1, mk.n_win)) == 4
-    x = np.ones((1, 2, 6, 6), dtype=np.float32)
-    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    out = np.full((1, 4, 4, 4), np.nan, dtype=np.float32)
+    assert len(plan_at(p, mk, 1, 2).sets) == 4
     error = TypeError if isinstance(chunk, (bool, float)) else ValueError
     with pytest.raises(error, match="chunk"):
-        execute_region(x, flt, out, conv, 1, chunk, mk)
-    assert np.isnan(out).all()
-
-
-@pytest.mark.parametrize("tensor, shape", [
-    ("x", (1, 2, 5, 6)),        # the unpadded input of a pad-1 layer
-    ("x", (1, 3, 6, 6)),
-    ("filters", (4, 3, 3, 3)),  # more channels than the layer's two
-    ("filters", (5, 2, 3, 3)),
-    ("out", (1, 4, 3, 5)),      # a 3x5 output for the layer's 4x4
-    ("out", (2, 4, 4, 4)),
-], ids=["x_rows", "x_channels", "filter_channels", "filter_count",
-        "out_rows", "out_batch"])
-def test_execute_region_rejects_tensors_that_do_not_match_conv(tensor,
-                                                               shape):
-    # Each of x, filters and out must have its shape under conv, the
-    # padded problem; otherwise nothing is written. Filters with a third
-    # channel would otherwise give the convolution of their first two.
-    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
-    mk = MkInfo(n_win=4, n_f=4)
-    tensors = {"x": (1, 2, 6, 6), "filters": (4, 2, 3, 3),
-               "out": (1, 4, 4, 4)}
-    tensors[tensor] = shape
-    x, flt, out = (np.full(tensors[k], 7.0, dtype=np.float32)
-                   for k in ("x", "filters", "out"))
-    with pytest.raises(ValueError, match=f"{tensor} has shape"):
-        execute_region(x, flt, out, conv, 1, 2, mk)
-    assert np.all(out == 7.0)
-
-
-def test_execute_region_rejects_a_strided_output():
-    # an output of the right shape that is not C-contiguous: the GEMMs
-    # write through reshaped views of it, so it is refused unwritten
-    p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    x = np.ones((1, 2, 6, 6), dtype=np.float32)
-    flt = np.ones((4, 2, 3, 3), dtype=np.float32)
-    out = np.full((1, 4, 4, 4), 7.0, dtype=np.float32).transpose(0, 1, 3, 2)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        execute_region(x, flt, out, conv_info(p), 1, 2, MkInfo(n_win=4, n_f=4))
-    assert np.all(out == 7.0)
+        plan_at(p, mk, 1, chunk)
 
 
 @pytest.mark.parametrize("tensor", ["x", "filters"])
@@ -262,7 +211,7 @@ def test_run_convolution_rejects_a_tensor_that_does_not_match_params(
     assert calls == []
 
 
-def test_execute_region_tail_spanning_row_break(rng):
+def test_tail_spanning_row_break(rng):
     square = ConvParams(n=1, ic=3, ih=9, iw=9, oc=5, fh=3, fw=3)  # 7x7 out
     strided = ConvParams(n=2, ic=3, ih=13, iw=12, oc=7, fh=3, fw=2,
                          stride_h=2, dil_w=2)  # 6x10 out
@@ -275,15 +224,13 @@ def test_execute_region_tail_spanning_row_break(rng):
         (strided, 16),   # the 12-window tail [48, 60) crosses a row
     ]
     for p, n_win in cases:
-        conv = conv_info(p)
         mk = MkInfo(n_win=n_win, n_f=4)
         x, flt = rand_tensors(rng, p)
         ref = naive_conv(x, flt, p)
         # window sets of one tile, of two, and of up to eight, which
         # hold all of each layer but the 20-tile one
         for set_tiles in (1, 2, 8):
-            out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-            execute_region(x, flt, out, conv, set_tiles, p.ic, mk)
+            out, _ = plan_at(p, mk, set_tiles, p.ic).run(x, flt)
             assert np.allclose(out, ref, rtol=1e-5, atol=1e-6)
 
 
@@ -407,13 +354,13 @@ def test_pointwise_runs_count_every_window_tile(rng, stride):
             views.append(np.shares_memory(pin, x))
             microkernel(pin, pf, acc)
 
+        plan = plan_at(p, mk, set_tiles, chunk)
         outs, counters = [], RunCounters()
         for hook in (None, wrapped):
-            out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-            execute_region(x, flt, out, conv, set_tiles, chunk, mk,
-                           hook=hook, counters=counters if hook else None)
+            out, _ = plan.run(x, flt, hook=hook,
+                              counters=counters if hook else None)
             outs.append(out)
-        sets = len(kernel.window_sets(conv.ohw, set_tiles, mk.n_win))
+        sets = len(plan.sets)
         chunks = p.ic // chunk
         assert (sets, chunks) in ((1, 3), (-(-wtiles // 3), 1))
         assert views == [stride == 1] * (p.n * chunks * sets)
@@ -603,11 +550,11 @@ def _check_set_product(rng, sched, k3, k2, n_win):
     set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
 
+    plan = plan_at(p, mk, set_tiles, p.ic)
+
     def run(hook):
         counters = RunCounters()
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, set_tiles, p.ic, mk, hook=hook,
-                       counters=counters)
+        out, _ = plan.run(x, flt, hook=hook, counters=counters)
         return out, counters
 
     heights = []
@@ -710,24 +657,25 @@ def _check_hook_calls(rng, sched, k3, k2, adding, oc):
     mk = MkInfo(n_win=7, n_f=4)
     set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
-    out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
     calls = []
 
     def recording(pin, pf, acc):
         (k, width), height = pin.shape, acc.shape[0]
         assert pf.shape == (k, height) and acc.shape == (height, width)
         assert not acc.any()
-        offset = (acc.ctypes.data - out.ctypes.data) // acc.itemsize
-        b, rest = divmod(offset, p.oc * conv.ohw)
-        calls.append((b, k, *divmod(rest, conv.ohw), height, width))
+        calls.append((acc.ctypes.data, k, height, width))
         if adding:
             acc += pf.T @ pin
         else:
             microkernel(pin, pf, acc)
 
-    execute_region(x, flt, out, conv, set_tiles, p.ic, mk, hook=recording)
+    out, _ = plan_at(p, mk, set_tiles, p.ic).run(x, flt, hook=recording)
     cover = np.zeros((p.n, p.oc, conv.ohw), int)
-    for b, k, f0, w0, height, width in calls:
+    for data, k, height, width in calls:
+        # where in the output the call's accumulator starts
+        offset = (data - out.ctypes.data) // out.itemsize
+        b, rest = divmod(offset, p.oc * conv.ohw)
+        f0, w0 = divmod(rest, conv.ohw)
         # the whole reduction against every filter, and one window set of
         # whole tiles
         assert k == p.ic * 9
@@ -912,11 +860,8 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
         depths.add(pin.shape[0])
         microkernel(pin, pf, acc)
 
-    outs = []
-    for hook in (None, wrapped):
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, set_tiles, p.ic, mk, hook=hook)
-        outs.append(out)
+    plan = plan_at(p, mk, set_tiles, p.ic)
+    outs = [plan.run(x, flt, hook=hook)[0] for hook in (None, wrapped)]
     assert depths == {576}
     assert np.array_equal(outs[0], outs[1])
     assert max_relative_error(outs[0], naive_conv(x, flt, p)) <= 1e-4
@@ -1020,29 +965,27 @@ def test_padded_batch_run_pads_one_image_at_a_time(rng):
 
 def test_chunked_padded_batch_matches_the_prepadded_input_bitwise(rng):
     # conv5 at batch 2 (fixtures/deep.jsonl) runs in 4 chunks of 128
-    # channels, each padded into a reused buffer per image. A direct call
-    # on the input padded beforehand with the pad-0 problem reads the
-    # padded tensor in place instead; the two, and the engine, agree bit
-    # for bit, with the same GEMM calls in the same order.
+    # channels, each padded into a reused buffer per image. The plan of
+    # the pad-0 problem, run on the input padded beforehand, reads the
+    # padded tensor in place instead; both plans size the layer alike,
+    # and the two runs, and the engine, agree bit for bit, with the same
+    # GEMM calls in the same order.
     p = replace(CONV5, n=2)
     arch, mk = _intel_16x8()
-    set_tiles, chunk = _layer_shape(p, arch, mk)
-    assert chunk < p.ic
     x, flt = rand_tensors(rng, p)
-    outs, calls = [], []
-    for xin, conv in ((x, conv_info(p)),
-                      (pad_input(x, p), conv_info(p.padded()))):
+    outs, calls, shapes = [], [], []
+    for q, xin in ((p, x), (p.padded(), pad_input(x, p))):
+        plan = plan_convolution(q, arch, mk)
         seen = []
 
         def wrapped(pin, pf, acc):
             seen.append((pin.shape, acc.shape))
             microkernel(pin, pf, acc)
 
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(xin, flt, out, conv, set_tiles, chunk, mk,
-                       hook=wrapped)
-        outs.append(out)
+        outs.append(plan.run(xin, flt, hook=wrapped)[0])
         calls.append(seen)
+        shapes.append((plan.set_tiles, plan.chunk, plan.sets))
+    assert shapes[0] == shapes[1] and shapes[0][1] < p.ic
     engine_out, _ = run_convolution(x, flt, p, arch, mk)
     assert outs[0].tobytes() == outs[1].tobytes() == engine_out.tobytes()
     assert calls[0] == calls[1] and len(calls[0]) == p.n * 4
@@ -1053,25 +996,19 @@ def test_later_chunk_add_allocates_nothing(rng):
     # 17x17 outputs in 18 window tiles of 16 and a 1-window partial tile,
     # run as one window set of all 289 windows, in chunks of 3, 3 and 2 of
     # the 8 channels: two partial blocks are added into the (64, 289)
-    # output. The run holds its output, the (27, 289) packed chunk and the
-    # (64, 289) partial block, and nothing more: both operands of the add
-    # are C-contiguous, so it allocates no temporary, and the pack buffer
-    # holds the chunk's 27 rows, not the output's 64.
+    # output. The run holds the output it allocates, the (27, 289) packed
+    # chunk and the (64, 289) partial block, and nothing more: both
+    # operands of the add are C-contiguous, so it allocates no temporary,
+    # and the pack buffer holds the chunk's 27 rows, not the output's 64.
     p = ConvParams(n=1, ic=8, ih=19, iw=19, oc=64, fh=3, fw=3)
     conv = conv_info(p)
-    mk = MkInfo(n_win=16, n_f=8)
-    assert kernel.window_sets(conv.ohw, 18, mk.n_win) == [(0, 289)]
+    plan = plan_at(p, MkInfo(n_win=16, n_f=8), 18, 3)
+    assert plan.sets == ((0, 289),)
     x, flt = rand_tensors(rng, p)
-
-    def run():
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=np.float32)
-        execute_region(x, flt, out, conv, 18, 3, mk)
-        return out
-
-    run()  # warm-up
+    plan.run(x, flt)  # warm-up
     tracemalloc.start()
     try:
-        out = run()
+        out, _ = plan.run(x, flt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1221,9 +1158,12 @@ def test_a_chunked_layer_is_one_window_set():
     # them but with up to 256 channels and 40x40 outputs, so that a fifth
     # of them split the reduction: wherever _layer_shape picks chunks of
     # fewer than ic channels, its set size gives one window set of all
-    # the layer's windows, the only chunked shape execute_region runs.
+    # the layer's windows, the only chunked shape a plan runs. Wherever
+    # the analysis accepts a layer, plan_convolution plans it at those
+    # sizes: the plan's own checks never refuse the engine's sizing, which
+    # run_suite would otherwise report as an input error.
     rng = np.random.default_rng(7)
-    chunked = 0
+    planned = chunked = 0
     for _ in range(1000):
         p = random_params(rng, max_ic=256, max_oc=128, max_out=40)
         mk = MkInfo(n_win=int(rng.choice((4, 8, 16, 32))),
@@ -1238,8 +1178,11 @@ def test_a_chunked_layer_is_one_window_set():
         except ValueError:
             continue
         set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
+        plan = plan_convolution(p, arch, mk)
+        planned += 1
+        assert (plan.set_tiles, plan.chunk) == (set_tiles, chunk)
         if chunk < p.ic:
             chunked += 1
-            assert kernel.window_sets(conv.ohw, set_tiles, mk.n_win) == [
-                (0, conv.ohw)], (p, arch, mk, set_tiles, chunk)
-    assert chunked >= 100
+            assert plan.sets == ((0, conv.ohw),), (p, arch, mk, set_tiles,
+                                                   chunk)
+    assert chunked >= 100 and planned >= 500

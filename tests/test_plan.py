@@ -1,19 +1,21 @@
 """ConvPlan: plan a convolution once, then run it on any number of tensor
-pairs, with the same outputs, RunInfo, hook calls and counters as
-run_convolution and as execute_region at the plan's sizes."""
+pairs, with the same outputs and RunInfo as run_convolution, and at other
+sizes through dataclasses.replace."""
 
 import sys
 import threading
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import CALIBRATED_ARCH, FIXTURES, conv_info, rand_tensors
-from slicedconv import (ConvParams, MkInfo, RunCounters, execute_region,
-                        load_arch, load_suite, plan_convolution,
-                        run_convolution)
+from conftest import CALIBRATED_ARCH, FIXTURES, rand_tensors
+from slicedconv import (ConvParams, MkInfo, RunCounters, load_arch,
+                        load_suite, plan_convolution, run_convolution)
 from slicedconv import engine, kernel
-from slicedconv.model import DTYPE
+from slicedconv.harness import max_relative_error
+from slicedconv.reference import rowwise_conv
 
 INTEL = load_arch(FIXTURES / "intel.toml")
 MK = MkInfo(n_win=16, n_f=8)
@@ -25,30 +27,40 @@ def _suite_params(name):
     return [pytest.param(c.params, id=c.id) for c in cases]
 
 
-def _recorder(calls):
-    def hook(packed_in, packed_f, acc):
-        calls.append((packed_in.shape, packed_f.shape, acc.shape))
-        kernel.microkernel(packed_in, packed_f, acc)
-    return hook
-
-
 @pytest.mark.parametrize("p", _suite_params("smoke.jsonl")
                          + _suite_params("deep.jsonl"))
-def test_plan_run_matches_execute_region_at_the_plans_sizes(rng, p):
+def test_a_replaced_plan_runs_at_its_own_sizes(rng, p):
+    # replace(plan, set_tiles=..., chunk=...) re-derives the window sets:
+    # in sets of one tile at full depth there is one set per whole tile,
+    # and one set of all windows may run in chunks of about half the
+    # channels. Either way each GEMM is one of the new plan's sets, per
+    # image and chunk, each window tile is packed once per image, the
+    # decisions reported are the plan's, and the output matches the
+    # reference.
     plan = plan_convolution(p, INTEL, MK)
+    conv = plan.info.conv
+    wtiles = max(1, conv.ohw // MK.n_win)
     x, flt = rand_tensors(rng, p)
-    plan_calls, direct_calls = [], []
-    plan_counts, direct_counts = RunCounters(), RunCounters()
-    out, info = plan.run(x, flt, hook=_recorder(plan_calls),
-                         counters=plan_counts)
-    conv = info.conv
-    direct = np.zeros((p.n, p.oc, conv.oh, conv.ow), DTYPE)
-    execute_region(x, flt, direct, conv_info(p), plan.set_tiles, plan.chunk,
-                   MK, hook=_recorder(direct_calls), counters=direct_counts)
-    assert out.tobytes() == direct.tobytes()
-    assert plan_calls == direct_calls
-    assert plan_counts == direct_counts
-    assert info is plan.info and conv.params == p.padded()
+    ref = rowwise_conv(x, flt, p)
+    for set_tiles, chunk in ((1, p.ic), (wtiles, -(-p.ic // 2))):
+        sized = replace(plan, set_tiles=set_tiles, chunk=chunk)
+        assert len(sized.sets) == (wtiles if set_tiles == 1 else 1)
+        assert sized.sets[-1][0] + sized.sets[-1][1] == conv.ohw
+        widths, counters = [], RunCounters()
+
+        def hook(packed_in, packed_f, acc):
+            widths.append(packed_in.shape[1])
+            kernel.microkernel(packed_in, packed_f, acc)
+
+        out, info = sized.run(x, flt, hook=hook, counters=counters)
+        assert widths == [cols for _ in range(p.n)
+                          for _ in range(0, p.ic, chunk)
+                          for _, cols in sized.sets]
+        assert counters.input_packs == Counter(
+            {(b, t): 1 for b in range(p.n)
+             for t in range(-(-conv.ohw // MK.n_win))})
+        assert info is plan.info
+        assert max_relative_error(out, ref) <= 1e-4
 
 
 def test_one_plan_runs_two_tensor_pairs_as_two_engine_calls(rng):
@@ -65,11 +77,15 @@ def test_one_plan_runs_two_tensor_pairs_as_two_engine_calls(rng):
 
 @pytest.mark.parametrize("tensor, shape", [
     ("x", (1, 1, 6, 6)), ("filters", (4, 2, 2, 3)), ("x", (2, 6, 6)),
-    ("x", (1, 2, 6, 6, 1)), ("x", (1, 0, 6, 6)),
-], ids=["x-channels", "filters-taps", "x-rank3", "x-rank5", "x-empty"])
+    ("x", (1, 2, 6, 6, 1)), ("x", (1, 0, 6, 6)), ("x", (1, 2, 5, 6)),
+    ("x", (1, 3, 6, 6)), ("filters", (4, 3, 3, 3)), ("filters", (5, 2, 3, 3)),
+], ids=["x-channels", "filters-taps", "x-rank3", "x-rank5", "x-empty",
+        "x-rows", "x-more-channels", "filters-more-channels", "filters-count"])
 def test_plan_run_rejects_a_tensor_of_another_shape(rng, tensor, shape):
     # Each tensor is checked against the plan, by name and before any
     # GEMM runs; this covers a wrong rank and an empty extent too.
+    # Filters with a third channel would otherwise give the convolution
+    # of their first two.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3, pad_h=1, pad_w=1)
     plan = plan_convolution(p, CALIBRATED_ARCH, MkInfo(n_win=4, n_f=4))
     x, flt = rand_tensors(rng, p)

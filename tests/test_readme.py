@@ -33,5 +33,5 @@ def test_readme_export_list_matches_all():
                      text, re.M | re.S)
     assert para
     named = set(re.findall(r"`([A-Za-z_]\w*)`", para.group(0)))
-    assert {"execute_region", "pack_filter", "RunCounters"} <= named
+    assert {"ConvPlan", "pack_filter", "RunCounters"} <= named
     assert named <= set(slicedconv.__all__), named - set(slicedconv.__all__)
