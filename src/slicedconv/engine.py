@@ -120,8 +120,11 @@ class ConvPlan:
         one a partial block then added into it. Results must match the
         built-in kernel within the engine tolerance. kernel.microkernel,
         pack_input and pack_filter are looked up as module globals, so a
-        wrapper installed there sees each call. counters, a RunCounters,
-        records the run's packs and accumulator touches.
+        wrapper installed there sees each call, and a kernel installed
+        at kernel.microkernel is handed a zeroed accumulator as a hook
+        is; only the built-in microkernel, which overwrites every
+        element, writes the uninitialised output directly. counters, a
+        RunCounters, records the run's packs and accumulator touches.
         """
         p, conv = self.params, self.info.conv
         x = np.ascontiguousarray(x, dtype=DTYPE)
@@ -131,11 +134,11 @@ class ConvPlan:
                                   (p.oc, p.ic, p.fh, p.fw))):
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, not {shape}")
-        # Every element is written by the first GEMM of one window set.
-        # Zeros give a hook that adds into acc the right answer too, and
-        # leave a kernel that skips a block zeros, not the old output a
-        # reused allocation may hold.
-        out = np.zeros((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
+        # Every element is written by the first GEMM of one window set, so
+        # the output starts uninitialised: the built-in kernel overwrites
+        # each block, and _run_layer zeroes the block before any other
+        # kernel writes it.
+        out = np.empty((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
         _run_layer(x, filters, out, p, conv, self.sets, self.chunk, self.mk,
                    hook, counters)
         return out, self.info

@@ -27,6 +27,11 @@ of the output in place. The filter operand is a read-only view of the
 filter tensor, which nothing copies. A microkernel hook, passed as the
 hook argument of ConvPlan.run, replaces exactly that call.
 
+The output arrives uninitialised. The built-in microkernel overwrites
+every element of its block, so only a call of another kernel, a hook or
+whatever is installed at kernel.microkernel, has its block zeroed first:
+such a kernel may add into acc, and a block it skips reads zeros.
+
 Padding is never materialized for the whole input: a padded layer pads
 one channel chunk of one image at a time into one buffer, zeroed once,
 whose border stays zero, and packs from it as from a pre-padded input.
@@ -80,6 +85,10 @@ def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
     return acc
 
 
+# The one kernel _run_layer hands an unzeroed acc (see the module docstring).
+_BUILTIN = microkernel
+
+
 @dataclass
 class RunCounters:
     """Pack/accumulate instrumentation, keyed by tile coordinates.
@@ -123,9 +132,10 @@ def _run_layer(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                hook, counters: RunCounters | None) -> None:
     """The layer loop nest, unchecked: the layer p, run in the given
     window sets (window_sets' (first window, windows) pairs) and in
-    chunks of chunk channels, writing all of the zeroed, C-contiguous
-    out. pconv is the padded problem's ConvInfo. ConvPlan.run, its one
-    caller, documents the hook and counters.
+    chunks of chunk channels, writing every element of the C-contiguous
+    out, which may hold anything on entry. pconv is the padded problem's
+    ConvInfo. ConvPlan.run, its one caller, documents the hook and
+    counters.
     """
     n_win, n_f = mk.n_win, mk.n_f
     ff = p.fh * p.fw
@@ -152,6 +162,7 @@ def _run_layer(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
         pad = None
     out_flat = out.reshape(p.n, p.oc, pconv.ohw)
     gemm = microkernel if hook is None else hook
+    zero = gemm is not _BUILTIN
     if counters is not None:
         counters.filter_packs.update(
             (0, f // n_f) for f in range(0, p.oc, n_f))
@@ -171,8 +182,8 @@ def _run_layer(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
                 # The first chunk writes the output block, a later one the
                 # partial block that is then added in.
                 acc = part if c0 else blk
-                if c0 and hook is not None:
-                    acc.fill(0)  # a hook may add into acc
+                if zero:
+                    acc.fill(0)
                 gemm(in_mat, f_chunk.T, acc)
                 if c0:
                     blk += acc

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -8,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, conv_info, plan_at,
-                      rand_tensors, random_params)
+from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REPO_ROOT, conv_info,
+                      plan_at, rand_tensors, random_params)
 from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
                         load_arch, load_suite, microkernel, naive_conv,
@@ -17,7 +18,7 @@ from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind,
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
-from slicedconv.packing import pack_input
+from slicedconv.packing import pack_input, reads_in_place
 from slicedconv.regions import plan_regions
 from slicedconv.strategy import tile_bytes
 
@@ -1186,3 +1187,158 @@ def test_a_chunked_layer_is_one_window_set():
             assert plan.sets == ((0, conv.ohw),), (p, arch, mk, set_tiles,
                                                    chunk)
     assert chunked >= 100 and planned >= 500
+
+
+def _run_into(plan, x, flt, fill):
+    """plan's layer run by the built-in kernel into an output first filled
+    with fill."""
+    p, conv = plan.params, plan.info.conv
+    out = np.full((p.n, p.oc, conv.oh, conv.ow), fill, DTYPE)
+    kernel._run_layer(x, flt, out, p, conv, plan.sets, plan.chunk, plan.mk,
+                      None, None)
+    return out
+
+
+def _assert_fill_is_overwritten(plan, x, flt):
+    """The built-in kernel writes every output element: run into NaN, into
+    zeros and by plan.run, the three outputs are bitwise equal."""
+    nan = _run_into(plan, x, flt, np.nan)
+    zeros = _run_into(plan, x, flt, 0.0)
+    ran, _ = plan.run(x, flt)
+    assert nan.tobytes() == zeros.tobytes() == ran.tobytes()
+
+
+def test_random_layers_write_every_output_element(rng):
+    # ConvPlan.run's output starts uninitialised, so a window set or loop
+    # bug that skips a block would leave stale memory there. Random
+    # layers, machines and microkernels, drawn as
+    # test_a_chunked_layer_is_one_window_set draws them but smaller and
+    # at batch 1 or 2, each run into a NaN-filled output, come out
+    # bitwise equal to the run into zeros: chunked, padded, strided,
+    # dilated, batched, pointwise read in place and window-tail layers.
+    seen = Counter()
+    for _ in range(150):
+        p = random_params(rng, max_ic=96, max_oc=48, max_out=24,
+                          n=int(rng.integers(1, 3)))
+        mk = MkInfo(n_win=int(rng.choice((4, 8, 16, 32))),
+                    n_f=int(rng.choice((4, 8, 16))))
+        l1 = int(rng.integers(8, 257)) * 1024
+        l2 = l1 * int(rng.integers(2, 17))
+        l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
+        try:
+            plan = plan_convolution(p, ArchInfo(l1_bytes=l1, l2_bytes=l2,
+                                                l3_bytes=l3), mk)
+        except ValueError:
+            continue
+        _assert_fill_is_overwritten(plan, *rand_tensors(rng, p))
+        seen.update({
+            "chunked": plan.chunk < p.ic, "padded": p.pad_h > 0,
+            "strided": p.stride_h > 1, "dilated": p.dil_h > 1,
+            "batched": p.n > 1, "in place": reads_in_place(p),
+            "tail": plan.info.conv.ohw % mk.n_win > 0,
+            "several sets": len(plan.sets) > 1})
+    assert min(seen.values()) >= 5, seen
+
+
+def _shipped_layers():
+    """The distinct layers of bench/layers.jsonl, fixtures/smoke.jsonl and
+    fixtures/deep.jsonl (conv4, conv5 and the pointwise layer are in both
+    the bench and the deep suite), by id."""
+    bench = (REPO_ROOT / "bench" / "layers.jsonl").read_text()
+    layers = {rec["id"]: ConvParams(**rec["params"])
+              for rec in map(json.loads, bench.splitlines())}
+    for name in ("smoke.jsonl", "deep.jsonl"):
+        layers.update((c.id, c.params)
+                      for c in load_suite(FIXTURES / name)[0])
+    return [pytest.param(p, id=lid) for lid, p in layers.items()]
+
+
+@pytest.mark.parametrize("mk", [MkInfo(1, 1), MkInfo(16, 8), MkInfo(128, 8)],
+                         ids=["1x1", "16x8", "128x8"])
+@pytest.mark.parametrize("p", _shipped_layers())
+def test_shipped_layers_write_every_output_element(rng, p, mk):
+    # The bench, smoke and deep layers under intel.toml, whose caches
+    # bench/arch.toml pins, with the 1x1, 16x8 and 128x8 microkernels.
+    plan = plan_convolution(p, load_arch(FIXTURES / "intel.toml"), mk)
+    _assert_fill_is_overwritten(plan, *rand_tensors(rng, p))
+
+
+def _drop_a_nan_output(plan, x, flt):
+    """Run plan, fill its output with NaN and drop it, so that the next
+    run's uninitialised output may hold that memory."""
+    plan.run(x, flt)[0].fill(np.nan)
+
+
+def _skip_every_other_call(calls):
+    """A kernel to install at kernel.microkernel that records each call's
+    accumulator and runs only every second call, from the second."""
+    def skipping(pin, pf, acc):
+        calls.append(acc.copy())
+        if len(calls) % 2 == 0:
+            microkernel(pin, pf, acc)
+    return skipping
+
+
+@pytest.mark.parametrize("p", [CONV4, TAIL_CASES["batch2"][0]],
+                         ids=["conv4", "tail_batch2_5x5"])
+def test_a_hook_gets_zeros_where_a_dropped_output_was(rng, p):
+    # conv4 runs padded in 7 chunks of one window set, tail_batch2_5x5 in
+    # two sets per image. After a run whose output is dropped, a hook is
+    # still handed an all-zero accumulator on every call: the first
+    # chunk's block of the output as well as each later partial block.
+    plan = plan_convolution(p, *_intel_16x8())
+    x, flt = rand_tensors(rng, p)
+    builtin, _ = plan.run(x, flt)
+    _drop_a_nan_output(plan, x, flt)
+    calls = []
+
+    def hook(pin, pf, acc):
+        calls.append(acc.any())
+        microkernel(pin, pf, acc)
+
+    out, _ = plan.run(x, flt, hook=hook)
+    assert calls == [False] * (p.n * len(plan.sets) * -(-p.ic // plan.chunk))
+    assert out.tobytes() == builtin.tobytes()
+
+
+def test_a_skipped_window_set_leaves_zeros_not_a_dropped_output(
+        rng, monkeypatch):
+    # tail_batch2_5x5 runs in one chunk, two window sets per image. With a
+    # kernel installed at kernel.microkernel that skips each image's first
+    # set, after a run whose output was dropped, those blocks are exactly
+    # 0.0 and the others are the built-in kernel's.
+    p = TAIL_CASES["batch2"][0]
+    plan = plan_convolution(p, *_intel_16x8())
+    assert len(plan.sets) == 2 and plan.chunk == p.ic
+    x, flt = rand_tensors(rng, p)
+    builtin, _ = plan.run(x, flt)
+    _drop_a_nan_output(plan, x, flt)
+    calls = []
+    monkeypatch.setattr(kernel, "microkernel", _skip_every_other_call(calls))
+    out, _ = plan.run(x, flt)
+    assert len(calls) == p.n * 2 and not any(acc.any() for acc in calls)
+    (w0, skipped), (w1, ran) = plan.sets
+    out, builtin = (a.reshape(p.n, p.oc, -1) for a in (out, builtin))
+    assert (out[:, :, w0:w0 + skipped] == 0.0).all()
+    assert np.array_equal(out[:, :, w1:w1 + ran], builtin[:, :, w1:w1 + ran])
+
+
+def test_a_skipped_chunk_adds_zeros_not_a_dropped_output(rng, monkeypatch):
+    # conv4 runs padded in 7 chunks of 37 channels (the last 34) of one
+    # window set. A kernel installed at kernel.microkernel that skips
+    # chunks 0, 2, 4 and 6, after a run whose output was dropped, leaves
+    # zeros for them, the first chunk's output block included: the output
+    # is the built-in run's on an input whose skipped channels are zero.
+    plan = plan_convolution(CONV4, *_intel_16x8())
+    assert plan.chunk == 37 and len(plan.sets) == 1
+    x, flt = rand_tensors(rng, CONV4)
+    masked = x.copy()
+    for c0 in range(0, CONV4.ic, 2 * plan.chunk):
+        masked[:, c0:c0 + plan.chunk] = 0.0
+    expected, _ = plan.run(masked, flt)
+    _drop_a_nan_output(plan, x, flt)
+    calls = []
+    monkeypatch.setattr(kernel, "microkernel", _skip_every_other_call(calls))
+    out, _ = plan.run(x, flt)
+    assert len(calls) == 7 and not any(acc.any() for acc in calls)
+    assert np.array_equal(out, expected)
