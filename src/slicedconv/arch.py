@@ -17,7 +17,7 @@ Omitted keys fall back to documented defaults (32 KiB / 1 MiB / no L3 / 64 B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import ConvParams, out_shape, require_int
 
@@ -50,11 +50,6 @@ class ArchInfo:
             raise ValueError("L3 size must be >= 0 (0 = absent)")
         if self.cache_line_bytes < ELEM_BYTES or self.cache_line_bytes % ELEM_BYTES:
             raise ValueError("cache line must be a positive multiple of the element size")
-
-    def scaled(self, factor: int) -> "ArchInfo":
-        return replace(self, l1_bytes=self.l1_bytes * factor,
-                       l2_bytes=self.l2_bytes * factor,
-                       l3_bytes=self.l3_bytes * factor)
 
 
 @dataclass(frozen=True)

@@ -63,30 +63,6 @@ class TilingStrategy:
             raise ValueError("remainders must be >= 0")
 
 
-def tile_bytes(conv: ConvInfo, mk: MkInfo, nc: int) -> tuple[int, int, int]:
-    """Byte sizes of one (input, filter, output) tile at channel depth nc.
-
-    Input tile:  nc * fh * (n_win + fw - 1) elements (source slice form).
-    Filter tile: n_f * nc * fh * fw elements.
-    Output tile: n_f * n_win elements.
-    """
-    p = conv.params
-    in_b = nc * p.fh * (mk.n_win + p.fw - 1) * ELEM_BYTES
-    f_b = mk.n_f * nc * p.fh * p.fw * ELEM_BYTES
-    out_b = mk.n_f * mk.n_win * ELEM_BYTES
-    return in_b, f_b, out_b
-
-
-def window_tiles(conv: ConvInfo, mk: MkInfo) -> int:
-    """Full n_win-window tiles in the flattened output spatial dimension."""
-    return conv.ohw // mk.n_win
-
-
-def filter_tiles(conv: ConvInfo, mk: MkInfo) -> int:
-    """Full n_f-filter tiles in the output channel dimension."""
-    return conv.params.oc // mk.n_f
-
-
 def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[int, int, int]:
     """Remainder extents: (ic mod nc, filter-tiles mod k2, window-tiles mod k3).
 
@@ -96,22 +72,18 @@ def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[i
     only: no region splits input or output channels, since each region's
     GEMMs write all of its filters and reduce over all of its channels.
     """
-    r_nc = conv.params.ic % nc
-    r_k2 = filter_tiles(conv, mk) % k2
-    r_k3 = window_tiles(conv, mk) % k3
-    return r_nc, r_k2, r_k3
+    p = conv.params
+    return p.ic % nc, p.oc // mk.n_f % k2, conv.ohw // mk.n_win % k3
 
 
 def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
     """Pick schedule and tile sizes for a convolution on a given machine.
 
     Raises ValueError when even a single-channel tile set exceeds L1.
-    The arithmetic is tile_bytes, window_tiles, filter_tiles and
-    remainders written out in line, since the engine plans every call.
     """
     p = conv.params
-    # tile_bytes: an input and a filter tile grow by in1 and f1 bytes per
-    # channel, the output tile is out1 bytes at any depth.
+    # The paper's input and filter tiles grow by in1 and f1 bytes per
+    # channel; its output tile is out1 bytes at any depth.
     in1 = p.fh * (mk.n_win + p.fw - 1) * ELEM_BYTES
     f1 = mk.n_f * p.fh * p.fw * ELEM_BYTES
     out1 = mk.n_f * mk.n_win * ELEM_BYTES

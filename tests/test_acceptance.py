@@ -18,7 +18,7 @@ from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind, RunCounters,
                         pack_filter, pack_input, pad_input, run_convolution)
 from slicedconv.harness import max_relative_error
 from slicedconv.regions import plan_regions
-from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
+from tiling_oracle import filter_tiles, scaled, tile_bytes, window_tiles
 
 TOLERANCE = 1e-4
 
@@ -146,7 +146,7 @@ def test_criterion_4_analysis_invariants():
             assert s.r_k2 == filter_tiles(conv, mk) % s.k2
             assert s.r_k3 == window_tiles(conv, mk) % s.k3
             for factor in (2, 4):
-                s2 = analyze(conv, arch.scaled(factor), mk)
+                s2 = analyze(conv, scaled(arch, factor), mk)
                 assert s2.nc >= s.nc and s2.k2 >= s.k2 and s2.k3 >= s.k3, (
                     f"shrunk under scaling x{factor}: {s} -> {s2}")
         assert analyzed >= 900

@@ -20,7 +20,7 @@ from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
 from slicedconv.packing import pack_input, reads_in_place
 from slicedconv.regions import plan_regions
-from slicedconv.strategy import tile_bytes
+from tiling_oracle import tile_bytes
 
 SCHEDULES = (Schedule.InputStationary, Schedule.WeightStationary)
 

@@ -1,3 +1,4 @@
+import ast
 import re
 
 from conftest import REPO_ROOT
@@ -35,3 +36,28 @@ def test_readme_export_list_matches_all():
     named = set(re.findall(r"`([A-Za-z_]\w*)`", para.group(0)))
     assert {"ConvPlan", "pack_filter", "RunCounters"} <= named
     assert named <= set(slicedconv.__all__), named - set(slicedconv.__all__)
+
+
+def test_library_defines_nothing_uncalled():
+    # Every function and class in src/slicedconv, dunders aside, is either
+    # referenced by name (a Name or an Attribute) somewhere in the package
+    # or named in the README as API. A helper that only the tests call
+    # belongs in the tests (as tiling_oracle.py and packing_oracle.py do).
+    defined, referenced = {}, set()
+    for path in sorted((REPO_ROOT / "src" / "slicedconv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert len(defined) > 50
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    uncalled = {name: where for name, where in defined.items()
+                if not (name.startswith("__") and name.endswith("__"))
+                and name not in referenced
+                and not re.search(rf"\b{re.escape(name)}\b", readme)}
+    assert not uncalled, uncalled

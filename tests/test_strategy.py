@@ -3,7 +3,7 @@ import pytest
 from conftest import CALIBRATED_ARCH, REF_MK, REF_PARAMS, conv_info, random_params
 from slicedconv import (ArchInfo, ConvParams, MkInfo, Schedule, TilingStrategy,
                         analyze, remainders)
-from slicedconv.strategy import filter_tiles, tile_bytes, window_tiles
+from tiling_oracle import filter_tiles, scaled, tile_bytes, window_tiles
 
 
 def test_reference_case_matches_published_numbers():
@@ -122,7 +122,7 @@ def test_monotone_under_cache_scaling(rng):
         except ValueError:
             continue
         for factor in (2, 4):
-            s2 = analyze(conv, arch.scaled(factor), mk)
+            s2 = analyze(conv, scaled(arch, factor), mk)
             assert s2.nc >= s.nc and s2.k2 >= s.k2 and s2.k3 >= s.k3
 
 
