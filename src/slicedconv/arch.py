@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ConvParams, out_shape, require_int
+from .model import ConvParams, Record, _set, out_shape, require_int
 
 DEFAULT_L1_KIB = 32
 DEFAULT_L2_KIB = 1024
@@ -29,8 +29,8 @@ DEFAULT_CACHE_LINE = 64
 ELEM_BYTES = 4  # f32 only
 
 
-@dataclass(frozen=True)
-class ArchInfo:
+@dataclass(init=False, repr=False, eq=False)
+class ArchInfo(Record):
     """Cache hierarchy description. l3_bytes == 0 means the level is absent."""
 
     l1_bytes: int
@@ -38,7 +38,12 @@ class ArchInfo:
     l3_bytes: int = 0
     cache_line_bytes: int = 64
 
-    def __post_init__(self):
+    def __init__(self, l1_bytes: int, l2_bytes: int, l3_bytes: int = 0,
+                 cache_line_bytes: int = 64):
+        _set(self, "l1_bytes", l1_bytes)
+        _set(self, "l2_bytes", l2_bytes)
+        _set(self, "l3_bytes", l3_bytes)
+        _set(self, "cache_line_bytes", cache_line_bytes)
         for name in ("l1_bytes", "l2_bytes", "l3_bytes", "cache_line_bytes"):
             require_int(name, getattr(self, name))
         if self.l1_bytes < 1 or self.l2_bytes < 1:
@@ -52,28 +57,36 @@ class ArchInfo:
             raise ValueError("cache line must be a positive multiple of the element size")
 
 
-@dataclass(frozen=True)
-class MkInfo:
+@dataclass(init=False, repr=False, eq=False)
+class MkInfo(Record):
     """Microkernel shape: windows x filters per tile."""
 
     n_win: int
     n_f: int
 
-    def __post_init__(self):
+    def __init__(self, n_win: int, n_f: int):
+        _set(self, "n_win", n_win)
+        _set(self, "n_f", n_f)
         require_int("n_win", self.n_win)
         require_int("n_f", self.n_f)
         if self.n_win < 1 or self.n_f < 1:
             raise ValueError("n_win and n_f must be >= 1")
 
 
-@dataclass(frozen=True)
-class ConvInfo:
+@dataclass(init=False, repr=False, eq=False)
+class ConvInfo(Record):
     """Convolution parameters plus derived output extents."""
 
     params: ConvParams
     oh: int
     ow: int
     ohw: int
+
+    def __init__(self, params: ConvParams, oh: int, ow: int, ohw: int):
+        _set(self, "params", params)
+        _set(self, "oh", oh)
+        _set(self, "ow", ow)
+        _set(self, "ohw", ohw)
 
     @classmethod
     def from_params(cls, p: ConvParams) -> "ConvInfo":

@@ -45,13 +45,13 @@ import numpy as np
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, _run_layer, window_sets
-from .model import DTYPE, ConvParams, require_int
+from .model import DTYPE, ConvParams, Record, _set, require_int
 from .regions import KernelRegion, coverage_check, plan_regions
 from .strategy import TilingStrategy, analyze
 
 
-@dataclass(frozen=True)
-class RunInfo:
+@dataclass(init=False, repr=False, eq=False)
+class RunInfo(Record):
     """What a plan decided, returned with each of its runs: strategy plus
     the region decomposition."""
 
@@ -59,9 +59,15 @@ class RunInfo:
     regions: tuple[KernelRegion, ...]
     conv: ConvInfo  # padded-problem view (pad=0)
 
+    def __init__(self, strategy: TilingStrategy,
+                 regions: tuple[KernelRegion, ...], conv: ConvInfo):
+        _set(self, "strategy", strategy)
+        _set(self, "regions", regions)
+        _set(self, "conv", conv)
 
-@dataclass(frozen=True)
-class ConvPlan:
+
+@dataclass(init=False, repr=False, eq=False)
+class ConvPlan(Record):
     """One convolution planned for one machine and microkernel.
 
     params is the problem as the caller holds it (padded or not), info
@@ -82,8 +88,9 @@ class ConvPlan:
     chunk: int
     sets: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __post_init__(self):
-        set_tiles, chunk, ic = self.set_tiles, self.chunk, self.params.ic
+    def __init__(self, params: ConvParams, mk: MkInfo, info: RunInfo,
+                 set_tiles: int, chunk: int):
+        ic = params.ic
         require_int("set_tiles", set_tiles)
         if set_tiles < 1:
             raise ValueError(f"set_tiles must be at least 1, got {set_tiles}")
@@ -91,13 +98,17 @@ class ConvPlan:
         if not 1 <= chunk <= ic:
             raise ValueError(f"chunk must be from 1 to {ic} channels, "
                              f"got {chunk}")
-        sets = tuple(window_sets(self.info.conv.ohw, set_tiles,
-                                 self.mk.n_win))
+        sets = tuple(window_sets(info.conv.ohw, set_tiles, mk.n_win))
         if chunk < ic and len(sets) > 1:
             raise ValueError(f"a layer in chunks of {chunk} of {ic} channels "
                              f"runs as one window set, not {len(sets)} sets "
                              f"of {set_tiles} tiles")
-        object.__setattr__(self, "sets", sets)
+        _set(self, "params", params)
+        _set(self, "mk", mk)
+        _set(self, "info", info)
+        _set(self, "set_tiles", set_tiles)
+        _set(self, "chunk", chunk)
+        _set(self, "sets", sets)
 
     def run(self, x: np.ndarray, filters: np.ndarray, hook=None,
             counters: RunCounters | None = None

@@ -24,7 +24,6 @@ value, checked on every element against the 1e-4 engine tolerance.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .arch import ArchInfo, MkInfo
 from .engine import plan_convolution
-from .model import DTYPE, ConvParams, out_shape, require_int
+from .model import DTYPE, ConvParams, Record, _set, out_shape, require_int
 from .reference import rowwise_conv
 from .regions import KernelRegion
 
@@ -47,19 +46,32 @@ CSV_COLUMNS = ("id", "correct", "max_rel_err", "gflops", "schedule",
                "nc", "k2", "k3", "regions", "seconds")
 
 
-@dataclass(frozen=True)
-class ConvCase:
+@dataclass(init=False, repr=False, eq=False)
+class ConvCase(Record):
+    """One suite record: its id, its problem, and how many timed runs
+    (repeat, at least 1) a timing run makes of it."""
+
     id: str
     params: ConvParams
     repeat: int = 30
 
-    def __post_init__(self):
-        if self.repeat < 1:
-            raise ValueError(f"repeat must be at least 1, got {self.repeat}")
+    def __init__(self, id: str, params: ConvParams, repeat: int = 30):
+        if repeat < 1:
+            raise ValueError(f"repeat must be at least 1, got {repeat}")
+        _set(self, "id", id)
+        _set(self, "params", params)
+        _set(self, "repeat", repeat)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+@dataclass(init=False, repr=False, eq=False)
+class CaseReport(Record):
+    """One case's outcome: one CSV row (see CSV_COLUMNS), plus the engine's
+    error, if it raised, and whether it planned the case at all.
+
+    When the engine refused the case or raised, max_rel_err is inf,
+    schedule "-" and the other figures 0.
+    """
+
     id: str
     correct: bool
     max_rel_err: float
@@ -72,6 +84,23 @@ class CaseReport:
     seconds: float
     error: str = ""  # "<Type>: <message>" when the engine raised
     planned: bool = True  # False: the engine refused to plan the case
+
+    def __init__(self, id: str, correct: bool, max_rel_err: float,
+                 gflops: float, schedule: str, nc: int, k2: int, k3: int,
+                 regions: int, seconds: float, error: str = "",
+                 planned: bool = True):
+        _set(self, "id", id)
+        _set(self, "correct", correct)
+        _set(self, "max_rel_err", max_rel_err)
+        _set(self, "gflops", gflops)
+        _set(self, "schedule", schedule)
+        _set(self, "nc", nc)
+        _set(self, "k2", k2)
+        _set(self, "k3", k3)
+        _set(self, "regions", regions)
+        _set(self, "seconds", seconds)
+        _set(self, "error", error)
+        _set(self, "planned", planned)
 
 
 def _axis_pair(rec: dict, base: str, default: int) -> tuple[int, int]:
@@ -109,6 +138,9 @@ def parse_case(rec: dict, default_id: str) -> ConvCase:
 
 def load_suite(path) -> tuple[list[ConvCase], list[str]]:
     """Parse a JSONL suite; returns (cases, error messages)."""
+    # Imported here, as run_suite imports its thread pool: an import of the
+    # package that loads no suite need not load json.
+    import json
     cases, errors, seen = [], [], set()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import ConvInfo, MkInfo
-from .model import DTYPE, ConvParams
+from .model import DTYPE, ConvParams, Record
 from .packing import pack_filter, pack_input, reads_in_place
 
 
@@ -89,8 +89,8 @@ def microkernel(packed_in: np.ndarray, packed_f: np.ndarray,
 _BUILTIN = microkernel
 
 
-@dataclass
-class RunCounters:
+@dataclass(init=False, repr=False, eq=False)
+class RunCounters(Record):
     """Pack/accumulate instrumentation, keyed by tile coordinates.
 
     Each key names a tile once per scope it is packed for, so a run that
@@ -109,6 +109,19 @@ class RunCounters:
     input_packs: Counter = field(default_factory=Counter)
     filter_packs: Counter = field(default_factory=Counter)
     acc_touches: Counter = field(default_factory=Counter)  # (b, w_tile, f_tile)
+
+    # Unlike the other records, mutable, and so unhashable.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, input_packs: Counter | None = None,
+                 filter_packs: Counter | None = None,
+                 acc_touches: Counter | None = None):
+        self.input_packs = Counter() if input_packs is None else input_packs
+        self.filter_packs = (Counter() if filter_packs is None
+                             else filter_packs)
+        self.acc_touches = Counter() if acc_touches is None else acc_touches
 
 
 def window_sets(span: int, set_tiles: int,

@@ -8,15 +8,62 @@ one channel chunk at a time rather than the whole input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
 DTYPE = np.float32
 
+# Each record's __init__ sets its fields through this, past the frozen
+# __setattr__.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class ConvParams:
+
+class Record:
+    """Base of the package's records: frozen values compared, hashed and
+    printed field by field.
+
+    Each record is a dataclass declared with init=False, repr=False and
+    eq=False, so dataclasses.fields, replace and is_dataclass work on it
+    but the standard library generates no code for it, which would cost
+    every import about a millisecond per class. Its own __init__ checks
+    its arguments and sets each field with _set, one at a time in field
+    order, as the generated __init__ did, so that its instances share
+    their attribute-name keys. Equality, hashing and repr are those of
+    dataclass(frozen=True): equal when of one class with equal field
+    tuples, the hash of that tuple, and "Name(field=value, ...)". They
+    read the fields from __dataclass_fields__, which holds exactly what
+    dataclasses.fields lists, since no record declares a ClassVar or an
+    InitVar.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __hash__(self):
+        return hash(_values(self))
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}"
+                          for name in self.__dataclass_fields__])
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _values(record: Record) -> tuple:
+    return tuple([getattr(record, name)
+                  for name in record.__dataclass_fields__])
+
+
+@dataclass(init=False, repr=False, eq=False)
+class ConvParams(Record):
     """Full 2-D convolution problem description.
 
     n:      batch count
@@ -42,7 +89,23 @@ class ConvParams:
     pad_h: int = 0
     pad_w: int = 0
 
-    def __post_init__(self):
+    def __init__(self, n: int, ic: int, ih: int, iw: int, oc: int, fh: int,
+                 fw: int, stride_h: int = 1, stride_w: int = 1,
+                 dil_h: int = 1, dil_w: int = 1, pad_h: int = 0,
+                 pad_w: int = 0):
+        _set(self, "n", n)
+        _set(self, "ic", ic)
+        _set(self, "ih", ih)
+        _set(self, "iw", iw)
+        _set(self, "oc", oc)
+        _set(self, "fh", fh)
+        _set(self, "fw", fw)
+        _set(self, "stride_h", stride_h)
+        _set(self, "stride_w", stride_w)
+        _set(self, "dil_h", dil_h)
+        _set(self, "dil_w", dil_w)
+        _set(self, "pad_h", pad_h)
+        _set(self, "pad_w", pad_w)
         for name in self.__dataclass_fields__:
             require_int(name, getattr(self, name))
         for name in ("n", "ic", "ih", "iw", "oc", "fh", "fw",
@@ -61,7 +124,7 @@ class ConvParams:
 
         This problem itself when it has no padding. Otherwise every field
         follows from checked ones, so it is built without re-running
-        __post_init__'s checks, which cost several times the copy and
+        __init__'s checks, which cost several times the copy and
         which a padded run would pay twice: the engine's analysis and the
         executor's packing both address the padded problem.
         """

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 
 from .arch import ConvInfo, MkInfo
+from .model import Record, _set
 from .strategy import TilingStrategy
 
 
@@ -35,8 +36,8 @@ class RegionKind(enum.Enum):
     Remainder = "remainder"
 
 
-@dataclass(frozen=True)
-class KernelRegion:
+@dataclass(init=False, repr=False, eq=False)
+class KernelRegion(Record):
     """A rectangular sub-range of the (windows x oc x ic) iteration space."""
 
     spatial_start: int
@@ -46,6 +47,16 @@ class KernelRegion:
     ic_start: int
     ic_len: int
     kind: RegionKind
+
+    def __init__(self, spatial_start: int, spatial_len: int, oc_start: int,
+                 oc_len: int, ic_start: int, ic_len: int, kind: RegionKind):
+        _set(self, "spatial_start", spatial_start)
+        _set(self, "spatial_len", spatial_len)
+        _set(self, "oc_start", oc_start)
+        _set(self, "oc_len", oc_len)
+        _set(self, "ic_start", ic_start)
+        _set(self, "ic_len", ic_len)
+        _set(self, "kind", kind)
 
     @property
     def e_off(self) -> int:

@@ -37,6 +37,7 @@ import enum
 from dataclasses import dataclass
 
 from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
+from .model import Record, _set
 
 
 class Schedule(enum.Enum):
@@ -44,8 +45,8 @@ class Schedule(enum.Enum):
     WeightStationary = "WS"
 
 
-@dataclass(frozen=True)
-class TilingStrategy:
+@dataclass(init=False, repr=False, eq=False)
+class TilingStrategy(Record):
     """Chosen schedule plus tile sizes and remainders."""
 
     schedule: Schedule
@@ -56,7 +57,15 @@ class TilingStrategy:
     r_k2: int
     r_k3: int
 
-    def __post_init__(self):
+    def __init__(self, schedule: Schedule, nc: int, k2: int, k3: int,
+                 r_nc: int, r_k2: int, r_k3: int):
+        _set(self, "schedule", schedule)
+        _set(self, "nc", nc)
+        _set(self, "k2", k2)
+        _set(self, "k3", k3)
+        _set(self, "r_nc", r_nc)
+        _set(self, "r_k2", r_k2)
+        _set(self, "r_k3", r_k3)
         if min(self.nc, self.k2, self.k3) < 1:
             raise ValueError("tile sizes must be >= 1")
         if min(self.r_nc, self.r_k2, self.r_k3) < 0:

@@ -189,13 +189,14 @@ def test_run_suite_parallel_matches_serial():
 
 def test_import_leaves_the_thread_pool_unloaded():
     # Only run_suite(jobs > 1) uses concurrent.futures, which pulls in
-    # logging and queue; importing the package after NumPy must not load
-    # it. A fresh interpreter, since this one has run parallel suites.
+    # logging and queue, and only load_suite parses JSON; importing the
+    # package after NumPy must load neither. A fresh interpreter, since
+    # this one has run parallel suites.
     code = ("import sys, numpy\n"
             "before = set(sys.modules)\n"
             "import slicedconv\n"
             "print(sorted(m for m in set(sys.modules) - before\n"
-            "             if m.split('.')[0] == 'concurrent'))\n")
+            "             if m.split('.')[0] in ('concurrent', 'json')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
