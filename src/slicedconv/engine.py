@@ -135,7 +135,7 @@ class ConvPlan(Record):
         at kernel.microkernel is handed a zeroed accumulator as a hook
         is; only the built-in microkernel, which overwrites every
         element, writes the uninitialised output directly. counters, a
-        RunCounters, records the run's packs and accumulator touches.
+        RunCounters, records the run's packs.
         """
         p, conv = self.params, self.info.conv
         x = np.ascontiguousarray(x, dtype=DTYPE)

@@ -215,16 +215,19 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
     def verify(idx: int):
         case = cases[idx]
         try:
-            plan = plan_convolution(case.params, arch, mk)
-        except ValueError as exc:
-            return _failure_report(case, exc, planned=False)
-        x, flt = init_tensors(case, seed, idx)
-        t0 = time.perf_counter()
-        out, info = plan.run(x, flt)
-        elapsed = time.perf_counter() - t0
-        if verify_only:  # the plan runs no more: free it before the reference
-            plan = None
-        err = max_relative_error(out, rowwise_conv(x, flt, case.params))
+            try:
+                plan = plan_convolution(case.params, arch, mk)
+            except ValueError as exc:
+                return _failure_report(case, exc, planned=False)
+            x, flt = init_tensors(case, seed, idx)
+            t0 = time.perf_counter()
+            out, info = plan.run(x, flt)
+            elapsed = time.perf_counter() - t0
+            if verify_only:  # no more runs: free it before the reference
+                plan = None
+            err = max_relative_error(out, rowwise_conv(x, flt, case.params))
+        except Exception as exc:  # recorded per case, the run continues
+            return _failure_report(case, exc)
         return err, info, elapsed, plan
 
     if jobs > 1:
@@ -232,9 +235,9 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
         # which a serial run, and every import of the package, would pay for.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_guard(verify), range(len(cases))))
+            outcomes = list(pool.map(verify, range(len(cases))))
     else:
-        outcomes = [_guard(verify)(i) for i in range(len(cases))]
+        outcomes = [verify(i) for i in range(len(cases))]
 
     reports = []
     regions_map: dict[str, tuple[KernelRegion, ...]] = {}
@@ -242,9 +245,6 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
         outcome = outcomes[idx]
         if isinstance(outcome, CaseReport):
             reports.append(outcome)
-            continue
-        if isinstance(outcome, Exception):
-            reports.append(_failure_report(case, outcome))
             continue
         err, info, verify_seconds, plan = outcome
         regions_map[case.id] = info.regions
@@ -266,15 +266,6 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
             schedule=strat.schedule.value, nc=strat.nc, k2=strat.k2,
             k3=strat.k3, regions=len(info.regions), seconds=mean))
     return reports, regions_map
-
-
-def _guard(fn):
-    def wrapped(idx):
-        try:
-            return fn(idx)
-        except Exception as exc:  # recorded per case, run continues
-            return exc
-    return wrapped
 
 
 def format_csv(reports: list[CaseReport]) -> str:

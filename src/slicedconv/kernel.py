@@ -91,7 +91,7 @@ _BUILTIN = microkernel
 
 @dataclass(init=False, repr=False, eq=False)
 class RunCounters(Record):
-    """Pack/accumulate instrumentation, keyed by tile coordinates.
+    """Pack instrumentation, keyed by tile coordinates.
 
     Each key names a tile once per scope it is packed for, so a run that
     packs nothing twice counts 1 everywhere. Window tiles are packed once
@@ -102,13 +102,11 @@ class RunCounters(Record):
     counts once. A partial last tile is counted with the last set, once
     too. The filter tiles are taken once per run, as views of the filter
     tensor that copy nothing (one per chunk, over disjoint channels),
-    keyed (0, filter tile). acc_touches counts one touch of each output
-    tile per GEMM that reaches it, so once per channel chunk.
+    keyed (0, filter tile).
     """
 
     input_packs: Counter = field(default_factory=Counter)
     filter_packs: Counter = field(default_factory=Counter)
-    acc_touches: Counter = field(default_factory=Counter)  # (b, w_tile, f_tile)
 
     # Unlike the other records, mutable, and so unhashable.
     __setattr__ = object.__setattr__
@@ -116,12 +114,10 @@ class RunCounters(Record):
     __hash__ = None
 
     def __init__(self, input_packs: Counter | None = None,
-                 filter_packs: Counter | None = None,
-                 acc_touches: Counter | None = None):
+                 filter_packs: Counter | None = None):
         self.input_packs = Counter() if input_packs is None else input_packs
         self.filter_packs = (Counter() if filter_packs is None
                              else filter_packs)
-        self.acc_touches = Counter() if acc_touches is None else acc_touches
 
 
 def window_sets(span: int, set_tiles: int,
@@ -204,8 +200,3 @@ def _run_layer(x: np.ndarray, filters: np.ndarray, out: np.ndarray,
             for w0, cols in sets:
                 counters.input_packs.update(
                     (b, w // n_win) for w in range(w0, w0 + cols, n_win))
-                counters.acc_touches.update(
-                    (b, w // n_win, f // n_f)
-                    for _ in chunks
-                    for w in range(w0, w0 + cols, n_win)
-                    for f in range(0, p.oc, n_f))

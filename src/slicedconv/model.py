@@ -126,13 +126,18 @@ class ConvParams(Record):
         follows from checked ones, so it is built without re-running
         __init__'s checks, which cost several times the copy and
         which a padded run would pay twice: the engine's analysis and the
-        executor's packing both address the padded problem.
+        executor's packing both address the padded problem. Its fields
+        are set one at a time in field order, as __init__ sets them, so
+        its instance dict shares its keys as an __init__-built one's does.
         """
         if not (self.pad_h or self.pad_w):
             return self
+        grown = {"ih": self.ih + 2 * self.pad_h, "iw": self.iw + 2 * self.pad_w,
+                 "pad_h": 0, "pad_w": 0}
         q = object.__new__(ConvParams)
-        q.__dict__.update(self.__dict__, ih=self.ih + 2 * self.pad_h,
-                          iw=self.iw + 2 * self.pad_w, pad_h=0, pad_w=0)
+        for name in self.__dataclass_fields__:
+            _set(q, name,
+                 grown[name] if name in grown else getattr(self, name))
         return q
 
 

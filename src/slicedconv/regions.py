@@ -12,8 +12,10 @@ No region splits input or output channels: a window set runs against all
 filters and reduces over all channels (in L2-sized chunks where the
 engine splits a deep reduction), and the GEMM blocks its operands itself,
 so the analysis's nc and k2 and their remainders r_nc and r_k2 size no
-region. The engine reports this plan and runs the layer as one span (see
-engine.py).
+region. coverage_check therefore checks a plan in the one dimension it
+splits: each region spans all channels, and the regions' window ranges
+tile the layer's windows. The engine reports this plan and runs the layer
+as one span (see engine.py).
 
 Regions are only the reported plan (RunInfo.regions, the CSV,
 --dump-regions): the executor and the packers take plain window and
@@ -102,27 +104,18 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
 
 
 def coverage_check(regions: list[KernelRegion], conv: ConvInfo) -> bool:
-    """True iff regions are pairwise disjoint and exactly cover the space."""
-    total = conv.ohw * conv.params.oc * conv.params.ic
-    vol = 0
-    for r in regions:
-        if r.spatial_len < 0 or r.oc_len < 0 or r.ic_len < 0:
-            return False
-        if r.spatial_start < 0 or r.spatial_start + r.spatial_len > conv.ohw:
-            return False
-        if r.oc_start < 0 or r.oc_start + r.oc_len > conv.params.oc:
-            return False
-        if r.ic_start < 0 or r.ic_start + r.ic_len > conv.params.ic:
-            return False
-        vol += r.spatial_len * r.oc_len * r.ic_len
-    for i, a in enumerate(regions):
-        for b in regions[i + 1:]:
-            if (_overlap(a.spatial_start, a.spatial_len, b.spatial_start, b.spatial_len)
-                    and _overlap(a.oc_start, a.oc_len, b.oc_start, b.oc_len)
-                    and _overlap(a.ic_start, a.ic_len, b.ic_start, b.ic_len)):
-                return False
-    return vol == total
+    """True iff the regions cover the layer exactly once.
 
-
-def _overlap(s0, l0, s1, l1) -> bool:
-    return s0 < s1 + l1 and s1 < s0 + l0
+    Every region must span all output and input channels (oc_start =
+    ic_start = 0, oc_len = oc, ic_len = ic), and the regions' window
+    ranges, sorted, must tile [0, ohw): no gap, no overlap and no region
+    without a window.
+    """
+    full = (0, conv.params.oc, 0, conv.params.ic)
+    end = 0
+    for r in sorted(regions, key=lambda r: r.spatial_start):
+        if ((r.oc_start, r.oc_len, r.ic_start, r.ic_len) != full
+                or r.spatial_start != end or r.spatial_len < 1):
+            return False
+        end += r.spatial_len
+    return end == conv.ohw

@@ -122,6 +122,5 @@ def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
     schedule = (Schedule.InputStationary
                 if p.n * p.ih * p.iw >= p.oc * p.fh * p.fw
                 else Schedule.WeightStationary)
-    return TilingStrategy(schedule=schedule, nc=nc, k2=k2, k3=k3,
-                          r_nc=p.ic % nc, r_k2=n_ftiles % k2,
-                          r_k3=n_wtiles % k3)
+    return TilingStrategy(schedule, nc, k2, k3,
+                          *remainders(conv, mk, nc, k2, k3))

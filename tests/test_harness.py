@@ -227,6 +227,30 @@ def test_run_suite_failure_report_names_the_exception():
     assert format_csv(reports).splitlines()[1].startswith("toobig,false,inf,")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_coverage_failure_is_an_engine_failure(monkeypatch, capsys, jobs):
+    # A plan whose regions fail the coverage check is the engine's fault,
+    # not the input's: each case reports the RuntimeError as planned, and
+    # the CLI exits 1, serially and from the thread pool.
+    from slicedconv import engine
+    from slicedconv.cli import main
+    monkeypatch.setattr(engine, "coverage_check", lambda regions, conv: False)
+    cases, _ = load_suite(FIXTURES / "smoke.jsonl")
+    reports, regions = run_suite(cases, load_arch(FIXTURES / "intel.toml"),
+                                 MkInfo(n_win=16, n_f=8), verify_only=True,
+                                 jobs=jobs)
+    assert regions == {}
+    assert all(r.error == "RuntimeError: region decomposition does not cover"
+               and r.planned and not r.correct for r in reports)
+    assert main(["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+                 "--arch", str(FIXTURES / "intel.toml"), "--nwin", "16",
+                 "--nf", "8", "--verify-only", "--jobs", str(jobs),
+                 "--out", "/dev/null"]) == 1
+    err = capsys.readouterr().err
+    assert "case tail_3x3 failed: RuntimeError: region decomposition" in err
+    assert "0 correct, 6 incorrect, 0 not planned" in err
+
+
 def test_run_suite_divisible_case_single_region():
     cases, _ = load_suite(FIXTURES / "smoke.jsonl")
     arch = load_arch(FIXTURES / "intel.toml")

@@ -10,6 +10,7 @@ __init__'s did.
 
 import inspect
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
@@ -55,7 +56,7 @@ RECORDS = {
                        f"sets=((0, 16), (16, 20)))"),
     "RunCounters": (RunCounters(input_packs=Counter({(0, 1): 2})),
                     "RunCounters(input_packs=Counter({(0, 1): 2}), "
-                    "filter_packs=Counter(), acc_touches=Counter())"),
+                    "filter_packs=Counter())"),
     "ConvCase": (ConvCase(id="c", params=P, repeat=2),
                  f"ConvCase(id='c', params={P_REPR}, repeat=2)"),
     "CaseReport": (CaseReport(id="c", correct=False, max_rel_err=float("inf"),
@@ -191,6 +192,34 @@ def test_dict_shares_its_keys_like_a_plain_object(name):
         for attr, value in obj.__dict__.items():
             setattr(plain, attr, value)
     assert sys.getsizeof(copies[-1].__dict__) == sys.getsizeof(plain.__dict__)
+
+
+def _traced_bytes(make, count=1000, rounds=3):
+    # Bytes that count results of make() hold, per result, at the least of
+    # a few rounds: the first traced round pays a one-time cost.
+    least = None
+    for _ in range(rounds):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [make() for _ in range(count)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        del kept
+        least = held if least is None else min(least, held)
+    return least / count
+
+
+def test_padded_copy_is_no_larger_than_an_init_built_one():
+    # padded() skips __init__'s checks but sets the fields as __init__
+    # does, one at a time in field order, so its copy keeps a key-sharing
+    # dict and holds no more memory than a ConvParams built from the same
+    # fields.
+    values = [getattr(P.padded(), name) for name in P.__dataclass_fields__]
+    assert P.pad_w and values[-2:] == [0, 0]
+    assert (_traced_bytes(P.padded)
+            <= _traced_bytes(lambda: ConvParams(*values)))
 
 
 def test_import_generates_no_docstring_signature():

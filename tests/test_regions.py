@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,71 @@ def test_coverage_rejects_a_region_out_of_range(field, value):
     whole = KernelRegion(0, 16, 0, 5, 0, 3, RegionKind.Main)
     assert coverage_check([whole], conv)
     assert not coverage_check([replace(whole, **{field: value})], conv)
+
+
+WHOLE = KernelRegion(0, 16, 0, 5, 0, 3, M)
+
+
+@pytest.mark.parametrize("regions", [
+    [replace(WHOLE, oc_len=2), replace(WHOLE, oc_start=2, oc_len=3)],
+    [replace(WHOLE, ic_len=1), replace(WHOLE, ic_start=1, ic_len=2)],
+    [WHOLE, replace(WHOLE, spatial_len=0)],
+    [WHOLE, replace(WHOLE, spatial_start=16, spatial_len=0, kind=R)],
+], ids=["oc_split", "ic_split", "empty_first", "empty_last"])
+def test_coverage_refuses_what_no_plan_makes(regions):
+    # Each list covers the 16 windows x 5 filters x 3 channels exactly
+    # once, but splits channels or holds a region without a window, which
+    # plan_regions never makes.
+    conv = conv_info(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
+    assert _exhaustive_cover(regions, conv)
+    assert not coverage_check(regions, conv)
+
+
+def _window_cover(regions, conv):
+    """Brute-force oracle: every region spans all channels and holds a
+    window, and each window of [0, ohw), and no other, is in exactly one
+    region."""
+    full = (0, conv.params.oc, 0, conv.params.ic)
+    counts = Counter()
+    for r in regions:
+        if (r.oc_start, r.oc_len, r.ic_start, r.ic_len) != full \
+                or r.spatial_len < 1:
+            return False
+        counts.update(range(r.spatial_start, r.spatial_start + r.spatial_len))
+    return counts == Counter(range(conv.ohw))
+
+
+def test_coverage_matches_a_window_count_on_mutated_plans(rng):
+    # One region of a random plan shifted, resized, dropped, duplicated or
+    # split in two, the list in any order: the check's verdict is the
+    # oracle's.
+    verdicts = Counter()
+    for _ in range(400):
+        p = random_params(rng, max_ic=6, max_oc=12, max_out=9)
+        conv = conv_info(p.padded())
+        mk = MkInfo(n_win=int(rng.choice((1, 2, 4, 8))), n_f=4)
+        regions = plan_regions(conv, analyze(conv, CALIBRATED_ARCH, mk), mk)
+        i = int(rng.integers(len(regions)))
+        r, d = regions[i], int(rng.integers(-3, 4))
+        kind = rng.choice(["shift", "resize", "drop", "duplicate", "split"])
+        if kind == "shift":
+            regions[i] = replace(r, spatial_start=r.spatial_start + d)
+        elif kind == "resize":
+            regions[i] = replace(r, spatial_len=r.spatial_len + d)
+        elif kind == "drop":
+            del regions[i]
+        elif kind == "duplicate":
+            regions.append(r)
+        else:
+            cut = int(rng.integers(r.spatial_len + 1))
+            regions[i:i + 1] = [replace(r, spatial_len=cut),
+                                replace(r, spatial_start=r.spatial_start + cut,
+                                        spatial_len=r.spatial_len - cut)]
+        regions = [regions[j] for j in rng.permutation(len(regions))]
+        want = _window_cover(regions, conv)
+        assert coverage_check(regions, conv) == want, (kind, regions)
+        verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_reference_plan_lens():
