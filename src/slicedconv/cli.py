@@ -111,9 +111,14 @@ def cmd_run(args) -> int:
             if not existed:
                 created.append(path)
 
-    reports, regions_map = run_suite(
-        cases, arch, mk, seed=args.seed, verify_only=args.verify_only,
-        jobs=args.jobs)
+    try:
+        reports, regions_map = run_suite(
+            cases, arch, mk, seed=args.seed, verify_only=args.verify_only,
+            jobs=args.jobs)
+    except BaseException:  # an interrupted run leaves no empty output
+        for made in created:
+            os.remove(made)
+        raise
 
     csv_text = format_csv(reports)
     if args.out:

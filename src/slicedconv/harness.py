@@ -206,10 +206,10 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
     the verification pass and then, unless verify_only, the case's repeat
     timed runs, so the reported seconds exclude planning. A case the
     engine refuses to plan (analyze's ValueError: its tiles do not fit
-    the machine) is reported with planned=False; any other exception is
-    an engine failure. Verification passes may run in parallel
-    (jobs > 1); timing passes are always serialized to avoid
-    interference.
+    the machine) is reported with planned=False; any other exception,
+    in the verification pass or a timed run, is an engine failure.
+    Verification passes may run in parallel (jobs > 1); timing passes
+    are always serialized to avoid interference.
     """
 
     def verify(idx: int):
@@ -247,18 +247,22 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
             reports.append(outcome)
             continue
         err, info, verify_seconds, plan = outcome
-        regions_map[case.id] = info.regions
         if verify_only:
             mean = verify_seconds
         else:
             # The verification pass doubles as warm-up and is excluded.
             x, flt = init_tensors(case, seed, idx)
             times = []
-            for _ in range(case.repeat):
-                t0 = time.perf_counter()
-                plan.run(x, flt)
-                times.append(time.perf_counter() - t0)
+            try:
+                for _ in range(case.repeat):
+                    t0 = time.perf_counter()
+                    plan.run(x, flt)
+                    times.append(time.perf_counter() - t0)
+            except Exception as exc:  # as in verify: this case fails alone
+                reports.append(_failure_report(case, exc))
+                continue
             mean = sum(times) / len(times)
+        regions_map[case.id] = info.regions
         strat = info.strategy
         reports.append(CaseReport(
             id=case.id, correct=err <= ENGINE_TOLERANCE, max_rel_err=err,

@@ -190,17 +190,47 @@ def test_run_suite_parallel_matches_serial():
 def test_import_leaves_the_thread_pool_unloaded():
     # Only run_suite(jobs > 1) uses concurrent.futures, which pulls in
     # logging and queue, and only load_suite parses JSON; importing the
-    # package after NumPy must load neither. A fresh interpreter, since
-    # this one has run parallel suites.
+    # package after NumPy must load neither. Nor does it load the suite
+    # driver or the references, whose names the package resolves on first
+    # use. A fresh interpreter, since this one has run parallel suites.
     code = ("import sys, numpy\n"
             "before = set(sys.modules)\n"
             "import slicedconv\n"
             "print(sorted(m for m in set(sys.modules) - before\n"
-            "             if m.split('.')[0] in ('concurrent', 'json')))\n")
+            "             if m.split('.')[0] in ('concurrent', 'json')\n"
+            "             or m in ('slicedconv.harness',\n"
+            "                      'slicedconv.reference')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_lazy_root_names_resolve_to_their_modules():
+    # Each lazily loaded root name is its submodule's own object, a star
+    # import binds every __all__ name, and an unknown name is the standard
+    # AttributeError. A fresh interpreter, so that no name is bound yet.
+    code = ("import slicedconv\n"
+            "from slicedconv import harness, reference\n"
+            "for mod, names in ((harness, ('ConvCase', 'CaseReport',\n"
+            "                               'load_suite', 'run_suite')),\n"
+            "                   (reference, ('im2col', 'naive_conv'))):\n"
+            "    for name in names:\n"
+            "        assert getattr(slicedconv, name) is getattr(mod, name), name\n"
+            "ns = {}\n"
+            "exec('from slicedconv import *', ns)\n"
+            "assert set(slicedconv.__all__) <= set(ns), "
+            "set(slicedconv.__all__) - set(ns)\n"
+            "assert len(slicedconv.__all__) == 30\n"
+            "try:\n"
+            "    slicedconv.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("module 'slicedconv' has no attribute "
+                                   "'no_such_name'")
 
 
 def test_run_suite_records_infeasible_case():
@@ -261,6 +291,71 @@ def test_run_suite_divisible_case_single_region():
     assert by_id["pointwise_8x8"].regions == 1
     # ic 5 against the analysis's nc 4 peels no channel region
     assert (by_id["dilated_rect"].nc, by_id["dilated_rect"].regions) == (4, 1)
+
+
+def test_cli_timed_run_failure_is_the_case_failure(tmp_path, monkeypatch,
+                                                   capsys):
+    # An exception in a case's timed runs fails that case alone, as one in
+    # its verification pass does: the other cases are still timed, the
+    # report has every row, and the CLI exits 1 naming the case.
+    from slicedconv import kernel
+    from slicedconv.cli import main
+    args = ["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+            "--arch", str(FIXTURES / "intel.toml"), "--nwin", "16",
+            "--nf", "8"]
+    builtin, calls = kernel.microkernel, [0]
+
+    def counting(pin, pf, acc):
+        calls[0] += 1
+        return builtin(pin, pf, acc)
+
+    monkeypatch.setattr(kernel, "microkernel", counting)
+    assert main([*args, "--verify-only", "--out", "/dev/null"]) == 0
+    verify_calls, calls[0] = calls[0], 0
+    capsys.readouterr()
+
+    def failing(pin, pf, acc):  # the first timed run's first call
+        calls[0] += 1
+        if calls[0] == verify_calls + 1:
+            raise MemoryError("out of memory")
+        return builtin(pin, pf, acc)
+
+    monkeypatch.setattr(kernel, "microkernel", failing)
+    out = tmp_path / "timed.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == list(CSV_COLUMNS) and len(rows) == 7
+    failed = [r for r in rows[1:] if r[1] == "false"]
+    assert len(failed) == 1 and failed[0][2:5] == ["inf", "0.000", "-"]
+    assert f"case {failed[0][0]} failed: MemoryError: out of memory" in err
+    assert "6 cases, 5 correct, 1 incorrect, 0 not planned" in err
+    timed = [r for r in rows[1:] if r[1] == "true"]
+    assert all(float(r[CSV_COLUMNS.index("seconds")]) > 0 for r in timed)
+
+
+def test_cli_interrupted_run_removes_only_the_files_it_created(tmp_path,
+                                                              monkeypatch):
+    # A run that stops on something other than a case failure leaves no
+    # empty output behind, and an existing report keeps every byte.
+    from slicedconv import cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suite", interrupted)
+    (tmp_path / "old.csv").write_text("id\n")
+    args = ["run", "--suite", str(FIXTURES / "smoke.jsonl"),
+            "--arch", str(FIXTURES / "intel.toml"), "--nwin", "16",
+            "--nf", "8", "--verify-only"]
+    for outputs in (["--out", str(tmp_path / "new.csv"),
+                     "--dump-regions", str(tmp_path / "new.json")],
+                    ["--out", str(tmp_path / "old.csv"),
+                     "--dump-regions", str(tmp_path / "new.json")]):
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([*args, *outputs])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "id\n"
 
 
 def test_run_suite_timed_mode_excludes_warmup():
