@@ -16,10 +16,11 @@ seeded with (seed, case_index), input tensor drawn before the filter tensor,
 so reports are reproducible bit-for-bit for a given suite and seed.
 
 Correctness compares the engine against reference.rowwise_conv, the float64
-reference computed as one GEMM per output row (equal to the per-pixel
-naive_conv oracle after the f32 cast, and much faster); the per-case metric
-is max |engine - reference| normalized by the reference's largest absolute
-value, checked on every element against the 1e-4 engine tolerance.
+reference computed as one GEMM per output row and block of filters (equal
+to the per-pixel naive_conv oracle after the f32 cast, and much faster);
+the per-case metric is max |engine - reference| normalized by the
+reference's largest absolute value, checked on every element against the
+1e-4 engine tolerance, with the float64 difference taken in bounded chunks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .regions import KernelRegion
 
 ENGINE_TOLERANCE = 1e-4
 _F32_TINY = np.finfo(np.float32).tiny
+# Elements per float64 chunk of max_relative_error's difference (64 KiB):
+# every smoke output fits in one.
+_ERROR_CHUNK = 1 << 13
 
 _ALLOWED_KEYS = {"id", "n", "ic", "ih", "iw", "oc", "fh", "fw",
                  "stride", "stride_h", "stride_w", "dil", "dil_h", "dil_w",
@@ -176,11 +180,31 @@ def init_tensors(case: ConvCase, seed: int, index: int) -> tuple[np.ndarray, np.
 
 
 def max_relative_error(got: np.ndarray, ref: np.ndarray) -> float:
-    """Largest per-element deviation, normalized by the reference magnitude."""
-    scale = max(float(np.abs(ref).max()), _F32_TINY)
-    # Both operands are cast to float64, exactly, before they are subtracted.
-    diff = np.subtract(got, ref, dtype=np.float64)
-    return float(np.abs(diff, out=diff).max() / scale)
+    """Largest per-element deviation, normalized by the reference magnitude.
+
+    An output of more than _ERROR_CHUNK elements is checked without
+    allocating anything its size: the scale comes from two reductions of
+    ref, and the float64 difference is taken one chunk at a time. NaN and
+    inf propagate as they would through one whole-tensor difference.
+    """
+    if got.size <= _ERROR_CHUNK:  # in one step: its temporaries are small
+        scale = max(float(np.abs(ref).max()), _F32_TINY)
+        # Both operands are cast to float64, exactly, before they are
+        # subtracted.
+        diff = np.subtract(got, ref, dtype=np.float64)
+        return float(np.abs(diff, out=diff).max() / scale)
+    # A NaN in ref makes both reductions NaN, and max keeps a NaN first
+    # argument; abs clears its sign, as |ref|'s maximum would.
+    scale = max(abs(float(ref.max())), abs(float(ref.min())), _F32_TINY)
+    worst, buf = np.float64(0.0), np.empty(_ERROR_CHUNK)
+    with np.nditer([got, ref], ["external_loop", "buffered"],
+                   op_dtypes=[np.float64, np.float64],
+                   buffersize=_ERROR_CHUNK) as chunks:
+        for g, r in chunks:
+            diff = np.subtract(g, r, out=buf[:g.size])
+            # np.maximum, not max(): it keeps a NaN in any position.
+            worst = np.maximum(worst, np.abs(diff, out=diff).max())
+    return float(worst / scale)
 
 
 def case_flops(p: ConvParams) -> int:
@@ -209,7 +233,9 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
     the machine) is reported with planned=False; any other exception,
     in the verification pass or a timed run, is an engine failure.
     Verification passes may run in parallel (jobs > 1); timing passes
-    are always serialized to avoid interference.
+    are always serialized to avoid interference. A serial run times each
+    case right after verifying it, on the same tensors, so it holds one
+    case's tensors at a time; a parallel one draws them again to time it.
     """
 
     def verify(idx: int):
@@ -228,30 +254,20 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
             err = max_relative_error(out, rowwise_conv(x, flt, case.params))
         except Exception as exc:  # recorded per case, the run continues
             return _failure_report(case, exc)
-        return err, info, elapsed, plan
+        # Kept only for a serial run's timed runs, which come right after.
+        keep = jobs == 1 and not verify_only
+        return err, info, elapsed, plan, (x, flt) if keep else None
 
-    if jobs > 1:
-        # Imported here: concurrent.futures pulls in logging and queue,
-        # which a serial run, and every import of the package, would pay for.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(verify, range(len(cases))))
-    else:
-        outcomes = [verify(i) for i in range(len(cases))]
-
-    reports = []
     regions_map: dict[str, tuple[KernelRegion, ...]] = {}
-    for idx, case in enumerate(cases):
-        outcome = outcomes[idx]
+
+    def report(idx: int, outcome) -> CaseReport:
         if isinstance(outcome, CaseReport):
-            reports.append(outcome)
-            continue
-        err, info, verify_seconds, plan = outcome
-        if verify_only:
-            mean = verify_seconds
-        else:
+            return outcome
+        case = cases[idx]
+        err, info, mean, plan, tensors = outcome
+        if not verify_only:
             # The verification pass doubles as warm-up and is excluded.
-            x, flt = init_tensors(case, seed, idx)
+            x, flt = tensors or init_tensors(case, seed, idx)
             times = []
             try:
                 for _ in range(case.repeat):
@@ -259,16 +275,25 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
                     plan.run(x, flt)
                     times.append(time.perf_counter() - t0)
             except Exception as exc:  # as in verify: this case fails alone
-                reports.append(_failure_report(case, exc))
-                continue
+                return _failure_report(case, exc)
             mean = sum(times) / len(times)
         regions_map[case.id] = info.regions
         strat = info.strategy
-        reports.append(CaseReport(
+        return CaseReport(
             id=case.id, correct=err <= ENGINE_TOLERANCE, max_rel_err=err,
             gflops=case_flops(case.params) / mean / 1e9,
             schedule=strat.schedule.value, nc=strat.nc, k2=strat.k2,
-            k3=strat.k3, regions=len(info.regions), seconds=mean))
+            k3=strat.k3, regions=len(info.regions), seconds=mean)
+
+    if jobs > 1:
+        # Imported here: concurrent.futures pulls in logging and queue,
+        # which a serial run, and every import of the package, would pay for.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(verify, range(len(cases))))
+        reports = [report(i, o) for i, o in enumerate(outcomes)]
+    else:
+        reports = [report(i, verify(i)) for i in range(len(cases))]
     return reports, regions_map
 
 

@@ -2,14 +2,17 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import CALIBRATED_ARCH, FIXTURES, REF_MK, REF_PARAMS, cli_env
 from slicedconv import ConvParams, MkInfo, load_arch, load_suite, out_shape
-from slicedconv.harness import (CSV_COLUMNS, ConvCase, format_csv, init_tensors,
-                                max_relative_error, parse_case, run_suite)
+from slicedconv.harness import (_ERROR_CHUNK, CSV_COLUMNS, ConvCase, format_csv,
+                                init_tensors, max_relative_error, parse_case,
+                                run_suite)
 
 
 def test_parse_resnet_stem_record():
@@ -163,6 +166,44 @@ def test_max_relative_error_is_bitwise_the_old_formula(kind, ref_dtype):
     assert np.array([new]).tobytes() == np.array([old]).tobytes(), (new, old)
 
 
+@pytest.mark.parametrize("kind", ["random", "nan", "inf", "inf-both",
+                                  "ref-nan"])
+@pytest.mark.parametrize("ref_dtype", [np.float32, np.float64])
+def test_max_relative_error_in_chunks_is_bitwise_the_old_formula(kind,
+                                                                ref_dtype):
+    # An output of many chunks, with a NaN, an inf or an inf/inf in a later
+    # chunk than the largest finite deviation: a chunked maximum must keep
+    # it as the whole-tensor maximum does, without allocating anything the
+    # size of the output.
+    rng = np.random.default_rng(12)
+    shape = (8, 8, 64, 67)
+    assert np.prod(shape) > 32 * _ERROR_CHUNK
+    got = rng.uniform(-3, 3, shape).astype(np.float32)
+    ref = (got + rng.normal(0, 1e-5, shape)).astype(ref_dtype)
+    got[0, 0, 0, 0] += 1e-3  # the largest finite deviation, in chunk 0
+    later = np.unravel_index(2 * _ERROR_CHUNK + 7, shape)
+    if kind == "nan":
+        got[later] = np.nan
+    elif kind == "inf":
+        got[later] = np.inf
+    elif kind == "inf-both":  # inf / inf: NaN
+        got[later] = np.inf
+        ref[np.unravel_index(_ERROR_CHUNK + 3, shape)] = -np.inf
+    elif kind == "ref-nan":
+        ref[later] = np.nan
+    tracemalloc.start()
+    try:
+        with np.errstate(invalid="ignore"):
+            new = max_relative_error(got, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with np.errstate(invalid="ignore"):
+        old = _old_max_relative_error(got, ref)
+    assert np.array([new]).tobytes() == np.array([old]).tobytes(), (new, old)
+    assert peak < got.size * 8 / 8, peak
+
+
 def test_run_suite_smoke_and_csv_stability():
     cases, errors = load_suite(FIXTURES / "smoke.jsonl")
     assert not errors
@@ -298,10 +339,13 @@ def test_cli_timed_run_failure_is_the_case_failure(tmp_path, monkeypatch,
     # An exception in a case's timed runs fails that case alone, as one in
     # its verification pass does: the other cases are still timed, the
     # report has every row, and the CLI exits 1 naming the case.
+    # A serial run times each case right after verifying it, so the first
+    # timed run starts after the first case's verification pass.
     from slicedconv import kernel
     from slicedconv.cli import main
-    args = ["run", "--suite", str(FIXTURES / "smoke.jsonl"),
-            "--arch", str(FIXTURES / "intel.toml"), "--nwin", "16",
+    first = tmp_path / "first.jsonl"
+    first.write_text((FIXTURES / "smoke.jsonl").read_text().splitlines()[0])
+    args = ["--arch", str(FIXTURES / "intel.toml"), "--nwin", "16",
             "--nf", "8"]
     builtin, calls = kernel.microkernel, [0]
 
@@ -310,7 +354,8 @@ def test_cli_timed_run_failure_is_the_case_failure(tmp_path, monkeypatch,
         return builtin(pin, pf, acc)
 
     monkeypatch.setattr(kernel, "microkernel", counting)
-    assert main([*args, "--verify-only", "--out", "/dev/null"]) == 0
+    assert main(["run", "--suite", str(first), *args, "--verify-only",
+                 "--out", "/dev/null"]) == 0
     verify_calls, calls[0] = calls[0], 0
     capsys.readouterr()
 
@@ -322,12 +367,14 @@ def test_cli_timed_run_failure_is_the_case_failure(tmp_path, monkeypatch,
 
     monkeypatch.setattr(kernel, "microkernel", failing)
     out = tmp_path / "timed.csv"
-    assert main([*args, "--out", str(out)]) == 1
+    assert main(["run", "--suite", str(FIXTURES / "smoke.jsonl"), *args,
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == list(CSV_COLUMNS) and len(rows) == 7
     failed = [r for r in rows[1:] if r[1] == "false"]
-    assert len(failed) == 1 and failed[0][2:5] == ["inf", "0.000", "-"]
+    assert [r[:5] for r in failed] == [["pointwise_8x8", "false", "inf",
+                                        "0.000", "-"]]
     assert f"case {failed[0][0]} failed: MemoryError: out of memory" in err
     assert "6 cases, 5 correct, 1 incorrect, 0 not planned" in err
     timed = [r for r in rows[1:] if r[1] == "true"]
@@ -356,6 +403,37 @@ def test_cli_interrupted_run_removes_only_the_files_it_created(tmp_path,
             cli.main([*args, *outputs])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
         assert (tmp_path / "old.csv").read_text() == "id\n"
+
+
+def test_serial_timing_reuses_the_verified_tensors(monkeypatch):
+    # A serial timing run draws each case's tensors once and has let go of
+    # the previous case's by the time it draws the next; a parallel one
+    # draws them again to time them. Every report agrees with a
+    # verify-only run's but for the timing columns.
+    from slicedconv import harness
+    cases, _ = load_suite(FIXTURES / "smoke.jsonl")
+    arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
+    draws, held, drawn = [], [], []
+
+    def drawing(case, seed, idx):
+        held.append([i for i, x in drawn if x() is not None])
+        draws.append(idx)
+        x, flt = init_tensors(case, seed, idx)
+        drawn.append((idx, weakref.ref(x)))
+        return x, flt
+
+    monkeypatch.setattr(harness, "init_tensors", drawing)
+    verified, _ = run_suite(cases, arch, mk, seed=3, verify_only=True)
+    draws.clear()
+    timed, _ = run_suite(cases, arch, mk, seed=3)
+    assert draws == list(range(len(cases)))
+    assert not any(held)
+    draws.clear()
+    parallel, _ = run_suite(cases, arch, mk, seed=3, jobs=2)
+    assert sorted(draws) == sorted(2 * list(range(len(cases))))
+    for reports in (timed, parallel):
+        assert _non_timing(format_csv(reports)) == _non_timing(
+            format_csv(verified))
 
 
 def test_run_suite_timed_mode_excludes_warmup():

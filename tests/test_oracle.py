@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import (CALIBRATED_ARCH, FIXTURES, brute_force_conv, rand_tensors,
                       random_params)
+from rowwise_oracle import rowwise_conv_whole
 from slicedconv import (ConvParams, MkInfo, im2col, load_arch, load_suite,
                         naive_conv, out_shape, run_convolution)
 from slicedconv.harness import (ENGINE_TOLERANCE, init_tensors,
                                 max_relative_error, run_suite)
+from slicedconv import reference
 from slicedconv.reference import rowwise_conv
 
 
@@ -120,6 +124,76 @@ def test_rowwise_matches_naive_oracle(rng):
     permuted = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
     assert max_relative_error(rowwise_conv(permuted, f, p),
                               naive_conv(x, f, p)) <= 1e-6
+
+
+def _block_rows(p: ConvParams) -> int:
+    k = p.ic * p.fh * p.fw
+    return max(1, reference._FILTER_BLOCK_BYTES // (8 * k))
+
+
+def _assert_bitwise_whole(x, f, p):
+    got = rowwise_conv(x, f, p)
+    want = rowwise_conv_whole(x, f, p)
+    assert got.tobytes() == want.tobytes(), p
+
+
+def test_rowwise_is_bitwise_the_whole_tensor_oracle_on_fixtures():
+    several = set()
+    for name in ("smoke.jsonl", "deep.jsonl"):
+        cases, errors = load_suite(FIXTURES / name)
+        assert not errors
+        for idx, case in enumerate(cases):
+            for seed in (0, 7):
+                _assert_bitwise_whole(*init_tensors(case, seed, idx),
+                                      case.params)
+            if case.params.oc > _block_rows(case.params):
+                several.add(case.id)
+    # Every smoke layer is one float64 filter block; four deep layers span
+    # several.
+    assert several == {"conv4_3x3_256_14", "conv5_3x3_512_7",
+                       "conv5_batch_2", "pointwise_256_1024_14"}
+
+
+def test_rowwise_filter_blocks_are_bitwise_the_whole_tensor_oracle(
+        rng, monkeypatch):
+    # Layers whose filters span several float64 blocks, the last one
+    # partial, at the library's block size.
+    layers = 0
+    while layers < 12:
+        p = random_params(rng, max_ic=160, max_oc=400, max_out=8,
+                          n=1 + layers % 2)
+        rows = _block_rows(p)
+        if p.oc <= rows or p.oc % rows == 0:
+            continue
+        _assert_bitwise_whole(*rand_tensors(rng, p), p)
+        layers += 1
+    # Blocks of one to a few filters, in an input of a permuted layout too.
+    monkeypatch.setattr(reference, "_FILTER_BLOCK_BYTES", 1024)
+    for _ in range(20):
+        p = random_params(rng, max_ic=8, max_oc=16, max_out=12, n=2)
+        x, f = rand_tensors(rng, p)
+        _assert_bitwise_whole(x, f, p)
+        permuted = np.ascontiguousarray(
+            x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        _assert_bitwise_whole(permuted, f, p)
+
+
+def test_rowwise_and_error_check_hold_no_float64_filter_tensor():
+    # The deep 512-channel layer's filters are 9.4 MB in float32 and twice
+    # that in float64; the reference and the error check together peak
+    # below even the float32 size.
+    cases, _ = load_suite(FIXTURES / "deep.jsonl")
+    idx = [c.id for c in cases].index("conv5_3x3_512_7")
+    p = cases[idx].params
+    x, f = init_tensors(cases[idx], 0, idx)
+    got = rowwise_conv(x, f, p)
+    tracemalloc.start()
+    try:
+        assert max_relative_error(got, rowwise_conv(x, f, p)) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes, peak
 
 
 @pytest.mark.parametrize("bad", ["input", "filter"])
