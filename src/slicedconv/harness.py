@@ -182,28 +182,30 @@ def init_tensors(case: ConvCase, seed: int, index: int) -> tuple[np.ndarray, np.
 def max_relative_error(got: np.ndarray, ref: np.ndarray) -> float:
     """Largest per-element deviation, normalized by the reference magnitude.
 
-    An output of more than _ERROR_CHUNK elements is checked without
-    allocating anything its size: the scale comes from two reductions of
-    ref, and the float64 difference is taken one chunk at a time. NaN and
-    inf propagate as they would through one whole-tensor difference.
+    The scale comes from two reductions of ref, and the float64 difference
+    is taken in chunks of at most _ERROR_CHUNK elements, so a small output
+    is one chunk and, for C-ordered arrays, nothing the size of the output
+    is allocated. NaN and inf propagate as they would through one
+    whole-tensor difference.
     """
-    if got.size <= _ERROR_CHUNK:  # in one step: its temporaries are small
-        scale = max(float(np.abs(ref).max()), _F32_TINY)
-        # Both operands are cast to float64, exactly, before they are
-        # subtracted.
-        diff = np.subtract(got, ref, dtype=np.float64)
-        return float(np.abs(diff, out=diff).max() / scale)
+    if got.shape != ref.shape:  # the chunks below pair flat indices
+        raise ValueError(f"output shape {got.shape} is not the reference's "
+                         f"{ref.shape}")
     # A NaN in ref makes both reductions NaN, and max keeps a NaN first
     # argument; abs clears its sign, as |ref|'s maximum would.
     scale = max(abs(float(ref.max())), abs(float(ref.min())), _F32_TINY)
-    worst, buf = np.float64(0.0), np.empty(_ERROR_CHUNK)
-    with np.nditer([got, ref], ["external_loop", "buffered"],
-                   op_dtypes=[np.float64, np.float64],
-                   buffersize=_ERROR_CHUNK) as chunks:
-        for g, r in chunks:
-            diff = np.subtract(g, r, out=buf[:g.size])
-            # np.maximum, not max(): it keeps a NaN in any position.
-            worst = np.maximum(worst, np.abs(diff, out=diff).max())
+    g, r = got.reshape(-1), ref.reshape(-1)
+    worst = 0.0
+    for i in range(0, g.size, _ERROR_CHUNK):
+        # Both operands are cast to float64, exactly, before they are
+        # subtracted.
+        diff = np.subtract(g[i:i + _ERROR_CHUNK], r[i:i + _ERROR_CHUNK],
+                           dtype=np.float64)
+        peak = np.abs(diff, out=diff).max()
+        # Not max(), which drops a NaN that is not its first argument: a
+        # NaN from any chunk is kept.
+        if peak > worst or peak != peak:
+            worst = peak
     return float(worst / scale)
 
 

@@ -4,10 +4,10 @@ These exist solely to check the tiled engine. naive_conv walks every output
 coordinate and reduces its input patch in float64 before casting down,
 giving a tighter reference than the f32 engine path; its speed is
 irrelevant. rowwise_conv computes the same float64 convolution as one GEMM
-per output row and block of filters. It reads one image at a time through
-a strided view, padded if need be in the input's own dtype, and casts each
-row's window matrix and each block of output channels' filters to float64
-only as it uses them, so it never holds a float64 copy of either tensor.
+per output row and block of filters. It reads the input through a strided
+view, padded if need be in the input's own dtype, and casts each row's
+window matrix and each block of output channels' filters to float64 only
+as it uses them, so it never holds a float64 copy of either tensor.
 The harness can so verify whole suites quickly, in bounded memory, without
 sharing any code with the engine's packing. im2col materializes the
 window-major matrix so packed tiles can be compared column-for-column and
@@ -25,6 +25,15 @@ from .model import ConvParams, out_shape, pad_input
 # layer is one block, and a deep layer's float64 filters are never held
 # whole.
 _FILTER_BLOCK_BYTES = 1 << 20
+
+
+def _filter_blocks(oc: int, k: int) -> int:
+    """How many blocks rowwise_conv splits oc output channels into: the
+    fewest whose float64 filters fit _FILTER_BLOCK_BYTES each. Their sizes
+    are within one channel of each other, so unless the budget holds fewer
+    than three channels, no block of a layer with several is a lone
+    channel, which matmul would take as a vector rather than by GEMM."""
+    return -(-oc // max(1, _FILTER_BLOCK_BYTES // (8 * k)))
 
 
 def naive_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -63,42 +72,32 @@ def rowwise_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarra
         raise ValueError(f"filter shape {filters.shape} does not match params")
     oh, ow = out_shape(p)
     k = p.ic * p.fh * p.fw
-    # One image at a time, in the input's dtype: unpadded, the image itself
-    # (in C order, which the window view below is built on); padded, a copy
-    # in one buffer whose border is zeroed once and never written.
-    pad = p.pad_h or p.pad_w
-    if pad:
-        padded = np.zeros((p.ic, p.ih + 2 * p.pad_h, p.iw + 2 * p.pad_w),
-                          x.dtype)
+    # In the input's dtype, and C-ordered, which the window view is built on.
+    xp = np.ascontiguousarray(pad_input(x, p))
+    # windows[b, r, c, i, j, q] is the input under filter offset (i, j) of
+    # output (r, q); only read, and in bounds by out_shape's arithmetic.
+    s_n, s_c, s_h, s_w = xp.strides
+    windows = np.ndarray(
+        (p.n, oh, p.ic, p.fh, p.fw, ow), xp.dtype, xp, 0,
+        (s_n, p.stride_h * s_h, s_c, p.dil_h * s_h, p.dil_w * s_w,
+         p.stride_w * s_w))
     # Each row's windows and each filter block are cast into these two.
     win = np.empty((p.ic, p.fh, p.fw, ow))
     win_k = win.reshape(k, ow)
     flat = filters.reshape(p.oc, k)
-    rows = min(p.oc, max(1, _FILTER_BLOCK_BYTES // (8 * k)))
-    block = np.empty((rows, k))
+    blocks = _filter_blocks(p.oc, k)
+    block = np.empty((-(-p.oc // blocks), k))
     # Rows go straight into the f32 output, rounding as astype does, so no
     # f64 output is ever held.
     out = np.empty((p.n, p.oc, oh, ow), dtype=np.float32)
-    for f0 in range(0, p.oc, rows):
-        flt = block[:p.oc - f0]
-        flt[...] = flat[f0:f0 + rows]
+    for j in range(blocks):
+        f0, f1 = j * p.oc // blocks, (j + 1) * p.oc // blocks
+        flt = block[:f1 - f0]
+        flt[...] = flat[f0:f1]
         for b in range(p.n):
-            if pad:
-                padded[:, p.pad_h:p.pad_h + p.ih, p.pad_w:p.pad_w + p.iw] = x[b]
-                img = padded
-            else:
-                img = np.ascontiguousarray(x[b])
-            # windows[r, c, i, j, q] is the input under filter offset
-            # (i, j) of output (r, q); only read, and in bounds by
-            # out_shape's arithmetic.
-            s_c, s_h, s_w = img.strides
-            windows = np.ndarray(
-                (oh, p.ic, p.fh, p.fw, ow), img.dtype, img, 0,
-                (p.stride_h * s_h, s_c, p.dil_h * s_h, p.dil_w * s_w,
-                 p.stride_w * s_w))
-            out_b = out[b, f0:f0 + rows]
+            out_b, win_b = out[b, f0:f1], windows[b]
             for r in range(oh):
-                win[...] = windows[r]
+                win[...] = win_b[r]
                 out_b[:, r] = flt @ win_k
     return out
 

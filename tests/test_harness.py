@@ -204,6 +204,13 @@ def test_max_relative_error_in_chunks_is_bitwise_the_old_formula(kind,
     assert peak < got.size * 8 / 8, peak
 
 
+def test_max_relative_error_rejects_mismatched_shapes():
+    # Chunks pair flat indices, so shapes must match, not only broadcast.
+    with pytest.raises(ValueError, match="shape"):
+        max_relative_error(np.zeros((1, 2, 3, 4), np.float32),
+                           np.zeros((2, 2, 3, 4), np.float32))
+
+
 def test_run_suite_smoke_and_csv_stability():
     cases, errors = load_suite(FIXTURES / "smoke.jsonl")
     assert not errors

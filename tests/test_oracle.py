@@ -126,15 +126,29 @@ def test_rowwise_matches_naive_oracle(rng):
                               naive_conv(x, f, p)) <= 1e-6
 
 
-def _block_rows(p: ConvParams) -> int:
-    k = p.ic * p.fh * p.fw
-    return max(1, reference._FILTER_BLOCK_BYTES // (8 * k))
+def _blocks(p: ConvParams) -> int:
+    return reference._filter_blocks(p.oc, p.ic * p.fh * p.fw)
 
 
 def _assert_bitwise_whole(x, f, p):
     got = rowwise_conv(x, f, p)
     want = rowwise_conv_whole(x, f, p)
     assert got.tobytes() == want.tobytes(), p
+
+
+def test_filter_blocks_are_the_fewest_and_near_equal():
+    for oc in range(1, 70):
+        for k in (1, 9, 4608, 40000, 50000, 90000, 140000):
+            blocks = reference._filter_blocks(oc, k)
+            rows = max(1, reference._FILTER_BLOCK_BYTES // (8 * k))
+            # The bounds rowwise_conv splits the channels at.
+            bounds = [j * oc // blocks for j in range(blocks + 1)]
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            assert max(sizes) == -(-oc // blocks) <= rows
+            assert max(sizes) - min(sizes) <= 1
+            assert blocks == 1 or oc > rows * (blocks - 1)  # the fewest
+            if rows >= 3 and oc > 1:  # no lone channel, which is a gemv
+                assert min(sizes) >= 2, (oc, k, sizes)
 
 
 def test_rowwise_is_bitwise_the_whole_tensor_oracle_on_fixtures():
@@ -146,7 +160,7 @@ def test_rowwise_is_bitwise_the_whole_tensor_oracle_on_fixtures():
             for seed in (0, 7):
                 _assert_bitwise_whole(*init_tensors(case, seed, idx),
                                       case.params)
-            if case.params.oc > _block_rows(case.params):
+            if _blocks(case.params) > 1:
                 several.add(case.id)
     # Every smoke layer is one float64 filter block; four deep layers span
     # several.
@@ -156,21 +170,23 @@ def test_rowwise_is_bitwise_the_whole_tensor_oracle_on_fixtures():
 
 def test_rowwise_filter_blocks_are_bitwise_the_whole_tensor_oracle(
         rng, monkeypatch):
-    # Layers whose filters span several float64 blocks, the last one
-    # partial, at the library's block size.
+    # Layers whose filters span several float64 blocks of unequal sizes, at
+    # the library's block size.
     layers = 0
     while layers < 12:
         p = random_params(rng, max_ic=160, max_oc=400, max_out=8,
                           n=1 + layers % 2)
-        rows = _block_rows(p)
-        if p.oc <= rows or p.oc % rows == 0:
+        blocks = _blocks(p)
+        if blocks == 1 or p.oc % blocks == 0:
             continue
         _assert_bitwise_whole(*rand_tensors(rng, p), p)
         layers += 1
-    # Blocks of one to a few filters, in an input of a permuted layout too.
-    monkeypatch.setattr(reference, "_FILTER_BLOCK_BYTES", 1024)
+    # Blocks of two to five filters, in an input of a permuted layout too.
     for _ in range(20):
         p = random_params(rng, max_ic=8, max_oc=16, max_out=12, n=2)
+        k = p.ic * p.fh * p.fw
+        monkeypatch.setattr(reference, "_FILTER_BLOCK_BYTES",
+                            8 * k * int(rng.integers(3, 6)))
         x, f = rand_tensors(rng, p)
         _assert_bitwise_whole(x, f, p)
         permuted = np.ascontiguousarray(
