@@ -8,7 +8,7 @@ once (plan_convolution) and its plan runs any number of tensor pairs.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
-from .engine import ConvPlan, RunInfo, plan_convolution, run_convolution
+from .engine import ConvPlan, plan_convolution, run_convolution
 from .kernel import RunCounters, microkernel
 from .model import ConvParams, out_shape, pad_input
 from .packing import pack_filter, pack_input
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk",
-    "ConvPlan", "RunInfo", "plan_convolution", "run_convolution",
+    "ConvPlan", "plan_convolution", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
     "RunCounters", "microkernel",
     "ConvParams", "out_shape", "pad_input",

@@ -17,7 +17,7 @@ Omitted keys fall back to documented defaults (32 KiB / 1 MiB / no L3 / 64 B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ConvParams, Record, _set, out_shape, require_int
 
@@ -75,23 +75,20 @@ class MkInfo(Record):
 
 @dataclass(init=False, repr=False, eq=False)
 class ConvInfo(Record):
-    """Convolution parameters plus derived output extents."""
+    """Convolution parameters plus the output extents they give (out_shape),
+    derived when it is made, so replace() refuses oh, ow and ohw."""
 
     params: ConvParams
-    oh: int
-    ow: int
-    ohw: int
+    oh: int = field(init=False)
+    ow: int = field(init=False)
+    ohw: int = field(init=False)
 
-    def __init__(self, params: ConvParams, oh: int, ow: int, ohw: int):
+    def __init__(self, params: ConvParams):
+        oh, ow = out_shape(params)
         _set(self, "params", params)
         _set(self, "oh", oh)
         _set(self, "ow", ow)
-        _set(self, "ohw", ohw)
-
-    @classmethod
-    def from_params(cls, p: ConvParams) -> "ConvInfo":
-        oh, ow = out_shape(p)
-        return cls(params=p, oh=oh, ow=ow, ohw=oh * ow)
+        _set(self, "ohw", oh * ow)
 
 
 _ARCH_KEYS = {"l1_kib", "l2_kib", "l3_kib", "cache_line",

@@ -11,14 +11,15 @@ tensor's shape against the plan and runs the layer's one loop nest
 (kernel._run_layer), which allocates its own buffers per call.
 run_convolution is plan_convolution followed by one run.
 
-The analysis, the plan and RunInfo describe the padded problem (pad = 0),
-as do the packing equations. No padded copy of the input is made here:
-the layer loop takes the input as the caller holds it and pads one
-channel chunk of one image at a time into a reused buffer.
+The analysis and the plan's strategy, regions and conv describe the
+padded problem (pad = 0), as do the packing equations. No padded copy of
+the input is made here: the layer loop takes the input as the caller
+holds it and pads one channel chunk of one image at a time into a reused
+buffer.
 
 The layer runs as one span, and the region plan is reported:
 plan_regions splits off the window tail and the k3 peel as the paper
-does, and RunInfo.regions keeps that plan, but execution reads nothing
+does, and ConvPlan.regions keeps that plan, but execution reads nothing
 from it. One loop nest runs every window, filter and channel of the
 layer, addressed from the padded problem alone; the GEMM blocks its own
 operands, and the packers take plain window and channel ranges, whatever
@@ -51,45 +52,32 @@ from .strategy import TilingStrategy, analyze
 
 
 @dataclass(init=False, repr=False, eq=False)
-class RunInfo(Record):
-    """What a plan decided, returned with each of its runs: strategy plus
-    the region decomposition."""
-
-    strategy: TilingStrategy
-    regions: tuple[KernelRegion, ...]
-    conv: ConvInfo  # padded-problem view (pad=0)
-
-    def __init__(self, strategy: TilingStrategy,
-                 regions: tuple[KernelRegion, ...], conv: ConvInfo):
-        _set(self, "strategy", strategy)
-        _set(self, "regions", regions)
-        _set(self, "conv", conv)
-
-
-@dataclass(init=False, repr=False, eq=False)
 class ConvPlan(Record):
     """One convolution planned for one machine and microkernel.
 
-    params is the problem as the caller holds it (padded or not), info
-    what the plan decided (the strategy, the coverage-checked regions and
-    the padded problem's ConvInfo), and set_tiles and chunk the layer's
-    window-set size in whole tiles and its channel-chunk size, from which
-    sets, each window set's (first window, windows), is derived. The plan
-    holds no buffers and no tensors. It checks its sizes when it is made,
-    so replace(plan, set_tiles=..., chunk=...) is a checked plan at those
+    params is the problem as the caller holds it (padded or not); strategy,
+    regions and conv (the padded problem's ConvInfo) are what was decided;
+    set_tiles and chunk the layer's window-set size in whole tiles and its
+    channel-chunk size, from which sets, each window set's (first window,
+    windows), is derived. Each run returns the plan, which holds no
+    buffers and no tensors. It checks its sizes when it is made, so
+    replace(plan, set_tiles=..., chunk=...) is a checked plan at those
     sizes: both must be integers (TypeError), set_tiles at least 1, chunk
     from 1 to ic, and a chunked layer one window set (ValueError).
     """
 
     params: ConvParams
     mk: MkInfo
-    info: RunInfo
+    strategy: TilingStrategy
+    regions: tuple[KernelRegion, ...]
+    conv: ConvInfo
     set_tiles: int
     chunk: int
     sets: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __init__(self, params: ConvParams, mk: MkInfo, info: RunInfo,
-                 set_tiles: int, chunk: int):
+    def __init__(self, params: ConvParams, mk: MkInfo,
+                 strategy: TilingStrategy, regions: tuple[KernelRegion, ...],
+                 conv: ConvInfo, set_tiles: int, chunk: int):
         ic = params.ic
         require_int("set_tiles", set_tiles)
         if set_tiles < 1:
@@ -98,22 +86,24 @@ class ConvPlan(Record):
         if not 1 <= chunk <= ic:
             raise ValueError(f"chunk must be from 1 to {ic} channels, "
                              f"got {chunk}")
-        sets = tuple(window_sets(info.conv.ohw, set_tiles, mk.n_win))
+        sets = tuple(window_sets(conv.ohw, set_tiles, mk.n_win))
         if chunk < ic and len(sets) > 1:
             raise ValueError(f"a layer in chunks of {chunk} of {ic} channels "
                              f"runs as one window set, not {len(sets)} sets "
                              f"of {set_tiles} tiles")
         _set(self, "params", params)
         _set(self, "mk", mk)
-        _set(self, "info", info)
+        _set(self, "strategy", strategy)
+        _set(self, "regions", regions)
+        _set(self, "conv", conv)
         _set(self, "set_tiles", set_tiles)
         _set(self, "chunk", chunk)
         _set(self, "sets", sets)
 
     def run(self, x: np.ndarray, filters: np.ndarray, hook=None,
             counters: RunCounters | None = None
-            ) -> tuple[np.ndarray, RunInfo]:
-        """Run the plan on one tensor pair; returns (output NCHW f32, info).
+            ) -> tuple[np.ndarray, ConvPlan]:
+        """Run the plan on one tensor pair; returns (output NCHW f32, plan).
 
         x must be (n, ic, ih, iw) and filters (oc, ic, fh, fw) of params
         (ValueError naming the tensor otherwise, before any GEMM runs):
@@ -137,7 +127,7 @@ class ConvPlan(Record):
         element, writes the uninitialised output directly. counters, a
         RunCounters, records the run's packs.
         """
-        p, conv = self.params, self.info.conv
+        p, conv = self.params, self.conv
         x = np.ascontiguousarray(x, dtype=DTYPE)
         filters = np.ascontiguousarray(filters, dtype=DTYPE)
         for name, arr, shape in (("x", x, (p.n, p.ic, p.ih, p.iw)),
@@ -152,7 +142,7 @@ class ConvPlan(Record):
         out = np.empty((p.n, p.oc, conv.oh, conv.ow), dtype=DTYPE)
         _run_layer(x, filters, out, p, conv, self.sets, self.chunk, self.mk,
                    hook, counters)
-        return out, self.info
+        return out, self
 
 
 def plan_convolution(p: ConvParams, arch: ArchInfo, mk: MkInfo) -> ConvPlan:
@@ -161,20 +151,20 @@ def plan_convolution(p: ConvParams, arch: ArchInfo, mk: MkInfo) -> ConvPlan:
     Raises ValueError when the analysis refuses the problem (a
     single-channel tile set that exceeds L1).
     """
-    conv = ConvInfo.from_params(p.padded())
+    conv = ConvInfo(p.padded())
     strategy = analyze(conv, arch, mk)
     regions = tuple(plan_regions(conv, strategy, mk))
     if not coverage_check(regions, conv):
         raise RuntimeError("region decomposition does not cover")
     set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    return ConvPlan(p, mk, RunInfo(strategy, regions, conv), set_tiles, chunk)
+    return ConvPlan(p, mk, strategy, regions, conv, set_tiles, chunk)
 
 
 def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
                     arch: ArchInfo, mk: MkInfo, hook=None,
                     counters: RunCounters | None = None
-                    ) -> tuple[np.ndarray, RunInfo]:
-    """Run the sliced engine; returns (output NCHW f32, RunInfo).
+                    ) -> tuple[np.ndarray, ConvPlan]:
+    """Run the sliced engine; returns (output NCHW f32, its ConvPlan).
 
     The same as plan_convolution(p, arch, mk).run(x, filters, hook,
     counters): a caller that runs one problem many times plans it once.

@@ -41,6 +41,7 @@ _F32_TINY = np.finfo(np.float32).tiny
 # Elements per float64 chunk of max_relative_error's difference (64 KiB):
 # every smoke output fits in one.
 _ERROR_CHUNK = 1 << 13
+_DRAW_CHUNK = 1 << 15  # elements per float64 draw (256 KiB), > any smoke tensor
 
 _ALLOWED_KEYS = {"id", "n", "ic", "ih", "iw", "oc", "fh", "fw",
                  "stride", "stride_h", "stride_w", "dil", "dil_h", "dil_w",
@@ -171,11 +172,17 @@ def load_suite(path) -> tuple[list[ConvCase], list[str]]:
 
 
 def init_tensors(case: ConvCase, seed: int, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic uniform [-1, 1] input and filter tensors for a case."""
+    """Deterministic uniform [-1, 1] input and filter tensors for a case,
+    the bits of one float64 draw per tensor cast to float32, drawn in
+    chunks of _DRAW_CHUNK elements so that no float64 copy is whole."""
     rng = np.random.default_rng([seed, index])
     p = case.params
-    x = rng.uniform(-1.0, 1.0, (p.n, p.ic, p.ih, p.iw)).astype(DTYPE)
-    flt = rng.uniform(-1.0, 1.0, (p.oc, p.ic, p.fh, p.fw)).astype(DTYPE)
+    x = np.empty((p.n, p.ic, p.ih, p.iw), dtype=DTYPE)
+    flt = np.empty((p.oc, p.ic, p.fh, p.fw), dtype=DTYPE)
+    for flat in (x.reshape(-1), flt.reshape(-1)):
+        for i in range(0, flat.size, _DRAW_CHUNK):
+            part = flat[i:i + _DRAW_CHUNK]
+            part[...] = rng.uniform(-1.0, 1.0, part.size)
     return x, flt
 
 
@@ -249,16 +256,14 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
                 return _failure_report(case, exc, planned=False)
             x, flt = init_tensors(case, seed, idx)
             t0 = time.perf_counter()
-            out, info = plan.run(x, flt)
+            out, _ = plan.run(x, flt)
             elapsed = time.perf_counter() - t0
-            if verify_only:  # no more runs: free it before the reference
-                plan = None
             err = max_relative_error(out, rowwise_conv(x, flt, case.params))
         except Exception as exc:  # recorded per case, the run continues
             return _failure_report(case, exc)
         # Kept only for a serial run's timed runs, which come right after.
         keep = jobs == 1 and not verify_only
-        return err, info, elapsed, plan, (x, flt) if keep else None
+        return err, elapsed, plan, (x, flt) if keep else None
 
     regions_map: dict[str, tuple[KernelRegion, ...]] = {}
 
@@ -266,7 +271,7 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
         if isinstance(outcome, CaseReport):
             return outcome
         case = cases[idx]
-        err, info, mean, plan, tensors = outcome
+        err, mean, plan, tensors = outcome
         if not verify_only:
             # The verification pass doubles as warm-up and is excluded.
             x, flt = tensors or init_tensors(case, seed, idx)
@@ -279,13 +284,13 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
             except Exception as exc:  # as in verify: this case fails alone
                 return _failure_report(case, exc)
             mean = sum(times) / len(times)
-        regions_map[case.id] = info.regions
-        strat = info.strategy
+        regions_map[case.id] = plan.regions
+        strat = plan.strategy
         return CaseReport(
             id=case.id, correct=err <= ENGINE_TOLERANCE, max_rel_err=err,
             gflops=case_flops(case.params) / mean / 1e9,
             schedule=strat.schedule.value, nc=strat.nc, k2=strat.k2,
-            k3=strat.k3, regions=len(info.regions), seconds=mean)
+            k3=strat.k3, regions=len(plan.regions), seconds=mean)
 
     if jobs > 1:
         # Imported here: concurrent.futures pulls in logging and queue,

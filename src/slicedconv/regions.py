@@ -17,7 +17,7 @@ splits: each region spans all channels, and the regions' window ranges
 tile the layer's windows. The engine reports this plan and runs the layer
 as one span (see engine.py).
 
-Regions are only the reported plan (RunInfo.regions, the CSV,
+Regions are only the reported plan (ConvPlan.regions, the CSV,
 --dump-regions): the executor and the packers take plain window and
 channel ranges of the layer, and no region. A region's e_off, the paper's
 region offset, is its first window, spatial_start.

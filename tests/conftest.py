@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import slicedconv
-from slicedconv import (ArchInfo, ConvInfo, ConvParams, MkInfo, out_shape,
+from slicedconv import (ArchInfo, ConvParams, MkInfo, out_shape,
                         plan_convolution)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -82,10 +82,6 @@ def rand_tensors(rng, p: ConvParams):
     x = rng.uniform(-1.0, 1.0, (p.n, p.ic, p.ih, p.iw)).astype(np.float32)
     f = rng.uniform(-1.0, 1.0, (p.oc, p.ic, p.fh, p.fw)).astype(np.float32)
     return x, f
-
-
-def conv_info(p: ConvParams) -> ConvInfo:
-    return ConvInfo.from_params(p)
 
 
 def plan_at(p: ConvParams, mk: MkInfo, set_tiles, chunk):

@@ -11,11 +11,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (CALIBRATED_ARCH, FILTER_SHAPES, FIXTURES, REF_MK,
-                      REF_PARAMS, REPO_ROOT, cli_env, conv_info,
-                      random_params)
-from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind, RunCounters,
-                        Schedule, analyze, im2col, load_arch, naive_conv,
-                        pack_filter, pack_input, pad_input, run_convolution)
+                      REF_PARAMS, REPO_ROOT, cli_env, random_params)
+from slicedconv import (ArchInfo, ConvInfo, ConvParams, MkInfo, RegionKind,
+                        RunCounters, Schedule, analyze, im2col, load_arch,
+                        naive_conv, pack_filter, pack_input, pad_input,
+                        run_convolution)
 from slicedconv.harness import max_relative_error
 from slicedconv.regions import plan_regions
 from tiling_oracle import filter_tiles, scaled, tile_bytes, window_tiles
@@ -37,9 +37,9 @@ def test_criterion_1_split_arithmetic():
     with criterion(1, "split arithmetic 5625 -> 5568/48/9"):
         # the 9-window tail after the 5616 main windows, then the core of
         # whole k3 = 87 sets (5568 windows) and the 48-window k3 peel
-        strat = analyze(conv_info(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
+        strat = analyze(ConvInfo(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
         assert strat.k3 == 87
-        regions = plan_regions(conv_info(REF_PARAMS), strat, REF_MK)
+        regions = plan_regions(ConvInfo(REF_PARAMS), strat, REF_MK)
         assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == [
             (RegionKind.Remainder, 5616, 9), (RegionKind.Main, 0, 5568),
             (RegionKind.Main, 5568, 48)]
@@ -63,7 +63,7 @@ def test_criterion_2_oracle_equivalence():
                               divisible_by=n_win if want_divisible else None,
                               indivisible_by=None if want_divisible else n_win)
             seen_filters.add((p.fh, p.fw))
-            if conv_info(p).ohw % n_win == 0:
+            if ConvInfo(p).ohw % n_win == 0:
                 n_divisible += 1
             else:
                 n_indivisible += 1
@@ -89,7 +89,7 @@ def test_criterion_3_packing_matches_im2col():
         for i in range(100):
             p = random_params(rng, max_ic=12, max_oc=16, max_out=14)
             n_win = (4, 8, 16)[i % 3]
-            conv = conv_info(p.padded())
+            conv = ConvInfo(p.padded())
             if conv.ohw < n_win:
                 continue
             mk = MkInfo(n_win=n_win, n_f=4)
@@ -132,7 +132,7 @@ def test_criterion_4_analysis_invariants():
             l2 = l1 * int(rng.integers(2, 17))
             l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
             arch = ArchInfo(l1_bytes=l1, l2_bytes=l2, l3_bytes=l3)
-            conv = conv_info(p)
+            conv = ConvInfo(p)
             try:
                 s = analyze(conv, arch, mk)
             except ValueError:
@@ -156,7 +156,7 @@ def test_criterion_4_analysis_invariants():
 def test_criterion_5_reference_strategy_from_committed_fixture():
     with criterion(5, "calibrated fixture reproduces the reference strategy"):
         arch = load_arch(FIXTURES / "calibrated.toml")
-        s = analyze(conv_info(REF_PARAMS), arch, REF_MK)
+        s = analyze(ConvInfo(REF_PARAMS), arch, REF_MK)
         assert s.schedule is Schedule.InputStationary
         assert s.nc == 32 and s.r_nc == 0
         assert s.k2 == 32 and s.r_k2 == 0
@@ -169,7 +169,7 @@ def test_criterion_6_multipack_consistency():
         filter_checked = input_checked = 0
         while filter_checked < 50 or input_checked < 50:
             p = random_params(rng, max_ic=8, max_oc=64, max_out=12, pads=(0,))
-            conv = conv_info(p)
+            conv = ConvInfo(p)
             mk = MkInfo(n_win=4, n_f=4)
             strat_nc = int(rng.integers(1, p.ic + 1))
             x = rng.uniform(-1, 1, (p.n, p.ic, p.ih, p.iw)).astype(np.float32)

@@ -72,7 +72,7 @@ def test_descriptor_invariants():
         ArchInfo(l1_bytes=1024, l2_bytes=2048, cache_line_bytes=3)
     with pytest.raises(ValueError):
         MkInfo(n_win=0, n_f=8)
-    info = ConvInfo.from_params(ConvParams(n=1, ic=1, ih=5, iw=7, oc=1, fh=3, fw=3))
+    info = ConvInfo(ConvParams(n=1, ic=1, ih=5, iw=7, oc=1, fh=3, fw=3))
     assert info.ohw == info.oh * info.ow == 15
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import CALIBRATED_ARCH, FIXTURES, REF_MK, REF_PARAMS, cli_env
 from slicedconv import ConvParams, MkInfo, load_arch, load_suite, out_shape
-from slicedconv.harness import (_ERROR_CHUNK, CSV_COLUMNS, ConvCase, format_csv,
-                                init_tensors, max_relative_error, parse_case,
-                                run_suite)
+from slicedconv.harness import (_DRAW_CHUNK, _ERROR_CHUNK, CSV_COLUMNS,
+                                ConvCase, format_csv, init_tensors,
+                                max_relative_error, parse_case, run_suite)
 
 
 def test_parse_resnet_stem_record():
@@ -130,6 +130,53 @@ def test_init_tensors_deterministic():
     x3, _ = init_tensors(case, seed=8, index=3)
     assert not np.array_equal(x1, x3)
     assert x1.dtype == np.float32 and np.all(np.abs(x1) <= 1.0)
+
+
+def _whole_tensor_draw(case, seed, index):
+    # init_tensors' former formula: each tensor drawn whole in float64,
+    # then cast to float32.
+    rng = np.random.default_rng([seed, index])
+    p = case.params
+    x = rng.uniform(-1.0, 1.0, (p.n, p.ic, p.ih, p.iw)).astype(np.float32)
+    flt = rng.uniform(-1.0, 1.0, (p.oc, p.ic, p.fh, p.fw)).astype(np.float32)
+    return x, flt
+
+
+@pytest.mark.parametrize("suite", ["smoke.jsonl", "deep.jsonl"])
+def test_init_tensors_is_bitwise_the_whole_tensor_draw(suite):
+    # Drawing in chunks takes the generator's values in the same order, so
+    # the tensors are bitwise the whole draw's. Every smoke tensor is one
+    # chunk; the deep layers hold tensors of several, with a partial last
+    # one.
+    cases, errors = load_suite(FIXTURES / suite)
+    assert not errors
+    sizes = []
+    for idx, case in enumerate(cases):
+        for seed in (0, 7):
+            got = init_tensors(case, seed, idx)
+            for g, w in zip(got, _whole_tensor_draw(case, seed, idx)):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes(), case.id
+                sizes.append(g.size)
+    if suite == "smoke.jsonl":
+        assert max(sizes) <= _DRAW_CHUNK
+    else:
+        assert any(s > _DRAW_CHUNK and s % _DRAW_CHUNK for s in sizes)
+
+
+def test_init_tensors_holds_no_float64_filter_tensor():
+    # The deep 512-channel layer's filters are 9.4 MB in float32; drawing
+    # them whole in float64 held twice that beside them, and the chunked
+    # draw peaks below that float64 size.
+    cases, _ = load_suite(FIXTURES / "deep.jsonl")
+    idx = [c.id for c in cases].index("conv5_3x3_512_7")
+    tracemalloc.start()
+    try:
+        _, flt = init_tensors(cases[idx], 0, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * flt.nbytes, peak
 
 
 def test_max_relative_error_normalization():
@@ -269,7 +316,7 @@ def test_lazy_root_names_resolve_to_their_modules():
             "exec('from slicedconv import *', ns)\n"
             "assert set(slicedconv.__all__) <= set(ns), "
             "set(slicedconv.__all__) - set(ns)\n"
-            "assert len(slicedconv.__all__) == 30\n"
+            "assert len(slicedconv.__all__) == 29\n"
             "try:\n"
             "    slicedconv.no_such_name\n"
             "except AttributeError as exc:\n"

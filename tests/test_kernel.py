@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REPO_ROOT, conv_info,
-                      plan_at, rand_tensors, random_params)
-from slicedconv import (ArchInfo, ConvParams, MkInfo, RegionKind,
+from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REPO_ROOT, plan_at,
+                      rand_tensors, random_params)
+from slicedconv import (ArchInfo, ConvInfo, ConvParams, MkInfo, RegionKind,
                         RunCounters, Schedule, TilingStrategy, analyze,
                         load_arch, load_suite, microkernel, naive_conv,
                         pad_input, plan_convolution, run_convolution)
@@ -146,7 +146,7 @@ def test_nine_window_tail_joins_the_last_one_tile_set(rng):
     # window sets of one tile it runs as the partial last tile of the
     # last set, one GEMM of 25 windows
     from conftest import REF_PARAMS
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     strat = analyze(conv, CALIBRATED_ARCH, REF_MK)
     tail = [r for r in plan_regions(conv, strat, REF_MK)
             if r.kind is RegionKind.Remainder][0]
@@ -341,7 +341,7 @@ def test_pointwise_runs_count_every_window_tile(rng, stride):
     # output matches the built-in kernel bit for bit and the oracle.
     p = ConvParams(n=2, ic=48, ih=7, iw=8, oc=12, fh=1, fw=1,
                    stride_h=stride, stride_w=stride)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=4, n_f=4)
     x, flt = rand_tensors(rng, p)
     ref = naive_conv(x, flt, p)
@@ -388,7 +388,7 @@ def test_weight_stationary_run_holds_no_filter_set_copy(rng):
     # run that copied its sets would hold on top.
     p = ConvParams(n=1, ic=256, ih=4, iw=4, oc=1024, fh=1, fw=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
-    strat = analyze(conv_info(p), arch, mk)
+    strat = analyze(ConvInfo(p), arch, mk)
     assert strat.schedule is Schedule.WeightStationary
     set_bytes = min(strat.k2 * mk.n_f, p.oc) * strat.nc * p.fh * p.fw * 4
     assert set_bytes >= 256 * 1024
@@ -460,7 +460,7 @@ def test_partial_tiles_pack_once_and_match_the_oracle(rng):
 
 def _check_partial_tiles_pack_once(rng, oc):
     p = ConvParams(n=2, ic=10, ih=12, iw=12, oc=oc, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=5, n_f=4)
     arch = ArchInfo(l1_bytes=2048, l2_bytes=64 * 1024, l3_bytes=256 * 1024)
     strat = analyze(conv, arch, mk)
@@ -540,7 +540,7 @@ def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
 
 def _check_set_product(rng, sched, k3, k2, n_win):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=n_win, n_f=4)
     set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
@@ -645,7 +645,7 @@ def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, sched, k3, k2,
 
 def _check_hook_calls(rng, sched, k3, k2, adding, oc):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=7, n_f=4)
     set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
     x, flt = rand_tensors(rng, p)
@@ -735,7 +735,7 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
         tile = _full_depth_tile_bytes(p, mk)
         arch = arches[i % 3]
         if arch is None:
-            l1 = sum(tile_bytes(conv_info(p.padded()), mk, 1))
+            l1 = sum(tile_bytes(ConvInfo(p.padded()), mk, 1))
             arch = ArchInfo(l1_bytes=l1, l2_bytes=max(l1, tile),
                             l3_bytes=1 << 24)
         sets = []
@@ -775,7 +775,7 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     p = ConvParams(n=1, ic=512, ih=7, iw=7, oc=512, fh=3, fw=3,
                    pad_h=1, pad_w=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
-    strat = analyze(conv_info(p.padded()), arch, mk)
+    strat = analyze(ConvInfo(p.padded()), arch, mk)
     assert strat.schedule is Schedule.WeightStationary
     assert strat.k2 == 56 < p.oc // mk.n_f
 
@@ -825,7 +825,7 @@ def test_window_set_memory_is_bounded_by_l2(rng):
     p = ConvParams(n=1, ic=32, ih=40, iw=40, oc=64, fh=3, fw=3,
                    pad_h=1, pad_w=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
-    strat = analyze(conv_info(p.padded()), arch, mk)
+    strat = analyze(ConvInfo(p.padded()), arch, mk)
     assert strat.schedule is Schedule.InputStationary and strat.k3 == 100
     assert strat.k3 * _full_depth_tile_bytes(p, mk) > arch.l2_bytes
     out, peak = _traced_run(rng, p, arch, mk)
@@ -842,7 +842,7 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
     # The engine sizes window sets of k3 = 5 tiles under either schedule;
     # the 4-window tail joins the last set.
     p = ConvParams(n=1, ic=64, ih=16, iw=16, oc=32, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=16, n_f=8)
     set_tiles = _engine_set_tiles(sched, 5, 2, conv, mk)
     x, flt = rand_tensors(rng, p)
@@ -875,7 +875,7 @@ def _intel_16x8():
 
 def _layer_shape(p, arch, mk):
     """(set_tiles, chunk) as the engine sizes the layer's one span."""
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     return engine._layer_shape(analyze(conv, arch, mk), conv, arch, mk)
 
 
@@ -891,7 +891,7 @@ def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
     # accumulator arrives zeroed, the partial block of a later chunk
     # included.
     arch, mk = _intel_16x8()
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     assert _layer_shape(p, arch, mk) == main_shape
     k = p.ic * p.fh * p.fw
     chunks = -(-p.ic // main_shape[1])
@@ -939,7 +939,7 @@ def test_padded_batch_run_pads_one_image_at_a_time(rng):
     # packed-set buffer, not both padded images.
     p = TAIL_CASES["batch2"][0]
     arch, mk = _intel_16x8()
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     set_tiles, chunk = _layer_shape(p, arch, mk)
     assert chunk == p.ic
     width = max(cols for _, cols in kernel.window_sets(conv.ohw, set_tiles,
@@ -990,7 +990,7 @@ def test_later_chunk_add_allocates_nothing(rng):
     # operands of the add are C-contiguous, so it allocates no temporary,
     # and the pack buffer holds the chunk's 27 rows, not the output's 64.
     p = ConvParams(n=1, ic=8, ih=19, iw=19, oc=64, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     plan = plan_at(p, MkInfo(n_win=16, n_f=8), 18, 3)
     assert plan.sets == ((0, 289),)
     x, flt = rand_tensors(rng, p)
@@ -1040,7 +1040,7 @@ def test_window_tail_runs_in_the_last_set(rng, case):
     p, arch_name, widths = TAIL_CASES[case]
     arch, mk = ((CALIBRATED_ARCH, REF_MK) if arch_name == "calibrated"
                 else _intel_16x8())
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     strat = analyze(conv, arch, mk)
     regions = plan_regions(conv, strat, mk)
     # the plan keeps the window tail as a Remainder region
@@ -1081,7 +1081,7 @@ def test_deep_suite_holds_a_peel_followed_by_a_tail(rng):
     # the pointwise layer (its chunks views of the input), a strided 1x1
     # downsample (copied) and a layer whose plan under intel.toml with
     # 16x8 has a k3 peel followed by the window tail: 198x198 outputs are
-    # 2450 tiles and 4 windows, and k3 = 2427. RunInfo.regions keeps that
+    # 2450 tiles and 4 windows, and k3 = 2427. ConvPlan.regions keeps that
     # plan, while the layer runs as one span of all its windows.
     cases, errors = load_suite(FIXTURES / "deep.jsonl")
     assert not errors
@@ -1090,7 +1090,7 @@ def test_deep_suite_holds_a_peel_followed_by_a_tail(rng):
     assert params["downsample_1x1_s2_256_512_28"].stride_h == 2
     arch, mk = _intel_16x8()
     p = params["peel_tail_3x3_32_198"]
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     strat = analyze(conv, arch, mk)
     assert strat.k3 == 2427
     widths = []
@@ -1135,7 +1135,7 @@ def test_regions_that_keep_one_chunk(p):
     # chunks than in its 4 capped sets, but its (1024, 192) partial-sum
     # block is 768 KiB, more than half of L2.
     arch, mk = _intel_16x8()
-    strat = analyze(conv_info(p.padded()), arch, mk)
+    strat = analyze(ConvInfo(p.padded()), arch, mk)
     set_tiles, chunk = _layer_shape(p, arch, mk)
     tile = p.ic * p.fh * p.fw * mk.n_win * 4
     assert chunk == p.ic
@@ -1161,7 +1161,7 @@ def test_a_chunked_layer_is_one_window_set():
         l2 = l1 * int(rng.integers(2, 17))
         l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
         arch = ArchInfo(l1_bytes=l1, l2_bytes=l2, l3_bytes=l3)
-        conv = conv_info(p.padded())
+        conv = ConvInfo(p.padded())
         try:
             strat = analyze(conv, arch, mk)
         except ValueError:
@@ -1180,7 +1180,7 @@ def test_a_chunked_layer_is_one_window_set():
 def _run_into(plan, x, flt, fill):
     """plan's layer run by the built-in kernel into an output first filled
     with fill."""
-    p, conv = plan.params, plan.info.conv
+    p, conv = plan.params, plan.conv
     out = np.full((p.n, p.oc, conv.oh, conv.ow), fill, DTYPE)
     kernel._run_layer(x, flt, out, p, conv, plan.sets, plan.chunk, plan.mk,
                       None, None)
@@ -1223,7 +1223,7 @@ def test_random_layers_write_every_output_element(rng):
             "chunked": plan.chunk < p.ic, "padded": p.pad_h > 0,
             "strided": p.stride_h > 1, "dilated": p.dil_h > 1,
             "batched": p.n > 1, "in place": reads_in_place(p),
-            "tail": plan.info.conv.ohw % mk.n_win > 0,
+            "tail": plan.conv.ohw % mk.n_win > 0,
             "several sets": len(plan.sets) > 1})
     assert min(seen.values()) >= 5, seen
 

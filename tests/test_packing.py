@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, conv_info,
-                      random_params)
+from conftest import FILTER_SHAPES, GOLDEN, REF_MK, REF_PARAMS, random_params
 from packing_oracle import (dump_packed, filter_pack_index,
                             input_pack_index_general, input_pack_index_simple)
-from slicedconv import (ConvParams, MkInfo, im2col, pack_filter, pack_input,
-                        pad_input)
+from slicedconv import (ConvInfo, ConvParams, MkInfo, im2col, pack_filter,
+                        pack_input, pad_input)
 
 
 def row_break_free(ts, windows, ow):
@@ -80,7 +79,7 @@ def test_packers_reject_negative_starts_and_empty_ranges(rng, packer, kw):
     # empty range would return an empty matrix; both are refused with
     # IndexError, and the given out keeps its NaNs.
     p = ConvParams(n=2, ic=3, ih=6, iw=6, oc=8, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, flt = _tensors(rng, p)
     out = np.full((27, 4), np.nan, np.float32)
     with pytest.raises(IndexError):
@@ -103,7 +102,7 @@ def test_input_pack_index_simple_examples():
 
 def test_input_pack_index_general_reduces_to_simple():
     p = ConvParams(n=1, ic=1, ih=20, iw=20, oc=1, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     tile_w = 18
     ts = 2  # windows 2..17 stay within output row 0 (ow=18)
     for i_fh in range(3):
@@ -116,7 +115,7 @@ def test_input_pack_index_general_reduces_to_simple():
 
 def test_input_pack_index_general_row_break(rng):
     # windows 70..85 of a 75-wide output: window 80 wraps to row 1, col 5
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     idx = input_pack_index_general(70, 0, 10, 0, 0, 0, 0, conv, tile_w=77,
                                    n_win=16)
     assert idx == 12  # it_h=1, it_w=-65 against the 77-wide padded rows
@@ -132,7 +131,7 @@ def test_input_pack_index_general_row_break(rng):
 def test_input_pack_index_multipack_advances_by_tile():
     # tile i_nt of a multipack addresses the window n_win further along,
     # so it must resolve to the same index as a plain pack at that window
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     for i_nwin in (0, 3, 15):
         for i_fh, i_fw in ((0, 0), (1, 2)):
             multi = input_pack_index_general(0, 0, i_nwin, i_fh, i_fw, 1, 0,
@@ -143,7 +142,7 @@ def test_input_pack_index_multipack_advances_by_tile():
 
 
 def test_pack_input_reference_shape(rng):
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     x = rng.uniform(-1, 1, (1, 32, 77, 77)).astype(np.float32)
     m = pack_input(x, conv, 0, REF_MK.n_win, 0, 32)
     assert m.shape == (288, 16)
@@ -155,7 +154,7 @@ def test_pack_input_pointwise_block_is_a_read_only_view(rng):
     # view of x, not copied. It equals the copy that out= receives, bit for
     # bit, and writing into it raises instead of changing x.
     p = ConvParams(n=2, ic=3, ih=6, iw=8, oc=4, fh=1, fw=1)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, _ = _tensors(rng, p)
     before = x.tobytes()
     ts = 12
@@ -175,7 +174,7 @@ def test_pack_input_strided_pointwise_block_is_copied(rng):
     # pack_input copies it, and its columns are im2col's, bit for bit.
     p = ConvParams(n=1, ic=3, ih=7, iw=9, oc=4, fh=1, fw=1,
                    stride_h=2, stride_w=2)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, _ = _tensors(rng, p)
     m = pack_input(x, conv, 3, 10, 0, 3)
     assert not np.shares_memory(m, x) and m.flags.writeable
@@ -184,7 +183,7 @@ def test_pack_input_strided_pointwise_block_is_copied(rng):
 
 def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
     """Packed column w must equal the im2col column of window ts + w, bitwise."""
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     xp = pad_input(x, p)
     m = pack_input(xp, conv, ts, nt * mk.n_win, ic_off, nc)
     ref = im2col(x, p)
@@ -197,7 +196,7 @@ def _assert_columns_match_im2col(x, p, mk, ts, nt, nc, ic_off=0):
 def test_pack_input_matches_im2col_randomized(rng):
     for _ in range(25):
         p = random_params(rng, max_ic=8, max_oc=8, max_out=12)
-        conv = conv_info(p.padded())
+        conv = ConvInfo(p.padded())
         n_win = int(rng.choice((4, 8)))
         mk = MkInfo(n_win=n_win, n_f=4)
         if conv.ohw < n_win:
@@ -213,7 +212,7 @@ def test_pack_input_row_break_route(rng):
     # groups inside one output row and across a row break both agree
     # with the oracle
     p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, _ = _tensors(rng, p)
     mk = MkInfo(n_win=4, n_f=4)
     assert row_break_free(0, 4, conv.ow)
@@ -239,7 +238,7 @@ def test_multipack_matches_im2col_randomized(rng, ow, stride, dil):
                        iw=(ow - 1) * stride + dil * (fw - 1) + 1 - 2 * pad,
                        oc=4, fh=fh, fw=fw, stride_h=stride, stride_w=stride,
                        dil_h=dil, dil_w=dil, pad_h=pad, pad_w=pad)
-        conv = conv_info(p.padded())
+        conv = ConvInfo(p.padded())
         x, _ = _tensors(rng, p)
         nt = int(rng.integers(2, (conv.ohw - 1) // mk.n_win + 1))
         ts = int(rng.integers(0, conv.ohw - nt * mk.n_win + 1))
@@ -266,7 +265,7 @@ def test_pack_input_allocates_no_gather_temporary(rng):
     # strided copies need no temporary of the packed size.
     p = ConvParams(n=1, ic=3, ih=224, iw=224, oc=64, fh=7, fw=7,
                    stride_h=2, stride_w=2, pad_h=3, pad_w=3)
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     x, _ = _tensors(rng, p)
     xp = pad_input(x, p)
     out = np.empty((3 * 7 * 7, 20 * REF_MK.n_win), np.float32)
@@ -301,7 +300,7 @@ def test_pack_input_row_pieces_match_im2col(rng, oh, ow, n_win, ts, nt):
     # must equal im2col bitwise, and the NaNs around the slice must stay.
     p = ConvParams(n=2, ic=4, ih=oh + 2, iw=2 * ow - 1, oc=4, fh=3, fw=2,
                    stride_w=2, dil_h=2, pad_h=1, pad_w=1)
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     assert (conv.oh, conv.ow) == (oh, ow)
     x, _ = _tensors(rng, p)
     xp = pad_input(x, p)
@@ -323,7 +322,7 @@ def _assert_outs_refused(rng, shapes):
     # before writing any element. The packed input matrix is K = 2*3*3 = 18
     # by 12 windows.
     p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=8, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, _ = _tensors(rng, p)
     for shape in shapes:
         out = np.full(shape, np.nan, np.float32)
@@ -380,7 +379,7 @@ def test_pack_input_rejects_input_smaller_than_its_view(short):
     # first group, which reads no missing element, must be refused.
     p = ConvParams(n=1, ic=2, ih=9, iw=9, oc=4, fh=3, fw=3,
                    stride_h=2, stride_w=2)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     big = np.full((1, 2, 10, 10), np.nan, np.float32)
     big[:, :, :9, :9] = 1.0
     x = big[:, :, :8, :9] if short == "row" else big[:, :, :9, :8]
@@ -394,7 +393,7 @@ def test_pack_input_rejects_input_smaller_than_its_view(short):
 def test_multipack_equals_concatenated_singles(rng):
     for _ in range(10):
         p = random_params(rng, max_ic=6, max_oc=32, max_out=12, pads=(0,))
-        conv = conv_info(p)
+        conv = ConvInfo(p)
         mk = MkInfo(n_win=4, n_f=4)
         wtiles = conv.ohw // mk.n_win
         ftiles = conv.params.oc // mk.n_f
@@ -417,7 +416,7 @@ def test_pack_input_rejects_out_of_domain(rng):
     # A window range must lie in the layer's windows: a 4x4 output is 16
     # windows, and a range that runs past window 16 is refused.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, _ = _tensors(rng, p)
     for w0, windows in ((16, 1), (12, 8), (0, 20), (15, 2), (0, 17)):
         with pytest.raises(IndexError):
@@ -438,7 +437,7 @@ def test_pack_input_rejects_out_of_domain(rng):
 
 def test_pack_input_rejects_unpadded_problem(rng):
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3, pad_h=1, pad_w=1)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     x, _ = _tensors(rng, p)
     with pytest.raises(ValueError, match="pre-padded"):
         pack_input(x, conv, 0, 4, 0, 2)
@@ -446,7 +445,7 @@ def test_pack_input_rejects_unpadded_problem(rng):
 
 def test_dump_packed_golden():
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     gen = np.random.default_rng(42)
     x = np.round(gen.uniform(-4, 4, (1, 2, 6, 6))).astype(np.float32)
     t = pack_input(x, conv, 0, 8, 0, 2)

@@ -1,6 +1,6 @@
 """ConvPlan: plan a convolution once, then run it on any number of tensor
-pairs, with the same outputs and RunInfo as run_convolution, and at other
-sizes through dataclasses.replace."""
+pairs, with the same outputs as run_convolution and the plan itself
+returned beside them, and at other sizes through dataclasses.replace."""
 
 import sys
 import threading
@@ -34,11 +34,11 @@ def test_a_replaced_plan_runs_at_its_own_sizes(rng, p):
     # in sets of one tile at full depth there is one set per whole tile,
     # and one set of all windows may run in chunks of about half the
     # channels. Either way each GEMM is one of the new plan's sets, per
-    # image and chunk, each window tile is packed once per image, the
-    # decisions reported are the plan's, and the output matches the
-    # reference.
+    # image and chunk, each window tile is packed once per image, the run
+    # returns the replaced plan, whose decisions are the original's, and
+    # the output matches the reference.
     plan = plan_convolution(p, INTEL, MK)
-    conv = plan.info.conv
+    conv = plan.conv
     wtiles = max(1, conv.ohw // MK.n_win)
     x, flt = rand_tensors(rng, p)
     ref = rowwise_conv(x, flt, p)
@@ -59,7 +59,9 @@ def test_a_replaced_plan_runs_at_its_own_sizes(rng, p):
         assert counters.input_packs == Counter(
             {(b, t): 1 for b in range(p.n)
              for t in range(-(-conv.ohw // MK.n_win))})
-        assert info is plan.info
+        assert info is sized
+        assert (info.strategy, info.regions, info.conv) == (
+            plan.strategy, plan.regions, plan.conv)
         assert max_relative_error(out, ref) <= 1e-4
 
 

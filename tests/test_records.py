@@ -17,8 +17,8 @@ from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 import pytest
 
 import slicedconv
-from slicedconv import (ArchInfo, CaseReport, ConvCase, ConvParams, MkInfo,
-                        RunCounters, plan_convolution)
+from slicedconv import (ArchInfo, CaseReport, ConvCase, ConvInfo, ConvParams,
+                        MkInfo, RunCounters, out_shape, plan_convolution)
 
 P = ConvParams(n=1, ic=4, ih=10, iw=9, oc=8, fh=3, fw=3, stride_h=2, pad_w=1)
 ARCH = ArchInfo(l1_bytes=32768, l2_bytes=1048576)
@@ -39,20 +39,19 @@ TAIL_REPR = ("KernelRegion(spatial_start=32, spatial_len=4, oc_start=0, "
              "kind=<RegionKind.Remainder: 'remainder'>)")
 MAIN_REPR = ("KernelRegion(spatial_start=0, spatial_len=32, oc_start=0, "
              "oc_len=8, ic_start=0, ic_len=4, kind=<RegionKind.Main: 'main'>)")
-INFO_REPR = (f"RunInfo(strategy={STRATEGY_REPR}, "
-             f"regions=({TAIL_REPR}, {MAIN_REPR}), conv={CONV_REPR})")
 
 RECORDS = {
     "ConvParams": (P, P_REPR),
     "ArchInfo": (ARCH, "ArchInfo(l1_bytes=32768, l2_bytes=1048576, "
                        "l3_bytes=0, cache_line_bytes=64)"),
     "MkInfo": (MK, MK_REPR),
-    "ConvInfo": (PLAN.info.conv, CONV_REPR),
-    "TilingStrategy": (PLAN.info.strategy, STRATEGY_REPR),
-    "KernelRegion": (PLAN.info.regions[0], TAIL_REPR),
-    "RunInfo": (PLAN.info, INFO_REPR),
+    "ConvInfo": (PLAN.conv, CONV_REPR),
+    "TilingStrategy": (PLAN.strategy, STRATEGY_REPR),
+    "KernelRegion": (PLAN.regions[0], TAIL_REPR),
     "ConvPlan": (PLAN, f"ConvPlan(params={P_REPR}, mk={MK_REPR}, "
-                       f"info={INFO_REPR}, set_tiles=1, chunk=4, "
+                       f"strategy={STRATEGY_REPR}, "
+                       f"regions=({TAIL_REPR}, {MAIN_REPR}), "
+                       f"conv={CONV_REPR}, set_tiles=1, chunk=4, "
                        f"sets=((0, 16), (16, 20)))"),
     "RunCounters": (RunCounters(input_packs=Counter({(0, 1): 2})),
                     "RunCounters(input_packs=Counter({(0, 1): 2}), "
@@ -146,8 +145,8 @@ def test_run_counters_stay_mutable():
     (MK, {"n_f": 0}, ValueError),
     (PLAN, {"chunk": 0}, ValueError),
     (PLAN, {"set_tiles": 0}, ValueError),
-    (PLAN.info.strategy, {"nc": 0}, ValueError),
-    (PLAN.info.strategy, {"r_k3": -1}, ValueError),
+    (PLAN.strategy, {"nc": 0}, ValueError),
+    (PLAN.strategy, {"r_k3": -1}, ValueError),
     (RECORDS["ConvCase"][0], {"repeat": 0}, ValueError),
 ])
 def test_replace_runs_the_checks_again(obj, change, error):
@@ -156,11 +155,38 @@ def test_replace_runs_the_checks_again(obj, change, error):
 
 
 def test_replace_keeps_derived_fields_out_of_reach():
-    # ConvPlan.sets is derived from set_tiles, so replace() rebuilds it and
-    # refuses it as an argument, as field(init=False) did.
+    # ConvPlan.sets is derived from set_tiles, and ConvInfo's extents from
+    # its params, so replace() rebuilds them and refuses them as
+    # arguments, as field(init=False) did.
     assert replace(PLAN, set_tiles=2).sets == ((0, 36),)
     with pytest.raises(ValueError):
         replace(PLAN, sets=((0, 36),))
+    conv = PLAN.conv
+    wide = replace(conv, params=replace(conv.params, iw=13))
+    assert (wide.oh, wide.ow, wide.ohw) == (4, 11, 44)
+    for name in ("oh", "ow", "ohw"):
+        with pytest.raises(ValueError):
+            replace(conv, **{name: 1})
+
+
+def test_conv_info_derives_what_callers_passed_by_hand():
+    # ConvInfo(p) holds the extents that callers once passed in by hand
+    # from out_shape: oh, ow and their product.
+    for p in (P, P.padded(), ConvParams(n=2, ic=1, ih=5, iw=7, oc=1, fh=3,
+                                        fw=3, stride_w=2, dil_w=3)):
+        oh, ow = out_shape(p)
+        conv = ConvInfo(p)
+        assert (conv.params, conv.oh, conv.ow, conv.ohw) == (p, oh, ow, oh * ow)
+
+
+def test_replaced_plan_shares_the_decisions():
+    # replace(plan, set_tiles=...) runs the same layer at other sizes: it
+    # holds the original's strategy, regions and conv, not copies, and a
+    # run returns the plan itself.
+    sized = replace(PLAN, set_tiles=2)
+    for name in ("params", "mk", "strategy", "regions", "conv"):
+        assert getattr(sized, name) is getattr(PLAN, name), name
+    assert (sized.set_tiles, sized.chunk) == (2, PLAN.chunk)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REF_PARAMS, conv_info,
+from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REF_PARAMS,
                       rand_tensors, random_params)
-from slicedconv import (ConvParams, KernelRegion, MkInfo, RegionKind, Schedule,
-                        TilingStrategy, analyze, coverage_check, load_arch,
-                        naive_conv, pack_filter, plan_regions, run_convolution)
+from slicedconv import (ConvInfo, ConvParams, KernelRegion, MkInfo,
+                        RegionKind, Schedule, TilingStrategy, analyze,
+                        coverage_check, load_arch, naive_conv, pack_filter,
+                        plan_regions, run_convolution)
 from slicedconv import kernel
 from slicedconv.harness import max_relative_error
 
@@ -42,7 +43,7 @@ def test_plan_regions_cuts(ohw, n_win, oc, ic, k3, want):
     # window tail, then the core and the k3 peel. Each region spans all
     # output and input channels, e_off is its first window, and a second
     # call plans the same regions.
-    conv = conv_info(ConvParams(n=1, ic=ic, ih=1, iw=ohw, oc=oc, fh=1, fw=1))
+    conv = ConvInfo(ConvParams(n=1, ic=ic, ih=1, iw=ohw, oc=oc, fh=1, fw=1))
     mk = MkInfo(n_win=n_win, n_f=8)
     regions = plan_regions(conv, _strategy(nc=ic, k2=1, k3=k3), mk)
     assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == want
@@ -65,7 +66,7 @@ def _exhaustive_cover(regions, conv):
 def test_coverage_random_plans(rng):
     for _ in range(30):
         p = random_params(rng, max_ic=9, max_oc=20, max_out=9)
-        conv = conv_info(p.padded())
+        conv = ConvInfo(p.padded())
         mk = MkInfo(n_win=int(rng.choice((4, 8, 16))), n_f=int(rng.choice((4, 8))))
         strat = analyze(conv, CALIBRATED_ARCH, mk)
         regions = plan_regions(conv, strat, mk)
@@ -80,7 +81,7 @@ def test_coverage_random_plans(rng):
 
 
 def test_coverage_detects_duplicate_and_gap():
-    conv = conv_info(random_params(np.random.default_rng(3), max_ic=4, max_oc=8, max_out=6))
+    conv = ConvInfo(random_params(np.random.default_rng(3), max_ic=4, max_oc=8, max_out=6))
     mk = MkInfo(n_win=4, n_f=4)
     strat = analyze(conv, CALIBRATED_ARCH, mk)
     regions = plan_regions(conv, strat, mk)
@@ -98,7 +99,7 @@ def test_coverage_detects_duplicate_and_gap():
 def test_coverage_rejects_a_region_out_of_range(field, value):
     # One region of a whole-layer plan moved or sized past the layer, or
     # given a negative extent: the plan no longer covers it exactly.
-    conv = conv_info(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
+    conv = ConvInfo(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
     whole = KernelRegion(0, 16, 0, 5, 0, 3, RegionKind.Main)
     assert coverage_check([whole], conv)
     assert not coverage_check([replace(whole, **{field: value})], conv)
@@ -117,7 +118,7 @@ def test_coverage_refuses_what_no_plan_makes(regions):
     # Each list covers the 16 windows x 5 filters x 3 channels exactly
     # once, but splits channels or holds a region without a window, which
     # plan_regions never makes.
-    conv = conv_info(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
+    conv = ConvInfo(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
     assert _exhaustive_cover(regions, conv)
     assert not coverage_check(regions, conv)
 
@@ -143,7 +144,7 @@ def test_coverage_matches_a_window_count_on_mutated_plans(rng):
     verdicts = Counter()
     for _ in range(400):
         p = random_params(rng, max_ic=6, max_oc=12, max_out=9)
-        conv = conv_info(p.padded())
+        conv = ConvInfo(p.padded())
         mk = MkInfo(n_win=int(rng.choice((1, 2, 4, 8))), n_f=4)
         regions = plan_regions(conv, analyze(conv, CALIBRATED_ARCH, mk), mk)
         i = int(rng.integers(len(regions)))
@@ -170,7 +171,7 @@ def test_coverage_matches_a_window_count_on_mutated_plans(rng):
 
 
 def test_reference_plan_lens():
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     strat = analyze(conv, CALIBRATED_ARCH, REF_MK)
     regions = plan_regions(conv, strat, REF_MK)
     spatial = sorted(r.spatial_len for r in regions)
@@ -183,7 +184,7 @@ def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
     # filter tile in the one filter set of each region, all 13 filters
     p = random_params(np.random.default_rng(9), max_out=8)
     p = type(p)(**{**p.__dict__, "oc": 13})
-    conv = conv_info(p.padded())
+    conv = ConvInfo(p.padded())
     mk = MkInfo(n_win=4, n_f=8)
     strat = analyze(conv, CALIBRATED_ARCH, mk)
     regions = plan_regions(conv, strat, mk)
@@ -208,7 +209,7 @@ def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
 
 
 def test_regions_json_roundtrip():
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     strat = analyze(conv, CALIBRATED_ARCH, REF_MK)
     regions = plan_regions(conv, strat, REF_MK)
     decoded = json.loads(json.dumps([r.to_dict() for r in regions]))
@@ -222,7 +223,7 @@ def test_reference_region_dump():
     # committed calibrated fixture, keys in their dump order: the 9-window
     # tail, the 5568-window core and the 48-window k3 peel. e_off is each
     # region's first window.
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     strat = analyze(conv, load_arch(FIXTURES / "calibrated.toml"), REF_MK)
     dump = [r.to_dict() for r in plan_regions(conv, strat, REF_MK)]
     want = [

@@ -1,13 +1,13 @@
 import pytest
 
-from conftest import CALIBRATED_ARCH, REF_MK, REF_PARAMS, conv_info, random_params
-from slicedconv import (ArchInfo, ConvParams, MkInfo, Schedule, TilingStrategy,
-                        analyze, remainders)
+from conftest import CALIBRATED_ARCH, REF_MK, REF_PARAMS, random_params
+from slicedconv import (ArchInfo, ConvInfo, ConvParams, MkInfo, Schedule,
+                        TilingStrategy, analyze, remainders)
 from tiling_oracle import filter_tiles, scaled, tile_bytes, window_tiles
 
 
 def test_reference_case_matches_published_numbers():
-    s = analyze(conv_info(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
+    s = analyze(ConvInfo(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
     assert s.schedule is Schedule.InputStationary
     assert (s.nc, s.k2, s.k3) == (32, 32, 87)
     assert (s.r_nc, s.r_k2, s.r_k3) == (0, 0, 3)
@@ -15,14 +15,14 @@ def test_reference_case_matches_published_numbers():
 
 def test_single_channel_input():
     p = ConvParams(n=1, ic=1, ih=20, iw=20, oc=16, fh=3, fw=3)
-    s = analyze(conv_info(p), CALIBRATED_ARCH, REF_MK)
+    s = analyze(ConvInfo(p), CALIBRATED_ARCH, REF_MK)
     assert s.nc == 1 and s.r_nc == 0
 
 
 def test_tiny_conv_degenerates():
     p = ConvParams(n=1, ic=4, ih=4, iw=4, oc=4, fh=1, fw=1)  # 16 windows
     huge = ArchInfo(l1_bytes=1 << 24, l2_bytes=1 << 26, l3_bytes=1 << 28)
-    s = analyze(conv_info(p), huge, MkInfo(n_win=16, n_f=8))
+    s = analyze(ConvInfo(p), huge, MkInfo(n_win=16, n_f=8))
     assert (s.k2, s.k3) == (1, 1)
     assert (s.r_nc, s.r_k2, s.r_k3) == (0, 0, 0)
 
@@ -31,14 +31,14 @@ def test_infeasible_l1():
     p = ConvParams(n=1, ic=8, ih=30, iw=30, oc=32, fh=7, fw=7)
     tiny = ArchInfo(l1_bytes=1024, l2_bytes=2048, l3_bytes=0)
     with pytest.raises(ValueError, match="tile exceeds L1"):
-        analyze(conv_info(p), tiny, MkInfo(n_win=16, n_f=16))
+        analyze(ConvInfo(p), tiny, MkInfo(n_win=16, n_f=16))
 
 
 def test_remainders_window_tile_units():
     # 75x75 output -> 5625 windows -> 351 full 16-window tiles; 351 mod 87 = 3,
     # i.e. the 5616-window main extent factors as 87*4 sets plus 3 tiles
     # (48 windows).
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     assert window_tiles(conv, REF_MK) == 351
     r_nc, r_k2, r_k3 = remainders(conv, REF_MK, nc=32, k2=32, k3=87)
     assert (r_nc, r_k2, r_k3) == (0, 0, 3)
@@ -47,7 +47,7 @@ def test_remainders_window_tile_units():
 
 
 def test_remainders_unit_tile():
-    conv = conv_info(REF_PARAMS)
+    conv = ConvInfo(REF_PARAMS)
     assert remainders(conv, REF_MK, nc=1, k2=1, k3=1) == (0, 0, 0)
 
 
@@ -56,7 +56,7 @@ def test_remainders_are_modular(rng):
         d = int(rng.integers(1, 10001))
         t = int(rng.integers(1, 513))
         p = ConvParams(n=1, ic=d, ih=8, iw=8, oc=8, fh=1, fw=1)
-        conv = conv_info(p)
+        conv = ConvInfo(p)
         mk = MkInfo(n_win=4, n_f=4)
         r_nc, r_k2, r_k3 = remainders(conv, mk, nc=t, k2=t, k3=t)
         assert r_nc == d % t
@@ -67,7 +67,7 @@ def test_remainders_are_modular(rng):
 def test_cost_prefers_ws_for_large_filter_tensor():
     # filter tensor (512*16*3*3) far larger than the input (16*9*9)
     p = ConvParams(n=1, ic=16, ih=9, iw=9, oc=512, fh=3, fw=3)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=16, n_f=8)
     s = analyze(conv, CALIBRATED_ARCH, mk)
     assert s.schedule is Schedule.WeightStationary
@@ -76,7 +76,7 @@ def test_cost_prefers_ws_for_large_filter_tensor():
 def test_cost_tie_breaks_to_input_stationary():
     # ih*iw == oc*fh*fw makes the tensors byte-identical in size
     p = ConvParams(n=1, ic=4, ih=2, iw=2, oc=4, fh=1, fw=1)
-    conv = conv_info(p)
+    conv = ConvInfo(p)
     mk = MkInfo(n_win=4, n_f=4)
     assert p.n * p.ic * p.ih * p.iw == p.oc * p.ic * p.fh * p.fw
     s = analyze(conv, ArchInfo(l1_bytes=1 << 20, l2_bytes=1 << 22, l3_bytes=0),
@@ -91,7 +91,7 @@ def test_l1_fit_invariant(rng):
         n_win, n_f = mkc[int(rng.integers(len(mkc)))]
         mk = MkInfo(n_win=n_win, n_f=n_f)
         arch = _random_arch(rng)
-        conv = conv_info(p)
+        conv = ConvInfo(p)
         try:
             s = analyze(conv, arch, mk)
         except ValueError:
@@ -105,8 +105,8 @@ def test_l1_fit_invariant(rng):
 
 
 def test_analyze_is_pure():
-    a = analyze(conv_info(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
-    b = analyze(conv_info(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
+    a = analyze(ConvInfo(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
+    b = analyze(ConvInfo(REF_PARAMS), CALIBRATED_ARCH, REF_MK)
     assert a == b
 
 
@@ -116,7 +116,7 @@ def test_monotone_under_cache_scaling(rng):
         mk = MkInfo(n_win=int(rng.choice((4, 8, 16))),
                     n_f=int(rng.choice((4, 8, 16))))
         arch = _random_arch(rng)
-        conv = conv_info(p)
+        conv = ConvInfo(p)
         try:
             s = analyze(conv, arch, mk)
         except ValueError:
@@ -135,7 +135,7 @@ def _random_arch(rng):
 
 def test_k3_collapses_without_l3():
     arch = ArchInfo(l1_bytes=64 * 1024, l2_bytes=1 << 20, l3_bytes=0)
-    s = analyze(conv_info(REF_PARAMS), arch, REF_MK)
+    s = analyze(ConvInfo(REF_PARAMS), arch, REF_MK)
     assert s.k3 == 1
 
 
