@@ -4,11 +4,11 @@ Cache-aware tiling analysis, edge-case region splitting (planned and
 reported), affine-equation input packing over window ranges, and one layer
 executor that runs each window set against every filter in one GEMM per
 channel chunk, plus an oracle-checked harness. A convolution is planned
-once (plan_convolution) and its plan runs any number of tensor pairs.
+once (ConvPlan) and its plan runs any number of tensor pairs.
 """
 
 from .arch import ArchInfo, ConvInfo, MkInfo, load_arch, load_mk
-from .engine import ConvPlan, plan_convolution, run_convolution
+from .engine import ConvPlan, run_convolution
 from .kernel import RunCounters, microkernel
 from .model import ConvParams, out_shape, pad_input
 from .packing import pack_filter, pack_input
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchInfo", "ConvInfo", "MkInfo", "load_arch", "load_mk",
-    "ConvPlan", "plan_convolution", "run_convolution",
+    "ConvPlan", "run_convolution",
     "ConvCase", "CaseReport", "load_suite", "run_suite",
     "RunCounters", "microkernel",
     "ConvParams", "out_shape", "pad_input",

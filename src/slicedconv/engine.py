@@ -1,15 +1,15 @@
 """End-to-end driver: plan a convolution once, then run the plan.
 
-plan_convolution does everything that depends on the problem, the machine
-and the microkernel but not on the tensors: it analyzes the padded
-problem, plans and coverage-checks the regions and sizes the layer's
-window sets and channel chunks. The ConvPlan it returns checks those
-sizes and lists the window sets when it is made; it is frozen and holds
-no buffers, so one plan may run any number of tensor pairs, from several
-threads at once. ConvPlan.run, the one way to run a layer, checks each
-tensor's shape against the plan and runs the layer's one loop nest
+ConvPlan(p, arch, mk) is made from the problem, the machine and the
+microkernel alone, and derives every decision that does not depend on the
+tensors: it analyzes the padded problem, plans and coverage-checks the
+regions, sizes the layer's window sets and channel chunks, checks those
+sizes and lists the window sets. It is frozen and holds no buffers, so
+one plan may run any number of tensor pairs, from several threads at
+once. ConvPlan.run, the one way to run a layer, checks each tensor's
+shape against the plan and runs the layer's one loop nest
 (kernel._run_layer), which allocates its own buffers per call.
-run_convolution is plan_convolution followed by one run.
+run_convolution is a plan followed by one run.
 
 The analysis and the plan's strategy, regions and conv describe the
 padded problem (pad = 0), as do the packing equations. No padded copy of
@@ -55,29 +55,38 @@ from .strategy import TilingStrategy, analyze
 class ConvPlan(Record):
     """One convolution planned for one machine and microkernel.
 
-    params is the problem as the caller holds it (padded or not); strategy,
-    regions and conv (the padded problem's ConvInfo) are what was decided;
-    set_tiles and chunk the layer's window-set size in whole tiles and its
-    channel-chunk size, from which sets, each window set's (first window,
-    windows), is derived. Each run returns the plan, which holds no
-    buffers and no tensors. It checks its sizes when it is made, so
-    replace(plan, set_tiles=..., chunk=...) is a checked plan at those
-    sizes: both must be integers (TypeError), set_tiles at least 1, chunk
-    from 1 to ic, and a chunked layer one window set (ValueError).
+    params is the problem as the caller holds it (padded or not). The
+    plan derives conv, the padded problem's ConvInfo; its strategy
+    (ValueError if the analysis refuses it); its coverage-checked regions;
+    set_tiles and chunk, the window-set size in whole tiles and the
+    channel-chunk size, from _layer_shape unless given, then checked: both
+    integers (TypeError), set_tiles at least 1, chunk from 1 to ic, and a
+    chunked layer one window set (ValueError); and sets, each window set's
+    (first window, windows). It holds no buffers and no tensors. replace()
+    refuses what is derived: replace(plan, set_tiles=..., chunk=...) is
+    the same layer at other sizes, and any other replace() plans anew.
     """
 
     params: ConvParams
+    arch: ArchInfo
     mk: MkInfo
-    strategy: TilingStrategy
-    regions: tuple[KernelRegion, ...]
-    conv: ConvInfo
     set_tiles: int
     chunk: int
+    conv: ConvInfo = field(init=False)
+    strategy: TilingStrategy = field(init=False)
+    regions: tuple[KernelRegion, ...] = field(init=False)
     sets: tuple[tuple[int, int], ...] = field(init=False)
 
-    def __init__(self, params: ConvParams, mk: MkInfo,
-                 strategy: TilingStrategy, regions: tuple[KernelRegion, ...],
-                 conv: ConvInfo, set_tiles: int, chunk: int):
+    def __init__(self, params: ConvParams, arch: ArchInfo, mk: MkInfo,
+                 set_tiles: int | None = None, chunk: int | None = None):
+        conv = ConvInfo(params.padded())
+        strategy = analyze(conv, arch, mk)
+        regions = tuple(plan_regions(conv, strategy, mk))
+        if not coverage_check(regions, conv):
+            raise RuntimeError("region decomposition does not cover")
+        shape = _layer_shape(strategy, conv, arch, mk)
+        set_tiles = shape[0] if set_tiles is None else set_tiles
+        chunk = shape[1] if chunk is None else chunk
         ic = params.ic
         require_int("set_tiles", set_tiles)
         if set_tiles < 1:
@@ -92,12 +101,13 @@ class ConvPlan(Record):
                              f"runs as one window set, not {len(sets)} sets "
                              f"of {set_tiles} tiles")
         _set(self, "params", params)
+        _set(self, "arch", arch)
         _set(self, "mk", mk)
-        _set(self, "strategy", strategy)
-        _set(self, "regions", regions)
-        _set(self, "conv", conv)
         _set(self, "set_tiles", set_tiles)
         _set(self, "chunk", chunk)
+        _set(self, "conv", conv)
+        _set(self, "strategy", strategy)
+        _set(self, "regions", regions)
         _set(self, "sets", sets)
 
     def run(self, x: np.ndarray, filters: np.ndarray, hook=None,
@@ -145,31 +155,16 @@ class ConvPlan(Record):
         return out, self
 
 
-def plan_convolution(p: ConvParams, arch: ArchInfo, mk: MkInfo) -> ConvPlan:
-    """Analyze, plan and size the convolution p once; see ConvPlan.
-
-    Raises ValueError when the analysis refuses the problem (a
-    single-channel tile set that exceeds L1).
-    """
-    conv = ConvInfo(p.padded())
-    strategy = analyze(conv, arch, mk)
-    regions = tuple(plan_regions(conv, strategy, mk))
-    if not coverage_check(regions, conv):
-        raise RuntimeError("region decomposition does not cover")
-    set_tiles, chunk = _layer_shape(strategy, conv, arch, mk)
-    return ConvPlan(p, mk, strategy, regions, conv, set_tiles, chunk)
-
-
 def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
                     arch: ArchInfo, mk: MkInfo, hook=None,
                     counters: RunCounters | None = None
                     ) -> tuple[np.ndarray, ConvPlan]:
     """Run the sliced engine; returns (output NCHW f32, its ConvPlan).
 
-    The same as plan_convolution(p, arch, mk).run(x, filters, hook,
-    counters): a caller that runs one problem many times plans it once.
+    The same as ConvPlan(p, arch, mk).run(x, filters, hook, counters): a
+    caller that runs one problem many times plans it once.
     """
-    return plan_convolution(p, arch, mk).run(x, filters, hook, counters)
+    return ConvPlan(p, arch, mk).run(x, filters, hook, counters)
 
 
 def _layer_shape(strategy: TilingStrategy, conv: ConvInfo, arch: ArchInfo,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchInfo, MkInfo
-from .engine import plan_convolution
+from .engine import ConvPlan
 from .model import DTYPE, ConvParams, Record, _set, out_shape, require_int
 from .reference import rowwise_conv
 from .regions import KernelRegion
@@ -235,7 +235,7 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
               ) -> tuple[list[CaseReport], dict[str, tuple[KernelRegion, ...]]]:
     """Run every case; returns (reports, each passing run's region plan).
 
-    Each case is planned once (engine.plan_convolution), and its plan runs
+    Each case is planned once (engine.ConvPlan), and its plan runs
     the verification pass and then, unless verify_only, the case's repeat
     timed runs, so the reported seconds exclude planning. A case the
     engine refuses to plan (analyze's ValueError: its tiles do not fit
@@ -251,7 +251,7 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
         case = cases[idx]
         try:
             try:
-                plan = plan_convolution(case.params, arch, mk)
+                plan = ConvPlan(case.params, arch, mk)
             except ValueError as exc:
                 return _failure_report(case, exc, planned=False)
             x, flt = init_tensors(case, seed, idx)

@@ -14,8 +14,10 @@ engine splits a deep reduction), and the GEMM blocks its operands itself,
 so the analysis's nc and k2 and their remainders r_nc and r_k2 size no
 region. coverage_check therefore checks a plan in the one dimension it
 splits: each region spans all channels, and the regions' window ranges
-tile the layer's windows. The engine reports this plan and runs the layer
-as one span (see engine.py).
+tile the layer's windows. A region therefore holds its channel extents
+(oc_len, ic_len) but no channel offset; to_dict writes the offsets as 0,
+so --dump-regions keeps its keys. The engine reports this plan and runs
+the layer as one span (see engine.py).
 
 Regions are only the reported plan (ConvPlan.regions, the CSV,
 --dump-regions): the executor and the packers take plain window and
@@ -40,23 +42,20 @@ class RegionKind(enum.Enum):
 
 @dataclass(init=False, repr=False, eq=False)
 class KernelRegion(Record):
-    """A rectangular sub-range of the (windows x oc x ic) iteration space."""
+    """A window range of the (windows x oc x ic) iteration space, over
+    oc_len output and ic_len input channels from the first of each."""
 
     spatial_start: int
     spatial_len: int
-    oc_start: int
     oc_len: int
-    ic_start: int
     ic_len: int
     kind: RegionKind
 
-    def __init__(self, spatial_start: int, spatial_len: int, oc_start: int,
-                 oc_len: int, ic_start: int, ic_len: int, kind: RegionKind):
+    def __init__(self, spatial_start: int, spatial_len: int, oc_len: int,
+                 ic_len: int, kind: RegionKind):
         _set(self, "spatial_start", spatial_start)
         _set(self, "spatial_len", spatial_len)
-        _set(self, "oc_start", oc_start)
         _set(self, "oc_len", oc_len)
-        _set(self, "ic_start", ic_start)
         _set(self, "ic_len", ic_len)
         _set(self, "kind", kind)
 
@@ -68,8 +67,8 @@ class KernelRegion(Record):
     def to_dict(self) -> dict:
         return {
             "spatial_start": self.spatial_start, "spatial_len": self.spatial_len,
-            "oc_start": self.oc_start, "oc_len": self.oc_len,
-            "ic_start": self.ic_start, "ic_len": self.ic_len,
+            "oc_start": 0, "oc_len": self.oc_len,
+            "ic_start": 0, "ic_len": self.ic_len,
             "kind": self.kind.value, "e_off": self.e_off,
         }
 
@@ -93,12 +92,12 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
     keep = (wtiles - wtiles % strategy.k3) * mk.n_win
     regions = []
     if main < conv.ohw:
-        regions.append(KernelRegion(main, conv.ohw - main, 0, oc, 0, ic,
+        regions.append(KernelRegion(main, conv.ohw - main, oc, ic,
                                     RegionKind.Remainder))
     cuts = [0, keep, main] if 0 < keep < main else [0, main]
     for start, stop in zip(cuts, cuts[1:]):
         if stop > start:
-            regions.append(KernelRegion(start, stop - start, 0, oc, 0, ic,
+            regions.append(KernelRegion(start, stop - start, oc, ic,
                                         RegionKind.Main))
     return regions
 
@@ -106,15 +105,14 @@ def plan_regions(conv: ConvInfo, strategy: TilingStrategy,
 def coverage_check(regions: list[KernelRegion], conv: ConvInfo) -> bool:
     """True iff the regions cover the layer exactly once.
 
-    Every region must span all output and input channels (oc_start =
-    ic_start = 0, oc_len = oc, ic_len = ic), and the regions' window
-    ranges, sorted, must tile [0, ohw): no gap, no overlap and no region
-    without a window.
+    Every region must span all output and input channels (oc_len = oc,
+    ic_len = ic), and the regions' window ranges, sorted, must tile
+    [0, ohw): no gap, no overlap and no region without a window.
     """
-    full = (0, conv.params.oc, 0, conv.params.ic)
+    full = (conv.params.oc, conv.params.ic)
     end = 0
     for r in sorted(regions, key=lambda r: r.spatial_start):
-        if ((r.oc_start, r.oc_len, r.ic_start, r.ic_len) != full
+        if ((r.oc_len, r.ic_len) != full
                 or r.spatial_start != end or r.spatial_len < 1):
             return False
         end += r.spatial_len

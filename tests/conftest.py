@@ -1,15 +1,13 @@
 """Shared test helpers: paths, random problem generators, reference arch."""
 
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slicedconv
-from slicedconv import (ArchInfo, ConvParams, MkInfo, out_shape,
-                        plan_convolution)
+from slicedconv import ArchInfo, ConvParams, ConvPlan, MkInfo, out_shape
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
@@ -86,10 +84,9 @@ def rand_tensors(rng, p: ConvParams):
 
 def plan_at(p: ConvParams, mk: MkInfo, set_tiles, chunk):
     """p's plan run in window sets of set_tiles tiles and chunks of chunk
-    channels: the engine's plan under ROOMY_ARCH with its sizes replaced,
-    which re-checks them and re-derives the window sets."""
-    return replace(plan_convolution(p, ROOMY_ARCH, mk), set_tiles=set_tiles,
-                   chunk=chunk)
+    channels: the engine's plan under ROOMY_ARCH at those sizes, which it
+    checks and from which it derives the window sets."""
+    return ConvPlan(p, ROOMY_ARCH, mk, set_tiles, chunk)
 
 
 def brute_force_conv(x, filters, p: ConvParams):

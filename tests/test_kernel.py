@@ -10,10 +10,10 @@ import pytest
 
 from conftest import (CALIBRATED_ARCH, FIXTURES, REF_MK, REPO_ROOT, plan_at,
                       rand_tensors, random_params)
-from slicedconv import (ArchInfo, ConvInfo, ConvParams, MkInfo, RegionKind,
-                        RunCounters, Schedule, TilingStrategy, analyze,
-                        load_arch, load_suite, microkernel, naive_conv,
-                        pad_input, plan_convolution, run_convolution)
+from slicedconv import (ArchInfo, ConvInfo, ConvParams, ConvPlan, MkInfo,
+                        RegionKind, RunCounters, Schedule, TilingStrategy,
+                        analyze, load_arch, load_suite, microkernel,
+                        naive_conv, pad_input, run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.model import DTYPE
@@ -794,7 +794,7 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     assert info.strategy.schedule is sched
     ranges = [(r.spatial_start, r.spatial_len) for r in info.regions]
     assert len(ranges) == len(set(ranges)) == 2
-    assert all((r.oc_start, r.oc_len) == (0, p.oc) for r in info.regions)
+    assert all(r.oc_len == p.oc for r in info.regions)
     assert counters.input_packs == Counter({(0, t): 1 for t in range(4)})
     # one view of all 64 filter tiles, for the one span that runs
     assert counters.filter_packs == Counter({(0, f): 1 for f in range(64)})
@@ -916,6 +916,20 @@ def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
     assert set(counters.filter_packs.values()) == {1}
 
 
+def test_a_size_left_out_is_the_engines():
+    # A plan given one of its two sizes takes the other from the engine's
+    # sizing: conv4 given only its chunk, or only its set size, is its
+    # default plan, and given sets of one tile, still runs in its chunks
+    # of 37 channels, which only one window set may.
+    arch, mk = _intel_16x8()
+    plan = ConvPlan(CONV4, arch, mk)
+    assert (plan.set_tiles, plan.chunk) == _layer_shape(CONV4, arch, mk)
+    assert ConvPlan(CONV4, arch, mk, chunk=plan.chunk) == plan
+    assert ConvPlan(CONV4, arch, mk, set_tiles=plan.set_tiles) == plan
+    with pytest.raises(ValueError, match="runs as one window set"):
+        ConvPlan(CONV4, arch, mk, set_tiles=1)
+
+
 @pytest.mark.parametrize("p", [CONV4, CONV5], ids=["conv4", "conv5"])
 def test_chunked_run_memory_is_bounded_by_l2(rng, p):
     # The packed chunk and the partial-sum block each hold at most half of
@@ -964,7 +978,7 @@ def test_chunked_padded_batch_matches_the_prepadded_input_bitwise(rng):
     x, flt = rand_tensors(rng, p)
     outs, calls, shapes = [], [], []
     for q, xin in ((p, x), (p.padded(), pad_input(x, p))):
-        plan = plan_convolution(q, arch, mk)
+        plan = ConvPlan(q, arch, mk)
         seen = []
 
         def wrapped(pin, pf, acc):
@@ -1148,7 +1162,7 @@ def test_a_chunked_layer_is_one_window_set():
     # of them split the reduction: wherever _layer_shape picks chunks of
     # fewer than ic channels, its set size gives one window set of all
     # the layer's windows, the only chunked shape a plan runs. Wherever
-    # the analysis accepts a layer, plan_convolution plans it at those
+    # the analysis accepts a layer, ConvPlan plans it at those
     # sizes: the plan's own checks never refuse the engine's sizing, which
     # run_suite would otherwise report as an input error.
     rng = np.random.default_rng(7)
@@ -1167,7 +1181,7 @@ def test_a_chunked_layer_is_one_window_set():
         except ValueError:
             continue
         set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
-        plan = plan_convolution(p, arch, mk)
+        plan = ConvPlan(p, arch, mk)
         planned += 1
         assert (plan.set_tiles, plan.chunk) == (set_tiles, chunk)
         if chunk < p.ic:
@@ -1214,8 +1228,8 @@ def test_random_layers_write_every_output_element(rng):
         l2 = l1 * int(rng.integers(2, 17))
         l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
         try:
-            plan = plan_convolution(p, ArchInfo(l1_bytes=l1, l2_bytes=l2,
-                                                l3_bytes=l3), mk)
+            plan = ConvPlan(p, ArchInfo(l1_bytes=l1, l2_bytes=l2,
+                                        l3_bytes=l3), mk)
         except ValueError:
             continue
         _assert_fill_is_overwritten(plan, *rand_tensors(rng, p))
@@ -1247,7 +1261,7 @@ def _shipped_layers():
 def test_shipped_layers_write_every_output_element(rng, p, mk):
     # The bench, smoke and deep layers under intel.toml, whose caches
     # bench/arch.toml pins, with the 1x1, 16x8 and 128x8 microkernels.
-    plan = plan_convolution(p, load_arch(FIXTURES / "intel.toml"), mk)
+    plan = ConvPlan(p, load_arch(FIXTURES / "intel.toml"), mk)
     _assert_fill_is_overwritten(plan, *rand_tensors(rng, p))
 
 
@@ -1274,7 +1288,7 @@ def test_a_hook_gets_zeros_where_a_dropped_output_was(rng, p):
     # two sets per image. After a run whose output is dropped, a hook is
     # still handed an all-zero accumulator on every call: the first
     # chunk's block of the output as well as each later partial block.
-    plan = plan_convolution(p, *_intel_16x8())
+    plan = ConvPlan(p, *_intel_16x8())
     x, flt = rand_tensors(rng, p)
     builtin, _ = plan.run(x, flt)
     _drop_a_nan_output(plan, x, flt)
@@ -1296,7 +1310,7 @@ def test_a_skipped_window_set_leaves_zeros_not_a_dropped_output(
     # set, after a run whose output was dropped, those blocks are exactly
     # 0.0 and the others are the built-in kernel's.
     p = TAIL_CASES["batch2"][0]
-    plan = plan_convolution(p, *_intel_16x8())
+    plan = ConvPlan(p, *_intel_16x8())
     assert len(plan.sets) == 2 and plan.chunk == p.ic
     x, flt = rand_tensors(rng, p)
     builtin, _ = plan.run(x, flt)
@@ -1317,7 +1331,7 @@ def test_a_skipped_chunk_adds_zeros_not_a_dropped_output(rng, monkeypatch):
     # chunks 0, 2, 4 and 6, after a run whose output was dropped, leaves
     # zeros for them, the first chunk's output block included: the output
     # is the built-in run's on an input whose skipped channels are zero.
-    plan = plan_convolution(CONV4, *_intel_16x8())
+    plan = ConvPlan(CONV4, *_intel_16x8())
     assert plan.chunk == 37 and len(plan.sets) == 1
     x, flt = rand_tensors(rng, CONV4)
     masked = x.copy()

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import CALIBRATED_ARCH, FIXTURES, rand_tensors
-from slicedconv import (ConvParams, MkInfo, RunCounters, load_arch,
-                        load_suite, plan_convolution, run_convolution)
+from slicedconv import (ConvParams, ConvPlan, MkInfo, RunCounters,
+                        load_arch, load_suite, naive_conv, run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.reference import rowwise_conv
@@ -37,7 +37,7 @@ def test_a_replaced_plan_runs_at_its_own_sizes(rng, p):
     # image and chunk, each window tile is packed once per image, the run
     # returns the replaced plan, whose decisions are the original's, and
     # the output matches the reference.
-    plan = plan_convolution(p, INTEL, MK)
+    plan = ConvPlan(p, INTEL, MK)
     conv = plan.conv
     wtiles = max(1, conv.ohw // MK.n_win)
     x, flt = rand_tensors(rng, p)
@@ -65,10 +65,33 @@ def test_a_replaced_plan_runs_at_its_own_sizes(rng, p):
         assert max_relative_error(out, ref) <= 1e-4
 
 
+def test_a_plan_replaced_at_another_problem_or_microkernel_plans_anew(rng):
+    # replace() of anything but the two sizes makes the plan anew: at a
+    # larger problem it keeps the sizes given and covers the new layer,
+    # and at a 4x8 microkernel it holds a fresh 4x8 plan's strategy and
+    # regions, not the 16x8 plan's.
+    p = ConvParams(n=1, ic=8, ih=12, iw=12, oc=16, fh=3, fw=3)
+    q = replace(p, ih=22, iw=22)
+    plan = ConvPlan(p, INTEL, MK)
+    moved = replace(plan, params=q)
+    assert moved == ConvPlan(q, INTEL, MK, set_tiles=plan.set_tiles,
+                             chunk=plan.chunk)
+    assert (moved.conv.oh, moved.conv.ow) == (20, 20)
+    x, flt = rand_tensors(rng, q)
+    out, _ = moved.run(x, flt)
+    assert max_relative_error(out, naive_conv(x, flt, q)) <= 1e-4
+    small = MkInfo(n_win=4, n_f=8)
+    fresh = ConvPlan(p, INTEL, small)
+    assert fresh.regions != plan.regions
+    resized = replace(plan, mk=small)
+    assert (resized.strategy, resized.regions) == (fresh.strategy,
+                                                   fresh.regions)
+
+
 def test_one_plan_runs_two_tensor_pairs_as_two_engine_calls(rng):
     p = ConvParams(n=2, ic=6, ih=11, iw=7, oc=12, fh=5, fw=5, pad_h=1, pad_w=1)
     mk = MkInfo(n_win=4, n_f=4)
-    plan = plan_convolution(p, CALIBRATED_ARCH, mk)
+    plan = ConvPlan(p, CALIBRATED_ARCH, mk)
     for _ in range(2):
         x, flt = rand_tensors(rng, p)
         out, info = plan.run(x, flt)
@@ -89,7 +112,7 @@ def test_plan_run_rejects_a_tensor_of_another_shape(rng, tensor, shape):
     # Filters with a third channel would otherwise give the convolution
     # of their first two.
     p = ConvParams(n=1, ic=2, ih=6, iw=6, oc=4, fh=3, fw=3, pad_h=1, pad_w=1)
-    plan = plan_convolution(p, CALIBRATED_ARCH, MkInfo(n_win=4, n_f=4))
+    plan = ConvPlan(p, CALIBRATED_ARCH, MkInfo(n_win=4, n_f=4))
     x, flt = rand_tensors(rng, p)
     bad = np.zeros(shape, np.float32)
     calls = []
@@ -103,7 +126,7 @@ def test_one_plan_runs_from_two_threads_at_once(rng):
     # A plan holds no buffers: two threads running one plan on their own
     # tensors at once get the outputs a serial run gets.
     p = ConvParams(n=2, ic=5, ih=13, iw=12, oc=9, fh=3, fw=3, pad_h=1, pad_w=1)
-    plan = plan_convolution(p, CALIBRATED_ARCH, MkInfo(n_win=4, n_f=4))
+    plan = ConvPlan(p, CALIBRATED_ARCH, MkInfo(n_win=4, n_f=4))
     pairs = [rand_tensors(rng, p) for _ in range(2)]
     serial = [plan.run(x, flt)[0] for x, flt in pairs]
     start = threading.Barrier(2)
@@ -141,7 +164,7 @@ def test_plan_and_run_look_up_their_stages_as_module_globals(rng,
                         lambda *a: analyses.append(a) or analyze(*a))
     monkeypatch.setattr(kernel, "pack_input",
                         lambda *a, **kw: packs.append(a) or pack_input(*a, **kw))
-    plan = plan_convolution(p, CALIBRATED_ARCH, mk)
+    plan = ConvPlan(p, CALIBRATED_ARCH, mk)
     assert len(analyses) == 1
     x, flt = rand_tensors(rng, p)
     plan.run(x, flt)

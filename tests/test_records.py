@@ -18,40 +18,40 @@ import pytest
 
 import slicedconv
 from slicedconv import (ArchInfo, CaseReport, ConvCase, ConvInfo, ConvParams,
-                        MkInfo, RunCounters, out_shape, plan_convolution)
+                        ConvPlan, MkInfo, RunCounters, out_shape)
 
 P = ConvParams(n=1, ic=4, ih=10, iw=9, oc=8, fh=3, fw=3, stride_h=2, pad_w=1)
 ARCH = ArchInfo(l1_bytes=32768, l2_bytes=1048576)
 MK = MkInfo(n_win=16, n_f=8)
-PLAN = plan_convolution(P, ARCH, MK)
+PLAN = ConvPlan(P, ARCH, MK)
 
 # The strings dataclass(frozen=True) printed for these records.
 P_REPR = ("ConvParams(n=1, ic=4, ih=10, iw=9, oc=8, fh=3, fw=3, stride_h=2, "
           "stride_w=1, dil_h=1, dil_w=1, pad_h=0, pad_w=1)")
+ARCH_REPR = ("ArchInfo(l1_bytes=32768, l2_bytes=1048576, l3_bytes=0, "
+             "cache_line_bytes=64)")
 MK_REPR = "MkInfo(n_win=16, n_f=8)"
 CONV_REPR = ("ConvInfo(params=ConvParams(n=1, ic=4, ih=10, iw=11, oc=8, fh=3, "
              "fw=3, stride_h=2, stride_w=1, dil_h=1, dil_w=1, pad_h=0, "
              "pad_w=0), oh=4, ow=9, ohw=36)")
 STRATEGY_REPR = ("TilingStrategy(schedule=<Schedule.InputStationary: 'IS'>, "
                  "nc=4, k2=1, k3=1, r_nc=0, r_k2=0, r_k3=0)")
-TAIL_REPR = ("KernelRegion(spatial_start=32, spatial_len=4, oc_start=0, "
-             "oc_len=8, ic_start=0, ic_len=4, "
-             "kind=<RegionKind.Remainder: 'remainder'>)")
-MAIN_REPR = ("KernelRegion(spatial_start=0, spatial_len=32, oc_start=0, "
-             "oc_len=8, ic_start=0, ic_len=4, kind=<RegionKind.Main: 'main'>)")
+TAIL_REPR = ("KernelRegion(spatial_start=32, spatial_len=4, oc_len=8, "
+             "ic_len=4, kind=<RegionKind.Remainder: 'remainder'>)")
+MAIN_REPR = ("KernelRegion(spatial_start=0, spatial_len=32, oc_len=8, "
+             "ic_len=4, kind=<RegionKind.Main: 'main'>)")
 
 RECORDS = {
     "ConvParams": (P, P_REPR),
-    "ArchInfo": (ARCH, "ArchInfo(l1_bytes=32768, l2_bytes=1048576, "
-                       "l3_bytes=0, cache_line_bytes=64)"),
+    "ArchInfo": (ARCH, ARCH_REPR),
     "MkInfo": (MK, MK_REPR),
     "ConvInfo": (PLAN.conv, CONV_REPR),
     "TilingStrategy": (PLAN.strategy, STRATEGY_REPR),
     "KernelRegion": (PLAN.regions[0], TAIL_REPR),
-    "ConvPlan": (PLAN, f"ConvPlan(params={P_REPR}, mk={MK_REPR}, "
-                       f"strategy={STRATEGY_REPR}, "
+    "ConvPlan": (PLAN, f"ConvPlan(params={P_REPR}, arch={ARCH_REPR}, "
+                       f"mk={MK_REPR}, set_tiles=1, chunk=4, "
+                       f"conv={CONV_REPR}, strategy={STRATEGY_REPR}, "
                        f"regions=({TAIL_REPR}, {MAIN_REPR}), "
-                       f"conv={CONV_REPR}, set_tiles=1, chunk=4, "
                        f"sets=((0, 16), (16, 20)))"),
     "RunCounters": (RunCounters(input_packs=Counter({(0, 1): 2})),
                     "RunCounters(input_packs=Counter({(0, 1): 2}), "
@@ -155,12 +155,13 @@ def test_replace_runs_the_checks_again(obj, change, error):
 
 
 def test_replace_keeps_derived_fields_out_of_reach():
-    # ConvPlan.sets is derived from set_tiles, and ConvInfo's extents from
-    # its params, so replace() rebuilds them and refuses them as
-    # arguments, as field(init=False) did.
+    # A plan derives its conv, strategy, regions and sets, and ConvInfo
+    # its extents from its params, so replace() rebuilds them and refuses
+    # them as arguments, as field(init=False) did.
     assert replace(PLAN, set_tiles=2).sets == ((0, 36),)
-    with pytest.raises(ValueError):
-        replace(PLAN, sets=((0, 36),))
+    for name in ("conv", "strategy", "regions", "sets"):
+        with pytest.raises(ValueError):
+            replace(PLAN, **{name: getattr(PLAN, name)})
     conv = PLAN.conv
     wide = replace(conv, params=replace(conv.params, iw=13))
     assert (wide.oh, wide.ow, wide.ohw) == (4, 11, 44)
@@ -181,11 +182,13 @@ def test_conv_info_derives_what_callers_passed_by_hand():
 
 def test_replaced_plan_shares_the_decisions():
     # replace(plan, set_tiles=...) runs the same layer at other sizes: it
-    # holds the original's strategy, regions and conv, not copies, and a
-    # run returns the plan itself.
+    # holds the original's problem, machine and microkernel and makes the
+    # same strategy, regions and conv from them.
     sized = replace(PLAN, set_tiles=2)
-    for name in ("params", "mk", "strategy", "regions", "conv"):
+    for name in ("params", "arch", "mk"):
         assert getattr(sized, name) is getattr(PLAN, name), name
+    for name in ("strategy", "regions", "conv"):
+        assert getattr(sized, name) == getattr(PLAN, name), name
     assert (sized.set_tiles, sized.chunk) == (2, PLAN.chunk)
 
 

@@ -47,7 +47,7 @@ def test_plan_regions_cuts(ohw, n_win, oc, ic, k3, want):
     mk = MkInfo(n_win=n_win, n_f=8)
     regions = plan_regions(conv, _strategy(nc=ic, k2=1, k3=k3), mk)
     assert [(r.kind, r.spatial_start, r.spatial_len) for r in regions] == want
-    assert all((r.oc_start, r.oc_len, r.ic_start, r.ic_len) == (0, oc, 0, ic)
+    assert all((r.oc_len, r.ic_len) == (oc, ic)
                and r.e_off == r.spatial_start for r in regions)
     assert coverage_check(regions, conv)
     assert plan_regions(conv, _strategy(nc=ic, k2=1, k3=k3), mk) == regions
@@ -58,8 +58,7 @@ def _exhaustive_cover(regions, conv):
     space = np.zeros((conv.ohw, conv.params.oc, conv.params.ic), dtype=np.int32)
     for r in regions:
         space[r.spatial_start:r.spatial_start + r.spatial_len,
-              r.oc_start:r.oc_start + r.oc_len,
-              r.ic_start:r.ic_start + r.ic_len] += 1
+              :r.oc_len, :r.ic_len] += 1
     return bool(np.all(space == 1))
 
 
@@ -73,7 +72,7 @@ def test_coverage_random_plans(rng):
         assert coverage_check(regions, conv)
         assert _exhaustive_cover(regions, conv)
         # no region splits input channels, whatever nc is
-        assert all((r.ic_start, r.ic_len) == (0, p.ic) for r in regions)
+        assert all(r.ic_len == p.ic for r in regions)
         # the only Remainder region is the window tail
         assert all(r.spatial_len < mk.n_win and r.oc_len == p.oc
                    and r.ic_len == p.ic for r in regions
@@ -94,30 +93,29 @@ def test_coverage_detects_duplicate_and_gap():
 @pytest.mark.parametrize("field, value", [
     ("spatial_len", -1), ("oc_len", -1), ("ic_len", -1),
     ("spatial_start", -1), ("spatial_start", 1),
-    ("oc_start", -1), ("oc_start", 1), ("ic_start", -1), ("ic_start", 1),
+    ("oc_len", 4), ("ic_len", 2),
 ])
 def test_coverage_rejects_a_region_out_of_range(field, value):
-    # One region of a whole-layer plan moved or sized past the layer, or
-    # given a negative extent: the plan no longer covers it exactly.
+    # One region of a whole-layer plan moved or sized past the layer,
+    # given a negative extent or fewer than all channels: the plan no
+    # longer covers it exactly.
     conv = ConvInfo(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
-    whole = KernelRegion(0, 16, 0, 5, 0, 3, RegionKind.Main)
+    whole = KernelRegion(0, 16, 5, 3, RegionKind.Main)
     assert coverage_check([whole], conv)
     assert not coverage_check([replace(whole, **{field: value})], conv)
 
 
-WHOLE = KernelRegion(0, 16, 0, 5, 0, 3, M)
+WHOLE = KernelRegion(0, 16, 5, 3, M)
 
 
 @pytest.mark.parametrize("regions", [
-    [replace(WHOLE, oc_len=2), replace(WHOLE, oc_start=2, oc_len=3)],
-    [replace(WHOLE, ic_len=1), replace(WHOLE, ic_start=1, ic_len=2)],
     [WHOLE, replace(WHOLE, spatial_len=0)],
     [WHOLE, replace(WHOLE, spatial_start=16, spatial_len=0, kind=R)],
-], ids=["oc_split", "ic_split", "empty_first", "empty_last"])
+], ids=["empty_first", "empty_last"])
 def test_coverage_refuses_what_no_plan_makes(regions):
     # Each list covers the 16 windows x 5 filters x 3 channels exactly
-    # once, but splits channels or holds a region without a window, which
-    # plan_regions never makes.
+    # once, but holds a region without a window, which plan_regions never
+    # makes.
     conv = ConvInfo(ConvParams(n=1, ic=3, ih=4, iw=4, oc=5, fh=1, fw=1))
     assert _exhaustive_cover(regions, conv)
     assert not coverage_check(regions, conv)
@@ -127,10 +125,10 @@ def _window_cover(regions, conv):
     """Brute-force oracle: every region spans all channels and holds a
     window, and each window of [0, ohw), and no other, is in exactly one
     region."""
-    full = (0, conv.params.oc, 0, conv.params.ic)
+    full = (conv.params.oc, conv.params.ic)
     counts = Counter()
     for r in regions:
-        if (r.oc_start, r.oc_len, r.ic_start, r.ic_len) != full \
+        if (r.oc_len, r.ic_len) != full \
                 or r.spatial_len < 1:
             return False
         counts.update(range(r.spatial_start, r.spatial_start + r.spatial_len))
@@ -189,7 +187,7 @@ def test_oc_tail_is_a_partial_last_filter_tile(rng, monkeypatch):
     strat = analyze(conv, CALIBRATED_ARCH, mk)
     regions = plan_regions(conv, strat, mk)
     mains = [r for r in regions if r.kind is RegionKind.Main]
-    assert mains and all((r.oc_start, r.oc_len) == (0, 13) for r in mains)
+    assert mains and all(r.oc_len == 13 for r in mains)
     assert all(r.oc_len == 13 for r in regions
                if r.kind is RegionKind.Remainder)
     assert coverage_check(regions, conv)
