@@ -17,25 +17,24 @@ the input is made here: the layer loop takes the input as the caller
 holds it and pads one channel chunk of one image at a time into a reused
 buffer.
 
-The layer runs as one span, and the region plan is reported:
-plan_regions splits off the window tail and the k3 peel as the paper
-does, and ConvPlan.regions keeps that plan, but execution reads nothing
-from it. One loop nest runs every window, filter and channel of the
-layer, addressed from the padded problem alone; the GEMM blocks its own
-operands, and the packers take plain window and channel ranges, whatever
-tiles they hold, so region edges need no code of their own.
+The layer runs as one span, and the analysis and the region plan are
+reported: analyze sizes the paper's tiles, plan_regions splits off the
+window tail and the k3 peel as the paper does, and ConvPlan keeps both,
+but execution reads nothing from them. One loop nest runs every window,
+filter and channel of the layer, addressed from the padded problem alone;
+the GEMM blocks its own operands, and the packers take plain window and
+channel ranges, whatever tiles they hold, so region edges need no code of
+their own.
 
-The analysis sizes tiles as the paper does; _layer_shape maps them onto
-the GEMM microkernel, and is the one place that sizes execution, with the
-library's one traffic model. Each window set runs against every filter,
-(oc, K) @ (K, W), and two numbers are left to choose: the window-set
-size, from the analysed k3, and the channel-chunk size, which splits the
-reduction where capping a set at full depth to L2 would cut a deep layer
-into several sets, each streaming all of its filters (the paper's nc
-channel tiling, sized by L2 rather than by the analysed nc). A layer
-split into chunks runs as one window set of all its windows, so it
-streams its filters once. The schedule, nc and k2 are reported, not
-executed.
+_layer_shape is the one place that sizes execution, from L2 alone. Each
+window set runs against every filter, (oc, K) @ (K, W), and two numbers
+are left to choose: the window-set size and the channel-chunk size. A
+layer whose full-depth set of all windows does not fit L2 is split:
+where a chunk at least oc rows deep fits L2 beside the (oc, ohw) partial
+block, the reduction is split into channel chunks of one window set of
+all windows, which streams its filters once (the paper's nc channel
+tiling, sized by L2 rather than by the analysed nc); otherwise the
+windows are split into full-depth sets capped to L2.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class ConvPlan(Record):
         regions = tuple(plan_regions(conv, strategy, mk))
         if not coverage_check(regions, conv):
             raise RuntimeError("region decomposition does not cover")
-        shape = _layer_shape(strategy, conv, arch, mk)
+        shape = _layer_shape(conv, arch, mk)
         set_tiles = shape[0] if set_tiles is None else set_tiles
         chunk = shape[1] if chunk is None else chunk
         ic = params.ic
@@ -167,44 +166,34 @@ def run_convolution(x: np.ndarray, filters: np.ndarray, p: ConvParams,
     return ConvPlan(p, arch, mk).run(x, filters, hook, counters)
 
 
-def _layer_shape(strategy: TilingStrategy, conv: ConvInfo, arch: ArchInfo,
+def _layer_shape(conv: ConvInfo, arch: ArchInfo,
                  mk: MkInfo) -> tuple[int, int]:
     """(window tiles per set, channels per chunk) for the layer's one span.
 
-    Window sets are counted in the layer's wtiles whole window tiles (at
-    least one); a partial last tile joins the last set (see
-    kernel.window_sets). The default is one chunk of all ic channels, in
-    window sets of capped tiles: the analysed k3, capped so that a set of
-    whole tiles at full depth (K = ic*fh*fw rows) holds at most l2_bytes,
-    and at least one; the last set may exceed that by its partial tile,
-    fewer than n_win windows. It stands whenever such a set covers the
-    layer's whole tiles, or the analysed k3 does not. Otherwise the
-    reduction may be split instead: one window set of all ohw windows, in
-    `chunks` near-equal chunks of at most cc channels (the last one may
-    be shorter), where both the packed chunk (cc*fh*fw, ohw) and the
-    (oc, ohw) partial-sum block fit in half of l2_bytes. The chunked shape
-    is taken only when its modelled traffic, in elements,
-
-        oc*K + 2*(chunks - 1)*oc*ohw
-
-    is lower than the default's ceil(wtiles/capped)*oc*K: every set
-    streams all filters once, and every chunk after the first writes a
-    partial block that is then added into the output.
+    Sized by L2 alone. Window sets are counted in the layer's wtiles whole
+    window tiles (at least one); a partial last tile joins the last set
+    (see kernel.window_sets). A set of whole tiles at full depth (K =
+    ic*fh*fw rows) holds at most l2_bytes, and at least one tile; the
+    last set may exceed that by its partial tile, fewer than n_win
+    windows. Where such a set covers the layer's whole tiles, the layer
+    runs as that one full-depth set. Otherwise it runs as one window set
+    of all ohw windows, in the fewest near-equal chunks of at most cc
+    channels, so that a packed chunk (cc*fh*fw, ohw) and the (oc, ohw)
+    partial block together fit l2_bytes, the budget a packed set already
+    has. It does so only where such a chunk exists and is at least oc
+    rows deep (chunk*fh*fw >= oc), since a GEMM shallower than its
+    filter count runs slowly; otherwise the layer runs in capped
+    full-depth window sets.
     """
     p = conv.params
     ff = p.fh * p.fw
-    k = p.ic * ff
-    k3 = strategy.k3
-    capped = min(k3, max(1, arch.l2_bytes // (k * mk.n_win * ELEM_BYTES)))
     wtiles = max(1, conv.ohw // mk.n_win)
-    if capped >= wtiles or k3 < wtiles:
+    capped = min(wtiles, max(1, arch.l2_bytes
+                             // (p.ic * ff * mk.n_win * ELEM_BYTES)))
+    if capped == wtiles:
         return capped, p.ic
-    half = arch.l2_bytes // (2 * ELEM_BYTES)
-    cc = half // (ff * conv.ohw)
-    if cc < 1 or p.oc * conv.ohw > half:
+    cc = (arch.l2_bytes // ELEM_BYTES - p.oc * conv.ohw) // (ff * conv.ohw)
+    chunk = -(-p.ic // -(-p.ic // max(1, cc)))
+    if cc < 1 or chunk * ff < p.oc:
         return capped, p.ic
-    chunks = -(-p.ic // cc)
-    chunked = (k + 2 * (chunks - 1) * conv.ohw) * p.oc
-    if chunked >= -(-wtiles // capped) * p.oc * k:
-        return capped, p.ic
-    return wtiles, -(-p.ic // chunks)
+    return wtiles, chunk

@@ -40,17 +40,17 @@ stride 1 reads each window's own pixel), pack_input returns it as a
 read-only view of the input and nothing is copied.
 
 Where the engine splits the reduction into channel chunks (so that one
-window set can span the layer while its packed chunk stays L2-sized), the
-layer runs as one window set: the first chunk's GEMM writes the output
-block, each later chunk's GEMM writes a reused (oc, windows) partial
-block, and the partial block is added into the output. Both are
-C-contiguous, so the add needs no temporary. Chunks run in channel order,
-so each output element sums its chunks in the same order whichever loop
-is outermost.
+window set can span the layer while its packed chunk and partial block
+stay L2-sized), the layer runs as one window set: the first chunk's GEMM
+writes the output block, each later chunk's GEMM writes a reused
+(oc, windows) partial block, and the partial block is added into the
+output. Both are C-contiguous, so the add needs no temporary. Chunks run
+in channel order, so each output element sums its chunks in the same
+order whichever loop is outermost.
 
-The analysis's schedule (input- or weight-stationary), nc and k2 order
-and size nothing here: the engine passes the window-set size and the
-chunk size from its own L2 rule (see engine.py).
+The analysis (its schedule, nc, k2 and k3) orders and sizes nothing
+here: the engine passes the window-set size and the chunk size from an
+L2 rule that reads nothing of it (see engine.py).
 
 The packers take plain ranges of the layer: each set's windows, each
 chunk's channels and all oc filters. The layer's last window tile and

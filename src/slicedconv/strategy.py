@@ -14,15 +14,12 @@ Given a convolution, a cache hierarchy, and a microkernel shape, pick
 plus the remainders of each dimension against its tile size.
 
 These are the paper's tile sizes, and the CSV report gives them as
-analysed. The executor maps them onto a BLAS GEMM microkernel, which
-packs and blocks its own operands: it runs each window set against every
-filter, and takes from the analysis only k3. The engine caps a window
-set so that it holds at most L2 at full depth or, where that cap would
-cut a deep layer into several sets, keeps one set and splits its
-reduction into channel chunks that each fit half of L2 (see engine.py).
-That chunk comes from the engine's L2 rule, not from nc: the schedule
-orders nothing in execution, and nc, k2, r_nc and r_k2 size no loop
-there.
+analysed; the plan keeps them and the regions cut from them, but
+execution reads none of them. The executor runs each window set against
+every filter through a BLAS GEMM microkernel, which packs and blocks its
+own operands, and the engine sizes window sets and channel chunks from
+L2 alone (see engine.py): the schedule orders nothing in execution, and
+nc, k2, k3 and their remainders size no loop there.
 
 Tile-count semantics are fixed per dimension: k2 always counts filter tiles
 and k3 always counts window tiles, for both schedules. nc candidates are

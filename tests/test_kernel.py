@@ -120,9 +120,10 @@ def test_asymmetric_parameters_match_oracle(rng):
 
 
 def test_both_schedules_match_oracle(rng, monkeypatch):
-    # The analysed schedule orders nothing in execution: an engine run
-    # under either, in window sets of k3 = 3 tiles and a one-window tail,
-    # matches the oracle, and the two outputs agree bit for bit.
+    # The analysed schedule and k3 size nothing in execution: an engine
+    # run under either schedule, with k3 = 3 tiles and a one-window tail
+    # in the plan, matches the oracle, and the two outputs agree bit for
+    # bit.
     p = ConvParams(n=1, ic=8, ih=13, iw=13, oc=16, fh=3, fw=3)
     mk = MkInfo(n_win=4, n_f=4)
     x, flt = rand_tensors(rng, p)
@@ -513,39 +514,43 @@ def _check_pack_once(rng, monkeypatch, sched):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def _engine_set_tiles(sched, k3, k2, conv, mk):
-    """The engine's window-set size for an analysed strategy: k3, whatever
-    the schedule and k2 say (the L2 cap does not bind at these sizes), in
-    one chunk of all channels."""
+def _plan_in_sets(monkeypatch, p, mk, sched, k3, k2):
+    """p's plan in window sets of k3 whole tiles at full depth, under an
+    analysed strategy of sched, k2 and k3. The engine sizes the layer from
+    L2 alone, as one set of all its windows whatever the strategy says
+    (a full-depth set of all of them fits L2 at these sizes), so the sets
+    are asked for explicitly."""
     strat = TilingStrategy(schedule=sched, nc=4, k2=k2, k3=k3,
                            r_nc=0, r_k2=0, r_k3=0)
-    shape = engine._layer_shape(strat, conv, CALIBRATED_ARCH, mk)
-    assert shape == (k3, conv.params.ic)
-    return k3
+    monkeypatch.setattr(engine, "analyze", lambda *a: strat)
+    own = ConvPlan(p, CALIBRATED_ARCH, mk)
+    assert own.strategy is strat
+    assert (own.chunk, own.sets) == (p.ic, ((0, own.conv.ohw),))
+    return replace(own, set_tiles=k3)
 
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
-def test_set_product_matches_per_tile_hook(rng, sched, k3, k2):
+def test_set_product_matches_per_tile_hook(rng, monkeypatch, sched, k3, k2):
     # 49 windows in 7 tiles of 7, or in 8 whole tiles of 6 and a partial
-    # one of a single window, and 5 filter tiles. Window sets are counted
-    # in whole tiles and the partial tile joins the last set: with
-    # n_win = 6 it is two whole tiles and the partial one under either k3,
-    # so k3 = 2 runs 4 sets, not 5. The schedule and k2 size nothing:
-    # (3, 2) and (2, 4) differ only in the window-set size
+    # one of a single window, and 5 filter tiles, run in window sets of k3
+    # tiles. Window sets are counted in whole tiles and the partial tile
+    # joins the last set: with n_win = 6 it is two whole tiles and the
+    # partial one under either k3, so k3 = 2 runs 4 sets, not 5. The
+    # schedule and k2 size nothing: (3, 2) and (2, 4) differ only in the
+    # window-set size
     for n_win in (7, 6):
-        _check_set_product(rng, sched, k3, k2, n_win)
+        _check_set_product(rng, monkeypatch, sched, k3, k2, n_win)
 
 
-def _check_set_product(rng, sched, k3, k2, n_win):
+def _check_set_product(rng, monkeypatch, sched, k3, k2, n_win):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=20, fh=3, fw=3)
     conv = ConvInfo(p)
     mk = MkInfo(n_win=n_win, n_f=4)
-    set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
+    plan = _plan_in_sets(monkeypatch, p, mk, sched, k3, k2)
+    set_tiles = plan.set_tiles
     x, flt = rand_tensors(rng, p)
-
-    plan = plan_at(p, mk, set_tiles, p.ic)
 
     def run(hook):
         counters = RunCounters()
@@ -575,13 +580,15 @@ def _check_set_product(rng, sched, k3, k2, n_win):
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("chunk", [1, 3, 16])
 def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
-    # Window sets are chunked to L2: the engine caps the analysed k3 at
-    # the full-depth window tiles l2_bytes holds, here `chunk` of them.
-    # 6x6 outputs in 9 window tiles of 4, so tiles 1, 4 and 7 cross a row
-    # break. K = 8*2*2 = 32 at full depth, so a window tile is 512 B. The
-    # analysis sets k3 = 9, the whole region, against L3; chunks of 1 and
-    # 3 cut it, 16 leaves it. 6 filter tiles, one filter set of all 24
-    # filters whatever the analysed k2, and the plan is one region.
+    # Window sets are chunked to L2: the engine caps a window set at the
+    # full-depth window tiles l2_bytes holds, here `chunk` of them. 6x6
+    # outputs in 9 window tiles of 4, so tiles 1, 4 and 7 cross a row
+    # break. K = 8*2*2 = 32 at full depth, so a window tile is 512 B.
+    # Chunks of 1 and 3 cut the layer's 9 tiles (its (24, 36) partial
+    # block alone outgrows those L2 sizes, so the reduction is not
+    # split), 16 leaves it. The analysis sets k3 = 9, the whole region,
+    # against L3, and the plan is one region. 6 filter tiles, one filter
+    # set of all 24 filters whatever the analysed k2.
     p = ConvParams(n=2 if sched is Schedule.InputStationary else 1,
                    ic=8, ih=7, iw=7, oc=24, fh=2, fw=2)
     mk = MkInfo(n_win=4, n_f=4)
@@ -631,23 +638,25 @@ def test_chunked_sets_match_per_tile_hook(rng, monkeypatch, sched, chunk):
                                    Schedule.WeightStationary])
 @pytest.mark.parametrize("k3,k2", [(3, 2), (2, 4)])
 @pytest.mark.parametrize("adding", [None, "adding"])
-def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, sched, k3, k2,
-                                                      adding):
+def test_hook_calls_tile_each_set_pair_in_whole_tiles(rng, monkeypatch, sched,
+                                                      k3, k2, adding):
     # 7 window tiles of 7 and 5 filter tiles of 4 (the last one 2 filters
     # short when oc = 18), K = 6*9 = 54 whatever nc says: a set pair is a
-    # window set of k3 tiles against all filters, whatever k2 says, and
-    # each is one call, which writes its output block once. The "adding"
-    # hook adds into acc, as one written for an accumulating kernel
-    # would; acc arrives zeroed, so the output is the same.
+    # window set of k3 tiles (asked for explicitly) against all filters,
+    # whatever k2 says, and each is one call, which writes its output
+    # block once. The "adding" hook adds into acc, as one written for an
+    # accumulating kernel would; acc arrives zeroed, so the output is the
+    # same.
     for oc in (20, 18):
-        _check_hook_calls(rng, sched, k3, k2, adding, oc)
+        _check_hook_calls(rng, monkeypatch, sched, k3, k2, adding, oc)
 
 
-def _check_hook_calls(rng, sched, k3, k2, adding, oc):
+def _check_hook_calls(rng, monkeypatch, sched, k3, k2, adding, oc):
     p = ConvParams(n=2, ic=6, ih=9, iw=9, oc=oc, fh=3, fw=3)
     conv = ConvInfo(p)
     mk = MkInfo(n_win=7, n_f=4)
-    set_tiles = _engine_set_tiles(sched, k3, k2, conv, mk)
+    plan = _plan_in_sets(monkeypatch, p, mk, sched, k3, k2)
+    set_tiles = plan.set_tiles
     x, flt = rand_tensors(rng, p)
     calls = []
 
@@ -661,7 +670,7 @@ def _check_hook_calls(rng, sched, k3, k2, adding, oc):
         else:
             microkernel(pin, pf, acc)
 
-    out, _ = plan_at(p, mk, set_tiles, p.ic).run(x, flt, hook=recording)
+    out, _ = plan.run(x, flt, hook=recording)
     cover = np.zeros((p.n, p.oc, conv.ohw), int)
     for data, k, height, width in calls:
         # where in the output the call's accumulator starts
@@ -722,9 +731,11 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
     # consecutive channel chunks that together hold all channels. A set at
     # full depth holds at most l2_bytes in whole tiles (at least one); a
     # set that ends the layer may exceed that by its partial last tile,
-    # fewer than n_win windows, since the window tail runs there. A chunk
-    # of one holds at most half of L2, the partial tile included. The
-    # third arch's L2 holds exactly one full-depth tile.
+    # fewer than n_win windows, since the window tail runs there. A
+    # chunked set's chunk and its (oc, width) partial block together hold
+    # at most L2, the partial tile included, and each chunk but the last
+    # is at least oc rows deep. The third arch's L2 holds exactly one
+    # full-depth tile.
     arches = (CALIBRATED_ARCH, load_arch(FIXTURES / "intel.toml"), None)
     schedules, calls, one_tile_sets, chunked = set(), 0, 0, 0
     for i in range(60):
@@ -754,7 +765,8 @@ def test_every_gemm_writes_a_zeroed_block_once(rng):
             one_tile_sets += 1
         for _, width, depths in sets:
             if len(depths) > 1:
-                assert max(depths) * width * 4 <= arch.l2_bytes // 2
+                assert (max(depths) + p.oc) * width * 4 <= arch.l2_bytes
+                assert min(depths[:-1]) >= p.oc
                 chunked += 1
         schedules.add(info.strategy.schedule)
         calls += sum(len(depths) for _, _, depths in sets)
@@ -802,14 +814,15 @@ def test_one_filter_set_per_region(rng, monkeypatch, sched):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-def _traced_run(rng, p, arch, mk):
-    """(output, traced peak bytes) of a run after a warm-up run, checked
-    against the oracle."""
+def _traced_run(rng, p, arch, mk, set_tiles=None, chunk=None):
+    """(output, traced peak bytes) of a plan and a run, at the engine's
+    sizes unless given, after a warm-up run, checked against the
+    oracle."""
     x, flt = rand_tensors(rng, p)
-    run_convolution(x, flt, p, arch, mk)  # warm-up
+    ConvPlan(p, arch, mk, set_tiles, chunk).run(x, flt)  # warm-up
     tracemalloc.start()
     try:
-        out, _ = run_convolution(x, flt, p, arch, mk)
+        out, _ = ConvPlan(p, arch, mk, set_tiles, chunk).run(x, flt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -819,9 +832,11 @@ def _traced_run(rng, p, arch, mk):
 
 def test_window_set_memory_is_bounded_by_l2(rng):
     # IS, 32 -> 64 channels, 3x3 pad 1 at 40x40 under intel.toml: the
-    # analysis sets k3 = 100 window tiles against L3, a 1.8 MB set at
-    # full depth. Capped to L2, the run's traced peak stays within the
-    # output, the padded input, l2_bytes and 64 KiB.
+    # analysis sets k3 = 100 window tiles against L3, the whole layer, a
+    # 1.8 MB set at full depth. A chunk beside the (64, 1600) partial
+    # block would be one channel, 9 rows deep, so the layer runs in sets
+    # capped to L2, and the run's traced peak stays within the output,
+    # the padded input, l2_bytes and 64 KiB.
     p = ConvParams(n=1, ic=32, ih=40, iw=40, oc=64, fh=3, fw=3,
                    pad_h=1, pad_w=1)
     arch, mk = load_arch(FIXTURES / "intel.toml"), MkInfo(n_win=16, n_f=8)
@@ -836,15 +851,15 @@ def test_window_set_memory_is_bounded_by_l2(rng):
 
 @pytest.mark.parametrize("sched", [Schedule.InputStationary,
                                    Schedule.WeightStationary])
-def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
+def test_deep_reduction_matches_microkernel_hook_bitwise(rng, monkeypatch,
+                                                        sched):
     # K = 64*3*3 = 576 with 16-window tiles: a hook that wraps microkernel
     # gets the built-in path's calls, so the outputs agree bit for bit.
-    # The engine sizes window sets of k3 = 5 tiles under either schedule;
-    # the 4-window tail joins the last set.
+    # The layer runs in window sets of 5 tiles under either analysed
+    # schedule; the 4-window tail joins the last set.
     p = ConvParams(n=1, ic=64, ih=16, iw=16, oc=32, fh=3, fw=3)
-    conv = ConvInfo(p)
     mk = MkInfo(n_win=16, n_f=8)
-    set_tiles = _engine_set_tiles(sched, 5, 2, conv, mk)
+    plan = _plan_in_sets(monkeypatch, p, mk, sched, 5, 2)
     x, flt = rand_tensors(rng, p)
     depths = set()
 
@@ -852,7 +867,7 @@ def test_deep_reduction_matches_microkernel_hook_bitwise(rng, sched):
         depths.add(pin.shape[0])
         microkernel(pin, pf, acc)
 
-    plan = plan_at(p, mk, set_tiles, p.ic)
+    assert len(plan.sets) == 3
     outs = [plan.run(x, flt, hook=hook)[0] for hook in (None, wrapped)]
     assert depths == {576}
     assert np.array_equal(outs[0], outs[1])
@@ -875,16 +890,15 @@ def _intel_16x8():
 
 def _layer_shape(p, arch, mk):
     """(set_tiles, chunk) as the engine sizes the layer's one span."""
-    conv = ConvInfo(p.padded())
-    return engine._layer_shape(analyze(conv, arch, mk), conv, arch, mk)
+    return engine._layer_shape(ConvInfo(p.padded()), arch, mk)
 
 
 @pytest.mark.parametrize("p, main_shape",
-                         [(CONV4, (12, 37)), (CONV5, (3, 128))],
+                         [(CONV4, (12, 43)), (CONV5, (3, 171))],
                          ids=["conv4", "conv5"])
 def test_deep_layers_chunk_the_reduction(rng, p, main_shape):
-    # conv4 runs as one set of 12 window tiles in 7 chunks of at most 37
-    # channels, conv5 as one set of 3 tiles in 4 chunks of 128. The window
+    # conv4 runs as one set of 12 window tiles in 6 chunks of at most 43
+    # channels, conv5 as one set of 3 tiles in 3 chunks of 171. The window
     # tail (4 and 1 windows) is the partial last tile of that set, sized
     # with it, and runs in no GEMM of its own. Every hook call's reduction
     # is whole channels, a set's calls add up to all of them, and each
@@ -920,7 +934,7 @@ def test_a_size_left_out_is_the_engines():
     # A plan given one of its two sizes takes the other from the engine's
     # sizing: conv4 given only its chunk, or only its set size, is its
     # default plan, and given sets of one tile, still runs in its chunks
-    # of 37 channels, which only one window set may.
+    # of 43 channels, which only one window set may.
     arch, mk = _intel_16x8()
     plan = ConvPlan(CONV4, arch, mk)
     assert (plan.set_tiles, plan.chunk) == _layer_shape(CONV4, arch, mk)
@@ -932,10 +946,10 @@ def test_a_size_left_out_is_the_engines():
 
 @pytest.mark.parametrize("p", [CONV4, CONV5], ids=["conv4", "conv5"])
 def test_chunked_run_memory_is_bounded_by_l2(rng, p):
-    # The packed chunk and the partial-sum block each hold at most half of
-    # L2, and the input is padded one chunk at a time, so the run's traced
+    # The packed chunk and the partial-sum block together hold at most L2,
+    # and the input is padded one chunk at a time, so the run's traced
     # peak stays within the output, one chunk's padded block, l2_bytes and
-    # 64 KiB (conv4: 828,416 B, which a whole padded input would exceed).
+    # 64 KiB (conv4: 834,560 B, which a whole padded input would exceed).
     # Adding a partial block into the output allocates nothing (see
     # test_later_chunk_add_allocates_nothing).
     arch, mk = _intel_16x8()
@@ -946,33 +960,123 @@ def test_chunked_run_memory_is_bounded_by_l2(rng, p):
     assert peak <= bound, (peak, bound)
 
 
+def test_a_wide_padded_layer_pads_in_chunks(rng):
+    # 212 -> 28 channels, 5x5 at stride 3 and pad 2, 39x31 outputs, on a
+    # 4x16 microkernel with 630 KiB of L2. In full-depth window sets of 7
+    # tiles its one chunk of all 212 channels would be padded into a whole
+    # padded image, 9.1 MiB. The engine runs it as one window set in
+    # chunks of 4 channels, 100 rows for 28 filters, so the traced peak
+    # stays within the bound of test_chunked_run_memory_is_bounded_by_l2.
+    p = ConvParams(n=1, ic=212, ih=115, iw=91, oc=28, fh=5, fw=5,
+                   stride_h=3, stride_w=3, pad_h=2, pad_w=2)
+    arch = ArchInfo(l1_bytes=32 * 1024, l2_bytes=630 * 1024,
+                    l3_bytes=1260 * 1024)
+    mk = MkInfo(n_win=4, n_f=16)
+    assert _layer_shape(p, arch, mk) == (302, 4)
+    out, peak = _traced_run(rng, p, arch, mk)
+    padded = 4 * (p.ih + 4) * (p.iw + 4) * 4
+    bound = out.nbytes + padded + arch.l2_bytes + 64 * 1024
+    assert peak <= bound < 212 * (p.ih + 4) * (p.iw + 4) * 4, (peak, bound)
+
+
+def test_a_chunk_shallower_than_oc_stays_in_window_sets():
+    # ic = oc = 128, 3x3 at 30x30 outputs under intel.toml with 16x8:
+    # beside the (128, 900) partial block L2 holds a packed chunk of one
+    # channel, 9 rows deep for 128 filters, a GEMM shape that ran several
+    # times slower than full-depth sets. The layer runs in full-depth
+    # window sets capped to L2 instead: 7 of its 56 whole tiles each.
+    p = ConvParams(n=1, ic=128, ih=32, iw=32, oc=128, fh=3, fw=3)
+    arch, mk = _intel_16x8()
+    conv = ConvInfo(p)
+    assert (arch.l2_bytes // 4 - p.oc * conv.ohw) // (9 * conv.ohw) == 1
+    plan = ConvPlan(p, arch, mk)
+    assert (plan.set_tiles, plan.chunk, len(plan.sets)) == (7, p.ic, 8)
+
+
+def test_plans_do_not_read_the_l3():
+    # Execution is sized by L2 alone: under intel.toml's L1 and L2, every
+    # bench, smoke and deep layer plans the same set sizes, chunks and
+    # window sets with no L3 as with 16 MiB of it, at four microkernels,
+    # though the k3 the analysis reports moves with the L3.
+    intel = load_arch(FIXTURES / "intel.toml")
+    moved = 0
+    for mk in (MkInfo(1, 1), MkInfo(16, 8), MkInfo(16, 16), MkInfo(128, 8)):
+        for param in _shipped_layers():
+            none, big = (ConvPlan(param.values[0], replace(intel, l3_bytes=l3),
+                                  mk) for l3 in (0, 16 << 20))
+            assert (none.set_tiles, none.chunk, none.sets) == (
+                big.set_tiles, big.chunk, big.sets), param.id
+            moved += none.strategy.k3 != big.strategy.k3
+    assert moved >= 40
+
+
+def _assert_chunk_fits_l2(plan):
+    """A plan split into chunks holds its packed chunk and the (oc, ohw)
+    partial block within l2_bytes, and each chunk is at least oc rows
+    deep."""
+    p, ohw = plan.params, plan.conv.ohw
+    depth = plan.chunk * p.fh * p.fw
+    assert (depth + p.oc) * ohw * 4 <= plan.arch.l2_bytes, plan
+    assert depth >= p.oc, plan
+
+
+def test_every_chunked_plan_fits_l2_beside_its_partial_block():
+    # Random layers, machines and microkernels, drawn as
+    # test_a_chunked_layer_is_one_window_set draws them, and the bench,
+    # smoke and deep layers under the three arch files at four
+    # microkernels.
+    rng = np.random.default_rng(11)
+    chunked = 0
+    for _ in range(1000):
+        try:
+            plan = ConvPlan(*_random_case(rng, 256, 128, 40))
+        except ValueError:
+            continue
+        if plan.chunk < plan.params.ic:
+            _assert_chunk_fits_l2(plan)
+            chunked += 1
+    for name in ("fixtures/intel.toml", "bench/arch.toml",
+                 "fixtures/calibrated.toml"):
+        arch = load_arch(REPO_ROOT / name)
+        for mk in (MkInfo(1, 1), MkInfo(16, 8), MkInfo(16, 16),
+                   MkInfo(128, 8)):
+            for param in _shipped_layers():
+                plan = ConvPlan(param.values[0], arch, mk)
+                if plan.chunk < plan.params.ic:
+                    _assert_chunk_fits_l2(plan)
+                    chunked += 1
+    assert chunked >= 100
+
+
 def test_padded_batch_run_pads_one_image_at_a_time(rng):
-    # TAIL_CASES' batch2 layer, 24 channels padded by 2 on each side, runs
-    # in one chunk: each image is padded into the same buffer in turn, so
-    # the traced peak is the output, one padded image (55,200 B) and the
-    # packed-set buffer, not both padded images.
+    # TAIL_CASES' batch2 layer, 24 channels padded by 2 on each side, run
+    # in one chunk, in full-depth window sets capped to L2 (13 tiles; the
+    # engine's own plan chunks the layer instead): each image is padded
+    # into the same buffer in turn, so the traced peak is the output, one
+    # padded image (55,200 B) and the packed-set buffer, not both padded
+    # images.
     p = TAIL_CASES["batch2"][0]
     arch, mk = _intel_16x8()
     conv = ConvInfo(p.padded())
-    set_tiles, chunk = _layer_shape(p, arch, mk)
-    assert chunk == p.ic
+    set_tiles = arch.l2_bytes // _full_depth_tile_bytes(p, mk)
+    assert set_tiles == 13
     width = max(cols for _, cols in kernel.window_sets(conv.ohw, set_tiles,
                                                        mk.n_win))
     image = p.ic * conv.params.ih * conv.params.iw * 4
     packed = p.ic * p.fh * p.fw * width * 4
-    out, peak = _traced_run(rng, p, arch, mk)
+    out, peak = _traced_run(rng, p, arch, mk, set_tiles, p.ic)
     bound = out.nbytes + image + packed + 8 * 1024
     assert bound < out.nbytes + p.n * image + packed
     assert peak <= bound, (peak, bound)
 
 
 def test_chunked_padded_batch_matches_the_prepadded_input_bitwise(rng):
-    # conv5 at batch 2 (fixtures/deep.jsonl) runs in 4 chunks of 128
-    # channels, each padded into a reused buffer per image. The plan of
-    # the pad-0 problem, run on the input padded beforehand, reads the
-    # padded tensor in place instead; both plans size the layer alike,
-    # and the two runs, and the engine, agree bit for bit, with the same
-    # GEMM calls in the same order.
+    # conv5 at batch 2 (fixtures/deep.jsonl) runs in 3 chunks of 171
+    # channels (the last 170), each padded into a reused buffer per image.
+    # The plan of the pad-0 problem, run on the input padded beforehand,
+    # reads the padded tensor in place instead; both plans size the layer
+    # alike, and the two runs, and the engine, agree bit for bit, with the
+    # same GEMM calls in the same order.
     p = replace(CONV5, n=2)
     arch, mk = _intel_16x8()
     x, flt = rand_tensors(rng, p)
@@ -991,7 +1095,7 @@ def test_chunked_padded_batch_matches_the_prepadded_input_bitwise(rng):
     assert shapes[0] == shapes[1] and shapes[0][1] < p.ic
     engine_out, _ = run_convolution(x, flt, p, arch, mk)
     assert outs[0].tobytes() == outs[1].tobytes() == engine_out.tobytes()
-    assert calls[0] == calls[1] and len(calls[0]) == p.n * 4
+    assert calls[0] == calls[1] and len(calls[0]) == p.n * 3
     assert max_relative_error(engine_out, naive_conv(x, flt, p)) <= 1e-4
 
 
@@ -1022,36 +1126,37 @@ def test_later_chunk_add_allocates_nothing(rng):
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
 
-# (layer, arch and microkernel, GEMM widths of one run in call order): the
-# layer runs as one span of all its windows, so the window tail runs as the
-# partial last tile of its last window set, and no GEMM is the tail alone
-# unless the layer is all tail.
+# (layer, arch and microkernel, (set_tiles, chunk) or None for the
+# engine's sizes, GEMM widths of one run in call order): the layer runs as
+# one span of all its windows, so the window tail runs as the partial last
+# tile of its last window set, and no GEMM is the tail alone unless the
+# layer is all tail.
 TAIL_CASES = {
-    # one set of 3 tiles and the 1-window tail, in 4 channel chunks
-    "conv5": (CONV5, "intel", [49] * 4),
-    # one set of 12 tiles and the 4-window tail, in 7 channel chunks
-    "conv4": (CONV4, "intel", [196] * 7),
+    # one set of 3 tiles and the 1-window tail, in 3 channel chunks
+    "conv5": (CONV5, "intel", None, [49] * 3),
+    # one set of 12 tiles and the 4-window tail, in 6 channel chunks
+    "conv4": (CONV4, "intel", None, [196] * 6),
     # one set of 12 tiles and the 4-window tail, in one chunk
     "pointwise": (ConvParams(n=1, ic=256, ih=14, iw=14, oc=1024,
-                             fh=1, fw=1), "intel", [196]),
+                             fh=1, fw=1), "intel", None, [196]),
     # ohw = 9 < n_win: the tail is the only region and runs alone
     "all_tail": (ConvParams(n=1, ic=3, ih=5, iw=5, oc=3, fh=3, fw=3),
-                 "intel", [9]),
+                 "intel", None, [9]),
     # the README example's plan with 8 filters: a main region of 348 tiles,
     # a k3 peel of 3 tiles and the 9-window tail, which run as one span of
-    # 351 tiles and the tail in capped sets of 28
+    # 351 tiles and the tail, here in full-depth sets of 28 (the L2 cap)
     "peel": (ConvParams(n=1, ic=32, ih=77, iw=77, oc=8, fh=3, fw=3),
-             "calibrated", [448] * 12 + [249]),
-    # 24 tiles in capped sets of 13, the 15-window tail in the second,
-    # per batch image
+             "calibrated", (28, 32), [448] * 12 + [249]),
+    # one set of 24 tiles and the 15-window tail, in 3 channel chunks, per
+    # batch image
     "batch2": (ConvParams(n=2, ic=24, ih=19, iw=21, oc=30, fh=5, fw=5,
-                          pad_h=2, pad_w=2), "intel", [208, 191] * 2),
+                          pad_h=2, pad_w=2), "intel", None, [399] * 6),
 }
 
 
 @pytest.mark.parametrize("case", list(TAIL_CASES))
 def test_window_tail_runs_in_the_last_set(rng, case):
-    p, arch_name, widths = TAIL_CASES[case]
+    p, arch_name, sizes, widths = TAIL_CASES[case]
     arch, mk = ((CALIBRATED_ARCH, REF_MK) if arch_name == "calibrated"
                 else _intel_16x8())
     conv = ConvInfo(p.padded())
@@ -1070,22 +1175,22 @@ def test_window_tail_runs_in_the_last_set(rng, case):
         microkernel(pin, pf, acc)
 
     counters = RunCounters()
-    out, info = run_convolution(x, flt, p, arch, mk, hook=wrapped,
-                                counters=counters)
+    plan = ConvPlan(p, arch, mk, *(sizes or ()))
+    out, info = plan.run(x, flt, hook=wrapped, counters=counters)
     assert info.regions == tuple(regions)
     assert seen == widths
     # the layer's window sets, whatever its plan, per batch image and chunk
-    set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
     assert seen == [cols for _ in range(p.n)
-                    for _, cols in kernel.window_sets(conv.ohw, set_tiles,
+                    for _, cols in kernel.window_sets(conv.ohw,
+                                                      plan.set_tiles,
                                                       mk.n_win)
-                    for _ in range(-(-p.ic // chunk))]
+                    for _ in range(-(-p.ic // plan.chunk))]
     # every window tile packed exactly once per batch image, the tail's
     # partial tile included
     wtiles = -(-conv.ohw // mk.n_win)
     assert counters.input_packs == Counter(
         {(b, t): 1 for b in range(p.n) for t in range(wtiles)})
-    builtin, _ = run_convolution(x, flt, p, arch, mk)
+    builtin, _ = plan.run(x, flt)
     assert np.array_equal(out, builtin)
     assert max_relative_error(out, naive_conv(x, flt, p)) <= 1e-4
 
@@ -1120,45 +1225,55 @@ def test_deep_suite_holds_a_peel_followed_by_a_tail(rng):
             for r in info.regions] == [
         (RegionKind.Remainder, 39200, 4), (RegionKind.Main, 0, 38832),
         (RegionKind.Main, 38832, 368)]
-    set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
+    set_tiles, chunk = _layer_shape(p, arch, mk)
     assert (set_tiles, chunk) == (28, p.ic)
     assert widths == [cols for _, cols in
                       kernel.window_sets(conv.ohw, set_tiles, mk.n_win)]
     assert Counter(widths) == {448: 87, 228: 1}
 
 
-@pytest.mark.parametrize("p", [
-    ConvParams(n=1, ic=3, ih=224, iw=224, oc=64, fh=7, fw=7,
-               stride_h=2, stride_w=2, pad_h=3, pad_w=3),
-    ConvParams(n=1, ic=64, ih=56, iw=56, oc=64, fh=3, fw=3, pad_h=1, pad_w=1),
-    ConvParams(n=1, ic=32, ih=77, iw=77, oc=256, fh=3, fw=3),
-    ConvParams(n=1, ic=256, ih=14, iw=14, oc=1024, fh=1, fw=1),
-    ConvParams(n=1, ic=64, ih=15, iw=15, oc=100, fh=3, fw=3),
-    ConvParams(n=1, ic=48, ih=23, iw=23, oc=60, fh=3, fw=3),
-    ConvParams(n=2, ic=24, ih=19, iw=21, oc=30, fh=5, fw=5, pad_h=2, pad_w=2),
-    replace(CONV4, oc=1024),
+@pytest.mark.parametrize("p, chunk", [
+    (ConvParams(n=1, ic=3, ih=224, iw=224, oc=64, fh=7, fw=7,
+                stride_h=2, stride_w=2, pad_h=3, pad_w=3), 3),
+    (ConvParams(n=1, ic=64, ih=56, iw=56, oc=64, fh=3, fw=3,
+                pad_h=1, pad_w=1), 64),
+    (ConvParams(n=1, ic=32, ih=77, iw=77, oc=256, fh=3, fw=3), 32),
+    (ConvParams(n=1, ic=256, ih=14, iw=14, oc=1024, fh=1, fw=1), 256),
+    (ConvParams(n=1, ic=64, ih=15, iw=15, oc=100, fh=3, fw=3), 64),
+    (ConvParams(n=1, ic=48, ih=23, iw=23, oc=60, fh=3, fw=3), 24),
+    (ConvParams(n=2, ic=24, ih=19, iw=21, oc=30, fh=5, fw=5,
+                pad_h=2, pad_w=2), 8),
+    (replace(CONV4, oc=1024), 256),
 ], ids=["stem", "conv2", "paper_reference", "pointwise", "tail_64_100",
         "tail_48_60", "tail_batch2", "conv4_1024_filters"])
-def test_regions_that_keep_one_chunk(p):
-    # The resnet_early and tail_heavy layers of bench/layers.jsonl, and the
-    # pointwise layer of resnet_late: each layer runs in one chunk of all
-    # channels, in window sets of k3 capped to L2 at full depth. tail_48_60
-    # is capped at 18 of its 27 window tiles, but one set of all 27 would
-    # take 3 chunks whose partial sums cost more than a second pass over
-    # the filters. conv4 with 1024 filters would move fewer elements in
-    # chunks than in its 4 capped sets, but its (1024, 192) partial-sum
-    # block is 768 KiB, more than half of L2.
+def test_regions_that_keep_one_chunk(p, chunk):
+    # The resnet_early and tail_heavy layers of bench/layers.jsonl, the
+    # pointwise layer of resnet_late and conv4 with 1024 filters: which of
+    # them keep one chunk of all channels, by the L2 rule alone. pointwise
+    # and tail_64_100 fit one full-depth set of all windows in L2. The
+    # stem, conv2, paper_reference and conv4 with 1024 filters do not, and
+    # no chunk of even one channel fits L2 beside their (oc, ohw) partial
+    # block, so they keep one chunk in full-depth window sets capped to
+    # L2. tail_48_60 and tail_batch2 keep one window set instead, in 2
+    # chunks of 24 and 3 of 8 channels: each chunk is at least oc rows
+    # deep, and its packed chunk and the partial block fit L2 together.
     arch, mk = _intel_16x8()
-    strat = analyze(ConvInfo(p.padded()), arch, mk)
-    set_tiles, chunk = _layer_shape(p, arch, mk)
-    tile = p.ic * p.fh * p.fw * mk.n_win * 4
-    assert chunk == p.ic
-    assert set_tiles == min(strat.k3, max(1, arch.l2_bytes // tile))
+    conv = ConvInfo(p.padded())
+    ff, wtiles = p.fh * p.fw, conv.ohw // mk.n_win
+    capped = min(wtiles, arch.l2_bytes // _full_depth_tile_bytes(p, mk))
+    if chunk < p.ic:
+        assert _layer_shape(p, arch, mk) == (wtiles, chunk)
+        assert (chunk * ff + p.oc) * conv.ohw * 4 <= arch.l2_bytes
+        assert chunk * ff >= p.oc
+    else:
+        assert _layer_shape(p, arch, mk) == (capped, p.ic)
+        assert capped == wtiles or (
+            (ff + p.oc) * conv.ohw * 4 > arch.l2_bytes)
 
 
 def test_a_chunked_layer_is_one_window_set():
     # Random layers, machines and microkernels, drawn as criterion 4 draws
-    # them but with up to 256 channels and 40x40 outputs, so that a fifth
+    # them but with up to 256 channels and 40x40 outputs, so that many
     # of them split the reduction: wherever _layer_shape picks chunks of
     # fewer than ic channels, its set size gives one window set of all
     # the layer's windows, the only chunked shape a plan runs. Wherever
@@ -1168,19 +1283,13 @@ def test_a_chunked_layer_is_one_window_set():
     rng = np.random.default_rng(7)
     planned = chunked = 0
     for _ in range(1000):
-        p = random_params(rng, max_ic=256, max_oc=128, max_out=40)
-        mk = MkInfo(n_win=int(rng.choice((4, 8, 16, 32))),
-                    n_f=int(rng.choice((4, 8, 16))))
-        l1 = int(rng.integers(8, 257)) * 1024
-        l2 = l1 * int(rng.integers(2, 17))
-        l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
-        arch = ArchInfo(l1_bytes=l1, l2_bytes=l2, l3_bytes=l3)
+        p, arch, mk = _random_case(rng, 256, 128, 40)
         conv = ConvInfo(p.padded())
         try:
-            strat = analyze(conv, arch, mk)
+            analyze(conv, arch, mk)
         except ValueError:
             continue
-        set_tiles, chunk = engine._layer_shape(strat, conv, arch, mk)
+        set_tiles, chunk = engine._layer_shape(conv, arch, mk)
         plan = ConvPlan(p, arch, mk)
         planned += 1
         assert (plan.set_tiles, plan.chunk) == (set_tiles, chunk)
@@ -1189,6 +1298,21 @@ def test_a_chunked_layer_is_one_window_set():
             assert plan.sets == ((0, conv.ohw),), (p, arch, mk, set_tiles,
                                                    chunk)
     assert chunked >= 100 and planned >= 500
+
+
+def _random_case(rng, max_ic, max_oc, max_out, n=1):
+    """A random layer of at most max_ic and max_oc channels, max_out
+    outputs a side and batch n, drawn as criterion 4 draws them, with a
+    random microkernel and a random machine (a fifth of them with no
+    L3)."""
+    p = random_params(rng, max_ic=max_ic, max_oc=max_oc, max_out=max_out,
+                      n=n)
+    mk = MkInfo(n_win=int(rng.choice((4, 8, 16, 32))),
+                n_f=int(rng.choice((4, 8, 16))))
+    l1 = int(rng.integers(8, 257)) * 1024
+    l2 = l1 * int(rng.integers(2, 17))
+    l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
+    return p, ArchInfo(l1_bytes=l1, l2_bytes=l2, l3_bytes=l3), mk
 
 
 def _run_into(plan, x, flt, fill):
@@ -1217,21 +1341,19 @@ def test_random_layers_write_every_output_element(rng):
     # test_a_chunked_layer_is_one_window_set draws them but smaller and
     # at batch 1 or 2, each run into a NaN-filled output, come out
     # bitwise equal to the run into zeros: chunked, padded, strided,
-    # dilated, batched, pointwise read in place and window-tail layers.
+    # dilated, batched, pointwise read in place, window-tail and multi-set
+    # layers. The engine runs most of these small layers as one set, so
+    # every other layer that it runs in one chunk is run in window sets of
+    # one tile instead.
     seen = Counter()
-    for _ in range(150):
-        p = random_params(rng, max_ic=96, max_oc=48, max_out=24,
-                          n=int(rng.integers(1, 3)))
-        mk = MkInfo(n_win=int(rng.choice((4, 8, 16, 32))),
-                    n_f=int(rng.choice((4, 8, 16))))
-        l1 = int(rng.integers(8, 257)) * 1024
-        l2 = l1 * int(rng.integers(2, 17))
-        l3 = 0 if rng.random() < 0.2 else l2 * int(rng.integers(2, 33))
+    for i in range(150):
+        p, arch, mk = _random_case(rng, 96, 48, 24, n=int(rng.integers(1, 3)))
         try:
-            plan = ConvPlan(p, ArchInfo(l1_bytes=l1, l2_bytes=l2,
-                                        l3_bytes=l3), mk)
+            plan = ConvPlan(p, arch, mk)
         except ValueError:
             continue
+        if i % 2 and plan.chunk == p.ic:
+            plan = replace(plan, set_tiles=1)
         _assert_fill_is_overwritten(plan, *rand_tensors(rng, p))
         seen.update({
             "chunked": plan.chunk < p.ic, "padded": p.pad_h > 0,
@@ -1284,10 +1406,11 @@ def _skip_every_other_call(calls):
 @pytest.mark.parametrize("p", [CONV4, TAIL_CASES["batch2"][0]],
                          ids=["conv4", "tail_batch2_5x5"])
 def test_a_hook_gets_zeros_where_a_dropped_output_was(rng, p):
-    # conv4 runs padded in 7 chunks of one window set, tail_batch2_5x5 in
-    # two sets per image. After a run whose output is dropped, a hook is
-    # still handed an all-zero accumulator on every call: the first
-    # chunk's block of the output as well as each later partial block.
+    # conv4 runs padded in 6 chunks of one window set, tail_batch2_5x5 in
+    # 3 chunks of one set per image. After a run whose output is dropped,
+    # a hook is still handed an all-zero accumulator on every call: the
+    # first chunk's block of the output as well as each later partial
+    # block.
     plan = ConvPlan(p, *_intel_16x8())
     x, flt = rand_tensors(rng, p)
     builtin, _ = plan.run(x, flt)
@@ -1305,13 +1428,14 @@ def test_a_hook_gets_zeros_where_a_dropped_output_was(rng, p):
 
 def test_a_skipped_window_set_leaves_zeros_not_a_dropped_output(
         rng, monkeypatch):
-    # tail_batch2_5x5 runs in one chunk, two window sets per image. With a
-    # kernel installed at kernel.microkernel that skips each image's first
-    # set, after a run whose output was dropped, those blocks are exactly
-    # 0.0 and the others are the built-in kernel's.
+    # tail_batch2_5x5 run in one chunk, in two full-depth window sets of
+    # 13 tiles per image. With a kernel installed at kernel.microkernel
+    # that skips each image's first set, after a run whose output was
+    # dropped, those blocks are exactly 0.0 and the others are the
+    # built-in kernel's.
     p = TAIL_CASES["batch2"][0]
-    plan = ConvPlan(p, *_intel_16x8())
-    assert len(plan.sets) == 2 and plan.chunk == p.ic
+    plan = ConvPlan(p, *_intel_16x8(), set_tiles=13, chunk=p.ic)
+    assert len(plan.sets) == 2
     x, flt = rand_tensors(rng, p)
     builtin, _ = plan.run(x, flt)
     _drop_a_nan_output(plan, x, flt)
@@ -1326,13 +1450,13 @@ def test_a_skipped_window_set_leaves_zeros_not_a_dropped_output(
 
 
 def test_a_skipped_chunk_adds_zeros_not_a_dropped_output(rng, monkeypatch):
-    # conv4 runs padded in 7 chunks of 37 channels (the last 34) of one
+    # conv4 runs padded in 6 chunks of 43 channels (the last 41) of one
     # window set. A kernel installed at kernel.microkernel that skips
-    # chunks 0, 2, 4 and 6, after a run whose output was dropped, leaves
+    # chunks 0, 2 and 4, after a run whose output was dropped, leaves
     # zeros for them, the first chunk's output block included: the output
     # is the built-in run's on an input whose skipped channels are zero.
     plan = ConvPlan(CONV4, *_intel_16x8())
-    assert plan.chunk == 37 and len(plan.sets) == 1
+    assert plan.chunk == 43 and len(plan.sets) == 1
     x, flt = rand_tensors(rng, CONV4)
     masked = x.copy()
     for c0 in range(0, CONV4.ic, 2 * plan.chunk):
@@ -1342,5 +1466,5 @@ def test_a_skipped_chunk_adds_zeros_not_a_dropped_output(rng, monkeypatch):
     calls = []
     monkeypatch.setattr(kernel, "microkernel", _skip_every_other_call(calls))
     out, _ = plan.run(x, flt)
-    assert len(calls) == 7 and not any(acc.any() for acc in calls)
+    assert len(calls) == 6 and not any(acc.any() for acc in calls)
     assert np.array_equal(out, expected)

@@ -49,10 +49,10 @@ RECORDS = {
     "TilingStrategy": (PLAN.strategy, STRATEGY_REPR),
     "KernelRegion": (PLAN.regions[0], TAIL_REPR),
     "ConvPlan": (PLAN, f"ConvPlan(params={P_REPR}, arch={ARCH_REPR}, "
-                       f"mk={MK_REPR}, set_tiles=1, chunk=4, "
+                       f"mk={MK_REPR}, set_tiles=2, chunk=4, "
                        f"conv={CONV_REPR}, strategy={STRATEGY_REPR}, "
                        f"regions=({TAIL_REPR}, {MAIN_REPR}), "
-                       f"sets=((0, 16), (16, 20)))"),
+                       f"sets=((0, 36),))"),
     "RunCounters": (RunCounters(input_packs=Counter({(0, 1): 2})),
                     "RunCounters(input_packs=Counter({(0, 1): 2}), "
                     "filter_packs=Counter())"),
@@ -158,7 +158,7 @@ def test_replace_keeps_derived_fields_out_of_reach():
     # A plan derives its conv, strategy, regions and sets, and ConvInfo
     # its extents from its params, so replace() rebuilds them and refuses
     # them as arguments, as field(init=False) did.
-    assert replace(PLAN, set_tiles=2).sets == ((0, 36),)
+    assert replace(PLAN, set_tiles=1).sets == ((0, 16), (16, 20))
     for name in ("conv", "strategy", "regions", "sets"):
         with pytest.raises(ValueError):
             replace(PLAN, **{name: getattr(PLAN, name)})
@@ -184,12 +184,12 @@ def test_replaced_plan_shares_the_decisions():
     # replace(plan, set_tiles=...) runs the same layer at other sizes: it
     # holds the original's problem, machine and microkernel and makes the
     # same strategy, regions and conv from them.
-    sized = replace(PLAN, set_tiles=2)
+    sized = replace(PLAN, set_tiles=1)
     for name in ("params", "arch", "mk"):
         assert getattr(sized, name) is getattr(PLAN, name), name
     for name in ("strategy", "regions", "conv"):
         assert getattr(sized, name) == getattr(PLAN, name), name
-    assert (sized.set_tiles, sized.chunk) == (2, PLAN.chunk)
+    assert (sized.set_tiles, sized.chunk) == (1, PLAN.chunk)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
