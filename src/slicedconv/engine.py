@@ -2,13 +2,15 @@
 
 ConvPlan(p, arch, mk) is made from the problem, the machine and the
 microkernel alone, and derives every decision that does not depend on the
-tensors: it analyzes the padded problem, plans and coverage-checks the
-regions, sizes the layer's window sets and channel chunks, checks those
-sizes and lists the window sets. It is frozen and holds no buffers, so
-one plan may run any number of tensor pairs, from several threads at
-once. ConvPlan.run, the one way to run a layer, checks each tensor's
-shape against the plan and runs the layer's one loop nest
-(kernel._run_layer), which allocates its own buffers per call.
+tensors: it refuses a layer whose tiles overflow L1, sizes the layer's
+window sets and channel chunks, checks those sizes and lists the window
+sets. Its report, the tiling analysis of the padded problem (strategy)
+and the coverage-checked regions cut from it (regions), is made when
+either is first read, since execution reads neither. It is frozen and
+holds no buffers, so one plan may run any number of tensor pairs, from
+several threads at once. ConvPlan.run, the one way to run a layer,
+checks each tensor's shape against the plan and runs the layer's one
+loop nest (kernel._run_layer), which allocates its own buffers per call.
 run_convolution is a plan followed by one run.
 
 The analysis and the plan's strategy, regions and conv describe the
@@ -19,12 +21,12 @@ buffer.
 
 The layer runs as one span, and the analysis and the region plan are
 reported: analyze sizes the paper's tiles, plan_regions splits off the
-window tail and the k3 peel as the paper does, and ConvPlan keeps both,
-but execution reads nothing from them. One loop nest runs every window,
-filter and channel of the layer, addressed from the padded problem alone;
-the GEMM blocks its own operands, and the packers take plain window and
-channel ranges, whatever tiles they hold, so region edges need no code of
-their own.
+window tail and the k3 peel as the paper does, and a plan makes both on
+the first read of its report, but execution reads nothing from them. One
+loop nest runs every window, filter and channel of the layer, addressed
+from the padded problem alone; the GEMM blocks its own operands, and the
+packers take plain window and channel ranges, whatever tiles they hold,
+so region edges need no code of their own.
 
 _layer_shape is the one place that sizes execution, from L2 alone. Each
 window set runs against every filter, (oc, K) @ (K, W), and two numbers
@@ -47,7 +49,36 @@ from .arch import ELEM_BYTES, ArchInfo, ConvInfo, MkInfo
 from .kernel import RunCounters, _run_layer, window_sets
 from .model import DTYPE, ConvParams, Record, _set, require_int
 from .regions import KernelRegion, coverage_check, plan_regions
-from .strategy import TilingStrategy, analyze
+from .strategy import TilingStrategy, _tile_bytes, analyze
+
+
+class _Report:
+    """A report field of ConvPlan (strategy or regions), made on its
+    plan's first read of either.
+
+    The first read runs analyze, plan_regions and coverage_check, looked
+    up as this module's globals, and stores both fields in the plan's
+    __dict__, strategy first; a descriptor without __set__ yields to the
+    instance dict, so later reads are plain attribute reads. Two threads
+    reading a fresh plan at once both make the report and store equal
+    values. A region plan that does not cover raises RuntimeError at that
+    read and stores nothing.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, plan, owner=None):
+        if plan is None:
+            return self
+        conv = plan.conv
+        strategy = analyze(conv, plan.arch, plan.mk)
+        regions = tuple(plan_regions(conv, strategy, plan.mk))
+        if not coverage_check(regions, conv):
+            raise RuntimeError("region decomposition does not cover")
+        _set(plan, "strategy", strategy)
+        _set(plan, "regions", regions)
+        return plan.__dict__[self.name]
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -55,15 +86,18 @@ class ConvPlan(Record):
     """One convolution planned for one machine and microkernel.
 
     params is the problem as the caller holds it (padded or not). The
-    plan derives conv, the padded problem's ConvInfo; its strategy
-    (ValueError if the analysis refuses it); its coverage-checked regions;
+    plan derives conv, the padded problem's ConvInfo, and refuses a layer
+    whose single-channel tiles exceed L1 with analyze's ValueError; then
     set_tiles and chunk, the window-set size in whole tiles and the
     channel-chunk size, from _layer_shape unless given, then checked: both
     integers (TypeError), set_tiles at least 1, chunk from 1 to ic, and a
     chunked layer one window set (ValueError); and sets, each window set's
-    (first window, windows). It holds no buffers and no tensors. replace()
-    refuses what is derived: replace(plan, set_tiles=..., chunk=...) is
-    the same layer at other sizes, and any other replace() plans anew.
+    (first window, windows). Its report, strategy and the
+    coverage-checked regions, is made on the first read of either (see
+    _Report); repr, == and hash read every field, so they make it too. It
+    holds no buffers and no tensors. replace() refuses what is derived:
+    replace(plan, set_tiles=..., chunk=...) is the same layer at other
+    sizes, and any other replace() plans anew; either has no report yet.
     """
 
     params: ConvParams
@@ -72,17 +106,15 @@ class ConvPlan(Record):
     set_tiles: int
     chunk: int
     conv: ConvInfo = field(init=False)
-    strategy: TilingStrategy = field(init=False)
-    regions: tuple[KernelRegion, ...] = field(init=False)
     sets: tuple[tuple[int, int], ...] = field(init=False)
+    # Last, so that a read report follows the other fields in __dict__.
+    strategy: TilingStrategy = field(init=False, default=_Report())
+    regions: tuple[KernelRegion, ...] = field(init=False, default=_Report())
 
     def __init__(self, params: ConvParams, arch: ArchInfo, mk: MkInfo,
                  set_tiles: int | None = None, chunk: int | None = None):
         conv = ConvInfo(params.padded())
-        strategy = analyze(conv, arch, mk)
-        regions = tuple(plan_regions(conv, strategy, mk))
-        if not coverage_check(regions, conv):
-            raise RuntimeError("region decomposition does not cover")
+        _tile_bytes(conv, arch, mk)
         shape = _layer_shape(conv, arch, mk)
         set_tiles = shape[0] if set_tiles is None else set_tiles
         chunk = shape[1] if chunk is None else chunk
@@ -105,8 +137,6 @@ class ConvPlan(Record):
         _set(self, "set_tiles", set_tiles)
         _set(self, "chunk", chunk)
         _set(self, "conv", conv)
-        _set(self, "strategy", strategy)
-        _set(self, "regions", regions)
         _set(self, "sets", sets)
 
     def run(self, x: np.ndarray, filters: np.ndarray, hook=None,

@@ -16,11 +16,12 @@ seeded with (seed, case_index), input tensor drawn before the filter tensor,
 so reports are reproducible bit-for-bit for a given suite and seed.
 
 Correctness compares the engine against reference.rowwise_conv, the float64
-reference computed as one GEMM per output row and block of filters (equal
-to the per-pixel naive_conv oracle after the f32 cast, and much faster);
-the per-case metric is max |engine - reference| normalized by the
-reference's largest absolute value, checked on every element against the
-1e-4 engine tolerance, with the float64 difference taken in bounded chunks.
+reference computed as one GEMM per band of output rows and block of
+filters (equal to the per-pixel naive_conv oracle after the f32 cast, and
+much faster); the per-case metric is max |engine - reference| normalized
+by the reference's largest absolute value, checked on every element
+against the 1e-4 engine tolerance, with the float64 difference taken in
+bounded chunks.
 """
 
 from __future__ import annotations
@@ -182,7 +183,13 @@ def init_tensors(case: ConvCase, seed: int, index: int) -> tuple[np.ndarray, np.
     for flat in (x.reshape(-1), flt.reshape(-1)):
         for i in range(0, flat.size, _DRAW_CHUNK):
             part = flat[i:i + _DRAW_CHUNK]
-            part[...] = rng.uniform(-1.0, 1.0, part.size)
+            # uniform(-1, 1) computes -1 + 2*d from the same draws, and
+            # 2*d is exact, so this is that draw bit for bit, done in
+            # place.
+            d = rng.random(part.size)
+            d *= 2.0
+            d -= 1.0
+            part[...] = d
     return x, flt
 
 
@@ -235,12 +242,13 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
               ) -> tuple[list[CaseReport], dict[str, tuple[KernelRegion, ...]]]:
     """Run every case; returns (reports, each passing run's region plan).
 
-    Each case is planned once (engine.ConvPlan), and its plan runs
-    the verification pass and then, unless verify_only, the case's repeat
-    timed runs, so the reported seconds exclude planning. A case the
-    engine refuses to plan (analyze's ValueError: its tiles do not fit
-    the machine) is reported with planned=False; any other exception,
-    in the verification pass or a timed run, is an engine failure.
+    Each case is planned once (engine.ConvPlan), its report is read
+    right after, and its plan runs the verification pass and then,
+    unless verify_only, the case's repeat timed runs, so the reported
+    seconds exclude planning. A case the engine refuses to plan
+    (analyze's ValueError: its tiles do not fit the machine) is reported
+    with planned=False; any other exception, in the report, the
+    verification pass or a timed run, is an engine failure.
     Verification passes may run in parallel (jobs > 1); timing passes
     are always serialized to avoid interference. A serial run times each
     case right after verifying it, on the same tensors, so it holds one
@@ -254,6 +262,9 @@ def run_suite(cases: list[ConvCase], arch: ArchInfo, mk: MkInfo, seed: int = 0,
                 plan = ConvPlan(case.params, arch, mk)
             except ValueError as exc:
                 return _failure_report(case, exc, planned=False)
+            # The report, made here on first read: a region plan that
+            # does not cover fails this case as the engine's failure.
+            plan.regions
             x, flt = init_tensors(case, seed, idx)
             t0 = time.perf_counter()
             out, _ = plan.run(x, flt)

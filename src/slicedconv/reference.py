@@ -4,10 +4,10 @@ These exist solely to check the tiled engine. naive_conv walks every output
 coordinate and reduces its input patch in float64 before casting down,
 giving a tighter reference than the f32 engine path; its speed is
 irrelevant. rowwise_conv computes the same float64 convolution as one GEMM
-per output row and block of filters. It reads the input through a strided
-view, padded if need be in the input's own dtype, and casts each row's
-window matrix and each block of output channels' filters to float64 only
-as it uses them, so it never holds a float64 copy of either tensor.
+per band of output rows and block of filters. It reads the input through a
+strided view, padded if need be in the input's own dtype, and casts each
+band's window matrix and each block of output channels' filters to float64
+only as it uses them, so it never holds a float64 copy of either tensor.
 The harness can so verify whole suites quickly, in bounded memory, without
 sharing any code with the engine's packing. im2col materializes the
 window-major matrix so packed tiles can be compared column-for-column and
@@ -25,6 +25,10 @@ from .model import ConvParams, out_shape, pad_input
 # layer is one block, and a deep layer's float64 filters are never held
 # whole.
 _FILTER_BLOCK_BYTES = 1 << 20
+# rowwise_conv casts the windows of a band of output rows to float64 in a
+# block of at most this many bytes (or one row, if that is more): a band
+# is one GEMM, and a small layer needs few of them.
+_BAND_BYTES = 1 << 13
 
 
 def _filter_blocks(oc: int, k: int) -> int:
@@ -64,8 +68,10 @@ def naive_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 def rowwise_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarray:
-    """naive_conv as one f64 (rows, K) @ (K, ow) GEMM per output row and
-    block of filters, each block at most _FILTER_BLOCK_BYTES of float64."""
+    """naive_conv as one f64 (filters, K) @ (K, rows*ow) GEMM per band of
+    output rows and block of filters: each band's windows at most
+    _BAND_BYTES of float64 (or one row), each filter block at most
+    _FILTER_BLOCK_BYTES."""
     if x.shape != (p.n, p.ic, p.ih, p.iw):
         raise ValueError(f"input shape {x.shape} does not match params")
     if filters.shape != (p.oc, p.ic, p.fh, p.fw):
@@ -74,21 +80,22 @@ def rowwise_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarra
     k = p.ic * p.fh * p.fw
     # In the input's dtype, and C-ordered, which the window view is built on.
     xp = np.ascontiguousarray(pad_input(x, p))
-    # windows[b, r, c, i, j, q] is the input under filter offset (i, j) of
+    # windows[b, c, i, j, r, q] is the input under filter offset (i, j) of
     # output (r, q); only read, and in bounds by out_shape's arithmetic.
     s_n, s_c, s_h, s_w = xp.strides
     windows = np.ndarray(
-        (p.n, oh, p.ic, p.fh, p.fw, ow), xp.dtype, xp, 0,
-        (s_n, p.stride_h * s_h, s_c, p.dil_h * s_h, p.dil_w * s_w,
+        (p.n, p.ic, p.fh, p.fw, oh, ow), xp.dtype, xp, 0,
+        (s_n, s_c, p.dil_h * s_h, p.dil_w * s_w, p.stride_h * s_h,
          p.stride_w * s_w))
-    # Each row's windows and each filter block are cast into these two.
-    win = np.empty((p.ic, p.fh, p.fw, ow))
-    win_k = win.reshape(k, ow)
+    band = min(oh, max(1, _BAND_BYTES // (8 * k * ow)))
+    # Each band's windows and each filter block are cast into these two;
+    # a short last band uses the front of win.
+    win = np.empty(k * band * ow)
     flat = filters.reshape(p.oc, k)
     blocks = _filter_blocks(p.oc, k)
     block = np.empty((-(-p.oc // blocks), k))
-    # Rows go straight into the f32 output, rounding as astype does, so no
-    # f64 output is ever held.
+    # Each band goes straight into the f32 output, rounding as astype does,
+    # so no f64 output is ever held whole.
     out = np.empty((p.n, p.oc, oh, ow), dtype=np.float32)
     for j in range(blocks):
         f0, f1 = j * p.oc // blocks, (j + 1) * p.oc // blocks
@@ -96,9 +103,13 @@ def rowwise_conv(x: np.ndarray, filters: np.ndarray, p: ConvParams) -> np.ndarra
         flt[...] = flat[f0:f1]
         for b in range(p.n):
             out_b, win_b = out[b, f0:f1], windows[b]
-            for r in range(oh):
-                win[...] = win_b[r]
-                out_b[:, r] = flt @ win_k
+            for r0 in range(0, oh, band):
+                r1 = min(oh, r0 + band)
+                rows = win[:k * (r1 - r0) * ow].reshape(
+                    p.ic, p.fh, p.fw, r1 - r0, ow)
+                rows[...] = win_b[..., r0:r1, :]
+                out_b[:, r0:r1] = (flt @ rows.reshape(k, -1)).reshape(
+                    f1 - f0, r1 - r0, ow)
     return out
 
 

@@ -19,9 +19,10 @@ tile the layer's windows. A region therefore holds its channel extents
 so --dump-regions keeps its keys. The engine reports this plan and runs
 the layer as one span (see engine.py).
 
-Regions are only the reported plan (ConvPlan.regions, the CSV,
---dump-regions): the executor and the packers take plain window and
-channel ranges of the layer, and no region. A region's e_off, the paper's
+Regions are only the reported plan (ConvPlan.regions, made when the
+plan's report is first read; the CSV, --dump-regions): the executor and
+the packers take plain window and channel ranges of the layer, and no
+region. A region's e_off, the paper's
 region offset, is its first window, spatial_start.
 """
 

@@ -14,12 +14,13 @@ Given a convolution, a cache hierarchy, and a microkernel shape, pick
 plus the remainders of each dimension against its tile size.
 
 These are the paper's tile sizes, and the CSV report gives them as
-analysed; the plan keeps them and the regions cut from them, but
-execution reads none of them. The executor runs each window set against
-every filter through a BLAS GEMM microkernel, which packs and blocks its
-own operands, and the engine sizes window sets and channel chunks from
-L2 alone (see engine.py): the schedule orders nothing in execution, and
-nc, k2, k3 and their remainders size no loop there.
+analysed; a plan makes them, and the regions cut from them, when its
+report is first read, and execution reads none of them. The executor
+runs each window set against every filter through a BLAS GEMM
+microkernel, which packs and blocks its own operands, and the engine
+sizes window sets and channel chunks from L2 alone (see engine.py): the
+schedule orders nothing in execution, and nc, k2, k3 and their
+remainders size no loop there.
 
 Tile-count semantics are fixed per dimension: k2 always counts filter tiles
 and k3 always counts window tiles, for both schedules. nc candidates are
@@ -82,20 +83,31 @@ def remainders(conv: ConvInfo, mk: MkInfo, nc: int, k2: int, k3: int) -> tuple[i
     return p.ic % nc, p.oc // mk.n_f % k2, conv.ohw // mk.n_win % k3
 
 
-def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
-    """Pick schedule and tile sizes for a convolution on a given machine.
+def _tile_bytes(conv: ConvInfo, arch: ArchInfo,
+                mk: MkInfo) -> tuple[int, int, int]:
+    """(in1, f1, out1): the paper's input and filter tiles grow by in1 and
+    f1 bytes per channel, and its output tile is out1 bytes at any depth.
 
-    Raises ValueError when even a single-channel tile set exceeds L1.
+    Raises ValueError when even a single-channel tile set exceeds L1: the
+    one refusal of the analysis, which ConvPlan makes at construction.
     """
     p = conv.params
-    # The paper's input and filter tiles grow by in1 and f1 bytes per
-    # channel; its output tile is out1 bytes at any depth.
     in1 = p.fh * (mk.n_win + p.fw - 1) * ELEM_BYTES
     f1 = mk.n_f * p.fh * p.fw * ELEM_BYTES
     out1 = mk.n_f * mk.n_win * ELEM_BYTES
     if in1 + f1 + out1 > arch.l1_bytes:
         raise ValueError(
             f"tile exceeds L1: {in1 + f1 + out1} bytes at nc=1 vs {arch.l1_bytes}")
+    return in1, f1, out1
+
+
+def analyze(conv: ConvInfo, arch: ArchInfo, mk: MkInfo) -> TilingStrategy:
+    """Pick schedule and tile sizes for a convolution on a given machine.
+
+    Raises ValueError when even a single-channel tile set exceeds L1.
+    """
+    p = conv.params
+    in1, f1, out1 = _tile_bytes(conv, arch, mk)
 
     # Largest power-of-two channel depth within the per-channel L1 budget,
     # capped by ic. The budget charges the output tile per channel, which is

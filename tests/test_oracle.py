@@ -194,6 +194,23 @@ def test_rowwise_filter_blocks_are_bitwise_the_whole_tensor_oracle(
         _assert_bitwise_whole(permuted, f, p)
 
 
+def test_rowwise_row_bands_are_bitwise_the_whole_tensor_oracle(
+        rng, monkeypatch):
+    # 11 output rows of 8 windows at K = 36: a row's float64 windows are
+    # 2,304 B, so the 8 KiB band holds 3 rows, and each image runs in
+    # bands of 3, 3, 3 and 2 rows; then bands of 4, 4 and 3, of one row,
+    # and one band of the whole image, all bitwise the per-row oracle.
+    p = ConvParams(n=2, ic=4, ih=13, iw=10, oc=6, fh=3, fw=3)
+    row_bytes = 8 * p.ic * p.fh * p.fw * out_shape(p)[1]
+    assert out_shape(p) == (11, 8)
+    assert reference._BAND_BYTES // row_bytes == 3
+    x, f = rand_tensors(rng, p)
+    _assert_bitwise_whole(x, f, p)
+    for rows in (4, 1, 11):
+        monkeypatch.setattr(reference, "_BAND_BYTES", rows * row_bytes)
+        _assert_bitwise_whole(x, f, p)
+
+
 def test_rowwise_and_error_check_hold_no_float64_filter_tensor():
     # The deep 512-channel layer's filters are 9.4 MB in float32 and twice
     # that in float64; the reference and the error check together peak

@@ -4,15 +4,17 @@ returned beside them, and at other sizes through dataclasses.replace."""
 
 import sys
 import threading
+import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import CALIBRATED_ARCH, FIXTURES, rand_tensors
-from slicedconv import (ConvParams, ConvPlan, MkInfo, RunCounters,
-                        load_arch, load_suite, naive_conv, run_convolution)
+from slicedconv import (ArchInfo, ConvInfo, ConvParams, ConvPlan, MkInfo,
+                        RunCounters, analyze, load_arch, load_suite,
+                        naive_conv, plan_regions, run_convolution)
 from slicedconv import engine, kernel
 from slicedconv.harness import max_relative_error
 from slicedconv.reference import rowwise_conv
@@ -154,8 +156,9 @@ def test_one_plan_runs_from_two_threads_at_once(rng):
 
 def test_plan_and_run_look_up_their_stages_as_module_globals(rng,
                                                              monkeypatch):
-    # A wrapper installed on engine.analyze sees each plan, and one on
-    # kernel.pack_input each pack of each run.
+    # A wrapper installed on engine.analyze sees each report, made on the
+    # plan's first read of it and never by planning or running, and one
+    # on kernel.pack_input each pack of each run.
     p = ConvParams(n=2, ic=3, ih=9, iw=9, oc=8, fh=3, fw=3)
     mk = MkInfo(n_win=4, n_f=4)
     analyses, packs = [], []
@@ -165,11 +168,131 @@ def test_plan_and_run_look_up_their_stages_as_module_globals(rng,
     monkeypatch.setattr(kernel, "pack_input",
                         lambda *a, **kw: packs.append(a) or pack_input(*a, **kw))
     plan = ConvPlan(p, CALIBRATED_ARCH, mk)
-    assert len(analyses) == 1
+    assert len(analyses) == 0
     x, flt = rand_tensors(rng, p)
     plan.run(x, flt)
     plan.run(x, flt)
-    assert len(analyses) == 1
+    assert len(analyses) == 0
     assert len(packs) == 2 * p.n * len(plan.sets)
-    run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+    plan.strategy
+    plan.regions
+    assert len(analyses) == 1
+    _, info = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+    assert len(analyses) == 1
+    info.regions
     assert len(analyses) == 2
+
+
+def _refuse(*args):
+    raise AssertionError("the report was made")
+
+
+def test_planning_and_running_make_no_report(rng, monkeypatch):
+    # Execution reads no analysis: a plan, its runs, a replaced plan and
+    # run_convolution call none of the report's three stages.
+    for name in ("analyze", "plan_regions", "coverage_check"):
+        monkeypatch.setattr(engine, name, _refuse)
+    p = ConvParams(n=2, ic=6, ih=11, iw=7, oc=12, fh=5, fw=5, pad_h=1, pad_w=1)
+    mk = MkInfo(n_win=4, n_f=4)
+    plan = ConvPlan(p, CALIBRATED_ARCH, mk)
+    x, flt = rand_tensors(rng, p)
+    out, info = plan.run(x, flt)
+    replace(plan, set_tiles=1).run(x, flt)
+    want, _ = run_convolution(x, flt, p, CALIBRATED_ARCH, mk)
+    assert info is plan and out.tobytes() == want.tobytes()
+    assert "strategy" not in vars(plan) and "regions" not in vars(plan)
+    with pytest.raises(AssertionError, match="the report was made"):
+        plan.regions
+
+
+ARCHS = {name: load_arch(FIXTURES / name)
+         for name in ("intel.toml", "calibrated.toml", "nol3.toml")}
+
+
+@pytest.mark.parametrize("mk", [MK, MkInfo(n_win=1, n_f=1)],
+                         ids=["16x8", "1x1"])
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_the_report_is_the_analysis_of_the_plans_problem(arch, mk):
+    # Made on first read, the report equals what analyze and plan_regions
+    # make of the plan's padded problem, on every smoke and deep layer.
+    for param in _suite_params("smoke.jsonl") + _suite_params("deep.jsonl"):
+        p = param.values[0]
+        plan = ConvPlan(p, ARCHS[arch], mk)
+        strategy = analyze(plan.conv, ARCHS[arch], mk)
+        assert plan.strategy == strategy, param.id
+        assert plan.regions == tuple(plan_regions(plan.conv, strategy, mk))
+
+
+def test_an_l1_overflow_is_refused_at_construction():
+    # The one refusal of the analysis stays with planning, in analyze's
+    # words, before any report is read.
+    p = ConvParams(n=1, ic=4, ih=9, iw=9, oc=8, fh=3, fw=3)
+    tiny = ArchInfo(l1_bytes=1024, l2_bytes=4096)
+    mk = MkInfo(n_win=64, n_f=64)
+    with pytest.raises(ValueError) as analysed:
+        analyze(ConvInfo(p), tiny, mk)
+    with pytest.raises(ValueError) as planned:
+        ConvPlan(p, tiny, mk)
+    assert str(planned.value) == str(analysed.value)
+    assert str(planned.value).startswith("tile exceeds L1: ")
+
+
+def test_threads_first_reading_one_plan_get_equal_reports(monkeypatch):
+    # Eight threads read a fresh plan's report at once, half of them
+    # regions first; a slowed analysis lets several make it. Each gets
+    # the report a serial plan makes, and the plan's dict holds each
+    # field once, in field order.
+    p = ConvParams(n=2, ic=8, ih=20, iw=19, oc=24, fh=3, fw=3, pad_h=1,
+                   pad_w=1)
+    mk = MkInfo(n_win=16, n_f=8)
+    serial = ConvPlan(p, CALIBRATED_ARCH, mk)
+    want = (serial.strategy, serial.regions)
+    slow = engine.analyze
+
+    def analyze_slowly(*args):
+        time.sleep(0.01)
+        return slow(*args)
+
+    monkeypatch.setattr(engine, "analyze", analyze_slowly)
+    plan = ConvPlan(p, CALIBRATED_ARCH, mk)
+    start = threading.Barrier(8)
+    got = {}
+
+    def read(i):
+        start.wait(timeout=60)
+        got[i] = ((plan.strategy, plan.regions) if i % 2
+                  else (plan.regions, plan.strategy)[::-1])
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == list(range(8))
+    assert all(report == want for report in got.values())
+    assert list(vars(plan)) == [f.name for f in fields(plan)]
+
+
+def test_a_replaced_plan_reports_as_a_new_plan():
+    # replace() plans again, without the report of the plan it copies,
+    # and then reports what a new plan at those sizes reports.
+    p = ConvParams(n=1, ic=256, ih=14, iw=14, oc=256, fh=3, fw=3, pad_h=1,
+                   pad_w=1)
+    plan = ConvPlan(p, INTEL, MK)
+    plan.regions
+    assert plan.chunk < p.ic
+    for chunk in (p.ic, plan.chunk // 2):
+        moved = replace(plan, chunk=chunk)
+        assert "strategy" not in vars(moved)
+        fresh = ConvPlan(p, INTEL, MK, chunk=chunk)
+        assert (moved.strategy, moved.regions) == (fresh.strategy,
+                                                   fresh.regions)
+        assert (moved.strategy, moved.regions) == (plan.strategy,
+                                                   plan.regions)
+        assert moved == fresh

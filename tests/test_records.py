@@ -50,9 +50,9 @@ RECORDS = {
     "KernelRegion": (PLAN.regions[0], TAIL_REPR),
     "ConvPlan": (PLAN, f"ConvPlan(params={P_REPR}, arch={ARCH_REPR}, "
                        f"mk={MK_REPR}, set_tiles=2, chunk=4, "
-                       f"conv={CONV_REPR}, strategy={STRATEGY_REPR}, "
-                       f"regions=({TAIL_REPR}, {MAIN_REPR}), "
-                       f"sets=((0, 36),))"),
+                       f"conv={CONV_REPR}, sets=((0, 36),), "
+                       f"strategy={STRATEGY_REPR}, "
+                       f"regions=({TAIL_REPR}, {MAIN_REPR}))"),
     "RunCounters": (RunCounters(input_packs=Counter({(0, 1): 2})),
                     "RunCounters(input_packs=Counter({(0, 1): 2}), "
                     "filter_packs=Counter())"),
@@ -198,6 +198,12 @@ def test_dict_holds_exactly_the_fields_in_order(name):
     # must list no pseudo-field (ClassVar or InitVar) beside the fields.
     obj, _ = RECORDS[name]
     names = [f.name for f in fields(obj)]
+    if name == "ConvPlan":
+        # A plan's report, its last two fields, joins its dict on the
+        # first read of either, in field order whichever is read.
+        obj = replace(obj)
+        assert list(obj.__dict__) == names[:-2]
+        obj.regions
     assert list(obj.__dict__) == names
     assert list(obj.__dataclass_fields__) == names
 
